@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -132,6 +133,12 @@ def _parse_scalar(raw: str):
     return raw
 
 
+def _all_finite(value) -> bool:
+    if isinstance(value, tuple):
+        return all(_all_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate; raises ConfigError listing every violation found."""
     violations = []
@@ -151,6 +158,8 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         seen[key] = lineno
         flat[key] = _parse_scalar(raw)
+        if not _all_finite(flat[key]):
+            violations.append(f"line {lineno}: {key} must be finite, got {raw!r}")
 
     experiment = flat.pop("experiment", None)
     if experiment is None:
@@ -529,8 +538,10 @@ def main(argv=None) -> int:
         for v in exc.violations:
             print(f"config error: {v}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, RuntimeError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # exit 1 is reserved for a failed exact verdict: any other failure,
+        # expected (I/O, bad input values) or not, is a runtime error
+        print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     for v in report.verdicts:
         mark = {"pass": "PASS", "fail": "FAIL", "evidence": "EVID"}[v["status"]]

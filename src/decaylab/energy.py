@@ -27,7 +27,7 @@ from scipy.signal import fftconvolve
 
 from .dyadic import DyadicGridSet, set_check
 from .measures import GridMeasure, ball_mass_vector, mask_measure, regularize
-from .spectral import fourier_many
+from .spectral import fourier_many, fourier_progression
 
 __all__ = [
     "EnergyReport",
@@ -97,7 +97,8 @@ def _fourier_energy_raw(mu: GridMeasure, s: float, delta: float,
     xi_max = 8.0 / delta
     n = int(np.ceil((xi_max - 1.0) / spacing)) + 1
     xis = np.linspace(1.0, xi_max, n)
-    vals = np.abs(fourier_many(md, xis)) ** 2 * xis ** (s - 1.0)
+    vals = np.abs(fourier_progression(md, 1.0, (xi_max - 1.0) / max(n - 1, 1),
+                                      np.arange(n))[0]) ** 2 * xis ** (s - 1.0)
     high = np.trapezoid(vals, xis)
     v = np.linspace(0.0, 1.0, low_points)[1:]
     low_x = v ** (1.0 / s)

@@ -137,6 +137,40 @@ def test_main_config_error_exit_2(tmp_path):
     assert main([str(p)]) == 2
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_main_non_finite_parameter_exit_2(tmp_path, capsys, value):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(BASE_CASE)
+    code = main([str(cfg_path), "--output", str(tmp_path / "out"),
+                 "--param", f"t={value}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error:" in err and "t must be finite" in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_parse_rejects_non_finite_input_and_list_values():
+    with pytest.raises(ConfigError) as exc:
+        parse_config(BASE_CASE.replace("input1.b = 2.0", "input1.b = inf")
+                     + "exponents_extra = 0.5,nan\n")
+    v = exc.value.violations
+    assert any("input1.b must be finite" in x for x in v)
+    assert any("exponents_extra must be finite" in x for x in v)
+
+
+def test_main_unexpected_exception_exit_2(tmp_path, capsys, monkeypatch):
+    import decaylab.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(cli, "run_base_case", broken)
+    cfg_path = tmp_path / "ok.cfg"
+    cfg_path.write_text(BASE_CASE)
+    assert main([str(cfg_path), "--output", str(tmp_path / "out")]) == 2
+    assert "runtime error: ZeroDivisionError" in capsys.readouterr().err
+
+
 def test_main_unwritable_output_exit_2(tmp_path):
     cfg_path = tmp_path / "ok.cfg"
     cfg_path.write_text(BASE_CASE)
@@ -183,6 +217,12 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
 def test_determinism_across_processes(tmp_path):
     import subprocess
     import sys
+
+    import decaylab
+    # the child imports decaylab from the same tree as this process
+    src = os.path.dirname(os.path.dirname(decaylab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(BASE_CASE)
     blobs = []
@@ -191,7 +231,7 @@ def test_determinism_across_processes(tmp_path):
         r = subprocess.run(
             [sys.executable, "-m", "decaylab.cli", str(cfg_path),
              "--output", str(out)],
-            capture_output=True, text=True, timeout=300,
+            capture_output=True, text=True, timeout=300, env=env,
         )
         assert r.returncode == 0, r.stderr
         blobs.append(((out / "report.json").read_bytes().replace(sub.encode(), b"p"),

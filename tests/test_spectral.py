@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from decaylab import (convolve, decay_profile, fourier_at, fourier_many,
+from decaylab import (GridMeasure, convolve, decay_profile, fourier_at, fourier_many,
                       l2_at_scale, order_check, point_mass, product_fourier,
                       product_transform_bound, pushforward_affine,
                       uniform_measure)
-from decaylab.spectral import (band_energy, product_chain_fourier,
-                               profile_from_samples, routed_product_check)
+from decaylab import spectral
+from decaylab.spectral import (band_energy, fourier_progression,
+                               product_chain_fourier, profile_from_samples,
+                               routed_product_check)
 
 from conftest import random_cantor_measure, random_masses_measure
 
@@ -73,12 +76,115 @@ def test_product_chain_matches_pairwise():
         assert abs(a - b) <= 1e-10
 
 
+def test_product_chain_three_cantor_factors_match_nested_sum():
+    # oracle: the nested direct formula, last factor's transform at xi times
+    # every product of occupied centers of the first n - 1 factors
+    ms = [random_cantor_measure(seed, depth=4) for seed in (11, 12, 13)]
+    (c1, w1), (c2, w2) = ms[0].occupied(), ms[1].occupied()
+    prod_c = np.multiply.outer(c1, c2).ravel()
+    prod_w = np.multiply.outer(w1, w2).ravel()
+    for xi in (3.0, 257.5, 2048.0):
+        oracle = complex(np.sum(prod_w * fourier_many(ms[2], xi * prod_c)))
+        assert abs(product_chain_fourier(ms, xi) - oracle) <= 1e-10
+
+
 def test_routed_product_agrees_at_moderate_frequency():
     # grid-routed multiplicative convolution vs the atom-exact transform
     mu = uniform_measure(1.0, 2.0, 11)
     nu = uniform_measure(1.0, 2.0, 11)
     delta = 2.0 ** -8
     assert routed_product_check(mu, nu, 2.0 / delta) <= 3e-2
+
+
+# ---------------------------------------------------------------------------
+# transforms on a progression: chirp-z against the explicit double sum
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _window_measures(draw, level, origin_lo, origin_hi, max_size=2048):
+    """Measures on a window of 1..max_size cells, dense or sparse, at `level`."""
+    size = draw(st.integers(1, max_size))
+    origin = draw(st.integers(origin_lo, origin_hi))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    fill = draw(st.sampled_from([1.0, 0.3, 0.02]))
+    rng = np.random.default_rng(seed)
+    masses = rng.random(size) * (rng.random(size) < fill)
+    masses[rng.integers(size)] = 1.0
+    return GridMeasure(level, origin, masses)
+
+
+def _double_sum(mu, xis):
+    c, w = mu.occupied()
+    return np.exp(-2j * np.pi * np.multiply.outer(xis, c)) @ w
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 13).flatmap(
+           lambda lv: _window_measures(lv, -(2 << lv), 2 << lv,
+                                       min(2048, 2 << lv))),
+       st.integers(1, 2000),
+       st.lists(st.tuples(st.floats(-2048.0, 2048.0), st.floats(0.0, 2.0)),
+                min_size=1, max_size=3))
+def test_chirp_z_matches_double_sum(mu, count, rows):
+    # frequencies up to 2/delta = 2048 at level 13, centers in [-2, 4]
+    start = np.array([a for a, _ in rows])
+    step = np.array([b for _, b in rows])
+    ks = np.arange(count)
+    got = spectral._chirp_z(mu, start, step, ks)
+    oracle = _double_sum(mu, start[:, None] + step[:, None] * ks)
+    assert np.max(np.abs(got - oracle)) <= 1e-9 * mu.total_mass
+
+
+@settings(max_examples=30, deadline=None)
+@given(_window_measures(26, 1 << 26, (1 << 26) + (1 << 14)),
+       st.integers(1, 2000),
+       st.lists(st.integers(1 << 26, (1 << 26) + (1 << 14)),
+                min_size=1, max_size=3))
+def test_chirp_z_counterexample_shape(mu, count, nu_origins):
+    # counterexample scale: level 26 near x = 1, xi = 2**20 times the
+    # centers of a second level-26 window.  All phases are integers times
+    # 2**-34, so the oracle reduces them exactly in int64.  Phases reach
+    # 2**21 turns here: reducing fl(xi * c) instead of the exact product
+    # leaves errors up to ~3e-10, so the bound is set well below that.
+    xi, h = 2.0 ** 20, 2.0 ** -26
+    odd_nu = 2 * np.array(nu_origins, dtype=np.int64) + 1
+    start = xi * odd_nu * (h / 2)
+    step = np.full(odd_nu.size, xi * h)
+    ks = np.arange(count)
+    got = spectral._chirp_z(mu, start, step, ks)
+    nz = np.nonzero(mu.masses)[0]
+    odd_mu = 2 * (mu.origin_index + nz) + 1
+    for row, o in enumerate(odd_nu):
+        prod = np.multiply.outer(o + 2 * ks, odd_mu) & ((1 << 34) - 1)
+        oracle = np.exp(-2j * np.pi * prod * 2.0 ** -34) @ mu.masses[nz]
+        assert np.max(np.abs(got[row] - oracle)) <= 1e-12 * mu.total_mass
+
+
+def test_progression_dispatch_matches_direct_sum_across_threshold():
+    rng = np.random.default_rng(7)
+    mu = GridMeasure(10, 1024, rng.random(300))
+    start, step = np.array([3.5, -700.25]), np.array([0.75, 1.5])
+    paths = set()
+    for count in range(1, 12):
+        ks = np.arange(count)
+        paths.add(spectral._use_direct(mu, ks))
+        got = fourier_progression(mu, start, step, ks)
+        oracle = fourier_many(mu, start[:, None] + step[:, None] * ks)
+        assert np.max(np.abs(got - oracle)) <= 1e-12 * mu.total_mass
+    assert paths == {True, False}
+
+
+def test_progression_sparse_indices_and_empty_cases():
+    mu = random_cantor_measure(3)
+    ks = np.array([5000, 0, 17, 17])
+    got = fourier_progression(mu, 12.5, 0.125, ks)
+    assert got.shape == (1, 4)
+    assert np.allclose(got[0], fourier_many(mu, 12.5 + 0.125 * ks), atol=1e-12)
+    assert fourier_progression(mu, [1.0, 2.0], 1.0, []).shape == (2, 0)
+    empty = GridMeasure(6, 0, np.zeros(8))
+    assert not np.any(fourier_progression(empty, 1.0, 1.0, [0, 3]))
+    with pytest.raises(ValueError):
+        fourier_progression(mu, 1.0, 1.0, [-1, 2])
 
 
 # ---------------------------------------------------------------------------
