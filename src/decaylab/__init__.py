@@ -6,7 +6,7 @@ combinatorics, and reproducible experiment pipelines.
 
 __version__ = "0.1.0"
 
-from .convolution import convolve, difference_product, multiply_log_fast, power
+from .convolution import convolve, difference_product, power
 from .dyadic import (BranchingFunction, DyadicGridSet, additive_energy,
                      branching_function, covering_number, project,
                      projection_scan, set_check, superlinear_decompose,
@@ -28,7 +28,7 @@ __all__ = [
     "from_density", "from_atoms", "from_masses", "uniform_measure", "point_mass",
     "regularize", "pushforward_affine", "restrict_normalize", "sup_ball_mass",
     "l1_distance",
-    "convolve", "power", "difference_product", "multiply_log_fast",
+    "convolve", "power", "difference_product",
     "fourier_at", "fourier_many", "product_fourier", "product_chain_fourier",
     "l2_at_scale", "DecayProfile", "decay_profile", "product_transform_bound",
     "order_check",

@@ -2,18 +2,29 @@
 
 convolve(mu, nu, op) pushes the product measure mu x nu through x+y, x-y or
 x*y.  Grids at different levels are refined to the finer one first, and
-output windows grow as needed; no operation errors on size.
+output windows grow as needed.  Every output's support is exact: a cell
+carries mass only if some pair of occupied input cells routes mass to it,
+and every such cell does (add/sub: unless its true mass is below FFT
+roundoff), so support(), occupied() and occupied_set() of an output are true.
 
 add/sub run as one fast linear convolution of the mass vectors.  Sums of
 cell centers land midway between output cell centers, so each pair mass is
 split equally between the two straddling cells; that split is exact for the
-cell-uniform reading of a grid measure (uniform * uniform = triangle).
+cell-uniform reading of a grid measure (uniform * uniform = triangle).  The
+true support comes from a second FFT convolution of the 0/1 occupancy
+vectors (its counts are exact integers up to roundoff far below 1/2); FFT
+roundoff outside it is zeroed before the split.  Mass is checked on the
+unscaled sum and only then rescaled to the exact product of the masses.
 
 mul routes each pair mass to the cell containing the product of the two
-cell centers (single-cell routing, floor binning).  For measures supported
-in [-2, 2] the routed point sits within 4 grid cells of every true product
-from the source cells, and mass conservation is exact.  A log-domain fast
-path is available for measures supported in [1/2, 4].
+cell centers (single-cell routing, floor binning).  Cell k at level L has
+center (2k+1) 2**-(L+1), so pair (i, j) goes to cell
+((2i+1)(2j+1)) >> (L+2), computed in int64 on absolute cell indices: exact
+for every pair, negative products included (the shift floors).  Grids whose
+largest such product reaches 2**62 are refused with ValueError rather than
+wrapped.  For measures supported in [-2, 2] the routed point sits within 4
+grid cells of every true product from the source cells, and no mass is
+rescaled: the check runs on the routed sum itself.
 """
 from __future__ import annotations
 
@@ -27,13 +38,17 @@ __all__ = [
     "convolve",
     "power",
     "difference_product",
-    "multiply_log_fast",
 ]
 
 VALID_OPS = ("add", "sub", "mul")
 
-# above this pairwise-product count, mul falls back to row-chunked routing
-_MUL_CHUNK = 4_000_000
+# pairs routed per mul chunk: 8 MB int64 index and float64 weight blocks.
+# Routing flatten-l12's 3.2e8 pairs took 1.43 s at 2**20 and 2.76 s at 2**22
+# (2-CPU VM); 2**18-2**20 were within 3% of each other.
+_MUL_CHUNK = 1 << 20
+
+# mul refuses grids whose largest odd-center product reaches this (int64 room)
+_MUL_PRODUCT_LIMIT = 1 << 62
 
 
 def _common_level(mu: GridMeasure, nu: GridMeasure):
@@ -60,43 +75,51 @@ def _reflected(nu: GridMeasure) -> GridMeasure:
 def _conv_add(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
     a, b, level = _common_level(mu, nu)
     raw = fftconvolve(a.masses, b.masses)
-    raw = np.maximum(raw, 0.0)
+    # pair counts per output index; roundoff is far below 1/2 at any size
+    hit = fftconvolve(a.masses > 0, b.masses > 0) > 0.5
+    raw = np.where(hit, np.maximum(raw, 0.0), 0.0)
     # pair (i, j) has center-sum on the edge between output cells i+j and i+j+1
     out = np.empty(raw.size + 1, dtype=np.float64)
     out[0] = raw[0]
     out[-1] = raw[-1]
     out[1:-1] = raw[1:] + raw[:-1]
     out *= 0.5
-    tot = out.sum()
     target = a.total_mass * b.total_mass
+    tot = float(out.sum())
+    assert_mass_conserved(target, tot, "additive convolution")
     if tot > 0:
         out *= target / tot
-    res = GridMeasure(level, a.origin_index + b.origin_index, out)
-    assert_mass_conserved(target, res.total_mass, "additive convolution")
-    return res
+    return GridMeasure(level, a.origin_index + b.origin_index, out)
 
 
 def _conv_mul(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
     a, b, level = _common_level(mu, nu)
-    h = 2.0 ** -level
-    ca, wa = a.occupied()
-    cb, wb = b.occupied()
-    if ca.size == 0 or cb.size == 0:
+    ia = np.nonzero(a.masses)[0]
+    ib = np.nonzero(b.masses)[0]
+    if ia.size == 0 or ib.size == 0:
         raise ValueError("multiplicative convolution of a zero measure")
-    # output window from the extreme products of support endpoints
-    lo_s, hi_s = a.support()
-    lo_t, hi_t = b.support()
-    corners = np.array([lo_s * lo_t, lo_s * hi_t, hi_s * lo_t, hi_s * hi_t])
-    base = int(np.floor(corners.min() / h)) - 1
-    top = int(np.ceil(corners.max() / h)) + 1
-    out = np.zeros(top - base, dtype=np.float64)
-    rows = max(1, _MUL_CHUNK // max(cb.size, 1))
-    for i0 in range(0, ca.size, rows):
-        i1 = min(i0 + rows, ca.size)
-        prod = np.multiply.outer(ca[i0:i1], cb).ravel()
-        w = np.multiply.outer(wa[i0:i1], wb).ravel()
-        idx = np.floor(prod / h).astype(np.int64) - base
-        out += np.bincount(idx, weights=w, minlength=out.size)
+    shift = level + 2
+    # odd center numerators 2k+1 of the extreme cells, as Python ints
+    ends_a = [2 * (int(a.origin_index) + int(i)) + 1 for i in (ia[0], ia[-1])]
+    ends_b = [2 * (int(b.origin_index) + int(j)) + 1 for j in (ib[0], ib[-1])]
+    corners = [p * q for p in ends_a for q in ends_b]
+    if max(abs(c) for c in corners) >= _MUL_PRODUCT_LIMIT:
+        raise ValueError(
+            f"multiplicative convolution at level {level}: center products "
+            f"reach 2**62 (supports too far from 0 for int64 routing)")
+    base = min(corners) >> shift
+    out = np.zeros((max(corners) >> shift) - base + 1, dtype=np.float64)
+    ka = 2 * (ia + a.origin_index) + 1
+    kb = 2 * (ib + b.origin_index) + 1
+    wa, wb = a.masses[ia], b.masses[ib]
+    rows = max(1, _MUL_CHUNK // kb.size)
+    for i0 in range(0, ka.size, rows):
+        i1 = min(i0 + rows, ka.size)
+        idx = np.multiply.outer(ka[i0:i1], kb)
+        idx >>= shift
+        idx -= base
+        w = np.multiply.outer(wa[i0:i1], wb)
+        out += np.bincount(idx.ravel(), weights=w.ravel(), minlength=out.size)
     res = GridMeasure(level, base, out).trimmed()
     assert_mass_conserved(a.total_mass * b.total_mass, res.total_mass,
                           "multiplicative convolution")
@@ -140,38 +163,3 @@ def symmetry_defect(pi: GridMeasure) -> float:
     full = np.zeros(2 * span, dtype=np.float64)
     full[lo + span:hi + span] = pi.masses
     return float(np.max(np.abs(full - full[::-1])))
-
-
-def multiply_log_fast(mu: GridMeasure, nu: GridMeasure,
-                      refine_bits: int = 4) -> GridMeasure:
-    """Fast multiplicative convolution for measures supported in [1/2, 4].
-
-    Works on a uniform log-coordinate grid (spacing = cell width / 2**refine_bits
-    at x=1) where the product becomes an additive convolution, then bins back.
-    Agrees with the exact double loop up to one-cell re-binning slop.
-    """
-    a, b, level = _common_level(mu, nu)
-    for m_ in (a, b):
-        lo, hi = m_.support()
-        if lo < 0.5 - 1e-12 or hi > 4.0 + 1e-12:
-            raise ValueError("log fast path needs supports inside [1/2, 4]")
-    h = 2.0 ** -level
-    hl = h / (1 << refine_bits)
-    ca, wa = a.occupied()
-    cb, wb = b.occupied()
-    ia = np.round(np.log(ca) / hl).astype(np.int64)
-    ib = np.round(np.log(cb) / hl).astype(np.int64)
-    la = np.bincount(ia - ia.min(), weights=wa)
-    lb = np.bincount(ib - ib.min(), weights=wb)
-    conv = fftconvolve(la, lb)
-    conv = np.maximum(conv, 0.0)
-    base_log = (ia.min() + ib.min()) * hl
-    pos = np.exp(base_log + np.arange(conv.size) * hl)
-    idx = np.floor(pos / h).astype(np.int64)
-    lo_i = idx.min()
-    out = np.bincount(idx - lo_i, weights=conv)
-    res = GridMeasure(level, int(lo_i), out).trimmed()
-    tot = a.total_mass * b.total_mass
-    if res.total_mass > 0:
-        res = GridMeasure(res.level, res.origin_index, res.masses * (tot / res.total_mass))
-    return res

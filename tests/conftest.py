@@ -24,6 +24,11 @@ def random_masses_measure(seed: int, level: int = 8, n: int = 40) -> GridMeasure
     return GridMeasure(level, 0, masses)
 
 
+def lossy(fn, loss: float = 1e-6):
+    """fn with its result scaled by 1 - loss: an injected mass leak."""
+    return lambda *args, **kwargs: fn(*args, **kwargs) * (1.0 - loss)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

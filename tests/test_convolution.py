@@ -1,11 +1,17 @@
+import math
+from fractions import Fraction
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from decaylab import (GridMeasure, convolve, difference_product, l1_distance,
-                      multiply_log_fast, point_mass, power, uniform_measure)
+                      point_mass, power, uniform_measure)
+from decaylab import convolution
 from decaylab.convolution import symmetry_defect
 
-from conftest import random_cantor_measure, random_masses_measure
+from conftest import lossy, random_cantor_measure, random_masses_measure
 
 
 def _direct_add_oracle(mu, nu):
@@ -192,19 +198,126 @@ def test_commutativity_and_associativity():
         assert l1_distance(left, right) <= 1e-3
 
 
-def test_log_fast_path_matches_double_loop():
-    mu = uniform_measure(1.0, 2.0, 13)
-    nu = uniform_measure(1.0, 2.0, 13)
-    exact = convolve(mu, nu, "mul")
-    fast = multiply_log_fast(mu, nu)
-    assert l1_distance(exact, fast) <= 1e-4
-    with pytest.raises(ValueError, match="log fast path"):
-        multiply_log_fast(uniform_measure(0.0, 1.0, 8), nu)
-
-
 def test_incompatible_levels_auto_refine():
     mu = uniform_measure(0.0, 1.0, 6)
     nu = uniform_measure(0.0, 1.0, 9)
     out = convolve(mu, nu, "add")
     assert out.level == 9
     assert out.total_mass == pytest.approx(1.0, rel=1e-12)
+
+
+# -- exact supports and integer routing ---------------------------------------------
+
+def _cell_atoms(mu, level):
+    """(absolute cell index, mass) of mu's occupied cells refined to level."""
+    f = 1 << (level - mu.level)
+    return [((mu.origin_index + i) * f + r, float(w) / f)
+            for i, w in enumerate(mu.masses) if w > 0 for r in range(f)]
+
+
+def _mul_pair_loop_oracle(mu, nu):
+    """Pure-Python pair loop: mass of cell floor(c_i c_j / h), exact rationals."""
+    level = max(mu.level, nu.level)
+    h = Fraction(1, 1 << level)
+    cells = {}
+    for i, wi in _cell_atoms(mu, level):
+        for j, wj in _cell_atoms(nu, level):
+            k = math.floor((i + Fraction(1, 2)) * h * (j + Fraction(1, 2)) * h / h)
+            cells.setdefault(k, []).append(wi * wj)
+    return {k: math.fsum(ws) for k, ws in cells.items()}
+
+
+def _occupied_cells(out):
+    """{absolute cell index: mass} over the cells of out that carry mass."""
+    nz = np.nonzero(out.masses)[0]
+    return dict(zip((out.origin_index + nz).tolist(), out.masses[nz].tolist()))
+
+
+@st.composite
+def _dyadic_measures(draw):
+    """Few cells, mixed-sign window, dyadic masses (exact float products)."""
+    level = draw(st.integers(1, 7))
+    origin = draw(st.integers(-40, 40))
+    size = draw(st.integers(1, 24))
+    masses = draw(st.lists(st.integers(0, 15), min_size=size, max_size=size))
+    if not any(masses):
+        masses[draw(st.integers(0, size - 1))] = 1
+    return GridMeasure(level, origin, np.array(masses, dtype=np.float64) / 16.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_dyadic_measures(), _dyadic_measures(), st.integers(1, 64))
+def test_mul_matches_pair_loop_oracle(mu, nu, chunk):
+    with mock.patch.object(convolution, "_MUL_CHUNK", chunk):
+        out = convolve(mu, nu, "mul")
+    want = _mul_pair_loop_oracle(mu, nu)
+    got = _occupied_cells(out)
+    assert set(got) == set(want)
+    mass = mu.total_mass * nu.total_mass
+    assert max(abs(got[k] - want[k]) for k in want) <= 1e-15 * mass
+
+
+def test_mul_routes_large_indices_exactly():
+    # level 28 near x = +-2: (2i+1)(2j+1) ~ -2**60, past float64's 53 exact bits
+    mu = GridMeasure(28, (1 << 29) - 1, np.array([0.25, 0.5, 0.25]))
+    nu = GridMeasure(28, -(1 << 29), np.array([0.5, 0.0, 0.5]))
+    out = convolve(mu, nu, "mul")
+    assert out.size <= 16
+    assert _occupied_cells(out) == _mul_pair_loop_oracle(mu, nu)
+
+
+def test_mul_refuses_int64_overflow():
+    # three cells far from 0: (2i+1)(2j+1) ~ +-2**82 would wrap in int64
+    far = GridMeasure(3, 1 << 40, np.array([0.5, 0.25, 0.25]))
+    mirrored = GridMeasure(3, -(1 << 40), far.masses)
+    for other in (far, mirrored):
+        with pytest.raises(ValueError, match=r"2\*\*62"):
+            convolve(far, other, "mul")
+
+
+def _indicator_support(mu, nu, op):
+    """Absolute cells reachable by the half-cell split, from integer np.convolve."""
+    level = max(mu.level, nu.level)
+    a, b = mu.refined(level), nu.refined(level)
+    ia = (a.masses > 0).astype(np.int64)
+    ib = (b.masses > 0).astype(np.int64)
+    o = a.origin_index + b.origin_index
+    if op == "sub":
+        ib, o = ib[::-1], a.origin_index - (b.origin_index + b.size)
+    hit = np.convolve(ia, ib) > 0
+    reach = np.zeros(hit.size + 1, dtype=bool)
+    reach[:-1] |= hit
+    reach[1:] |= hit
+    return o + np.nonzero(reach)[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 10_000), st.integers(3, 5),
+       st.integers(3, 5), st.integers(-300, 300), st.sampled_from(["add", "sub"]))
+def test_add_sub_support_is_exact(seed_a, seed_b, depth_a, depth_b, shift, op):
+    mu = random_cantor_measure(seed_a, depth=depth_a)
+    nu = random_cantor_measure(seed_b, depth=depth_b)
+    nu = GridMeasure(nu.level, nu.origin_index + shift, nu.masses)
+    out = convolve(mu, nu, op)
+    want = _indicator_support(mu, nu, op)
+    assert np.array_equal(out.origin_index + np.nonzero(out.masses)[0], want)
+    assert np.array_equal(out.occupied_set().cells, want)
+    lo, hi = out.support()
+    assert (lo, hi) == (want[0] * out.spacing, (want[-1] + 1) * out.spacing)
+
+
+# -- mass checks fire before any rescale --------------------------------------------
+
+def test_add_mass_check_fires(monkeypatch):
+    monkeypatch.setattr(convolution, "fftconvolve", lossy(convolution.fftconvolve))
+    mu = random_cantor_measure(3)
+    for op in ("add", "sub"):
+        with pytest.raises(AssertionError, match="additive convolution lost mass"):
+            convolve(mu, mu, op)
+
+
+def test_mul_mass_check_fires(monkeypatch):
+    monkeypatch.setattr(np, "bincount", lossy(np.bincount))
+    mu = random_masses_measure(5, level=8, n=30)
+    with pytest.raises(AssertionError, match="multiplicative convolution lost mass"):
+        convolve(mu, mu, "mul")

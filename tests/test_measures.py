@@ -4,10 +4,11 @@ import pytest
 from decaylab import (GridMeasure, from_atoms, from_density, l1_distance,
                       point_mass, pushforward_affine, regularize,
                       restrict_normalize, sup_ball_mass, uniform_measure)
+from decaylab import measures
 from decaylab.dyadic import DyadicGridSet
 from decaylab.measures import bump_profile, kernel_weights
 
-from conftest import random_masses_measure
+from conftest import lossy, random_masses_measure
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +142,20 @@ def test_regularize_matches_quadrature_on_atoms():
         ok = (d >= 0) & (d < wk.size)
         oracle[ok] += w * wk[d[ok]]
     assert np.max(np.abs(md.masses - oracle)) <= 1e-8
+
+
+def test_regularize_mass_check_fires_direct_path(monkeypatch):
+    # 512 cells x 33 weights: the direct np.convolve path
+    monkeypatch.setattr(np, "convolve", lossy(np.convolve))
+    with pytest.raises(AssertionError, match="regularize lost mass"):
+        regularize(uniform_measure(0.0, 1.0, 9), 2.0 ** -5)
+
+
+def test_regularize_mass_check_fires_fft_path(monkeypatch):
+    # 16384 cells x 1025 weights passes 2**24 products: the FFT path
+    monkeypatch.setattr(measures, "fftconvolve", lossy(measures.fftconvolve))
+    with pytest.raises(AssertionError, match="regularize lost mass"):
+        regularize(uniform_measure(0.0, 1.0, 14), 2.0 ** -5)
 
 
 def test_regularize_rejects_subgrid_scale():
