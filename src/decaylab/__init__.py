@@ -14,19 +14,19 @@ from .dyadic import (BranchingFunction, DyadicGridSet, additive_energy,
 from .energy import (EnergyReport, FrostmanReport, energy_fourier,
                      energy_report, energy_spatial, exceptional_set,
                      extract_nonconcentrated, frostman_constant)
-from .measures import (GridMeasure, Kernel, OVERSAMPLE_BITS, from_atoms,
-                       from_density, from_masses, l1_distance, point_mass,
-                       pushforward_affine, regularize, restrict_normalize,
-                       sup_ball_mass, uniform_measure)
+from .measures import (GridMeasure, OVERSAMPLE_BITS, ball_mass_vector,
+                       from_atoms, from_density, l1_distance, mask_measure,
+                       point_mass, pushforward_affine, regularize,
+                       uniform_measure)
 from .spectral import (DecayProfile, decay_profile, fourier_at, fourier_many,
                        l2_at_scale, order_check, product_chain_fourier,
                        product_fourier, product_transform_bound)
 
 __all__ = [
     "__version__",
-    "GridMeasure", "Kernel", "OVERSAMPLE_BITS",
-    "from_density", "from_atoms", "from_masses", "uniform_measure", "point_mass",
-    "regularize", "pushforward_affine", "restrict_normalize", "sup_ball_mass",
+    "GridMeasure", "OVERSAMPLE_BITS",
+    "from_density", "from_atoms", "uniform_measure", "point_mass",
+    "regularize", "pushforward_affine", "mask_measure", "ball_mass_vector",
     "l1_distance",
     "convolve", "power", "difference_product",
     "fourier_at", "fourier_many", "product_fourier", "product_chain_fourier",

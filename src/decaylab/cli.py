@@ -15,10 +15,16 @@ is reproducible from that single file:
     input2.a = 1.0
     input2.b = 2.0
 
-`decaylab CONFIG [--param key=value ...] [--output DIR]` runs it, writing a
-deterministic report.json plus per-figure CSVs (atomic temp+rename writes).
-Wall-clock timings go to a separate timing.json sidecar so that report.json
-and the CSVs are byte-identical for identical (config, seed, version).
+`decaylab CONFIG [--param key=value ...] [--output DIR]` runs it in DIR
+(default: the current directory), writing a deterministic report.json plus
+per-figure CSVs (atomic temp+rename writes).  Wall-clock timings go to a
+separate timing.json sidecar so that report.json and the CSVs are
+byte-identical for identical (config, seed, version).
+
+Each experiment is one EXPERIMENTS entry: its parameters (type, domain,
+default), its input arity and its runner; input groups are checked against
+their kind in INPUT_KINDS.  parse_config reports every violation at once,
+before any work runs.
 
 Exit codes: 0 all verdicts pass (evidence verdicts never gate), 1 an exact
 inequality verdict failed, 2 config or runtime error.
@@ -33,6 +39,8 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -40,7 +48,8 @@ from . import __version__
 from .constructions import (CantorSpec, make_comb, make_lattice_neighborhood,
                             make_random_frostman, make_shifted_comb,
                             make_thin_interval)
-from .dyadic import DyadicGridSet, projection_scan
+from .convolution import convolve
+from .dyadic import DyadicGridSet, covering_number, projection_scan
 from .measures import GridMeasure, OVERSAMPLE_BITS, point_mass, uniform_measure
 from .pipelines import (Verdict, run_base_case, run_flattening,
                         run_induction_chain, run_keystep_scan, run_level_sets,
@@ -50,40 +59,15 @@ from .spectral import decay_profile, l2_at_scale, product_fourier
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
+    "EXPERIMENTS",
+    "INPUT_KINDS",
     "parse_config",
-    "serialize_config",
     "RunReport",
     "dispatch",
     "emit_plot_data",
     "exit_code_for",
     "main",
 ]
-
-ENV_OUTPUT_DIR = "DECAYLAB_OUTPUT_DIR"
-
-EXPERIMENTS = {
-    "base-case": {"required": ["s", "t"], "optional": {"n_samples": 32},
-                  "inputs": 2},
-    "decay": {"required": ["band_lo", "band_hi"], "optional": {"n_samples": 48},
-              "inputs": 1},
-    "flatten": {"required": ["s", "t", "k_max"], "optional": {"kappa": 0.1},
-                "inputs": 2},
-    "level-sets": {"required": ["r"], "optional": {}, "inputs": 1},
-    "induction": {"required": ["exponents", "k"], "optional": {"n_samples": 64},
-                  "inputs": -3},
-    "quantitative": {"required": ["sigma"], "optional": {"c0": 2.0, "n_samples": 48},
-                     "inputs": -2},
-    "keystep": {"required": ["s", "t"], "optional": {"C": 2.0, "eps": 0.05},
-                "inputs": 2},
-    "project": {"required": ["s", "t"], "optional": {"c": 1.0 / 24}, "inputs": 2},
-    "counterexample": {"required": ["s"], "optional": {"c": 1.0 / 16}, "inputs": 0},
-    "lattice-set": {"required": ["s", "schedule"], "optional": {}, "inputs": 0},
-}
-
-_CORE_KEYS = {"experiment", "scale", "seed", "output_dir", "threads"}
-
-_INPUT_KINDS = {"uniform", "cantor", "comb", "shifted-comb", "thin-interval",
-                "point", "file"}
 
 
 class ConfigError(ValueError):
@@ -101,8 +85,6 @@ class ExperimentConfig:
     seed: int
     parameters: dict
     inputs: dict          # group name ("input1", "directions") -> spec dict
-    output_dir: str | None = None
-    threads: int = 0      # 0 = all cores (kernels here are single threaded)
 
     @property
     def delta(self) -> float:
@@ -111,9 +93,265 @@ class ExperimentConfig:
     def as_dict(self) -> dict:
         return {"experiment": self.experiment, "scale": self.scale,
                 "seed": self.seed, "parameters": dict(sorted(self.parameters.items())),
-                "inputs": {k: dict(sorted(v.items())) for k, v in sorted(self.inputs.items())},
-                "output_dir": self.output_dir, "threads": self.threads}
+                "inputs": {k: dict(sorted(v.items())) for k, v in sorted(self.inputs.items())}}
 
+
+# ---------------------------------------------------------------------------
+# parameter domains
+# ---------------------------------------------------------------------------
+
+REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Param:
+    """One config value: its type, its domain and its default.
+
+    The domain is an interval such as "(0, 1]" or "[1, inf)" for numbers, and
+    "a|b" for a choice of strings ("" for any string).  The default is
+    REQUIRED when the value must be given, and None when it is derived from
+    other values at run time.
+    """
+
+    type: type = float            # int, float or str
+    domain: str = "(-inf, inf)"
+    default: object = REQUIRED
+    many: bool = False            # a comma-separated list of such values
+
+    def accepts(self, v) -> bool:
+        if self.many and isinstance(v, tuple):
+            return all(Param(self.type, self.domain).accepts(x) for x in v)
+        if self.type is str:
+            return isinstance(v, str) and (not self.domain or v in self.domain.split("|"))
+        if isinstance(v, bool) or not isinstance(v, int if self.type is int else (int, float)):
+            return False
+        # bounds as the constructors and pipelines compare them, in floats
+        lo, hi = (float(b) if "inf" in b else float(Fraction(b))
+                  for b in self.domain[1:-1].split(","))
+        return ((lo < v if self.domain[0] == "(" else lo <= v)
+                and (v < hi if self.domain[-1] == ")" else v <= hi))
+
+    def describe(self) -> str:
+        if self.type is str:
+            return "one of " + self.domain.replace("|", ", ") if self.domain else "a string"
+        noun = "integer" if self.type is int else "real"
+        text = f"a list of {noun}s" if self.many else f"a{'n' * (noun == 'integer')} {noun}"
+        return f"{text} in {self.domain}"
+
+
+_UNIT = Param(float, "(0, 1]")
+_CORE = {"scale": Param(int, "[1, inf)"), "seed": Param(int, "[0, inf)", 0)}
+_CANTOR = {"d": Param(int, "[1, inf)", 2), "keep": Param(int, "[1, inf)", 2),
+           "depth": Param(int, "[0, inf)", 0),      # 0: max(1, scale // d)
+           "seed": Param(int, "[0, inf)", None)}     # None: config seed + input index
+INPUT_KINDS = {
+    "uniform": {"a": Param(), "b": Param()},
+    "cantor": _CANTOR,
+    "comb": {"r": Param(float, "(0, 1/4]"), "c": Param(float, "(0, 1/8]", 1.0 / 16)},
+    "shifted-comb": {"s": Param(float, "(0, 1/2)"), "c": Param(float, "(0, 1/8]", 1.0 / 16)},
+    "thin-interval": {"s": Param(float, "(0, 2/3)"), "c": Param(float, "(0, 1/2]", 0.25)},
+    "point": {"x": Param()},
+    "file": {"path": Param(str, "")},
+}
+_INPUT_KIND = Param(str, "|".join(INPUT_KINDS))
+_DIRECTIONS = (Param(str, "full|cantor", "full"), {"full": {}, "cantor": _CANTOR})
+
+
+def _as_tuple(value) -> tuple:
+    return value if isinstance(value, tuple) else (value,)
+
+
+def _build_input(spec: dict, config: ExperimentConfig, index: int) -> GridMeasure:
+    kind = spec["kind"]
+    spec = {**{k: p.default for k, p in INPUT_KINDS[kind].items()}, **spec}
+    level = config.scale + OVERSAMPLE_BITS
+    if kind == "uniform":
+        return uniform_measure(float(spec["a"]), float(spec["b"]), level)
+    if kind == "cantor":
+        depth = spec["depth"] or max(1, config.scale // spec["d"])
+        seed = config.seed + index if spec["seed"] is None else spec["seed"]
+        return make_random_frostman(CantorSpec(block=spec["d"], keep=spec["keep"],
+                                               depth=depth, seed=seed))[1]
+    if kind == "comb":
+        return make_comb(float(spec["r"]), float(spec["c"]))[1]
+    if kind == "shifted-comb":
+        return make_shifted_comb(float(spec["s"]), config.delta, float(spec["c"]))
+    if kind == "thin-interval":
+        return make_thin_interval(float(spec["s"]), config.delta, float(spec["c"]))
+    if kind == "point":
+        return point_mass(float(spec["x"]), level)
+    with open(spec["path"], "r", encoding="ascii") as fh:
+        return GridMeasure.from_text(fh.read())
+
+
+def _cells(mu: GridMeasure) -> DyadicGridSet:
+    """The cells carrying mass, at the level the measure was oversampled from."""
+    return mu.occupied_set(mu.level - OVERSAMPLE_BITS)
+
+
+# ---------------------------------------------------------------------------
+# runners: (parameters, inputs, config) -> (payload, verdicts, tables); they
+# look pipelines up in module globals at call time, so callers may rebind them
+# ---------------------------------------------------------------------------
+
+def _run_base_case(p, inputs, config):
+    rep = run_base_case(*inputs, float(p["s"]), float(p["t"]), config.delta,
+                        n_samples=int(p["n_samples"]))
+    rows = list(zip(rep.xi_samples, rep.magnitudes))
+    return rep.as_dict(), rep.verdicts, {"band.csv": (("xi", "magnitude"), rows)}
+
+
+def _run_decay(p, inputs, config):
+    prof = decay_profile(*inputs, (float(p["band_lo"]), float(p["band_hi"])),
+                         int(p["n_samples"]))
+    verd = (Verdict("tau-finite", "evidence",
+                    bool(not prof.all_below_floor), measured=prof.tau_hat),)
+    payload = {"tau_hat": prof.tau_hat, "fit_residual": prof.fit_residual,
+               "floor_hits": prof.floor_hits}
+    rows = list(zip(prof.xi_samples, prof.magnitudes))
+    return payload, verd, {"decay.csv": (("xi", "magnitude"), rows)}
+
+
+def _run_flatten(p, inputs, config):
+    tr = run_flattening(*inputs, float(p["s"]), float(p["t"]), config.delta,
+                        int(p["k_max"]), kappa=float(p["kappa"]))
+    rows = [(float(r), int(k), float(tr.l2_by_scale[ki, ri]))
+            for ki, k in enumerate(tr.k_values)
+            for ri, r in enumerate(tr.r_values)]
+    return tr.as_dict(), tr.verdicts, {"flatten.csv": (("r", "k", "J"), rows)}
+
+
+def _run_level_sets(p, inputs, config):
+    rep = run_level_sets(*inputs, float(p["r"]))
+    rows = sorted((int(j), int(c)) for j, c in rep.classes.items())
+    return rep.as_dict(), rep.verdicts, {"level_sets.csv": (("class", "count"), rows)}
+
+
+def _run_induction(p, inputs, config):
+    rep = run_induction_chain(inputs, [float(e) for e in _as_tuple(p["exponents"])],
+                              config.delta, int(p["k"]), n_samples=int(p["n_samples"]))
+    rows = list(zip(rep.xi_samples, rep.lhs, rep.rhs))
+    return rep.as_dict(), rep.verdicts, {"chain.csv": (("xi", "lhs", "rhs"), rows)}
+
+
+def _run_quantitative(p, inputs, config):
+    rep = run_quantitative_decay(inputs, float(p["sigma"]), config.delta,
+                                 c0=float(p["c0"]), n_samples=int(p["n_samples"]))
+    rows = [(s.stage, s.exponent, s.energy, s.l2_sq) for s in rep.stage_reports]
+    tables = {"stages.csv": (("stage", "exponent", "energy", "l2_sq"), rows)}
+    return rep.as_dict(), rep.verdicts, tables
+
+
+def _run_keystep(p, inputs, config):
+    rep = run_keystep_scan(*inputs, float(p["s"]), float(p["t"]), config.delta,
+                           big_c=float(p["C"]), eps=float(p["eps"]))
+    rows = [(r.rho, r.l2_mu_sq, int(r.antecedent), r.l2_pi_sq,
+             int(r.consequent), r.diag_indicator_l2) for r in rep.rows]
+    tables = {"keystep.csv": (("rho", "l2_mu_sq", "antecedent", "l2_pi_sq",
+                               "consequent", "diag"), rows)}
+    return rep.as_dict(), rep.verdicts, tables
+
+
+def _run_project(p, inputs, config):
+    A1, A2 = map(_cells, inputs)
+    dirs = config.inputs.get("directions", {})
+    if dirs.get("kind", "full") == "full":
+        Y = DyadicGridSet(1, A1.level, np.arange(1 << A1.level))
+    else:
+        Y = _cells(_build_input(dirs, config, 0))
+    rep = projection_scan(A1, A2, Y, float(p["s"]), float(p["t"]), float(p["c"]))
+    verd = (Verdict("projection-floor", "evidence", rep.passed,
+                    measured=float(rep.best_covering),
+                    detail=f"threshold {rep.threshold}"),)
+    rows = list(zip(rep.directions, rep.covering))
+    return rep.as_dict(), verd, {"projection.csv": (("y", "covering"), rows)}
+
+
+def _run_counterexample(p, inputs, config):
+    delta, s = config.delta, float(p["s"])
+    mu = make_shifted_comb(s, delta, float(p["c"]))
+    l2 = float(l2_at_scale(mu, delta) ** 2)
+    mag = float(abs(product_fourier(convolve(mu, mu, "mul"), mu, 1.0 / delta)))
+    ref = delta ** (s - 1.0)
+    verd = (Verdict("l2-size", "exact", bool(ref / 16 <= l2 <= 16 * ref), measured=l2 / ref),
+            Verdict("triple-transform", "exact", bool(mag >= 1.0 / 8), measured=mag))
+    payload = {"l2_sq": l2, "l2_reference": ref, "triple_magnitude": mag}
+    rows = [("l2_sq", l2), ("triple_magnitude", mag)]
+    return payload, verd, {"counterexample.csv": (("quantity", "value"), rows)}
+
+
+def _run_lattice_set(p, inputs, config):
+    X, _ = make_lattice_neighborhood(float(p["s"]),
+                                     tuple(int(n) for n in _as_tuple(p["schedule"])),
+                                     config.scale)
+    rows = [(2.0 ** -l, covering_number(X, 2.0 ** -l)) for l in range(1, config.scale + 1)]
+    verd = (Verdict("nonempty", "exact", bool(X.size > 0), measured=float(X.size)),)
+    return {"cells": X.size}, verd, {"covering.csv": (("r", "covering"), rows)}
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: its parameters, input arity, runner and cross-value rules."""
+
+    params: dict                  # name -> Param
+    inputs: tuple                 # (fewest, most) input groups
+    run: Callable                 # (parameters, inputs, config) -> (payload, verdicts, tables)
+    rules: tuple = ()             # (message, check(parameters, n_inputs) -> ok)
+    groups: dict = field(default_factory=dict)   # other key group -> (kind Param, kinds)
+
+
+EXPERIMENTS = {
+    "base-case": Experiment(
+        {"s": _UNIT, "t": _UNIT, "n_samples": Param(int, "[1, inf)", 32)},
+        (2, 2), _run_base_case),
+    "decay": Experiment(
+        {"band_lo": Param(float, "[1, inf)"), "band_hi": Param(float, "[1, inf)"),
+         "n_samples": Param(int, "[3, inf)", 48)},
+        (1, 1), _run_decay,
+        (("band_hi must exceed band_lo", lambda p, n: p["band_hi"] > p["band_lo"]),)),
+    "flatten": Experiment(
+        {"s": _UNIT, "t": _UNIT, "k_max": Param(int, "[0, inf)"),
+         "kappa": Param(float, "(0, inf)", 0.1)},
+        (2, 2), _run_flatten,
+        (("s + t must be at most 1", lambda p, n: p["s"] + p["t"] <= 1.0 + 1e-12),)),
+    "level-sets": Experiment({"r": Param(float, "(0, 1/2]")}, (1, 1), _run_level_sets),
+    "induction": Experiment(
+        {"exponents": Param(float, "(0, 1]", many=True), "k": Param(int, "[0, inf)"),
+         "n_samples": Param(int, "[1, inf)", 64)},
+        (3, math.inf), _run_induction,
+        (("exponents must hold one value per input",
+          lambda p, n: len(_as_tuple(p["exponents"])) == n),
+         ("exponents must sum to more than 1",
+          lambda p, n: np.sum(_as_tuple(p["exponents"])) > 1.0))),
+    "quantitative": Experiment(
+        {"sigma": _UNIT, "c0": Param(float, "(0, inf)", 2.0),
+         "n_samples": Param(int, "[3, inf)", 48)},
+        (2, math.inf), _run_quantitative,
+        # 2 * ceil(c0 / sigma) <= n  <=>  c0 / sigma <= n // 2
+        (("c0 and sigma need at least 2*ceil(c0/sigma) inputs",
+          lambda p, n: p["c0"] / p["sigma"] <= n // 2),)),
+    "keystep": Experiment(
+        {"s": _UNIT, "t": _UNIT, "C": Param(float, "(0, inf)", 2.0),
+         "eps": Param(float, "(0, 1]", 0.05)},
+        (2, 2), _run_keystep),
+    "project": Experiment(
+        {"s": _UNIT, "t": _UNIT, "c": Param(float, "(0, 1]", 1.0 / 24)},
+        (2, 2), _run_project, groups={"directions": _DIRECTIONS}),
+    "counterexample": Experiment(
+        {"s": Param(float, "(0, 1/2)"), "c": Param(float, "(0, 1/8]", 1.0 / 16)},
+        (0, 0), _run_counterexample),
+    "lattice-set": Experiment(
+        {"s": Param(float, "(0, 1)"), "schedule": Param(int, "[1, inf)", many=True)},
+        (0, 0), _run_lattice_set,
+        (("schedule must be strictly increasing",
+          lambda p, n: list(_as_tuple(p["schedule"]))
+          == sorted(set(_as_tuple(p["schedule"])))),)),
+}
+
+
+# ---------------------------------------------------------------------------
+# parsing and validation
+# ---------------------------------------------------------------------------
 
 def _parse_scalar(raw: str):
     raw = raw.strip()
@@ -134,9 +372,24 @@ def _parse_scalar(raw: str):
 
 
 def _all_finite(value) -> bool:
+    """No inf or nan, and no integer beyond the float range."""
     if isinstance(value, tuple):
         return all(_all_finite(v) for v in value)
-    return not isinstance(value, float) or math.isfinite(value)
+    return not isinstance(value, (int, float)) or abs(value) <= sys.float_info.max
+
+
+def _check_values(params: dict, values: dict, prefix: str, owner: str,
+                  violations: list):
+    """Unknown, missing and out-of-domain values; non-finite ones are reported already."""
+    for key in sorted(values.keys() - params.keys()):
+        violations.append(f"unknown parameter {prefix + key!r} for {owner}")
+    for key, param in params.items():
+        if key not in values:
+            if param.default is REQUIRED:
+                violations.append(f"{owner} requires parameter {prefix + key!r}")
+        elif _all_finite(values[key]) and not param.accepts(values[key]):
+            violations.append(
+                f"{prefix}{key} must be {param.describe()}, got {values[key]!r}")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -162,24 +415,8 @@ def parse_config(text: str) -> ExperimentConfig:
             violations.append(f"line {lineno}: {key} must be finite, got {raw!r}")
 
     experiment = flat.pop("experiment", None)
-    if experiment is None:
-        violations.append("missing required key 'experiment'")
-    elif experiment not in EXPERIMENTS:
-        violations.append(
-            f"unknown experiment {experiment!r}; valid: {sorted(EXPERIMENTS)}")
-    scale = flat.pop("scale", None)
-    if scale is None:
-        violations.append("missing required key 'scale' (dyadic level m)")
-    elif not isinstance(scale, int) or scale < 1:
-        violations.append(f"scale must be a positive integer level, got {scale!r}")
-    seed = flat.pop("seed", 0)
-    if not isinstance(seed, int):
-        violations.append(f"seed must be an integer, got {seed!r}")
-    output_dir = flat.pop("output_dir", None)
-    threads = flat.pop("threads", 0)
-    if not isinstance(threads, int) or threads < 0:
-        violations.append(f"threads must be a nonnegative integer, got {threads!r}")
-
+    core = {k: flat.pop(k) for k in _CORE if k in flat}
+    _check_values(_CORE, core, "", "every config", violations)
     groups: dict[str, dict] = {}
     params: dict[str, object] = {}
     for key, val in flat.items():
@@ -189,109 +426,43 @@ def parse_config(text: str) -> ExperimentConfig:
         else:
             params[key] = val
 
-    if experiment in EXPERIMENTS:
-        schema = EXPERIMENTS[experiment]
-        for name in schema["required"]:
-            if name not in params:
-                violations.append(
-                    f"experiment {experiment!r} requires parameter {name!r}")
-        known = set(schema["required"]) | set(schema["optional"])
-        for name in params:
-            if name not in known:
-                violations.append(
-                    f"unknown parameter {name!r} for experiment {experiment!r}")
-        for name, default in schema["optional"].items():
-            params.setdefault(name, default)
-        n_inputs = schema["inputs"]
-        given = sorted(g for g in groups if g.startswith("input"))
-        if n_inputs >= 0 and len(given) != n_inputs:
+    n = sum(1 for g in groups if g.startswith("input"))
+    if experiment is None:
+        violations.append("missing required key 'experiment'")
+    elif experiment not in EXPERIMENTS:
+        violations.append(
+            f"unknown experiment {experiment!r}; valid: {sorted(EXPERIMENTS)}")
+    else:
+        exp = EXPERIMENTS[experiment]
+        _check_values(exp.params, params, "", f"experiment {experiment!r}", violations)
+        params = {**{k: p.default for k, p in exp.params.items()}, **params}
+        fewest, most = exp.inputs
+        if not fewest <= n <= most:
+            how = "exactly" if fewest == most else "at least"
             violations.append(
-                f"experiment {experiment!r} needs exactly {n_inputs} inputs, got {len(given)}")
-        if n_inputs < 0 and len(given) < -n_inputs:
-            violations.append(
-                f"experiment {experiment!r} needs at least {-n_inputs} inputs, got {len(given)}")
-        for g, spec in groups.items():
-            if not g.startswith("input") and g != "directions":
-                violations.append(f"unknown key group {g!r}")
-            elif spec.get("kind") not in _INPUT_KINDS and g != "directions":
+                f"experiment {experiment!r} needs {how} {fewest} inputs, got {n}")
+        allowed = {f"input{i}": (_INPUT_KIND, INPUT_KINDS) for i in range(1, n + 1)}
+        allowed.update(exp.groups)
+        for g, spec in sorted(groups.items()):
+            if g not in allowed:
                 violations.append(
-                    f"{g}.kind must be one of {sorted(_INPUT_KINDS)}, got {spec.get('kind')!r}")
-        if experiment == "quantitative":
-            sig = params.get("sigma")
-            if sig is not None and not (isinstance(sig, (int, float)) and 0 < sig <= 1):
-                violations.append(f"sigma must lie in (0, 1], got {sig!r}")
-
+                    f"unknown key group {g!r} (inputs are numbered input1, input2, ...)")
+                continue
+            kind_param, kinds = allowed[g]
+            kind = spec.get("kind", kind_param.default)
+            if kind is REQUIRED or not kind_param.accepts(kind):
+                violations.append(
+                    f"{g}.kind must be {kind_param.describe()}, got {spec.get('kind')!r}")
+            else:
+                values = {k: v for k, v in spec.items() if k != "kind"}
+                _check_values(kinds[kind], values, f"{g}.", f"{g} of kind {kind!r}",
+                              violations)
+        if not violations:
+            violations = [m for m, ok in exp.rules if not ok(params, n)]
     if violations:
         raise ConfigError(violations)
-    return ExperimentConfig(experiment=experiment, scale=scale, seed=seed,
-                            parameters=params, inputs=groups,
-                            output_dir=output_dir, threads=threads)
-
-
-def serialize_config(config: ExperimentConfig) -> str:
-    """Canonical text form; parse_config(serialize_config(c)) round-trips."""
-    lines = [f"experiment = {config.experiment}",
-             f"scale = {config.scale}",
-             f"seed = {config.seed}"]
-    if config.output_dir is not None:
-        lines.append(f"output_dir = {config.output_dir}")
-    if config.threads:
-        lines.append(f"threads = {config.threads}")
-    for k in sorted(config.parameters):
-        lines.append(f"{k} = {_format_value(config.parameters[k])}")
-    for g in sorted(config.inputs):
-        for k in sorted(config.inputs[g]):
-            lines.append(f"{g}.{k} = {_format_value(config.inputs[g][k])}")
-    return "\n".join(lines) + "\n"
-
-
-def _format_value(v) -> str:
-    if isinstance(v, tuple):
-        return ",".join(_format_value(x) for x in v)
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-# ---------------------------------------------------------------------------
-# input construction
-# ---------------------------------------------------------------------------
-
-def _build_input(spec: dict, config: ExperimentConfig, index: int) -> GridMeasure:
-    kind = spec["kind"]
-    level = config.scale + OVERSAMPLE_BITS
-    if kind == "uniform":
-        return uniform_measure(float(spec["a"]), float(spec["b"]), level)
-    if kind == "cantor":
-        depth = int(spec.get("depth", 0)) or max(1, config.scale // int(spec.get("d", 2)))
-        cs = CantorSpec(block=int(spec.get("d", 2)), keep=int(spec.get("keep", 2)),
-                        depth=depth, seed=int(spec.get("seed", config.seed + index)))
-        _, mu = make_random_frostman(cs)
-        return mu
-    if kind == "comb":
-        _, rho = make_comb(float(spec["r"]), float(spec.get("c", 1.0 / 16)))
-        return rho
-    if kind == "shifted-comb":
-        return make_shifted_comb(float(spec["s"]), config.delta,
-                                 float(spec.get("c", 1.0 / 16)))
-    if kind == "thin-interval":
-        return make_thin_interval(float(spec["s"]), config.delta,
-                                  float(spec.get("c", 0.25)))
-    if kind == "point":
-        return point_mass(float(spec["x"]), level)
-    if kind == "file":
-        with open(spec["path"], "r", encoding="ascii") as fh:
-            return GridMeasure.from_text(fh.read())
-    raise ConfigError([f"unknown input kind {kind!r}"])
-
-
-def _sorted_inputs(config: ExperimentConfig):
-    names = sorted((g for g in config.inputs if g.startswith("input")),
-                   key=lambda g: int(g[5:] or 0))
-    return [_build_input(config.inputs[g], config, i)
-            for i, g in enumerate(names, start=1)]
+    return ExperimentConfig(experiment, core["scale"],
+                            core.get("seed", _CORE["seed"].default), params, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +478,8 @@ class RunReport:
     payload: dict = field(default_factory=dict)
 
     def status(self) -> str:
-        if any(v["kind"] == "exact" and not v["passed"] for v in self.verdicts):
-            return "fail"
-        return "pass"
+        failed = any(v["kind"] == "exact" and not v["passed"] for v in self.verdicts)
+        return "fail" if failed else "pass"
 
     def to_json(self) -> str:
         doc = {"schema": "decaylab-run-report/1",
@@ -347,13 +517,16 @@ def _csv(rows, header) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dispatch(config: ExperimentConfig) -> RunReport:
-    """Run the configured experiment and write its artifacts atomically."""
-    out_dir = config.output_dir or os.environ.get(ENV_OUTPUT_DIR) or "."
+def dispatch(config: ExperimentConfig, out_dir) -> RunReport:
+    """Run the configured experiment and write its artifacts atomically to out_dir."""
+    out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     timings: list[tuple[str, float]] = []
     t0 = time.perf_counter()
-    result, verdicts, tables = _run_experiment(config)
+    inputs = [_build_input(config.inputs[f"input{i}"], config, i)
+              for i in range(1, sum(g.startswith("input") for g in config.inputs) + 1)]
+    result, verdicts, tables = EXPERIMENTS[config.experiment].run(
+        config.parameters, inputs, config)
     timings.append(("experiment", time.perf_counter() - t0))
 
     report = RunReport(config=config.as_dict(), version=__version__,
@@ -388,137 +561,14 @@ def emit_plot_data(tables: dict, out_dir: str) -> list:
     return paths
 
 
-def _run_experiment(config: ExperimentConfig):
-    exp = config.experiment
-    p = config.parameters
-    delta = config.delta
-    if exp == "base-case":
-        mu, nu = _sorted_inputs(config)
-        rep = run_base_case(mu, nu, float(p["s"]), float(p["t"]), delta,
-                            n_samples=int(p["n_samples"]))
-        tables = {"band.csv": (("xi", "magnitude"),
-                               list(zip(rep.xi_samples, rep.magnitudes)))}
-        return rep.as_dict(), rep.verdicts, tables
-    if exp == "decay":
-        (mu,) = _sorted_inputs(config)
-        prof = decay_profile(mu, (float(p["band_lo"]), float(p["band_hi"])),
-                             int(p["n_samples"]))
-        verd = (Verdict("tau-finite", "evidence",
-                        bool(not prof.all_below_floor), measured=prof.tau_hat),)
-        tables = {"decay.csv": (("xi", "magnitude"),
-                                list(zip(prof.xi_samples, prof.magnitudes)))}
-        payload = {"tau_hat": prof.tau_hat, "fit_residual": prof.fit_residual,
-                   "floor_hits": prof.floor_hits}
-        return payload, verd, tables
-    if exp == "flatten":
-        mu, nu = _sorted_inputs(config)
-        tr = run_flattening(mu, nu, float(p["s"]), float(p["t"]), delta,
-                            int(p["k_max"]), kappa=float(p["kappa"]))
-        rows = [(float(r), int(k), float(tr.l2_by_scale[ki, ri]))
-                for ki, k in enumerate(tr.k_values)
-                for ri, r in enumerate(tr.r_values)]
-        tables = {"flatten.csv": (("r", "k", "J"), rows)}
-        return tr.as_dict(), tr.verdicts, tables
-    if exp == "level-sets":
-        (mu,) = _sorted_inputs(config)
-        rep = run_level_sets(mu, float(p["r"]))
-        rows = sorted((int(j), int(c)) for j, c in rep.classes.items())
-        tables = {"level_sets.csv": (("class", "count"), rows)}
-        return rep.as_dict(), rep.verdicts, tables
-    if exp == "induction":
-        measures = _sorted_inputs(config)
-        exps = p["exponents"]
-        exps = exps if isinstance(exps, tuple) else (exps,)
-        rep = run_induction_chain(measures, [float(e) for e in exps], delta,
-                                  int(p["k"]), n_samples=int(p["n_samples"]))
-        rows = list(zip(rep.xi_samples, rep.lhs, rep.rhs))
-        tables = {"chain.csv": (("xi", "lhs", "rhs"), rows)}
-        return rep.as_dict(), rep.verdicts, tables
-    if exp == "quantitative":
-        measures = _sorted_inputs(config)
-        rep = run_quantitative_decay(measures, float(p["sigma"]), delta,
-                                     c0=float(p["c0"]),
-                                     n_samples=int(p["n_samples"]))
-        rows = [(s.stage, s.exponent, s.energy, s.l2_sq) for s in rep.stage_reports]
-        tables = {"stages.csv": (("stage", "exponent", "energy", "l2_sq"), rows)}
-        return rep.as_dict(), rep.verdicts, tables
-    if exp == "keystep":
-        mu, nu = _sorted_inputs(config)
-        rep = run_keystep_scan(mu, nu, float(p["s"]), float(p["t"]), delta,
-                               big_c=float(p["C"]), eps=float(p["eps"]))
-        rows = [(r.rho, r.l2_mu_sq, int(r.antecedent), r.l2_pi_sq,
-                 int(r.consequent), r.diag_indicator_l2) for r in rep.rows]
-        tables = {"keystep.csv": (("rho", "l2_mu_sq", "antecedent", "l2_pi_sq",
-                                   "consequent", "diag"), rows)}
-        return rep.as_dict(), rep.verdicts, tables
-    if exp == "project":
-        sets = []
-        for g in ("input1", "input2"):
-            spec = config.inputs[g]
-            cs = CantorSpec(block=int(spec.get("d", 2)), keep=int(spec.get("keep", 2)),
-                            depth=int(spec["depth"]),
-                            seed=int(spec.get("seed", config.seed)))
-            X, _ = make_random_frostman(cs)
-            sets.append(X)
-        level = sets[0].level
-        dirs = config.inputs.get("directions", {"kind": "full"})
-        if dirs.get("kind", "full") == "full":
-            Y = DyadicGridSet(1, level, np.arange(1 << level))
-        else:
-            cs = CantorSpec(block=int(dirs.get("d", 2)), keep=int(dirs.get("keep", 2)),
-                            depth=int(dirs["depth"]), seed=int(dirs.get("seed", config.seed)))
-            Y, _ = make_random_frostman(cs)
-        rep = projection_scan(sets[0], sets[1], Y,
-                              float(p["s"]), float(p["t"]), float(p["c"]))
-        verd = (Verdict("projection-floor", "evidence", rep.passed,
-                        measured=float(rep.best_covering),
-                        detail=f"threshold {rep.threshold}"),)
-        rows = list(zip(rep.directions, rep.covering))
-        tables = {"projection.csv": (("y", "covering"), rows)}
-        return rep.as_dict(), verd, tables
-    if exp == "counterexample":
-        mu = make_shifted_comb(float(p["s"]), delta, float(p["c"]))
-        from .convolution import convolve
-        l2 = l2_at_scale(mu, delta) ** 2
-        t2 = convolve(mu, mu, "mul")
-        mag = abs(product_fourier(t2, mu, 1.0 / delta))
-        ref = delta ** (float(p["s"]) - 1.0)
-        verd = (
-            Verdict("l2-size", "exact", bool(ref / 16 <= l2 <= 16 * ref),
-                    measured=float(l2 / ref)),
-            Verdict("triple-transform", "exact", bool(mag >= 1.0 / 8),
-                    measured=float(mag)),
-        )
-        payload = {"l2_sq": float(l2), "l2_reference": float(ref),
-                   "triple_magnitude": float(mag)}
-        tables = {"counterexample.csv": (("quantity", "value"),
-                                         [("l2_sq", float(l2)),
-                                          ("triple_magnitude", float(mag))])}
-        return payload, verd, tables
-    if exp == "lattice-set":
-        sched = p["schedule"]
-        sched = sched if isinstance(sched, tuple) else (sched,)
-        X, _ = make_lattice_neighborhood(float(p["s"]),
-                                        tuple(int(n) for n in sched), config.scale)
-        from .dyadic import covering_number
-        rows = []
-        for l in range(1, config.scale + 1):
-            rows.append((2.0 ** -l, covering_number(X, 2.0 ** -l)))
-        verd = (Verdict("nonempty", "exact", bool(X.size > 0),
-                        measured=float(X.size)),)
-        payload = {"cells": X.size}
-        tables = {"covering.csv": (("r", "covering"), rows)}
-        return payload, verd, tables
-    raise ConfigError([f"unknown experiment {exp!r}"])
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="decaylab",
                                  description="run one configured experiment")
     ap.add_argument("config", help="path to the experiment config file")
     ap.add_argument("--param", action="append", default=[],
                     metavar="KEY=VALUE", help="override a config key")
-    ap.add_argument("--output", default=None, help="output directory override")
+    ap.add_argument("--output", default=".",
+                    help="output directory (default: the current directory)")
     args = ap.parse_args(argv)
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -528,12 +578,7 @@ def main(argv=None) -> int:
                 raise ConfigError([f"--param needs KEY=VALUE, got {ov!r}"])
             key, val = ov.split("=", 1)
             text = _apply_override(text, key.strip(), val.strip())
-        config = parse_config(text)
-        if args.output:
-            config = ExperimentConfig(config.experiment, config.scale, config.seed,
-                                      config.parameters, config.inputs,
-                                      args.output, config.threads)
-        report = dispatch(config)
+        report = dispatch(parse_config(text), args.output)
     except ConfigError as exc:
         for v in exc.violations:
             print(f"config error: {v}", file=sys.stderr)

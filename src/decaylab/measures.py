@@ -26,18 +26,16 @@ from .dyadic import DyadicGridSet
 __all__ = [
     "OVERSAMPLE_BITS",
     "GridMeasure",
-    "Kernel",
     "bump_profile",
     "kernel_weights",
     "from_density",
     "from_atoms",
-    "from_masses",
     "uniform_measure",
     "point_mass",
     "regularize",
     "pushforward_affine",
-    "restrict_normalize",
-    "sup_ball_mass",
+    "mask_measure",
+    "ball_mass_vector",
     "l1_distance",
 ]
 
@@ -244,16 +242,6 @@ def from_atoms(atoms, window: tuple[float, float], level: int,
     return mu.normalized() if normalize else mu
 
 
-def from_masses(masses, window: tuple[float, float], level: int,
-                normalize: bool = False) -> GridMeasure:
-    lo, hi = _window_indices(window, level)
-    masses = np.asarray(masses, dtype=np.float64)
-    if masses.size != hi - lo:
-        raise ValueError(f"mass list length {masses.size} != window cells {hi - lo}")
-    mu = GridMeasure(level, lo, masses)
-    return mu.normalized() if normalize else mu
-
-
 def uniform_measure(a: float, b: float, level: int) -> GridMeasure:
     """Uniform probability measure on [a, b] at the given grid level."""
     return from_density(lambda x: np.ones_like(x), (a, b), level, normalize=True)
@@ -276,21 +264,6 @@ def bump_profile(u) -> np.ndarray:
     u = np.abs(np.asarray(u, dtype=np.float64))
     t = np.clip(2.0 * u - 1.0, 0.0, 1.0)
     return 1.0 - (3.0 * t * t - 2.0 * t ** 3)
-
-
-@dataclass(frozen=True)
-class Kernel:
-    """Approximate-identity bump at one scale."""
-
-    scale: float
-    shape: str = "cubic-shoulder"
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("kernel scale must be positive")
-
-    def weights(self, level: int) -> np.ndarray:
-        return kernel_weights(self.scale, level)
 
 
 def kernel_weights(delta: float, level: int) -> np.ndarray:
@@ -329,7 +302,11 @@ def regularize(mu: GridMeasure, delta: float) -> GridMeasure:
         out = np.convolve(mu.masses, w)       # exact zeros stay zero
     else:
         out = fftconvolve(mu.masses, w)
-        out[out < 1e-16 * out.max()] = 0.0    # scrub FFT noise off true zeros
+        # w > 0 exactly on its inner 2K-1 taps, so out[j] carries mass iff an
+        # occupied cell lies in [j-2K+1, j-1]: zero the FFT noise elsewhere
+        occ = np.concatenate([[0], np.cumsum(mu.masses > 0)])
+        j = np.arange(out.size)
+        out[occ[np.minimum(j, mu.size)] == occ[np.clip(j - 2 * K + 1, 0, mu.size)]] = 0.0
     out = np.maximum(out, 0.0)
     # the kernel has weight 1, so only roundoff may move the unscaled mass
     tot = float(out.sum())
@@ -381,24 +358,10 @@ def pushforward_affine(mu: GridMeasure, a: float, b: float,
     return res
 
 
-def restrict_normalize(mu: GridMeasure, A: DyadicGridSet) -> tuple[GridMeasure, float]:
-    """Zero the mass outside A, renormalize to total 1; returns the retained fraction."""
+def mask_measure(mu: GridMeasure, A: DyadicGridSet) -> GridMeasure:
+    """mu restricted to A as a sub-measure; `.normalized()` makes it a probability."""
     if A.dim != 1:
         raise ValueError("restriction set must be dim 1")
-    if A.level > mu.level:
-        raise ValueError("restriction set must live at a level <= the measure's")
-    shift = mu.level - A.level
-    coarse = (mu.origin_index + np.arange(mu.size)) >> shift
-    mask = np.isin(coarse, A.cells)
-    retained = float(np.sum(mu.masses[mask]))
-    if retained <= 0:
-        raise ValueError("empty restriction: the set carries no mass")
-    out = np.where(mask, mu.masses, 0.0)
-    return GridMeasure(mu.level, mu.origin_index, out / retained), retained / mu.total_mass
-
-
-def mask_measure(mu: GridMeasure, A: DyadicGridSet) -> GridMeasure:
-    """Restriction without renormalization (mu restricted to A as a sub-measure)."""
     shift = mu.level - A.level
     if shift < 0:
         raise ValueError("restriction set must live at a level <= the measure's")
@@ -407,25 +370,14 @@ def mask_measure(mu: GridMeasure, A: DyadicGridSet) -> GridMeasure:
     return GridMeasure(mu.level, mu.origin_index, np.where(mask, mu.masses, 0.0))
 
 
-def sup_ball_mass(mu: GridMeasure, r: float) -> float:
-    """max over grid centers a of mu(B(a, r)), with cells counted by center.
+def ball_mass_vector(mu: GridMeasure, r: float) -> np.ndarray:
+    """mu(B(c_i, r)) for every grid center c_i, cells counted by center.
 
     Sliding-window sum, exact for the discretized measure; nondecreasing in r.
     """
     if r < mu.spacing:
         raise ValueError(f"r={r} below grid scale {mu.spacing}")
     k = int(np.floor(r / mu.spacing + 1e-12))   # |c_j - c_i| <= r  <=>  |j - i| <= k
-    csum = np.concatenate([[0.0], np.cumsum(mu.masses)])
-    n = mu.size
-    i = np.arange(n)
-    lo = np.maximum(i - k, 0)
-    hi = np.minimum(i + k + 1, n)
-    return float(np.max(csum[hi] - csum[lo]))
-
-
-def ball_mass_vector(mu: GridMeasure, r: float) -> np.ndarray:
-    """mu(B(c_i, r)) for every grid center c_i (same convention as sup_ball_mass)."""
-    k = int(np.floor(r / mu.spacing + 1e-12))
     csum = np.concatenate([[0.0], np.cumsum(mu.masses)])
     n = mu.size
     i = np.arange(n)

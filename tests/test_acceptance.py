@@ -19,7 +19,7 @@ from decaylab import (DyadicGridSet, additive_energy, covering_number,
                       energy_fourier, energy_spatial, l2_at_scale,
                       order_check, product_fourier, set_check, uniform_measure,
                       uniformize)
-from decaylab.cli import ExperimentConfig, dispatch, parse_config
+from decaylab.cli import dispatch, parse_config
 from decaylab.constructions import (CantorSpec, make_comb,
                                     make_random_frostman, make_shifted_comb,
                                     make_thin_interval, mix)
@@ -376,14 +376,10 @@ def test_c11_determinism(tmp_path):
     cfg = parse_config(FLATTEN_CFG)
     outs = []
     for sub in ("runA", "runB"):
-        d = tmp_path / sub
-        c = ExperimentConfig(cfg.experiment, cfg.scale, cfg.seed,
-                             cfg.parameters, cfg.inputs, str(d), cfg.threads)
-        dispatch(c)
-        outs.append(d)
-    report_a = (outs[0] / "report.json").read_bytes().replace(b"runA", b"run")
-    report_b = (outs[1] / "report.json").read_bytes().replace(b"runB", b"run")
-    same_report = report_a == report_b
+        dispatch(cfg, tmp_path / sub)
+        outs.append(tmp_path / sub)
+    same_report = ((outs[0] / "report.json").read_bytes()
+                   == (outs[1] / "report.json").read_bytes())
     same_csv = ((outs[0] / "flatten.csv").read_bytes()
                 == (outs[1] / "flatten.csv").read_bytes())
     _announce("C11 determinism", same_report and same_csv,

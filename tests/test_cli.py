@@ -1,11 +1,15 @@
+import glob
+import importlib.util
 import json
 import os
+import sys
 
-import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from decaylab import cli
 from decaylab.cli import (ConfigError, ExperimentConfig, dispatch,
-                          exit_code_for, main, parse_config, serialize_config)
+                          exit_code_for, main, parse_config)
 
 BASE_CASE = """
 experiment = base-case
@@ -72,17 +76,8 @@ def test_parse_rejects_unknown_parameter():
         parse_config(BASE_CASE + "bogus = 1\n")
 
 
-def test_round_trip():
-    cfg = parse_config(BASE_CASE)
-    again = parse_config(serialize_config(cfg))
-    assert again == cfg
-
-
 def test_dispatch_writes_artifacts(tmp_path):
-    cfg = parse_config(BASE_CASE)
-    cfg = ExperimentConfig(cfg.experiment, cfg.scale, cfg.seed, cfg.parameters,
-                           cfg.inputs, str(tmp_path), cfg.threads)
-    report = dispatch(cfg)
+    report = dispatch(parse_config(BASE_CASE), tmp_path)
     assert exit_code_for(report) == 0
     assert (tmp_path / "report.json").exists()
     assert (tmp_path / "band.csv").exists()
@@ -97,15 +92,9 @@ def test_dispatch_deterministic_bytes(tmp_path):
     cfg = parse_config(BASE_CASE)
     outs = []
     for sub in ("a", "b"):
-        d = tmp_path / sub
-        c = ExperimentConfig(cfg.experiment, cfg.scale, cfg.seed,
-                             cfg.parameters, cfg.inputs, str(d), cfg.threads)
-        dispatch(c)
-        outs.append(d)
-    ra = (outs[0] / "report.json").read_bytes()
-    rb = (outs[1] / "report.json").read_bytes()
-    # the output_dir is echoed in the config block; normalize it away
-    assert ra.replace(b"/a", b"/") == rb.replace(b"/b", b"/")
+        dispatch(cfg, tmp_path / sub)
+        outs.append(tmp_path / sub)
+    assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
     assert (outs[0] / "band.csv").read_bytes() == (outs[1] / "band.csv").read_bytes()
 
 
@@ -122,10 +111,7 @@ def test_exit_code_fail_on_corrupted_exact_verdict(tmp_path, monkeypatch):
         return BaseCaseReport(**{**rep.__dict__, "verdicts": bad})
 
     monkeypatch.setattr(cli, "run_base_case", corrupted)
-    cfg = parse_config(BASE_CASE)
-    cfg = ExperimentConfig(cfg.experiment, cfg.scale, cfg.seed, cfg.parameters,
-                           cfg.inputs, str(tmp_path), cfg.threads)
-    report = dispatch(cfg)
+    report = dispatch(parse_config(BASE_CASE), tmp_path)
     assert exit_code_for(report) == 1
     doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["status"] == "fail"
@@ -204,16 +190,6 @@ def test_main_runs_counterexample_quickly(tmp_path):
     assert doc["payload"]["triple_magnitude"] >= 1.0 / 8
 
 
-def test_output_dir_env_var(tmp_path, monkeypatch):
-    from decaylab.cli import ENV_OUTPUT_DIR
-    target = tmp_path / "via-env"
-    monkeypatch.setenv(ENV_OUTPUT_DIR, str(target))
-    cfg = parse_config(BASE_CASE)
-    report = dispatch(cfg)
-    assert exit_code_for(report) == 0
-    assert (target / "report.json").exists()
-
-
 def test_determinism_across_processes(tmp_path):
     import subprocess
     import sys
@@ -234,26 +210,207 @@ def test_determinism_across_processes(tmp_path):
             capture_output=True, text=True, timeout=300, env=env,
         )
         assert r.returncode == 0, r.stderr
-        blobs.append(((out / "report.json").read_bytes().replace(sub.encode(), b"p"),
-                      (out / "band.csv").read_bytes()))
+        blobs.append(((out / "report.json").read_bytes(), (out / "band.csv").read_bytes()))
     assert blobs[0] == blobs[1]
 
 
 def test_dispatch_lattice_and_project(tmp_path):
     text = ("experiment = lattice-set\nscale = 8\nseed = 0\n"
             "s = 0.5\nschedule = 16\n")
-    cfg = parse_config(text)
-    cfg = ExperimentConfig(cfg.experiment, cfg.scale, cfg.seed, cfg.parameters,
-                           cfg.inputs, str(tmp_path / "l"), cfg.threads)
-    rep = dispatch(cfg)
+    rep = dispatch(parse_config(text), tmp_path / "l")
     assert exit_code_for(rep) == 0
     text = ("experiment = project\nscale = 10\nseed = 0\ns = 0.5\nt = 1.0\n"
             "input1.kind = cantor\ninput1.d = 2\ninput1.keep = 2\ninput1.depth = 5\n"
             "input2.kind = cantor\ninput2.d = 2\ninput2.keep = 2\ninput2.depth = 5\n"
             "input2.seed = 5\n")
-    cfg = parse_config(text)
-    cfg = ExperimentConfig(cfg.experiment, cfg.scale, cfg.seed, cfg.parameters,
-                           cfg.inputs, str(tmp_path / "p"), cfg.threads)
-    rep = dispatch(cfg)
+    rep = dispatch(parse_config(text), tmp_path / "p")
     assert exit_code_for(rep) == 0
     assert (tmp_path / "p" / "projection.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# parameter domains: the registry refuses out-of-domain values before any work
+# ---------------------------------------------------------------------------
+
+INDUCTION = """
+experiment = induction
+scale = 7
+seed = 2
+exponents = 0.5,0.5,0.5
+k = 1
+n_samples = 8
+input1.kind = cantor
+input1.depth = 3
+input2.kind = cantor
+input2.depth = 3
+input3.kind = cantor
+input3.depth = 3
+"""
+
+PROJECT = """
+experiment = project
+scale = 10
+seed = 0
+s = 0.5
+t = 1.0
+input1.kind = cantor
+input1.depth = 5
+input2.kind = cantor
+input2.depth = 5
+"""
+
+FLATTEN = """
+experiment = flatten
+scale = 8
+seed = 5
+s = 0.5
+t = 0.5
+k_max = 1
+input1.kind = cantor
+input1.depth = 4
+input2.kind = cantor
+input2.depth = 4
+"""
+
+QUANTITATIVE = "experiment = quantitative\nscale = 6\nsigma = 1.0\nn_samples = 24\n" + "".join(
+    f"input{i}.kind = uniform\ninput{i}.a = 1.0\ninput{i}.b = 2.0\n" for i in range(1, 5))
+
+LATTICE = "experiment = lattice-set\nscale = 8\nseed = 0\ns = 0.5\nschedule = 4,16\n"
+
+SMALL = {
+    "base-case": BASE_CASE,
+    "decay": ("experiment = decay\nscale = 8\nband_lo = 16\nband_hi = 128\nn_samples = 12\n"
+              "input1.kind = uniform\ninput1.a = 1.0\ninput1.b = 2.0\n"),
+    "flatten": FLATTEN,
+    "level-sets": ("experiment = level-sets\nscale = 6\nr = 0.03125\n"
+                   "input1.kind = uniform\ninput1.a = 0.0\ninput1.b = 1.0\n"),
+    "induction": INDUCTION,
+    "quantitative": QUANTITATIVE,
+    "keystep": ("experiment = keystep\nscale = 7\ns = 0.5\nt = 0.5\n"
+                "input1.kind = uniform\ninput1.a = 1.0\ninput1.b = 2.0\n"
+                "input2.kind = uniform\ninput2.a = 1.0\ninput2.b = 2.0\n"),
+    "project": PROJECT,
+    "counterexample": "experiment = counterexample\nscale = 20\nseed = 1\ns = 0.4\n",
+    "lattice-set": LATTICE,
+}
+
+
+@pytest.mark.parametrize("base, key, value", [
+    (BASE_CASE, "n_samples", "2.5"),
+    (BASE_CASE, "s", "-1"),
+    (BASE_CASE, "t", "7"),
+    (BASE_CASE, "s", "abc"),
+    (INDUCTION, "k", "1.7"),
+    (INDUCTION, "exponents", "1.5,0.5,0.5"),
+    (INDUCTION, "exponents", "0.6,0.6"),
+    (PROJECT, "s", "5"),
+    (PROJECT, "c", "-1"),
+    (PROJECT, "directions.kind", "weird"),
+    (FLATTEN, "kappa", "-5"),
+    (FLATTEN, "k_max", "2.9"),
+    (QUANTITATIVE, "c0", "-2"),
+    (LATTICE, "schedule", "0"),
+])
+def test_out_of_domain_value_is_a_config_error(tmp_path, capsys, base, key, value):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(base)
+    out = tmp_path / "out"
+    code = main([str(cfg_path), "--output", str(out), "--param", f"{key}={value}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config error: {key} must" in err
+    assert not (out / "report.json").exists()
+
+
+def test_violations_are_reported_together():
+    text = BASE_CASE.replace("n_samples = 6", "n_samples = 2.5").replace(
+        "input2.a = 1.0", "input2.a = 1.0\ninput2.depth = 3")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text.replace("s = 1.0", "s = -1"))
+    v = exc.value.violations
+    assert any(x.startswith("n_samples must be an integer") for x in v)
+    assert any(x.startswith("s must be a real in (0, 1]") for x in v)
+    assert any("'input2.depth'" in x for x in v)
+
+
+def test_inputs_are_numbered_from_one():
+    with pytest.raises(ConfigError, match="unknown key group 'input3'"):
+        parse_config(BASE_CASE.replace("input2.", "input3."))
+
+
+_KEYS = ["experiment", "scale", "seed", "s", "t", "c", "k", "r", "k_max", "kappa",
+         "sigma", "c0", "exponents", "schedule", "n_samples", "band_lo", "band_hi",
+         "input1.kind", "input1.a", "input1.depth", "input1.seed", "input2.kind",
+         "input3.kind", "directions.kind", "directions.depth", "input1", ".x", "a.b.c"]
+_VALUES = (["base-case", "decay", "flatten", "level-sets", "induction", "quantitative",
+            "keystep", "project", "counterexample", "lattice-set", "uniform", "cantor",
+            "full", "file", "true", "nan", "-inf", "1e400", "9" * 400, "0.5,0.5,0.5",
+            "1,2", "0", "-1", "", "a,b"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(SMALL) + [None]), st.lists(st.tuples(
+    st.one_of(st.sampled_from(_KEYS), st.text(max_size=8)),
+    st.one_of(st.sampled_from(_VALUES), st.integers(-2 ** 70, 2 ** 70).map(str),
+              st.floats(allow_nan=True, allow_infinity=True).map(repr),
+              st.text(max_size=8))), max_size=8))
+def test_parse_config_raises_only_config_errors(base, overrides):
+    # a valid config with some keys overridden, or arbitrary lines
+    text = SMALL.get(base, "")
+    for key, value in overrides:
+        text = cli._apply_override(text, key, value)
+    try:
+        assert isinstance(parse_config(text), ExperimentConfig)
+    except ConfigError:
+        pass
+
+
+def test_extreme_values_raise_only_config_errors():
+    # every parameter of every experiment and input kind, at values past any domain
+    extremes = ["9" * 400, "-" + "9" * 400, "1e308", "-1e308", "5e-324", "0", "-1",
+                "abc", "1,2", "0.5,2", "true", "uniform"]
+    for name, text in SMALL.items():
+        keys = [*cli.EXPERIMENTS[name].params, "scale", "seed", "input1.kind",
+                *(f"input1.{k}" for k in cli.INPUT_KINDS["cantor"]),
+                *(f"input1.{k}" for k in cli.INPUT_KINDS["uniform"])]
+        for key in keys:
+            for value in extremes:
+                try:
+                    parse_config(cli._apply_override(text, key, value))
+                except ConfigError:
+                    pass
+
+
+def _bench_workloads():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod    # dataclasses resolves the module by name
+    spec.loader.exec_module(mod)
+    return mod.WORKLOADS.values()
+
+
+def test_shipped_configs_parse():
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    paths = sorted(glob.glob(os.path.join(root, "configs", "*.cfg")))
+    assert len(paths) == 5
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            parse_config(fh.read())
+    for w in _bench_workloads():
+        for seed in (w.default_seed, 0, 9):
+            parse_config(w.render(seed))
+
+
+def test_reports_match_schema(tmp_path):
+    jsonschema = pytest.importorskip("jsonschema")
+    import decaylab
+    path = os.path.join(os.path.dirname(decaylab.__file__), "schemas",
+                        "runreport.schema.json")
+    with open(path, encoding="utf-8") as fh:
+        validator = jsonschema.Draft202012Validator(json.load(fh))
+    assert sorted(SMALL) == sorted(cli.EXPERIMENTS)
+    for name, text in SMALL.items():
+        out = tmp_path / name
+        dispatch(parse_config(text), out)
+        validator.validate(json.loads((out / "report.json").read_text()))

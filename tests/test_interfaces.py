@@ -5,7 +5,7 @@ import numpy as np
 
 from decaylab import (DyadicGridSet, decay_profile, energy_report,
                       energy_spatial, frostman_constant, uniform_measure)
-from decaylab.cli import ExperimentConfig, dispatch, exit_code_for, parse_config
+from decaylab.cli import dispatch, exit_code_for, parse_config
 
 from conftest import random_cantor_measure
 
@@ -73,9 +73,7 @@ def test_cli_decay_experiment(tmp_path):
             "band_lo = 16\nband_hi = 256\nn_samples = 48\n"
             "input1.kind = uniform\ninput1.a = 1.0\ninput1.b = 2.0\n")
     cfg = parse_config(text)
-    cfg = ExperimentConfig(cfg.experiment, cfg.scale, cfg.seed, cfg.parameters,
-                           cfg.inputs, str(tmp_path), cfg.threads)
-    rep = dispatch(cfg)
+    rep = dispatch(cfg, tmp_path)
     assert exit_code_for(rep) == 0
     assert (tmp_path / "decay.csv").exists()
     doc = json.loads((tmp_path / "report.json").read_text())
@@ -90,9 +88,7 @@ def test_cli_file_input_round_trip(tmp_path):
             "band_lo = 16\nband_hi = 128\nn_samples = 24\n"
             f"input1.kind = file\ninput1.path = {mpath}\n")
     cfg = parse_config(text)
-    cfg = ExperimentConfig(cfg.experiment, cfg.scale, cfg.seed, cfg.parameters,
-                           cfg.inputs, str(tmp_path / "out"), cfg.threads)
-    rep = dispatch(cfg)
+    rep = dispatch(cfg, tmp_path / "out")
     assert exit_code_for(rep) == 0
 
 
@@ -103,9 +99,7 @@ def test_cli_induction_experiment(tmp_path):
             "input2.kind = cantor\ninput2.d = 2\ninput2.keep = 2\ninput2.depth = 3\n"
             "input3.kind = cantor\ninput3.d = 2\ninput3.keep = 2\ninput3.depth = 3\n")
     cfg = parse_config(text)
-    cfg = ExperimentConfig(cfg.experiment, cfg.scale, cfg.seed, cfg.parameters,
-                           cfg.inputs, str(tmp_path), cfg.threads)
-    rep = dispatch(cfg)
+    rep = dispatch(cfg, tmp_path)
     assert exit_code_for(rep) == 0
     assert (tmp_path / "chain.csv").exists()
 
@@ -114,13 +108,9 @@ def test_cli_keystep_and_level_sets(tmp_path):
     text = ("experiment = level-sets\nscale = 6\nseed = 0\nr = 0.03125\n"
             "input1.kind = uniform\ninput1.a = 0.0\ninput1.b = 1.0\n")
     cfg = parse_config(text)
-    cfg = ExperimentConfig(cfg.experiment, cfg.scale, cfg.seed, cfg.parameters,
-                           cfg.inputs, str(tmp_path / "ls"), cfg.threads)
-    assert exit_code_for(dispatch(cfg)) == 0
+    assert exit_code_for(dispatch(cfg, tmp_path / "ls")) == 0
     text = ("experiment = keystep\nscale = 7\nseed = 0\ns = 0.5\nt = 0.5\n"
             "input1.kind = uniform\ninput1.a = 1.0\ninput1.b = 2.0\n"
             "input2.kind = uniform\ninput2.a = 1.0\ninput2.b = 2.0\n")
     cfg = parse_config(text)
-    cfg = ExperimentConfig(cfg.experiment, cfg.scale, cfg.seed, cfg.parameters,
-                           cfg.inputs, str(tmp_path / "ks"), cfg.threads)
-    assert exit_code_for(dispatch(cfg)) == 0
+    assert exit_code_for(dispatch(cfg, tmp_path / "ks")) == 0

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from decaylab import (GridMeasure, from_atoms, from_density, l1_distance,
-                      point_mass, pushforward_affine, regularize,
-                      restrict_normalize, sup_ball_mass, uniform_measure)
+from decaylab import (GridMeasure, ball_mass_vector, from_atoms, from_density,
+                      l1_distance, mask_measure, point_mass, pushforward_affine,
+                      regularize, uniform_measure)
 from decaylab import measures
+from decaylab.constructions import CantorSpec, make_random_frostman
 from decaylab.dyadic import DyadicGridSet
 from decaylab.measures import bump_profile, kernel_weights
+from decaylab.pipelines import _level_class_count
 
 from conftest import lossy, random_masses_measure
 
@@ -81,15 +83,6 @@ def test_non_dyadic_window_does_not_leak():
     assert mu.total_mass == pytest.approx(0.4, abs=2 * h)
 
 
-def test_kernel_type():
-    from decaylab import Kernel
-    from decaylab.measures import kernel_weights
-    k = Kernel(scale=0.25)
-    assert np.array_equal(k.weights(8), kernel_weights(0.25, 8))
-    with pytest.raises(ValueError):
-        Kernel(scale=0.0)
-
-
 def test_regularize_point_mass_plateau():
     mu = point_mass(0.0, 6)
     delta = 0.25
@@ -158,6 +151,21 @@ def test_regularize_mass_check_fires_fft_path(monkeypatch):
         regularize(uniform_measure(0.0, 1.0, 14), 2.0 ** -5)
 
 
+@pytest.mark.parametrize("seed, delta", [(0, 2.0 ** -5), (1, 2.0 ** -4), (2, 2.0 ** -3)])
+def test_regularize_fft_path_support_is_exact(seed, delta, monkeypatch):
+    # oracle: the direct convolution, whose zeros are exact
+    _, mu = make_random_frostman(CantorSpec(2, 2, 6, seed))
+    mu = mu.refined(15)
+    w = kernel_weights(delta, mu.level)
+    assert mu.size * w.size > 1 << 24          # the FFT path
+    out = regularize(mu, delta)
+    assert np.array_equal(np.nonzero(out.masses)[0],
+                          np.nonzero(np.convolve(mu.masses, w))[0])
+    classes = _level_class_count(mu, delta)
+    monkeypatch.setattr(measures, "fftconvolve", np.convolve)
+    assert classes == _level_class_count(mu, delta)
+
+
 def test_regularize_rejects_subgrid_scale():
     mu = uniform_measure(0.0, 1.0, 4)
     with pytest.raises(ValueError, match="resolve"):
@@ -202,16 +210,17 @@ def test_pushforward_mass_conservation():
 def test_restrict_full_window():
     mu = uniform_measure(0.0, 1.0, 6)
     A = DyadicGridSet(1, 6, np.arange(64))
-    out, retained = restrict_normalize(mu, A)
-    assert retained == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(out.masses, mu.masses, atol=1e-15)
+    part = mask_measure(mu, A)
+    assert part.total_mass == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(part.normalized().masses, mu.masses, atol=1e-15)
 
 
 def test_restrict_half_window():
     mu = uniform_measure(0.0, 1.0, 6)
     A = DyadicGridSet(1, 5, np.arange(16))   # [0, 1/2] at a coarser level
-    out, retained = restrict_normalize(mu, A)
-    assert retained == pytest.approx(0.5, abs=1e-12)
+    part = mask_measure(mu, A)
+    assert part.total_mass == pytest.approx(0.5, abs=1e-12)
+    out = part.normalized()
     assert out.total_mass == pytest.approx(1.0, abs=1e-12)
     lo, hi = out.support()
     assert (lo, hi) == (0.0, 0.5)
@@ -220,16 +229,28 @@ def test_restrict_half_window():
 def test_restrict_empty_rejected():
     mu = uniform_measure(0.0, 1.0, 6)
     A = DyadicGridSet(1, 6, np.array([4000]))
-    with pytest.raises(ValueError, match="empty restriction"):
-        restrict_normalize(mu, A)
+    with pytest.raises(ValueError, match="zero measure"):
+        mask_measure(mu, A).normalized()
+
+
+def test_restrict_rejects_2d_set():
+    mu = uniform_measure(0.0, 1.0, 6)
+    with pytest.raises(ValueError, match="dim 1"):
+        mask_measure(mu, DyadicGridSet(2, 6, np.array([[0, 0]])))
 
 
 def test_sup_ball_mass_point_and_uniform():
     pm = point_mass(0.3, 8)
-    assert sup_ball_mass(pm, 2.0 ** -8) == pytest.approx(1.0)
+    assert ball_mass_vector(pm, 2.0 ** -8).max() == pytest.approx(1.0)
     mu = uniform_measure(0.0, 1.0, 10)
-    val = sup_ball_mass(mu, 1.0 / 8)
+    val = ball_mass_vector(mu, 1.0 / 8).max()
     assert abs(val - 0.25) <= 2 * mu.spacing
+
+
+def test_ball_mass_rejects_subgrid_radius():
+    mu = uniform_measure(0.0, 1.0, 10)
+    with pytest.raises(ValueError, match="below grid scale"):
+        ball_mass_vector(mu, mu.spacing / 2)
 
 
 def test_sup_ball_mass_comb_tooth():
@@ -238,7 +259,7 @@ def test_sup_ball_mass_comb_tooth():
     r_comb = 2.0 ** -4
     _, rho = make_comb(r_comb, 1.0 / 16)
     r = r_comb / 2
-    val = sup_ball_mass(rho, r)
+    val = ball_mass_vector(rho, r).max()
     c, w = rho.occupied()
     centers = rho.centers()
     oracle = max(float(np.sum(w[np.abs(c - x) <= r])) for x in centers)
@@ -250,7 +271,7 @@ def test_sup_ball_mass_comb_tooth():
 def test_sup_ball_mass_monotone():
     mu = random_masses_measure(17, level=9)
     rs = [2.0 ** -k for k in range(9, 0, -1)]
-    vals = [sup_ball_mass(mu, r) for r in rs]
+    vals = [ball_mass_vector(mu, r).max() for r in rs]
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
