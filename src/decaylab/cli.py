@@ -498,10 +498,12 @@ def exit_code_for(report: RunReport) -> int:
 
 def _atomic_write(path: str, text: str):
     d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write(text)
+        # encode up front: an "ascii" text handle would load its codec on
+        # first use, inside the run
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(text.encode("ascii"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -561,15 +563,18 @@ def emit_plot_data(tables: dict, out_dir: str) -> list:
     return paths
 
 
+# built once at import: building it calls gettext, whose first use imports locale
+_PARSER = argparse.ArgumentParser(prog="decaylab",
+                                  description="run one configured experiment")
+_PARSER.add_argument("config", help="path to the experiment config file")
+_PARSER.add_argument("--param", action="append", default=[],
+                     metavar="KEY=VALUE", help="override a config key")
+_PARSER.add_argument("--output", default=".",
+                     help="output directory (default: the current directory)")
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="decaylab",
-                                 description="run one configured experiment")
-    ap.add_argument("config", help="path to the experiment config file")
-    ap.add_argument("--param", action="append", default=[],
-                    metavar="KEY=VALUE", help="override a config key")
-    ap.add_argument("--output", default=".",
-                    help="output directory (default: the current directory)")
-    args = ap.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()

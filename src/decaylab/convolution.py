@@ -29,9 +29,8 @@ rescaled: the check runs on the routed sum itself.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import fftconvolve
 
-from .measures import GridMeasure, assert_mass_conserved
+from .measures import GridMeasure, assert_mass_conserved, fftconvolve
 
 __all__ = [
     "VALID_OPS",

@@ -23,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .dyadic import DyadicGridSet, set_check
-from .measures import GridMeasure, ball_mass_vector, mask_measure, regularize
+from .measures import (GridMeasure, ball_mass_vector, fftconvolve, mask_measure,
+                       regularize)
 from .spectral import fourier_many, fourier_progression
 
 __all__ = [

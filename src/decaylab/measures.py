@@ -17,9 +17,11 @@ Experiments at a nominal scale delta = 2**-m run their grids 8x finer
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import index
 
 import numpy as np
-from scipy.signal import fftconvolve
+from numpy.fft import irfft, rfft
 
 from .dyadic import DyadicGridSet
 
@@ -37,6 +39,8 @@ __all__ = [
     "mask_measure",
     "ball_mass_vector",
     "l1_distance",
+    "next_fast_len",
+    "fftconvolve",
 ]
 
 # experiments at nominal scale 2**-m use an internal grid at 2**-(m+3)
@@ -183,6 +187,44 @@ def _floor_div(a, f):
 def assert_mass_conserved(before: float, after: float, what: str = "operation"):
     if abs(after - before) > _MASS_RTOL * max(1.0, abs(before)):
         raise AssertionError(f"{what} lost mass: {before} -> {after}")
+
+
+# ---------------------------------------------------------------------------------
+# FFT kernels
+# ---------------------------------------------------------------------------------
+
+# ~50 us a call at n ~ 2000; a run asks for a few lengths many times over
+@lru_cache(maxsize=1024)
+def next_fast_len(n: int, real: bool = False) -> int:
+    """Smallest FFT length >= n with no prime factor above 5 (real input) or
+    11 (complex input): the lengths pocketfft runs fastest, and the ones
+    scipy.fft.next_fast_len picks."""
+    n = index(n)
+    if n < 0:
+        raise ValueError(f"FFT length must be nonnegative, got {n}")
+    if n <= 1:
+        return n
+    best = 1 << (n - 1).bit_length()
+    odd = [1]                      # odd smooth numbers below that power of 2
+    for p in (3, 5) if real else (3, 5, 7, 11):
+        grown = []
+        for q in odd:
+            while q < best:
+                grown.append(q)
+                q *= p
+        odd = grown
+    for q in odd:
+        # q * 2**e with the least e reaching n
+        best = min(best, q << (-(-n // q) - 1).bit_length())
+    return best
+
+
+def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real 1-d vectors by real FFTs at the
+    next fast length (bool operands count as 0/1)."""
+    n = a.size + b.size - 1
+    length = next_fast_len(n, real=True)
+    return irfft(rfft(a, length) * rfft(b, length), length)[:n]
 
 
 # ---------------------------------------------------------------------------------

@@ -17,10 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import rfft
 
 from .convolution import convolve, difference_product, power, symmetry_defect
 from .energy import energy_spatial
-from .measures import GridMeasure, pushforward_affine, regularize
+from .measures import (GridMeasure, kernel_weights, next_fast_len,
+                       pushforward_affine, regularize)
 from .spectral import (DecayProfile, fourier_many, fourier_progression,
                        l2_at_scale, product_chain_fourier, product_fourier,
                        profile_from_samples)
@@ -179,11 +181,9 @@ def run_flattening(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
 
     r_levels = list(range(int(round(-np.log2(delta))), -1, -1))  # delta .. 1/2
     r_values = np.array([2.0 ** -l for l in r_levels])
-    from scipy.fft import next_fast_len, rfft
     max_len = powers[-1].size + int(2.0 / h) + 8
     nfft = next_fast_len(max_len)
     kernels = {}
-    from .measures import kernel_weights
     for r in r_values:
         kernels[r] = rfft(kernel_weights(float(r), level), nfft)
 

@@ -24,10 +24,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
+from numpy.fft import fft, ifft
 
 from .convolution import convolve
-from .measures import GridMeasure, regularize
+from .measures import GridMeasure, next_fast_len, regularize
 
 __all__ = [
     "fourier_at",
@@ -50,9 +50,10 @@ _CHUNK = 1 << 22       # complex exponentials per chunk in direct sums
 _FFT_CHUNK = 1 << 18   # complex entries per chunk of batched chirp-z rows
 _EXACT = 1 << 52       # integer factors of _turns must stay below this
 # One direct-sum term (a complex exp, a multiply-add and their memory
-# traffic) took 2-11x, median ~5x, the time of one unit of L log2(2L) in a
-# chirp-z row (three FFTs plus chirp exps) over windows of 64-16384 cells
-# and 1-512 rows (numpy 2.4, scipy 1.17, 2-CPU x86-64 VM).
+# traffic) took 2-10x, median 4.4-4.8x over three sweeps, the time of one
+# unit of L log2(2L) in a chirp-z row (three FFTs plus chirp exps) over
+# windows of 64-16384 cells and 1-512 rows (numpy 2.4 numpy.fft, 2-CPU
+# x86-64 VM).
 _DIRECT_TERM_COST = 4
 
 

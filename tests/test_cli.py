@@ -190,15 +190,19 @@ def test_main_runs_counterexample_quickly(tmp_path):
     assert doc["payload"]["triple_magnitude"] >= 1.0 / 8
 
 
+def _child_env() -> dict:
+    """Environment under which a child interpreter imports decaylab from
+    the same tree as this process."""
+    import decaylab
+    src = os.path.dirname(os.path.dirname(decaylab.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def test_determinism_across_processes(tmp_path):
     import subprocess
-    import sys
 
-    import decaylab
-    # the child imports decaylab from the same tree as this process
-    src = os.path.dirname(os.path.dirname(decaylab.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env = _child_env()
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(BASE_CASE)
     blobs = []
@@ -226,6 +230,53 @@ def test_dispatch_lattice_and_project(tmp_path):
     rep = dispatch(parse_config(text), tmp_path / "p")
     assert exit_code_for(rep) == 0
     assert (tmp_path / "p" / "projection.csv").exists()
+
+
+_IMPORT_PROBE = """
+import sys
+import decaylab.cli
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not scipy, scipy[:5]
+before = set(sys.modules)
+assert decaylab.cli.main([sys.argv[1], "--output", sys.argv[2]]) == 0
+late = sorted(set(sys.modules) - before)
+assert not late, late
+"""
+
+
+def test_import_loads_no_scipy_and_run_loads_nothing(tmp_path):
+    # a module first loaded by main() would be timed as part of the run
+    import subprocess
+
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(BASE_CASE.replace("scale = 7", "scale = 5"))
+    r = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(cfg_path),
+                        str(tmp_path / "out")],
+                       capture_output=True, text=True, timeout=300, env=_child_env())
+    assert r.returncode == 0, r.stderr
+
+
+def test_successive_mains_do_not_share_parsed_state(tmp_path):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(BASE_CASE)
+    for seed, out in (("11", "a"), ("12", "b")):
+        assert main([str(cfg_path), "--output", str(tmp_path / out),
+                     "--param", f"seed={seed}"]) == 0
+    assert json.loads((tmp_path / "a" / "report.json").read_text())["config"]["seed"] == 11
+    assert json.loads((tmp_path / "b" / "report.json").read_text())["config"]["seed"] == 12
+    # no --param: the config's own seed, not one left over from a previous call
+    assert main([str(cfg_path), "--output", str(tmp_path / "c")]) == 0
+    assert json.loads((tmp_path / "c" / "report.json").read_text())["config"]["seed"] == 3
+
+
+def test_atomic_write_refuses_non_ascii_and_leaves_no_temp(tmp_path):
+    target = tmp_path / "report.json"
+    cli._atomic_write(str(target), "plain\n")
+    assert target.read_bytes() == b"plain\n"
+    with pytest.raises(UnicodeEncodeError):
+        cli._atomic_write(str(target), "\u03bc\n")
+    assert target.read_bytes() == b"plain\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
 
 # ---------------------------------------------------------------------------

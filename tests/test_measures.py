@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from decaylab import (GridMeasure, ball_mass_vector, from_atoms, from_density,
                       l1_distance, mask_measure, point_mass, pushforward_affine,
@@ -7,7 +8,8 @@ from decaylab import (GridMeasure, ball_mass_vector, from_atoms, from_density,
 from decaylab import measures
 from decaylab.constructions import CantorSpec, make_random_frostman
 from decaylab.dyadic import DyadicGridSet
-from decaylab.measures import bump_profile, kernel_weights
+from decaylab.measures import (bump_profile, fftconvolve, kernel_weights,
+                               next_fast_len)
 from decaylab.pipelines import _level_class_count
 
 from conftest import lossy, random_masses_measure
@@ -291,3 +293,48 @@ def test_l1_distance_one_cell_shift():
     mu = point_mass(0.5, 6)
     nu = GridMeasure(mu.level, mu.origin_index + 1, mu.masses)
     assert l1_distance(mu, nu) == pytest.approx(mu.spacing, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# FFT kernels
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 300), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_fftconvolve_matches_direct(n_a, n_b, boolean, seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.random(n_a), rng.random(n_b)
+    if boolean:
+        a, b = a < 0.5, b < 0.5
+    got = fftconvolve(a, b)
+    want = np.convolve(a.astype(np.float64), b.astype(np.float64))
+    assert got.shape == want.shape and got.dtype == np.float64
+    assert np.max(np.abs(got - want)) <= 1e-12 * float(np.sum(a)) * float(np.sum(b))
+
+
+def _smooth(m: int, largest: int) -> bool:
+    for p in (2, 3, 5, 7, 11):
+        if p <= largest:
+            while m % p == 0:
+                m //= p
+    return m == 1
+
+
+@pytest.mark.parametrize("real, largest", [(True, 5), (False, 11)])
+def test_next_fast_len_is_least_smooth_length(real, largest):
+    for n in list(range(1, 3000)) + [65_537, 131_071, 1_000_003]:
+        m = n
+        while not _smooth(m, largest):
+            m += 1
+        assert next_fast_len(n, real) == m, n
+    assert next_fast_len(np.int64(3001), True) == 3072     # any integer type
+    with pytest.raises(ValueError):
+        next_fast_len(-1)
+
+
+def test_next_fast_len_matches_scipy():
+    sfft = pytest.importorskip("scipy.fft")
+    for real in (True, False):
+        assert all(next_fast_len(n, real) == sfft.next_fast_len(n, real)
+                   for n in range(30000))
