@@ -7,20 +7,18 @@ combinatorics, and reproducible experiment pipelines.
 __version__ = "0.1.0"
 
 from .convolution import convolve, difference_product, power
-from .dyadic import (BranchingFunction, DyadicGridSet, additive_energy,
-                     branching_function, covering_number, project,
-                     projection_scan, set_check, superlinear_decompose,
-                     uniformize)
-from .energy import (EnergyReport, FrostmanReport, energy_fourier,
-                     energy_report, energy_spatial, exceptional_set,
-                     extract_nonconcentrated, frostman_constant)
+from .dyadic import (DyadicGridSet, additive_energy, covering_number,
+                     projection_scan, set_check, uniformize)
+from .energy import (FrostmanReport, energy_fourier, energy_spatial,
+                     exceptional_set, extract_nonconcentrated,
+                     frostman_constant)
 from .measures import (GridMeasure, OVERSAMPLE_BITS, ball_mass_vector,
                        from_atoms, from_density, l1_distance, mask_measure,
                        point_mass, pushforward_affine, regularize,
                        uniform_measure)
 from .spectral import (DecayProfile, decay_profile, fourier_at, fourier_many,
                        l2_at_scale, order_check, product_chain_fourier,
-                       product_fourier, product_transform_bound)
+                       product_fourier)
 
 __all__ = [
     "__version__",
@@ -30,12 +28,10 @@ __all__ = [
     "l1_distance",
     "convolve", "power", "difference_product",
     "fourier_at", "fourier_many", "product_fourier", "product_chain_fourier",
-    "l2_at_scale", "DecayProfile", "decay_profile", "product_transform_bound",
-    "order_check",
-    "energy_spatial", "energy_fourier", "energy_report", "EnergyReport",
+    "l2_at_scale", "DecayProfile", "decay_profile", "order_check",
+    "energy_spatial", "energy_fourier",
     "FrostmanReport", "frostman_constant", "exceptional_set",
     "extract_nonconcentrated",
-    "DyadicGridSet", "BranchingFunction", "covering_number", "set_check",
-    "uniformize", "branching_function", "superlinear_decompose", "project",
+    "DyadicGridSet", "covering_number", "set_check", "uniformize",
     "projection_scan", "additive_energy",
 ]

@@ -23,12 +23,9 @@ from .spectral import fourier_at, l2_at_scale, product_fourier
 __all__ = [
     "CantorSpec",
     "make_random_frostman",
-    "default_schedule",
     "make_lattice_neighborhood",
-    "product_containment_defect",
     "make_comb",
     "make_shifted_comb",
-    "shifted_comb_phase_audit",
     "make_thin_interval",
     "mix",
 ]
@@ -135,19 +132,6 @@ def _equal_mass_measure(X: DyadicGridSet) -> GridMeasure:
 # lattice-neighborhood sets
 # ---------------------------------------------------------------------------
 
-def default_schedule(level: int) -> tuple:
-    """Rapidly growing integer schedule n_k = 2**(2**k), truncated to the grid."""
-    out = []
-    k = 1
-    while True:
-        n = 2 ** (2 ** k)
-        if 1.0 / n < 2.0 ** -level:
-            break
-        out.append(n)
-        k += 1
-    return tuple(out)
-
-
 def make_lattice_neighborhood(s: float, schedule, level: int):
     """Grid points of [0, 1] within n_k**-1 of the lattice n_k**-s * Z, all k.
 
@@ -173,24 +157,6 @@ def make_lattice_neighborhood(s: float, schedule, level: int):
             raise ValueError(f"set is empty at grid resolution after n_{pos + 1}={n}")
     X = DyadicGridSet(1, level, np.nonzero(keep)[0])
     return X, _equal_mass_measure(X)
-
-
-def product_containment_defect(sets, s_list, n: float) -> tuple[float, float]:
-    """Worst lattice distance of pairwise/products of set points vs the allowance.
-
-    For sets built on a shared schedule entry n (with exponents s_list), every
-    product of one point per set must lie within len(sets) * n**-1 of the
-    lattice n**-(sum s_i) * Z.  Returns (max distance, allowance); the caller
-    adds grid slop before asserting.
-    """
-    gap = float(n) ** -float(np.sum(s_list))
-    prod = sets[0].centers()
-    for X in sets[1:]:
-        prod = np.multiply.outer(prod, X.centers()).ravel()
-        if prod.size > 20_000_000:
-            raise ValueError("product tuple set too large")
-    dist = np.abs(prod - np.round(prod / gap) * gap)
-    return float(dist.max()), len(sets) / float(n)
 
 
 # ---------------------------------------------------------------------------
@@ -273,24 +239,6 @@ def _dyadic_at_least(delta: float, level: int) -> float:
     """Snap delta to the nearest dyadic 2**-k (delta is dyadic in all uses)."""
     k = int(round(-np.log2(delta)))
     return 2.0 ** -min(k, level - 1)
-
-
-def shifted_comb_phase_audit(s: float, delta: float, c: float = 1.0 / 16):
-    """Measured vs budgeted phase defect of the triple-product transform.
-
-    Compares |(mu x mu x mu)^(1/delta)| against |rho_hat(delta**-s)|**3,
-    whose difference is controlled by 2 pi (delta^(2-3s) + 3 delta^(1-2s))
-    plus grid slop.  Returns (defect, budget).
-    """
-    r = delta ** s
-    l = int(round(-np.log2(r)))
-    _, rho = make_comb(2.0 ** -l, c, verify=False)
-    mu = make_shifted_comb(s, delta, c, verify=False)
-    t2 = convolve(mu, mu, "mul")
-    actual = product_fourier(t2, mu, 1.0 / delta)
-    base = fourier_at(rho, delta ** -s) ** 3 * np.exp(-2j * np.pi / delta)
-    budget = 2 * np.pi * (delta ** (2 - 3 * s) + 3 * delta ** (1 - 2 * s))
-    return float(abs(actual - base)), float(budget)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,7 @@ A set at level m is a collection of dyadic cells of side 2**-m, stored as
 integer cell indices (cell i covers [i*2**-m, (i+1)*2**-m), and analogously
 per axis in dimension 2).  This module provides covering numbers,
 non-concentration checks (relative "frostman-type" and absolute "katz-tao"),
-uniform-subset extraction, branching functions and their superlinear
-decompositions, direction-parametrized projections, and additive energy.
+uniform-subset extraction, projection scans, and additive energy.
 
 Ball convention used by every check in this module: the dyadic cell with
 index c belongs to the closed ball B(x, r) iff the closed cell
@@ -21,14 +20,10 @@ import numpy as np
 
 __all__ = [
     "DyadicGridSet",
-    "BranchingFunction",
     "covering_number",
     "set_check",
     "uniformize",
     "uniformity_audit",
-    "branching_function",
-    "superlinear_decompose",
-    "project",
     "projection_scan",
     "ProjectionScanReport",
     "additive_energy",
@@ -101,33 +96,6 @@ class DyadicGridSet:
             raise ValueError("contains_points is dim-1 only")
         idx = np.floor(np.asarray(x) / self.spacing).astype(np.int64)
         return np.isin(idx, self.cells)
-
-    # -- serialization ---------------------------------------------------------
-    def to_text(self) -> str:
-        lines = [f"dim {self.dim}", f"level {self.level}", f"count {self.size}"]
-        if self.dim == 1:
-            w = self.window()
-            lines.append(f"window {w[0]} {w[1]}")
-            lines.extend(str(int(c)) for c in self.cells)
-        else:
-            (a0, b0), (a1, b1) = self.window()
-            lines.append(f"window {a0} {b0} {a1} {b1}")
-            lines.extend(f"{int(c[0])} {int(c[1])}" for c in self.cells)
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_text(text: str) -> "DyadicGridSet":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        dim = int(lines[0].split()[1])
-        level = int(lines[1].split()[1])
-        count = int(lines[2].split()[1])
-        body = lines[4:4 + count]
-        if dim == 1:
-            cells = np.array([int(x) for x in body], dtype=np.int64)
-        else:
-            cells = np.array([[int(v) for v in ln.split()] for ln in body],
-                             dtype=np.int64).reshape(-1, 2)
-        return DyadicGridSet(dim, level, cells)
 
 
 def covering_number(X: DyadicGridSet, r: float) -> int:
@@ -274,122 +242,6 @@ def uniformity_audit(X: DyadicGridSet, D: int, m: int):
             return False, j
         counts.append(int(cnt[0]))
     return True, counts
-
-
-@dataclass(frozen=True)
-class BranchingFunction:
-    """Normalized log covering-number profile of a uniform set.
-
-    values[j] = log |X|_{2**-(D*j)} / (D*m*log 2) for j = 0..m, linear
-    in between.  f(0) = 0, f nondecreasing, slopes in [0, dim].
-    """
-
-    D: int
-    m: int
-    values: tuple
-    dim: int = 1
-
-    def __post_init__(self):
-        if len(self.values) != self.m + 1:
-            raise ValueError("need m+1 node values")
-        if abs(self.values[0]) > 1e-12:
-            raise ValueError("branching function must start at 0")
-        v = np.asarray(self.values)
-        slopes = np.diff(v) * self.m
-        if np.any(slopes < -1e-9) or np.any(slopes > self.dim + 1e-9):
-            raise ValueError("node slopes must lie in [0, dim]")
-
-    def __call__(self, u) -> np.ndarray:
-        nodes = np.linspace(0.0, 1.0, self.m + 1)
-        return np.interp(u, nodes, np.asarray(self.values))
-
-    def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.m + 1)
-
-
-def branching_function(X: DyadicGridSet, D: int, m: int) -> BranchingFunction:
-    """Branching profile of a {2**-(D*j)}-uniform set; rejects non-uniform input."""
-    ok, info = uniformity_audit(X, D, m)
-    if not ok:
-        raise ValueError(f"input is not uniform at block level {info}")
-    if X.is_empty():
-        raise ValueError("branching_function needs a nonempty set")
-    denom = D * m * np.log(2.0)
-    vals = [0.0]
-    for j in range(1, m + 1):
-        nj = covering_number(X, 2.0 ** -(D * j))
-        vals.append(float(np.log(nj) / denom))
-    return BranchingFunction(D=D, m=m, values=tuple(vals), dim=X.dim)
-
-
-def _max_superlinear_slope(values: np.ndarray, m: int, i: int, j: int) -> float:
-    """Largest s with f(u) - f(a_i) >= s (u - a_i) at all nodes u in (a_i, a_j]."""
-    idx = np.arange(i + 1, j + 1)
-    quot = (values[idx] - values[i]) / ((idx - i) / m)
-    return float(quot.min())
-
-
-def superlinear_decompose(f: BranchingFunction, eps: float):
-    """Partition [0,1] into node-aligned intervals with nondecreasing slopes.
-
-    Each reported (a, b, s) satisfies f(u) - f(a) >= s*(u - a) at every node
-    of [a, b]; interval lengths are >= eps/4 (in u units, up to node
-    rounding); and the slope sum aims for sum s_j (a_{j+1}-a_j) >= f(1) - eps.
-
-    The construction takes the intervals between contact points of the lower
-    convex envelope of the node values (slope sum exactly f(1)), then merges
-    short intervals right-to-left; each merged interval's slope is recomputed
-    as the exact node-wise maximum, which keeps the slopes nondecreasing.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    m = f.m
-    values = np.asarray(f.values)
-    # contact points of the lower convex envelope (monotone-chain on nodes)
-    hull = [0]
-    for j in range(1, m + 1):
-        while len(hull) >= 2:
-            i0, i1 = hull[-2], hull[-1]
-            if (values[i1] - values[i0]) * (j - i1) >= (values[j] - values[i1]) * (i1 - i0):
-                hull.pop()
-            else:
-                break
-        hull.append(j)
-    breaks = hull  # node indices, 0 ... m
-    min_blocks = max(1, int(np.ceil(eps / 4.0 * m)))
-    # merge short intervals right-to-left
-    merged = []
-    hi = breaks[-1]
-    for lo in reversed(breaks[:-1]):
-        if hi - lo >= min_blocks or lo == 0:
-            merged.append((lo, hi))
-            hi = lo
-    if merged and merged[-1][0] != 0:
-        merged.append((0, merged[-1][0]))
-    merged.reverse()
-    # leftmost interval may still be short: fold it into its neighbour
-    while len(merged) >= 2 and merged[0][1] - merged[0][0] < min_blocks:
-        merged = [(merged[0][0], merged[1][1])] + merged[2:]
-    out = []
-    for lo, hi in merged:
-        s = _max_superlinear_slope(values, m, lo, hi)
-        out.append((lo / m, hi / m, max(s, 0.0)))
-    return out
-
-
-def project(X: DyadicGridSet, y: float, out_level: int) -> DyadicGridSet:
-    """Image of the cell centers of a planar set under (x1, x2) -> x1 - y*x2."""
-    if X.dim != 2:
-        raise ValueError("project needs a dim-2 set")
-    if abs(y) > 4:
-        raise ValueError("direction |y| <= 4 expected")
-    h = X.spacing
-    c1 = (X.cells[:, 0] + 0.5) * h
-    c2 = (X.cells[:, 1] + 0.5) * h
-    img = c1 - y * c2
-    out_h = 2.0 ** -out_level
-    idx = np.floor(img / out_h).astype(np.int64)
-    return DyadicGridSet(1, out_level, np.unique(idx))
 
 
 @dataclass(frozen=True)

@@ -30,11 +30,9 @@ from .measures import (GridMeasure, ball_mass_vector, fftconvolve, mask_measure,
 from .spectral import fourier_many, fourier_progression
 
 __all__ = [
-    "EnergyReport",
     "FrostmanReport",
     "energy_spatial",
     "energy_fourier",
-    "energy_report",
     "frostman_constant",
     "ExceptionalSetReport",
     "exceptional_set",
@@ -133,26 +131,6 @@ def energy_fourier(mu: GridMeasure, s: float, delta: float) -> float:
 
 
 @dataclass(frozen=True)
-class EnergyReport:
-    s: float
-    delta: float
-    spatial: float
-    fourier: float
-    calibration: float
-
-    def as_dict(self) -> dict:
-        return {"s": self.s, "delta": self.delta, "spatial": self.spatial,
-                "fourier": self.fourier, "calibration": self.calibration}
-
-
-def energy_report(mu: GridMeasure, s: float, delta: float) -> EnergyReport:
-    return EnergyReport(s=s, delta=delta,
-                        spatial=energy_spatial(mu, s, delta),
-                        fourier=energy_fourier(mu, s, delta),
-                        calibration=_calibration_constant(s))
-
-
-@dataclass(frozen=True)
 class FrostmanReport:
     s: float
     r_min: float
@@ -160,11 +138,6 @@ class FrostmanReport:
     constant: float          # smallest K with mu(B(x,r)) <= K r^s on the scan
     argmax_r: float
     argmax_x: float
-
-    def as_dict(self) -> dict:
-        return {"s": self.s, "r_min": self.r_min, "r_max": self.r_max,
-                "constant": self.constant, "argmax_r": self.argmax_r,
-                "argmax_x": self.argmax_x}
 
 
 def frostman_constant(mu: GridMeasure, s: float,

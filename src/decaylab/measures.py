@@ -112,9 +112,6 @@ class GridMeasure:
         nz = np.nonzero(self.masses)[0]
         return ((self.origin_index + nz + 0.5) * self.spacing, self.masses[nz])
 
-    def is_probability(self, tol: float = 1e-9) -> bool:
-        return abs(self.total_mass - 1.0) <= tol
-
     # -- basic transforms ---------------------------------------------------------
     def normalized(self) -> "GridMeasure":
         if self.total_mass <= 0:
@@ -171,13 +168,22 @@ class GridMeasure:
 
     @staticmethod
     def from_text(text: str) -> "GridMeasure":
+        """Inverse of to_text; a malformed file raises ValueError."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        level = int(lines[0].split()[1])
-        origin = float(lines[1].split()[1])
-        count = int(lines[2].split()[1])
-        body = np.array([float(v) for v in lines[3:3 + count]], dtype=np.float64)
-        origin_index = int(round(origin * 2.0 ** level))
-        return GridMeasure(level, origin_index, body)
+        head = [ln.split() for ln in lines[:3]]
+        if [h[0] for h in head] != ["level", "origin", "count"] \
+                or any(len(h) != 2 for h in head):
+            raise ValueError("header must be the lines 'level L', 'origin X', "
+                             "'count N', in that order")
+        level, origin, count = int(head[0][1]), float(head[1][1]), int(head[2][1])
+        body = lines[3:]
+        if len(body) != count:
+            raise ValueError(f"count {count} declared, {len(body)} values given")
+        scaled = origin * 2.0 ** level
+        if not scaled.is_integer():
+            raise ValueError(f"origin {origin!r} is not on the level-{level} grid")
+        return GridMeasure(level, int(scaled),
+                           np.array([float(v) for v in body], dtype=np.float64))
 
 
 def _floor_div(a, f):

@@ -1,7 +1,6 @@
 """Fourier analysis of grid measures: transforms on frequency progressions,
-L2 norms at a scale, decay profiles with fitted exponents, and the two
-workhorse inequalities for multiplicative convolutions (the Cauchy-Schwarz
-order exchange and the band-energy bound on the product transform).
+L2 norms at a scale, decay profiles with fitted exponents, and the
+Cauchy-Schwarz order exchange for multiplicative convolutions.
 
 Every transform is atom-exact: mu_hat(xi) = sum m_j exp(-2 pi i xi c_j) over
 the cell centers c_j = (o + j + 1/2) h.  Scattered frequencies (geomspace
@@ -19,14 +18,12 @@ the mass) even where xi * c reaches millions of turns.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import fft, ifft
 
-from .convolution import convolve
 from .measures import GridMeasure, next_fast_len, regularize
 
 __all__ = [
@@ -38,8 +35,6 @@ __all__ = [
     "l2_at_scale",
     "DecayProfile",
     "decay_profile",
-    "product_transform_bound",
-    "band_energy",
     "order_check",
 ]
 
@@ -258,20 +253,6 @@ class DecayProfile:
     floor_hits: int
     all_below_floor: bool = False
 
-    def to_csv(self) -> str:
-        lines = ["xi,magnitude"]
-        lines += [f"{float(x)!r},{float(m)!r}"
-                  for x, m in zip(self.xi_samples, self.magnitudes)]
-        return "\n".join(lines) + "\n"
-
-    def sidecar(self) -> str:
-        return json.dumps(
-            {"band": [self.band[0], self.band[1]],
-             "tau_hat": self.tau_hat if math.isfinite(self.tau_hat) else "inf",
-             "fit_residual": self.fit_residual,
-             "floor_hits": self.floor_hits},
-            sort_keys=True)
-
 
 def _fit_decay(xis: np.ndarray, mags: np.ndarray):
     """Least-squares power-law fit of the magnitude envelope.
@@ -337,35 +318,6 @@ def profile_from_samples(xis: np.ndarray, mags: np.ndarray) -> DecayProfile:
                         all_below_floor=dead)
 
 
-def band_energy(mu: GridMeasure, xi_max: float, spacing: float = 0.25) -> float:
-    """integral of |mu_hat|^2 over |xi| <= xi_max, trapezoid at the given spacing.
-
-    For supports inside [-2, 2] the integrand varies on scale ~1/4, so the
-    default spacing resolves it; halving the spacing moves the value by <1%.
-    """
-    n = int(np.ceil(xi_max / spacing)) + 1
-    xis = np.linspace(0.0, xi_max, n)
-    vals = np.abs(fourier_progression(mu, 0.0, xi_max / max(n - 1, 1),
-                                      np.arange(n))[0]) ** 2
-    return float(2.0 * np.trapezoid(vals, xis))  # conjugate symmetry: 2x half-line
-
-
-def product_transform_bound(mu: GridMeasure, nu: GridMeasure,
-                            delta: float, xi: float) -> float:
-    """Upper bound sqrt(A*B/|xi|) + delta on |(mu x nu)^(xi)| for 1 <= |xi| <= 1/delta,
-    where A and B are the band energies of mu and nu over |eta| <= 2/delta.
-
-    The measured transform should stay below a moderate constant times this
-    bound; the constant is reported by the experiment harness, not asserted
-    here.
-    """
-    if not (1.0 <= abs(xi) <= 1.0 / delta + 1e-9):
-        raise ValueError("need 1 <= |xi| <= 1/delta")
-    A = band_energy(mu, 2.0 / delta)
-    B = band_energy(nu, 2.0 / delta)
-    return float(np.sqrt(A * B / abs(xi)) + delta)
-
-
 def order_check(mu: GridMeasure, nu: GridMeasure, xi: float) -> tuple[float, float]:
     """Order-exchange inequality |(mu x nu)^(xi)|^2 <= ((mu - mu) x nu)^(xi).
 
@@ -379,9 +331,3 @@ def order_check(mu: GridMeasure, nu: GridMeasure, xi: float) -> tuple[float, flo
     lhs = abs(np.sum(q * vals)) ** 2
     rhs = float(np.sum(q * np.abs(vals) ** 2))
     return float(lhs), rhs
-
-
-def routed_product_check(mu: GridMeasure, nu: GridMeasure, xi: float) -> float:
-    """|gridded (mu x nu) transform - atom-exact product transform| at xi."""
-    g = convolve(mu, nu, "mul")
-    return abs(fourier_at(g, xi) - product_fourier(mu, nu, xi))

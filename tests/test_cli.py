@@ -165,6 +165,25 @@ def test_main_unwritable_output_exit_2(tmp_path):
     assert main([str(cfg_path), "--output", str(blocker / "sub")]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    "level 11\norigin 1.0\ncount 10\n0.5\n0.5\n",
+    "level 11\norigin 1.0\ncount 2\n0.25\n0.25\n0.5\n",
+    "level 4\norigin 0.03\ncount 2\n0.5\n0.5\n",
+    "origin 4\nlevel 0.0625\ncount 2\n0.5\n0.5\n",
+], ids=["short-body", "long-body", "origin-off-grid", "keys-swapped"])
+def test_main_rejects_malformed_measure_file(tmp_path, capsys, text):
+    mpath = tmp_path / "measure.txt"
+    mpath.write_text(text)
+    cfg_path = tmp_path / "file.cfg"
+    cfg_path.write_text("experiment = decay\nscale = 8\nseed = 0\n"
+                        "band_lo = 16\nband_hi = 128\nn_samples = 24\n"
+                        f"input1.kind = file\ninput1.path = {mpath}\n")
+    out = tmp_path / "out"
+    assert main([str(cfg_path), "--output", str(out)]) == 2
+    assert "runtime error: ValueError" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_main_param_override(tmp_path, capsys):
     cfg_path = tmp_path / "ok.cfg"
     cfg_path.write_text(BASE_CASE)

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from decaylab import covering_number, frostman_constant
-from decaylab.constructions import (CantorSpec, default_schedule, make_comb,
+from decaylab.constructions import (CantorSpec, make_comb,
                                     make_lattice_neighborhood,
                                     make_random_frostman, make_shifted_comb,
-                                    make_thin_interval,
-                                    product_containment_defect,
-                                    shifted_comb_phase_audit)
+                                    make_thin_interval)
 from decaylab.convolution import convolve
 from decaylab.spectral import fourier_at, l2_at_scale, product_fourier
 
@@ -78,17 +76,14 @@ def test_lattice_product_containment():
     n, level = 16, 10
     A, _ = make_lattice_neighborhood(s1, (n,), level)
     B, _ = make_lattice_neighborhood(s2, (n,), level)
-    worst, allowance = product_containment_defect([A, B], [s1, s2], n)
+    # every product a*b lies within 2/n of the lattice n**-(s1+s2) * Z;
     # grid slop: each center is within h/2 of a true set point; products move
     # by at most ~3 h/2
     h = 2.0 ** -level
-    assert worst <= allowance + 3 * h
-
-
-def test_default_schedule_truncates():
-    sched = default_schedule(10)
-    assert sched == (4, 16, 256)
-    assert all(b > a for a, b in zip(sched, sched[1:]))
+    gap = float(n) ** -(s1 + s2)
+    prod = np.multiply.outer(A.centers(), B.centers()).ravel()
+    worst = np.abs(prod - np.round(prod / gap) * gap).max()
+    assert worst <= 2.0 / n + 3 * h
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +103,17 @@ def test_shifted_comb_moderate_scale():
     assert abs(product_fourier(t2, mu, 1.0 / delta)) >= 1.0 / 8
 
 
-def test_shifted_comb_phase_audit():
+def test_shifted_comb_phase_defect_within_budget():
     s, delta = 0.4, 2.0 ** -20
-    defect, budget = shifted_comb_phase_audit(s, delta)
+    # |(mu x mu x mu)^(1/delta)| against |rho_hat(delta**-s)|**3: the phase
+    # defect is at most 2 pi (delta^(2-3s) + 3 delta^(1-2s)) plus grid slop
+    c = 1.0 / 16
+    _, rho = make_comb(2.0 ** -int(round(-np.log2(delta ** s))), c, verify=False)
+    mu = make_shifted_comb(s, delta, c, verify=False)
+    actual = product_fourier(convolve(mu, mu, "mul"), mu, 1.0 / delta)
+    base = fourier_at(rho, delta ** -s) ** 3 * np.exp(-2j * np.pi / delta)
+    defect = abs(actual - base)
+    budget = 2 * np.pi * (delta ** (2 - 3 * s) + 3 * delta ** (1 - 2 * s))
     grid_slop = 0.1
     assert defect <= budget + grid_slop
 

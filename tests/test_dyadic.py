@@ -1,11 +1,12 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decaylab import (BranchingFunction, DyadicGridSet, additive_energy,
-                      branching_function, covering_number, project,
-                      projection_scan, set_check, superlinear_decompose,
-                      uniformize)
+from decaylab import (DyadicGridSet, additive_energy, covering_number,
+                      projection_scan, set_check, uniformize)
 from decaylab.constructions import CantorSpec, make_random_frostman
 from decaylab.dyadic import ball_cell_count, uniformity_audit
 
@@ -79,6 +80,13 @@ def test_covering_monotone():
     vals = [covering_number(X, 2.0 ** -l) for l in range(0, 11)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert vals[-1] == X.size
+
+
+def test_window_bounds_cells():
+    assert DyadicGridSet(1, 6, np.array([9, -3, 40])).window() == (-3, 41)
+    X = DyadicGridSet(2, 4, np.array([[0, 5], [3, 2], [15, 15]]))
+    assert X.window() == ((0, 16), (2, 16))
+    assert DyadicGridSet(1, 6, np.array([], dtype=np.int64)).window() == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -190,134 +198,41 @@ def test_uniformize_dim2():
     assert ok
 
 
-# ---------------------------------------------------------------------------
-# branching functions
-# ---------------------------------------------------------------------------
-
-def test_branching_full_interval_linear():
-    X = DyadicGridSet(1, 6, np.arange(64))
-    f = branching_function(X, 2, 3)
-    assert np.allclose(f.values, [0, 1 / 3, 2 / 3, 1.0], atol=1e-12)
-
-
-def test_branching_singleton_zero():
-    X = DyadicGridSet(1, 6, np.array([17]))
-    f = branching_function(X, 2, 3)
-    assert np.allclose(f.values, 0.0, atol=1e-12)
-
-
-def test_branching_cantor_half_slope():
-    spec = CantorSpec(block=2, keep=2, depth=6, seed=1)
-    X, _ = make_random_frostman(spec)
-    f = branching_function(X, 2, 6)
-    assert np.allclose(f.values, np.linspace(0, 0.5, 7), atol=1e-12)
-
-
-def test_branching_rejects_non_uniform():
-    X = DyadicGridSet(1, 4, np.array([0, 1, 2, 3, 4]))   # parents 0 and 1 differ
-    with pytest.raises(ValueError, match="uniform"):
-        branching_function(X, 2, 2)
-
-
-def test_branching_close_to_raw_profile_after_uniformize():
+def test_uniformize_keeps_covering_profile():
+    # log covering numbers of the uniform subset stay within 1/m (normalized
+    # by D*m*log 2) of the raw set's at every block scale 2**-(D*j)
     rng = np.random.default_rng(31)
     D, m = 2, 6
     cells = np.unique(rng.choice(1 << (D * m), size=800, replace=False))
     X = DyadicGridSet(1, D * m, cells)
     U = uniformize(X, D, m)
-    f = branching_function(U, D, m)
+    assert uniformity_audit(U, D, m)[0]
     denom = D * m * np.log(2.0)
-    for j in range(m + 1):
-        raw = np.log(covering_number(X, 2.0 ** -(D * j))) / denom if j else 0.0
-        assert abs(f.values[j] - raw) <= 1.0 / m + 1e-9
+    for j in range(1, m + 1):
+        r = 2.0 ** -(D * j)
+        kept = np.log(covering_number(U, r)) / denom
+        raw = np.log(covering_number(X, r)) / denom
+        assert abs(kept - raw) <= 1.0 / m + 1e-9
 
 
-# ---------------------------------------------------------------------------
-# superlinear decomposition
-# ---------------------------------------------------------------------------
-
-def _check_decomposition(f: BranchingFunction, eps=0.25):
-    out = superlinear_decompose(f, eps)
-    values = np.asarray(f.values)
-    m = f.m
-    slopes = [s for _, _, s in out]
-    assert all(b > a for a, b, _ in out)
-    assert out[0][0] == 0.0 and out[-1][1] == 1.0
-    assert all(x[1] == y[0] for x, y in zip(out, out[1:]))
-    assert all(s2 >= s1 - 1e-12 for s1, s2 in zip(slopes, slopes[1:]))
-    for a, b, s in out:
-        ia, ib = int(round(a * m)), int(round(b * m))
-        for u in range(ia + 1, ib + 1):
-            assert values[u] - values[ia] >= s * (u - ia) / m - 1e-9
-    return out
+def test_uniformity_audit_counts_cantor_branching():
+    # a keep-per-block construction branches into exactly `keep` children
+    spec = CantorSpec(block=2, keep=3, depth=4, seed=4)
+    X, _ = make_random_frostman(spec)
+    assert uniformity_audit(X, 2, 4) == (True, [3, 3, 3, 3])
 
 
-def test_superlinear_linear_profile():
-    f = BranchingFunction(D=2, m=8, values=tuple(np.linspace(0, 1, 9)))
-    out = _check_decomposition(f)
-    total = sum(s * (b - a) for a, b, s in out)
-    assert total >= f.values[-1] - 0.25
-    assert len(out) == 1 and out[0][2] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_superlinear_flat_profile():
-    f = BranchingFunction(D=2, m=6, values=(0.0,) * 7)
-    out = _check_decomposition(f)
-    assert len(out) == 1 and out[0][2] == 0.0
-
-
-def test_superlinear_two_slope_profile():
-    m = 8
-    vals = [0.0] * (m // 2) + list(np.linspace(0, 0.5, m // 2 + 1))
-    f = BranchingFunction(D=2, m=m, values=tuple(vals))
-    out = _check_decomposition(f, eps=0.25)
-    total = sum(s * (b - a) for a, b, s in out)
-    assert total >= f.values[-1] - 0.25
-    # oracle: exhaustive search over single breakpoints for the best 2-piece sum
-    values = np.asarray(f.values)
-
-    def max_slope(i, j):
-        return min((values[u] - values[i]) / ((u - i) / m) for u in range(i + 1, j + 1))
-
-    best = max(max_slope(0, b) * (b / m) + max_slope(b, m) * ((m - b) / m)
-               for b in range(1, m))
-    assert total >= best - 0.25
+def test_uniformity_audit_flags_unequal_branching():
+    # the audit names the first block level whose parents branch unequally
+    X = DyadicGridSet(1, 4, np.array([0, 1, 2, 3, 4]))   # level-2 cells 0, 1: 4 vs 1
+    assert uniformity_audit(X, 2, 2) == (False, 2)
+    Y = DyadicGridSet(1, 4, np.array([0, 4, 16]))        # level-0 cells 0, 1: 2 vs 1
+    assert uniformity_audit(Y, 2, 2) == (False, 1)
 
 
 # ---------------------------------------------------------------------------
 # projections
 # ---------------------------------------------------------------------------
-
-def _grid2(points, level):
-    h = 2.0 ** -level
-    cells = np.array([[int(np.floor(x / h)), int(np.floor(y / h))]
-                      for x, y in points])
-    return DyadicGridSet(2, level, cells)
-
-
-def test_project_coordinate_shadow():
-    pts = [(0.1, 0.9), (0.4, 0.2), (0.8, 0.5)]
-    X = _grid2(pts, 4)
-    out = project(X, 0.0, 4)
-    assert out.size == 3
-    xs = sorted(int(p[0] * 16) for p in pts)
-    assert sorted(out.cells.tolist()) == xs
-
-
-def test_project_kernel_direction():
-    pts = [(0.0, 0.0), (0.25, 0.25), (0.5, 0.5), (0.75, 0.75)]
-    X = _grid2(pts, 2)
-    out = project(X, 1.0, 2)
-    assert covering_number(out, 0.25) == 1
-
-
-def test_project_difference_set():
-    a = [0.0, 0.25, 0.5, 0.75]
-    pts = [(x, y) for x in a for y in a]
-    X = _grid2(pts, 2)
-    out = project(X, 1.0, 2)
-    assert out.size == 7   # A - A = {-3/4 .. 3/4} step 1/4
-
 
 def test_projection_scan_full_sets():
     level = 6
@@ -336,6 +251,69 @@ def test_projection_scan_zero_direction():
     rep = projection_scan(A1, A2, Y, s=0.5, t=0.0)
     # shadow direction: covering count is |A1| up to boundary slop
     assert abs(rep.best_covering - A1.size) <= 2
+
+
+def brute_projection_counts(a1, a2, ycells, level, ylevel):
+    h, hy = 2.0 ** -level, 2.0 ** -ylevel
+    counts = []
+    for k in ycells:
+        y = (k + 0.5) * hy
+        counts.append(len({math.floor(((i + 0.5) * h - y * ((j + 0.5) * h)) / h)
+                           for i in a1 for j in a2}))
+    return counts
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sets(st.integers(0, 63), min_size=1, max_size=10),
+       st.sets(st.integers(0, 63), min_size=1, max_size=10),
+       st.sets(st.integers(0, 127), min_size=1, max_size=8))
+def test_projection_scan_matches_brute_force(a1, a2, ycells):
+    level, ylevel = 6, 7
+    A1 = DyadicGridSet(1, level, np.array(sorted(a1)))
+    A2 = DyadicGridSet(1, level, np.array(sorted(a2)))
+    Y = DyadicGridSet(1, ylevel, np.array(sorted(ycells)))
+    rep = projection_scan(A1, A2, Y, s=0.5, t=0.5)
+    expected = brute_projection_counts(sorted(a1), sorted(a2), sorted(ycells),
+                                       level, ylevel)
+    assert rep.covering.tolist() == expected
+    best = int(np.argmax(expected))
+    assert rep.best_covering == expected[best]
+    assert rep.best_y == (sorted(ycells)[best] + 0.5) * 2.0 ** -ylevel
+    assert rep.threshold == pytest.approx(2.0 ** (level * 0.5 * (1 + 1.0 / 24)))
+    assert rep.fraction_above == np.mean([n >= rep.threshold for n in expected])
+    assert rep.passed == (expected[best] >= rep.threshold)
+
+
+def test_projection_scan_difference_set():
+    # direction y just above 1 sends A x A onto A - A = {-3/4 .. 3/4} step 1/4
+    A = DyadicGridSet(1, 2, np.arange(4))
+    Y = DyadicGridSet(1, 20, np.array([1 << 20]))
+    rep = projection_scan(A, A, Y, s=0.5, t=0.0)
+    assert rep.covering.tolist() == [7]
+
+
+def test_projection_scan_report_is_json_record():
+    level = 5
+    rng = np.random.default_rng(17)
+    A1 = DyadicGridSet(1, level, rng.choice(1 << level, 8, replace=False))
+    A2 = DyadicGridSet(1, level, rng.choice(1 << level, 6, replace=False))
+    Y = DyadicGridSet(1, level, np.arange(1 << level))
+    rep = projection_scan(A1, A2, Y, s=0.5, t=1.0)
+    doc = json.loads(json.dumps(rep.as_dict()))
+    assert set(doc) == {"threshold", "min_covering", "max_covering", "best_y",
+                        "best_covering", "fraction_above", "passed"}
+    assert doc["min_covering"] == int(rep.covering.min())
+    assert doc["max_covering"] == doc["best_covering"] == int(rep.covering.max())
+    assert doc["passed"] is rep.passed
+
+
+def test_projection_scan_rejects_bad_inputs():
+    A = DyadicGridSet(1, 4, np.arange(4))
+    empty = DyadicGridSet(1, 4, np.array([], dtype=np.int64))
+    with pytest.raises(ValueError, match="nonempty"):
+        projection_scan(A, empty, A, s=0.5, t=0.5)
+    with pytest.raises(ValueError, match="share a level"):
+        projection_scan(A, DyadicGridSet(1, 5, np.arange(4)), A, s=0.5, t=0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from decaylab import (energy_fourier, energy_report, energy_spatial,
-                      exceptional_set, extract_nonconcentrated,
-                      frostman_constant, point_mass, pushforward_affine,
-                      set_check, uniform_measure)
+from decaylab import (energy_fourier, energy_spatial, exceptional_set,
+                      extract_nonconcentrated, frostman_constant, point_mass,
+                      pushforward_affine, set_check, uniform_measure)
 from decaylab.constructions import mix
 from decaylab.measures import GridMeasure
 
@@ -83,8 +82,8 @@ def test_energy_diameter_floor():
 
 def test_energy_fourier_calibration_reference_exact():
     mu = uniform_measure(0.0, 1.0, 9)
-    rep = energy_report(mu, 0.5, 2.0 ** -6)
-    assert rep.fourier == pytest.approx(rep.spatial, rel=1e-9)
+    spatial = energy_spatial(mu, 0.5, 2.0 ** -6)
+    assert energy_fourier(mu, 0.5, 2.0 ** -6) == pytest.approx(spatial, rel=1e-9)
 
 
 def test_energy_fourier_cross_validation():

@@ -1,52 +1,26 @@
-"""Serialization formats and cross-module report plumbing."""
+"""Cross-module plumbing: the public exports, Frostman constants against
+energies, and experiments run end to end through the CLI dispatcher."""
+import importlib
 import json
+import pkgutil
 
-import numpy as np
+import pytest
 
-from decaylab import (DyadicGridSet, decay_profile, energy_report,
-                      energy_spatial, frostman_constant, uniform_measure)
+import decaylab
+from decaylab import energy_spatial, frostman_constant, uniform_measure
 from decaylab.cli import dispatch, exit_code_for, parse_config
 
 from conftest import random_cantor_measure
 
-
-def test_decay_profile_export_formats():
-    mu = uniform_measure(1.0, 2.0, 10)
-    prof = decay_profile(mu, (8.0, 128.0), 12)
-    csv = prof.to_csv()
-    lines = csv.strip().splitlines()
-    assert lines[0] == "xi,magnitude"
-    assert len(lines) == 13
-    x0, m0 = lines[1].split(",")
-    assert float(x0) == prof.xi_samples[0]
-    assert float(m0) == prof.magnitudes[0]
-    side = json.loads(prof.sidecar())
-    assert set(side) == {"band", "tau_hat", "fit_residual", "floor_hits"}
-    assert side["band"] == [8.0, 128.0]
+MODULES = ["decaylab"] + [f"decaylab.{m.name}"
+                          for m in pkgutil.iter_modules(decaylab.__path__)]
 
 
-def test_dyadic_set_round_trip_dim1():
-    X = DyadicGridSet(1, 9, np.array([-3, 0, 7, 100]))
-    Y = DyadicGridSet.from_text(X.to_text())
-    assert Y.dim == 1 and Y.level == 9
-    assert np.array_equal(Y.cells, X.cells)
-
-
-def test_dyadic_set_round_trip_dim2():
-    X = DyadicGridSet(2, 4, np.array([[0, 1], [3, 2], [15, 15]]))
-    Y = DyadicGridSet.from_text(X.to_text())
-    assert Y.dim == 2 and Y.level == 4
-    assert np.array_equal(Y.cells, X.cells)
-
-
-def test_energy_reports_are_json_records():
-    mu = random_cantor_measure(3, depth=4)
-    rep = energy_report(mu, 0.5, 2.0 ** -6)
-    doc = json.loads(json.dumps(rep.as_dict()))
-    assert doc["s"] == 0.5
-    fr = frostman_constant(mu, 0.5, (2.0 ** -8, 0.5))
-    doc = json.loads(json.dumps(fr.as_dict()))
-    assert doc["constant"] > 0
+@pytest.mark.parametrize("module", MODULES)
+def test_all_exports_resolve(module):
+    mod = importlib.import_module(module)
+    assert mod.__all__
+    assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
 
 
 def test_frostman_constant_monotone_in_range():
