@@ -98,12 +98,8 @@ def _fourier_energy_raw(mu: GridMeasure, s: float, delta: float,
     vals = np.abs(fourier_progression(md, 1.0, (xi_max - 1.0) / max(n - 1, 1),
                                       np.arange(n))[0]) ** 2 * xis ** (s - 1.0)
     high = np.trapezoid(vals, xis)
-    v = np.linspace(0.0, 1.0, low_points)[1:]
-    low_x = v ** (1.0 / s)
-    low_vals = np.abs(fourier_many(md, low_x)) ** 2
-    low = np.trapezoid(np.concatenate([[np.abs(fourier_many(md, np.array([0.0]))[0]) ** 2],
-                                       low_vals]),
-                       np.concatenate([[0.0], v])) / s
+    v = np.linspace(0.0, 1.0, low_points)
+    low = np.trapezoid(np.abs(fourier_many(md, v ** (1.0 / s))) ** 2, v) / s
     return float(2.0 * (high + low))
 
 

@@ -61,8 +61,8 @@ class GridMeasure:
     masses: np.ndarray
 
     def __post_init__(self):
-        if self.level < 1:
-            raise ValueError(f"level must be >= 1, got {self.level}")
+        if not 1 <= self.level <= 1022:     # 2**-1023 is no longer a normal double
+            raise ValueError(f"level must lie in [1, 1022], got {self.level}")
         m = np.ascontiguousarray(np.asarray(self.masses, dtype=np.float64))
         if m.ndim != 1 or m.size == 0:
             raise ValueError("masses must be a nonempty 1-d array")
@@ -179,11 +179,12 @@ class GridMeasure:
         body = lines[3:]
         if len(body) != count:
             raise ValueError(f"count {count} declared, {len(body)} values given")
-        scaled = origin * 2.0 ** level
+        # built at origin 0 first, so a bad level is refused before it scales
+        mu = GridMeasure(level, 0, np.array([float(v) for v in body], dtype=np.float64))
+        scaled = origin / mu.spacing
         if not scaled.is_integer():
             raise ValueError(f"origin {origin!r} is not on the level-{level} grid")
-        return GridMeasure(level, int(scaled),
-                           np.array([float(v) for v in body], dtype=np.float64))
+        return GridMeasure(level, int(scaled), mu.masses)
 
 
 def _floor_div(a, f):

@@ -23,9 +23,9 @@ from .convolution import convolve, difference_product, power, symmetry_defect
 from .energy import energy_spatial
 from .measures import (GridMeasure, kernel_weights, next_fast_len,
                        pushforward_affine, regularize)
-from .spectral import (DecayProfile, fourier_many, fourier_progression,
-                       l2_at_scale, product_chain_fourier, product_fourier,
-                       profile_from_samples)
+from .spectral import (DecayProfile, _atom_products, _reduced_rows,
+                       decay_profile, l2_at_scale, product_chain_fourier,
+                       product_fourier)
 
 __all__ = [
     "Verdict",
@@ -100,7 +100,8 @@ def run_base_case(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
     l2n = l2_at_scale(nu, delta) ** 2
     pre = (l2m <= 4.0 * delta ** (s - 1.0)) and (l2n <= 4.0 * delta ** (t - 1.0))
     xis = np.geomspace(1.0 / delta, 2.0 / delta, n_samples)
-    mags = np.array([abs(product_fourier(mu, nu, x)) for x in xis])
+    vals = product_fourier(mu, nu, xis)
+    mags = np.hypot(vals.real, vals.imag)   # Python's abs rounding; np.abs may differ
     ref = delta ** ((s + t - 1.0) / 2.0)
     cmax = float(mags.max() / ref)
     verdicts = (
@@ -225,15 +226,16 @@ def run_flattening(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
 
 
 def _level_class_count(m: GridMeasure, r: float) -> int:
-    dens, _ = _level_set_classes(m, r)
-    return int(np.unique(dens[dens >= 0]).size)
+    cls, _, _ = _level_set_classes(m, r)
+    return int(np.unique(cls[cls >= 0]).size)
 
 
 def _level_set_classes(m: GridMeasure, r: float):
     """Dyadic class of sup density of m_r per dyadic r-interval.
 
-    Returns (class per r-cell, sup density per r-cell); class -1 marks empty
-    cells, 0 the cells with sup <= 1, and j >= 1 the band (2^(j-1), 2^j].
+    Returns (class per r-cell, sup density per r-cell, index of the first
+    r-cell on the level-log2(1/r) grid); class -1 marks empty cells, 0 the
+    cells with sup <= 1, and j >= 1 the band (2^(j-1), 2^j].
     """
     mr = regularize(m, r)
     dens = mr.density()
@@ -249,7 +251,7 @@ def _level_set_classes(m: GridMeasure, r: float):
     cls[pos & ~big] = 0
     if np.any(big):
         cls[big] = np.ceil(np.log2(sup[big]) - 1e-9).astype(np.int64)
-    return cls, sup
+    return cls, sup, int(lo)
 
 
 @dataclass(frozen=True)
@@ -280,10 +282,8 @@ def run_level_sets(lam: GridMeasure, r: float) -> LevelSetReport:
     """
     if r < lam.spacing:
         raise ValueError("r below grid scale")
-    cls, sup = _level_set_classes(lam, r)
-    mr = regularize(lam, r)
+    cls, sup, base = _level_set_classes(lam, r)
     l = int(round(-np.log2(r)))
-    base = int((mr.origin_index + 0) >> (mr.level - l))
     # sup of the 4r-density per r-cell, aligned to the same r-cell base
     m4 = regularize(lam, min(4.0 * r, 0.5))
     dens4 = m4.density()
@@ -365,27 +365,6 @@ def _self_difference_atoms(m: GridMeasure):
     return uniq, acc
 
 
-def _pi_hat_exact(mu1: GridMeasure, spacing2: float, dists2, weights2,
-                  etas: np.ndarray) -> np.ndarray:
-    """(Pi)^(eta) for Pi = (mu1 - mu1) x (mu2 - mu2), atom-exactly (real, >= 0).
-
-    Uses (Pi)^(eta) = integral |mu1_hat(eta w)|^2 over the difference atoms
-    w = +-k * spacing2 of mu2 (k in dists2; |mu1_hat| is even, so the two
-    signs share one value); the integrand is a square, so the result is
-    exactly nonnegative.  For each eta the frequencies eta * k * spacing2
-    form one progression; etas (any array shape) go through batched calls
-    of up to 2**20 transform values each.
-    """
-    etas = np.asarray(etas, dtype=np.float64)
-    flat = etas.reshape(-1)
-    out = np.empty(flat.size)
-    rows = max(1, (1 << 20) // dists2.size)
-    for i in range(0, flat.size, rows):
-        vals = fourier_progression(mu1, 0.0, flat[i:i + rows] * spacing2, dists2)
-        out[i:i + rows] = np.abs(vals) ** 2 @ weights2
-    return out.reshape(etas.shape)
-
-
 def run_induction_chain(measures, exponents, delta: float,
                         k: int, n_samples: int = 64,
                         chain_cells: int = 64) -> InductionChainReport:
@@ -415,19 +394,17 @@ def run_induction_chain(measures, exponents, delta: float,
         for m_, e in zip(measures, exponents))
     work = [_coarsen_to_cap(m, chain_cells) for m in measures]
     xis = np.geomspace(1.0 / delta, 2.0 / delta, n_samples)
-    lhs_raw = np.array([abs(product_chain_fourier(work, x)) for x in xis])
-    lhs = lhs_raw ** (2 ** (k + 2))
+    chain = product_chain_fourier(work, xis)
+    lhs = np.hypot(chain.real, chain.imag) ** (2 ** (k + 2))
+    # Pi^(eta) = integral of |mu_1^(eta w)|^2 >= 0 over the difference atoms
+    # w = +-d h_2 of mu_2 (both signs share one value), one progression in d
+    # per eta = xi times a product of occupied centers of mu_3..mu_n
     dists2, w2 = _self_difference_atoms(work[1])
-    # eta values: xi times all products of occupied centers of mu_3..mu_n
-    tail_c = np.array([1.0])
-    tail_w = np.array([1.0])
-    for m_ in work[2:]:
-        c, w = m_.occupied()
-        tail_c = np.multiply.outer(tail_c, c).ravel()
-        tail_w = np.multiply.outer(tail_w, w).ravel()
-    ph = _pi_hat_exact(work[0], work[1].spacing, dists2, w2,
-                       np.multiply.outer(xis, tail_c))
-    rhs = ph ** (2 ** k) @ tail_w
+    tail_c, tail_w = _atom_products(work[2:])
+    etas = np.multiply.outer(xis, tail_c)
+    pi_hat = _reduced_rows(work[0], 0.0, work[1].spacing, dists2, etas,
+                           lambda vals: np.abs(vals) ** 2 @ w2).reshape(etas.shape)
+    rhs = pi_hat ** (2 ** k) @ tail_w
     violation = float(np.max(lhs - rhs))
     # rescaling step on the grid power (evidence; grid ops re-bin)
     pi_grid = difference_product(work[0], work[1])
@@ -440,9 +417,7 @@ def run_induction_chain(measures, exponents, delta: float,
         full_product = convolve(full_product, m_, "mul")
     # fit only where the x-routing slop (a few cells) keeps phases coherent
     top = min(2.0 / delta, 1.0 / (8.0 * full_product.spacing))
-    wide = np.geomspace(16.0, top, max(n_samples, 64))
-    wide_mags = np.abs(fourier_many(full_product, wide))
-    prof = profile_from_samples(wide, wide_mags)
+    prof = decay_profile(full_product, (16.0, top), max(n_samples, 64))
     verdicts = (
         Verdict("order-chain", "exact", bool(violation <= 1e-6), measured=violation,
                 detail="max over sampled xi of lhs - rhs"),
@@ -549,9 +524,7 @@ def run_quantitative_decay(measures, sigma: float, delta: float,
                                   l2_sq=float(l2_at_scale(pk, delta) ** 2)))
     final = convolve(chain1[-1], chain2[-1], "mul")
     top = min(2.0 / delta, 1.0 / (8.0 * final.spacing))
-    xis = np.geomspace(16.0, top, n_samples)
-    mags = np.abs(fourier_many(final, xis))
-    prof = profile_from_samples(xis, mags)
+    prof = decay_profile(final, (16.0, top), n_samples)
     tau_theory = tau_floor
     verdicts = (
         Verdict("tau-vs-theory", "evidence",
@@ -659,7 +632,7 @@ def run_keystep_scan(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
 
 def _indicator_diagnostic(mu: GridMeasure, rho: float) -> float:
     """2^(i+j) ||1_Ai - 1_Aj||_2 for the two heaviest dyadic density classes."""
-    cls, sup = _level_set_classes(mu, rho)
+    cls, sup, base = _level_set_classes(mu, rho)
     l = int(round(-np.log2(rho)))
     weights: dict[int, float] = {}
     for j in np.unique(cls[cls >= 0]):
@@ -669,12 +642,9 @@ def _indicator_diagnostic(mu: GridMeasure, rho: float) -> float:
     top = sorted(weights, key=lambda j: -weights[j])[:2]
     i_cls = top[0]
     j_cls = top[-1]
-    mr = regularize(mu, rho)
-    base = (mr.origin_index + np.arange(mr.size)) >> (mr.level - l)
-    base0 = base[0]
     ind = []
     for j in (i_cls, j_cls):
-        cells = np.nonzero(cls == j)[0] + base0
+        cells = np.nonzero(cls == j)[0] + base
         masses = np.zeros(int(cells.max() - cells.min() + 1))
         masses[cells - cells.min()] = rho
         ind.append(GridMeasure(l, int(cells.min()), masses))

@@ -14,7 +14,10 @@ is the FFT length covering the window of mu plus the highest index wanted.
 It falls back to the direct sum whenever that sum is cheaper, counting only
 the frequencies actually asked for.  The chirp-z path reduces its phases
 to turns with exact partial products, so it stays at roundoff (~1e-15 of
-the mass) even where xi * c reaches millions of turns.
+the mass) even where xi * c reaches millions of turns.  The product
+transforms and order_check take a scalar xi (giving complex or floats) or an
+array of any shape (giving that shape), one batch per band; each element
+equals the scalar call at its xi bit for bit, as no value depends on its batch.
 """
 from __future__ import annotations
 
@@ -41,7 +44,11 @@ __all__ = [
 # magnitudes below this floor are ignored by the log-log exponent fit
 MAGNITUDE_FLOOR = 1e-12
 
-_CHUNK = 1 << 22       # complex exponentials per chunk in direct sums
+# complex exponentials per direct-sum chunk: batched bands fill whole chunks;
+# at 2**22 (~160 MB) `induction` peaked at 201.7 MiB RSS, at 2**18 at 104.5 MiB
+# (2-CPU x86-64 VM)
+_CHUNK = 1 << 18
+_BATCH = 1 << 20       # transform values held at once by _reduced_rows
 _FFT_CHUNK = 1 << 18   # complex entries per chunk of batched chirp-z rows
 _EXACT = 1 << 52       # integer factors of _turns must stay below this
 # One direct-sum term (a complex exp, a multiply-add and their memory
@@ -50,6 +57,14 @@ _EXACT = 1 << 52       # integer factors of _turns must stay below this
 # windows of 64-16384 cells and 1-512 rows (numpy 2.4 numpy.fft, 2-CPU
 # x86-64 VM).
 _DIRECT_TERM_COST = 4
+
+
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v with every row summed in the multi-row (gemv) order: a one-row
+    product would go to a dot kernel, so a lone row is paired with a copy."""
+    if a.shape[0] == 1:
+        return (np.concatenate([a, a]) @ v)[:1]
+    return a @ v
 
 
 def fourier_many(mu: GridMeasure, xis: np.ndarray) -> np.ndarray:
@@ -65,7 +80,7 @@ def fourier_many(mu: GridMeasure, xis: np.ndarray) -> np.ndarray:
     rows = max(1, _CHUNK // c.size)
     for i in range(0, flat.size, rows):
         block = flat[i:i + rows, None] * c[None, :]
-        res[i:i + rows] = np.exp(-2j * np.pi * block) @ w
+        res[i:i + rows] = _matvec(np.exp(-2j * np.pi * block), w)
     return out
 
 
@@ -186,48 +201,67 @@ def fourier_progression(mu: GridMeasure, start, step, ks) -> np.ndarray:
     return _chirp_z(mu, start, step, ks)
 
 
-def _at_centers(mu: GridMeasure, nu: GridMeasure, scales):
-    """mu_hat(s * y) over the occupied centers y of nu, one row per scale s,
-    together with nu's masses at those centers."""
-    scales = np.atleast_1d(np.asarray(scales, dtype=np.float64))
+def _shaped(values: np.ndarray, xi):
+    """Flat values in the shape of xi; a Python scalar for a scalar xi."""
+    values = values.reshape(np.shape(xi))
+    return values.item() if values.ndim == 0 else values
+
+
+def _reduced_rows(mu: GridMeasure, c0: float, h: float, ks, scales, reduce, *args):
+    """reduce(vals, *args) per batch of scales, concatenated, where vals[b, i]
+    = mu_hat(s_b * (c0 + ks[i] * h)); a batch holds about _BATCH values."""
+    scales = np.asarray(scales, dtype=np.float64).reshape(-1)
+    rows = max(1, _BATCH // max(ks.size, 1))
+    return np.concatenate([reduce(fourier_progression(mu, s * c0, s * h, ks), *args)
+                           for s in np.array_split(scales, -(-scales.size // rows) or 1)])
+
+
+def _at_centers(mu: GridMeasure, nu: GridMeasure, scales, reduce) -> np.ndarray:
+    """_reduced_rows over the occupied centers y of nu: reduce(vals, q) with
+    vals[b, j] = mu_hat(s_b * y_j) and q nu's masses at those centers."""
     nz = np.nonzero(nu.masses)[0]
     first = int(nz[0]) if nz.size else 0
     c0 = (nu.origin_index + first + 0.5) * nu.spacing
-    vals = fourier_progression(mu, scales * c0, scales * nu.spacing, nz - first)
-    return vals, nu.masses[nz]
+    return _reduced_rows(mu, c0, nu.spacing, nz - first, scales, reduce, nu.masses[nz])
 
 
-def product_fourier(mu: GridMeasure, nu: GridMeasure, xi: float) -> complex:
+def _atom_products(measures):
+    """Every product of one occupied center per measure (last measure fastest)
+    and the product of their masses; no measures give one atom 1 of mass 1."""
+    prod_c, prod_w = np.array([1.0]), np.array([1.0])
+    for m in measures:
+        c, w = m.occupied()
+        prod_c = np.multiply.outer(prod_c, c).ravel()
+        prod_w = np.multiply.outer(prod_w, w).ravel()
+    return prod_c, prod_w
+
+
+def product_fourier(mu: GridMeasure, nu: GridMeasure, xi):
     """Transform of mu x nu at xi via the exact identity
     (mu x nu)^(xi) = integral of mu_hat(xi * y) d nu(y).
 
     Atom-exact: equals the double sum over cell-center pairs, so it serves as
     the routing-error oracle for the gridded multiplicative convolution.
     """
-    vals, q = _at_centers(mu, nu, xi)
-    return complex(np.sum(q * vals[0]))
+    return _shaped(_at_centers(mu, nu, xi, lambda vals, q: np.sum(q * vals, axis=-1)), xi)
 
 
-def product_chain_fourier(measures, xi: float) -> complex:
+def product_chain_fourier(measures, xi):
     """Transform of mu_1 x ... x mu_n (multiplicative) at xi, atom-exactly.
 
     A weighted sum, over every product a of occupied centers of the first
-    n - 2 factors, of (mu_{n-1} x mu_n)^(xi a); those product transforms go
-    through one batched progression call.  Cost grows with the product of
+    n - 2 factors, of (mu_{n-1} x mu_n)^(xi a); the rows xi a of every xi
+    go through one batched progression call.  Cost grows with the product of
     occupied-cell counts; intended for sparse measures.
     """
     if len(measures) == 1:
-        return fourier_at(measures[0], xi)
+        return _shaped(fourier_many(measures[0], np.ravel(xi)), xi)
     if math.prod(np.count_nonzero(m.masses) for m in measures[:-1]) > 50_000_000:
         raise ValueError("product chain too dense for atom-exact evaluation")
-    prod_c = np.array([1.0])
-    prod_w = np.array([1.0])
-    for m in measures[:-2]:
-        c, w = m.occupied()
-        prod_c = np.multiply.outer(prod_c, c).ravel()
-        prod_w = np.multiply.outer(prod_w, w).ravel()
-    vals, q = _at_centers(measures[-2], measures[-1], xi * prod_c)
-    return complex(np.sum(prod_w * (vals @ q)))
+    prod_c, prod_w = _atom_products(measures[:-2])
+    rows = np.multiply.outer(np.ravel(xi), prod_c).ravel()
+    per_row = _at_centers(measures[-2], measures[-1], rows, _matvec)
+    return _shaped(np.sum(prod_w * per_row.reshape(-1, prod_c.size), axis=-1), xi)
 
 
 def l2_at_scale(mu: GridMeasure, delta: float) -> float:
@@ -298,13 +332,9 @@ def decay_profile(mu: GridMeasure, band: tuple[float, float],
     if n_samples < 3:
         raise ValueError("need at least 3 samples")
     if lo < 1 or hi <= lo:
-        raise ValueError("band must satisfy 1 <= lo < hi")
-    xis = np.geomspace(lo, hi, n_samples)
-    mags = np.abs(fourier_many(mu, xis))
-    tau, rms, hits, dead = _fit_decay(xis, mags)
-    return DecayProfile(xi_samples=xis, magnitudes=mags, band=(lo, hi),
-                        tau_hat=tau, fit_residual=rms, floor_hits=hits,
-                        all_below_floor=dead)
+        raise ValueError(f"band must satisfy 1 <= lo < hi, got lo={lo!r}, hi={hi!r}")
+    xis = np.geomspace(lo, hi, n_samples)    # endpoints exactly lo and hi
+    return profile_from_samples(xis, np.abs(fourier_many(mu, xis)))
 
 
 def profile_from_samples(xis: np.ndarray, mags: np.ndarray) -> DecayProfile:
@@ -318,7 +348,7 @@ def profile_from_samples(xis: np.ndarray, mags: np.ndarray) -> DecayProfile:
                         all_below_floor=dead)
 
 
-def order_check(mu: GridMeasure, nu: GridMeasure, xi: float) -> tuple[float, float]:
+def order_check(mu: GridMeasure, nu: GridMeasure, xi):
     """Order-exchange inequality |(mu x nu)^(xi)|^2 <= ((mu - mu) x nu)^(xi).
 
     Returns (lhs, rhs) computed atom-exactly on the grid:
@@ -326,8 +356,10 @@ def order_check(mu: GridMeasure, nu: GridMeasure, xi: float) -> tuple[float, flo
     rhs is real and nonnegative, and lhs <= rhs holds with at most summation
     roundoff (it is the Cauchy-Schwarz inequality at the atomic level).
     """
-    vals, q = _at_centers(mu, nu, xi)
-    vals = vals[0]
-    lhs = abs(np.sum(q * vals)) ** 2
-    rhs = float(np.sum(q * np.abs(vals) ** 2))
-    return float(lhs), rhs
+    def sides(vals, q):
+        total = np.sum(q * vals, axis=-1)   # hypot: Python's abs rounding, unlike np.abs
+        return np.stack([np.hypot(total.real, total.imag) ** 2,
+                         np.sum(q * np.abs(vals) ** 2, axis=-1)], axis=-1)
+
+    both = _at_centers(mu, nu, xi, sides)
+    return _shaped(both[:, 0], xi), _shaped(both[:, 1], xi)

@@ -170,7 +170,8 @@ def test_main_unwritable_output_exit_2(tmp_path):
     "level 11\norigin 1.0\ncount 2\n0.25\n0.25\n0.5\n",
     "level 4\norigin 0.03\ncount 2\n0.5\n0.5\n",
     "origin 4\nlevel 0.0625\ncount 2\n0.5\n0.5\n",
-], ids=["short-body", "long-body", "origin-off-grid", "keys-swapped"])
+    "level 1100\norigin 0.0\ncount 2\n0.5\n0.5\n",
+], ids=["short-body", "long-body", "origin-off-grid", "keys-swapped", "level-past-1022"])
 def test_main_rejects_malformed_measure_file(tmp_path, capsys, text):
     mpath = tmp_path / "measure.txt"
     mpath.write_text(text)
@@ -181,6 +182,28 @@ def test_main_rejects_malformed_measure_file(tmp_path, capsys, text):
     out = tmp_path / "out"
     assert main([str(cfg_path), "--output", str(out)]) == 2
     assert "runtime error: ValueError" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def _shipped(name):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", name)
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("text, band", [
+    # depth-1 Cantor inputs leave a level-4 product grid: 1/(8h) = 4 < 16
+    (lambda: _shipped("induction.cfg").replace("depth = 5", "depth = 1"),
+     "lo=16.0, hi=4.0"),
+    (lambda: QUANTITATIVE.replace("scale = 6", "scale = 3"), "lo=16.0, hi=8.0"),
+], ids=["induction-depth-1", "quantitative-scale-3"])
+def test_main_rejects_empty_wide_band(tmp_path, capsys, text, band):
+    cfg_path = tmp_path / "band.cfg"
+    cfg_path.write_text(text())
+    out = tmp_path / "out"
+    assert main([str(cfg_path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "runtime error: ValueError" in err and band in err
     assert not (out / "report.json").exists()
 
 

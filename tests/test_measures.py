@@ -26,6 +26,17 @@ def test_uniform_16_cells():
     assert abs(mu.total_mass - 1.0) <= 1e-12
 
 
+def test_level_bounded_by_normal_spacing():
+    # 2**-1022 is the smallest normal double; one level finer is subnormal
+    mu = GridMeasure(1022, 0, [0.5, 0.5])
+    assert mu.spacing == 2.0 ** -1022 and mu.centers()[1] > mu.centers()[0]
+    for level in (0, 1023, 1100):
+        with pytest.raises(ValueError, match=f"got {level}"):
+            GridMeasure(level, 0, [0.5, 0.5])
+    with pytest.raises(ValueError, match="got 1100"):
+        GridMeasure.from_text("level 1100\norigin 0.0\ncount 2\n0.5\n0.5\n")
+
+
 def test_single_atom_covers_endpoint():
     mu = from_atoms([1.0], (0.0, 1.0), 7)
     nz = np.nonzero(mu.masses)[0]

@@ -27,6 +27,13 @@ def test_base_case_uniform_pair():
     assert rep.measured_constant <= 16.0
 
 
+def test_base_case_magnitudes_match_scalar_calls_bit_for_bit():
+    mu, nu = random_cantor_measure(4), random_cantor_measure(5)
+    rep = run_base_case(mu, nu, 0.5, 0.5, 2.0 ** -7, n_samples=9)
+    want = [abs(product_fourier(mu, nu, x)) for x in rep.xi_samples]
+    assert rep.magnitudes.tobytes() == np.array(want).tobytes()
+
+
 def test_base_case_point_masses_flagged():
     pm = point_mass(1.0, 10)
     rep = run_base_case(pm, pm, 0.5, 0.5, 2.0 ** -7, n_samples=6)

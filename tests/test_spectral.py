@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -185,6 +187,98 @@ def test_progression_sparse_indices_and_empty_cases():
     assert not np.any(fourier_progression(empty, 1.0, 1.0, [0, 3]))
     with pytest.raises(ValueError):
         fourier_progression(mu, 1.0, 1.0, [-1, 2])
+
+
+# ---------------------------------------------------------------------------
+# product transforms over frequency arrays
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _small_measures(draw, max_size=40):
+    """Probability measures on 1..max_size cells at levels 2..9, centers in
+    [-2, 2], dense or sparse; a single atom is possible."""
+    level = draw(st.integers(2, 9))
+    size = draw(st.integers(1, min(max_size, 4 << level)))
+    origin = draw(st.integers(-(2 << level), (2 << level) - size))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    fill = draw(st.sampled_from([1.0, 0.3, 0.05]))
+    rng = np.random.default_rng(seed)
+    masses = rng.random(size) * (rng.random(size) < fill)
+    masses[rng.integers(size)] = 1.0
+    return GridMeasure(level, origin, masses / masses.sum())
+
+
+# frequencies up to 64 with centers in [-2, 2]: the double-sum oracles
+# below round their phases fl(xi * c * d) to ~1e-13 turns
+_XIS = st.lists(st.floats(-64.0, 64.0), min_size=1, max_size=6).map(np.array)
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_measures(), _small_measures(), _XIS, st.sampled_from([1, 7, 1 << 20]))
+def test_product_fourier_array_matches_scalar_calls_and_double_sum(mu, nu, xis, batch):
+    with mock.patch.object(spectral, "_BATCH", batch):
+        got = product_fourier(mu, nu, xis)
+        lhs, rhs = order_check(mu, nu, xis)
+    assert got.shape == lhs.shape == rhs.shape == xis.shape
+    for i, xi in enumerate(xis):
+        assert _same_bits(got[i], product_fourier(mu, nu, xi))
+        one_lhs, one_rhs = order_check(mu, nu, xi)
+        assert _same_bits(lhs[i], one_lhs) and _same_bits(rhs[i], one_rhs)
+    (c, w), (d, q) = mu.occupied(), nu.occupied()
+    phases = np.exp(-2j * np.pi * np.multiply.outer(xis, np.multiply.outer(d, c)))
+    inner = phases @ w                                       # mu_hat(xi d)
+    assert np.max(np.abs(got - inner @ q)) <= 1e-12
+    assert np.max(np.abs(lhs - np.abs(inner @ q) ** 2)) <= 1e-12
+    assert np.max(np.abs(rhs - np.abs(inner) ** 2 @ q)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_small_measures(max_size=12), min_size=1, max_size=4), _XIS,
+       st.sampled_from([1, 5, 1 << 20]))
+def test_product_chain_array_matches_scalar_calls_and_nested_sum(ms, xis, batch):
+    with mock.patch.object(spectral, "_BATCH", batch):
+        got = product_chain_fourier(ms, xis)
+    assert got.shape == xis.shape
+    for i, xi in enumerate(xis):
+        assert _same_bits(got[i], product_chain_fourier(ms, xi))
+    prod_c, prod_w = np.array([1.0]), np.array([1.0])
+    for m in ms:
+        c, w = m.occupied()
+        prod_c = np.multiply.outer(prod_c, c).ravel()
+        prod_w = np.multiply.outer(prod_w, w).ravel()
+    oracle = np.exp(-2j * np.pi * np.multiply.outer(xis, prod_c)) @ prod_w
+    assert np.max(np.abs(got - oracle)) <= 1e-12
+
+
+def test_product_transforms_keep_the_shape_of_xi():
+    mu, nu = random_cantor_measure(1, depth=3), random_cantor_measure(2, depth=3)
+    for xi in (3.0, np.float64(3.0), np.array(3.0)):
+        assert type(product_fourier(mu, nu, xi)) is complex
+        assert type(product_chain_fourier([mu, nu, mu], xi)) is complex
+        assert type(product_chain_fourier([mu], xi)) is complex
+        assert all(type(v) is float for v in order_check(mu, nu, xi))
+    grid = np.array([[1.0, 2.5, 40.0], [-3.0, 0.0, 7.25]])
+    assert product_fourier(mu, nu, grid).shape == (2, 3)
+    assert product_chain_fourier([mu, nu, mu], grid).shape == (2, 3)
+    assert [a.shape for a in order_check(mu, nu, grid)] == [(2, 3), (2, 3)]
+    assert product_fourier(mu, nu, np.array([])).shape == (0,)
+    assert product_chain_fourier([mu, nu, mu], np.zeros((0, 2))).shape == (0, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_measures(max_size=200), st.integers(1, 64),
+       st.lists(st.floats(-4096.0, 4096.0), min_size=1, max_size=40))
+def test_fourier_many_does_not_depend_on_chunking(mu, chunk, xis):
+    xis = np.array(xis)
+    want = fourier_many(mu, xis)
+    with mock.patch.object(spectral, "_CHUNK", chunk):
+        assert _same_bits(fourier_many(mu, xis), want)
+        assert _same_bits(fourier_many(mu, xis[::-1])[::-1], want)
+        assert _same_bits([fourier_at(mu, x) for x in xis], want)
 
 
 # ---------------------------------------------------------------------------
