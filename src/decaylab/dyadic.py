@@ -11,6 +11,14 @@ index c belongs to the closed ball B(x, r) iff the closed cell
 [c*2**-m, (c+1)*2**-m] intersects [x-r, x+r].  The brute-force oracles in
 the test-suite share the same convention, so fast paths must match them
 exactly.
+
+projection_scan counts |pi_y(A1 x A2)|_δ exactly in int64.  With A at level
+L and Y at level Ly, pair (a, b) at direction cell u lands in the δ-cell
+((2a+1) << (Ly+1) - (2u+1)(2b+1)) >> (Ly+2), the floor of
+(c_a - y_u c_b)/δ for cell centers c and y.  Whole direction rows are
+scanned in batches of at most _SCAN_PAIRS pairs (one row if a row is
+larger), and inputs whose extreme numerators reach 2**62 are refused with
+ValueError (the limit `mul` uses).
 """
 from __future__ import annotations
 
@@ -28,6 +36,12 @@ __all__ = [
     "ProjectionScanReport",
     "additive_energy",
 ]
+
+# pairs per projection_scan batch (whole direction rows, at least one).
+# Scanning project-l12's 1.68e7 pairs took 0.19 s at 2**16, 0.21 s at 2**14
+# and 2**18, and 0.29 s at 2**22, where the process peak RSS rose from 39
+# to 107 MB (2-CPU VM).
+_SCAN_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -270,26 +284,48 @@ def projection_scan(A1: DyadicGridSet, A2: DyadicGridSet, Y: DyadicGridSet,
                     s: float, t: float, c: float = 1.0 / 24) -> ProjectionScanReport:
     """Scan |pi_y(A1 x A2)|_δ over direction cells y in Y.
 
+    Pair (a, b) at direction cell u lands in δ-cell floor((c_a - y_u c_b)/δ),
+    which for A at level L and Y at level Ly is the exact integer
+    ((2a+1) << (Ly+1) - (2u+1)(2b+1)) >> (Ly+2).  Whole direction rows are
+    scanned in batches of at most _SCAN_PAIRS pairs (or one larger row);
+    each row's indices are sorted and its distinct values counted.  Sets whose extreme numerators
+    reach 2**62 are refused with ValueError rather than wrapped in int64.
+
     The verdict compares the best direction against δ**-(s + c*t); the scan
     can confirm instances of the projection lower bound, never refute it.
     """
+    for name, X in (("A1", A1), ("A2", A2), ("Y", Y)):
+        if X.dim != 1:
+            raise ValueError(f"projection_scan is dim-1 only; {name} has dim {X.dim}")
     if A1.is_empty() or A2.is_empty() or Y.is_empty():
         raise ValueError("projection_scan needs nonempty A1, A2, Y")
     if A1.level != A2.level:
         raise ValueError("A1 and A2 must share a level")
-    level = A1.level
-    h = 2.0 ** -level
-    delta = h
-    c1 = (A1.cells + 0.5) * h
-    c2 = (A2.cells + 0.5) * h
+    from .convolution import _MUL_PRODUCT_LIMIT   # convolution imports measures
+    level, ylevel = A1.level, Y.level
+    # extreme odd numerators and their two terms, as Python ints
+    ends = [[2 * int(X.cells[k]) + 1 for k in (0, -1)] for X in (A1, A2, Y)]
+    lead = [p << (ylevel + 1) for p in ends[0]]
+    tail = [q * w for q in ends[1] for w in ends[2]]
+    extremes = lead + tail + [f - g for f in lead for g in tail]
+    if max(abs(x) for x in extremes) >= _MUL_PRODUCT_LIMIT:
+        raise ValueError(
+            f"projection scan at level {level} (A1, A2) and level {ylevel} (Y): "
+            f"bin numerators reach 2**62 (sets too far from 0 for int64)")
+    ka = (2 * A1.cells + 1) << (ylevel + 1)
+    kb = 2 * A2.cells + 1
+    ku = 2 * Y.cells + 1
+    counts = np.empty(ku.size, dtype=np.int64)
+    rows = max(1, _SCAN_PAIRS // (ka.size * kb.size))
+    for u0 in range(0, ku.size, rows):
+        u1 = min(u0 + rows, ku.size)
+        idx = ka[None, :, None] - np.multiply.outer(ku[u0:u1], kb)[:, None, :]
+        idx >>= ylevel + 2
+        idx = idx.reshape(u1 - u0, -1)
+        idx.sort(axis=1)
+        counts[u0:u1] = 1 + np.count_nonzero(idx[:, 1:] != idx[:, :-1], axis=1)
     ys = Y.centers()
-    counts = np.empty(ys.size, dtype=np.int64)
-    prod = np.empty((c1.size, c2.size))
-    for i, y in enumerate(ys):
-        np.subtract.outer(c1, y * c2, out=prod)
-        idx = np.floor(prod.ravel() / h).astype(np.int64)
-        counts[i] = np.unique(idx).size
-    threshold = delta ** -(s + c * t)
+    threshold = (2.0 ** -level) ** -(s + c * t)
     best = int(np.argmax(counts))
     return ProjectionScanReport(
         directions=ys,

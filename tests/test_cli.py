@@ -207,6 +207,18 @@ def test_main_rejects_empty_wide_band(tmp_path, capsys, text, band):
     assert not (out / "report.json").exists()
 
 
+def test_main_refuses_projection_past_int64(tmp_path, capsys):
+    # one level-60 direction cell near y = 1/2: (2a+1) << 61 leaves int64
+    cfg_path = tmp_path / "deep.cfg"
+    cfg_path.write_text(_shipped("project.cfg") + "directions.kind = cantor\n"
+                        "directions.keep = 1\ndirections.depth = 30\n")
+    out = tmp_path / "out"
+    assert main([str(cfg_path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "runtime error: ValueError" in err and "level 10 (A1, A2) and level 60 (Y)" in err
+    assert not (out / "report.json").exists()
+
+
 def test_main_param_override(tmp_path, capsys):
     cfg_path = tmp_path / "ok.cfg"
     cfg_path.write_text(BASE_CASE)

@@ -1,11 +1,13 @@
 import json
 import math
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decaylab import (DyadicGridSet, additive_energy, covering_number,
+from decaylab import (DyadicGridSet, additive_energy, covering_number, dyadic,
                       projection_scan, set_check, uniformize)
 from decaylab.constructions import CantorSpec, make_random_frostman
 from decaylab.dyadic import ball_cell_count, uniformity_audit
@@ -249,8 +251,9 @@ def test_projection_scan_zero_direction():
     A2 = DyadicGridSet(1, level, rng.choice(1 << level, 9, replace=False))
     Y = DyadicGridSet(1, level, np.array([0]))   # y-cell center 2^-7, almost 0
     rep = projection_scan(A1, A2, Y, s=0.5, t=0.0)
-    # shadow direction: covering count is |A1| up to boundary slop
-    assert abs(rep.best_covering - A1.size) <= 2
+    # y*c2 < 2**-7 = h/2 never moves a cell center across a cell edge, so
+    # every pair floors to its own A1 cell
+    assert rep.best_covering == A1.size
 
 
 def brute_projection_counts(a1, a2, ycells, level, ylevel):
@@ -282,6 +285,91 @@ def test_projection_scan_matches_brute_force(a1, a2, ycells):
     assert rep.threshold == pytest.approx(2.0 ** (level * 0.5 * (1 + 1.0 / 24)))
     assert rep.fraction_above == np.mean([n >= rep.threshold for n in expected])
     assert rep.passed == (expected[best] >= rep.threshold)
+
+
+def fraction_projection_counts(a1, a2, ycells, level, ylevel):
+    """Per-direction count of floor((c_a - y c_b) / h) in exact rationals."""
+    h, hy = Fraction(1, 2 ** level), Fraction(1, 2 ** ylevel)
+    return [len({math.floor(((a + Fraction(1, 2)) * h
+                             - (u + Fraction(1, 2)) * hy * (b + Fraction(1, 2)) * h) / h)
+                 for a in a1 for b in a2})
+            for u in ycells]
+
+
+@st.composite
+def _scan_inputs(draw):
+    """A cells on both sides of 0, Y coarser or finer than A, y up to 4."""
+    level = draw(st.integers(0, 8))
+    ylevel = draw(st.integers(max(0, level - 4), level + 4))
+    side = 1 << level
+    cells = st.sets(st.integers(-side, side - 1), min_size=1, max_size=9)
+    ycells = st.sets(st.integers(-(1 << ylevel), (4 << ylevel) - 1), min_size=1, max_size=6)
+    return level, ylevel, sorted(draw(cells)), sorted(draw(cells)), sorted(draw(ycells))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_scan_inputs())
+def test_projection_scan_matches_fraction_oracle(inputs):
+    level, ylevel, a1, a2, ycells = inputs
+    rep = projection_scan(DyadicGridSet(1, level, np.array(a1)),
+                          DyadicGridSet(1, level, np.array(a2)),
+                          DyadicGridSet(1, ylevel, np.array(ycells)), s=0.5, t=0.5)
+    assert rep.covering.tolist() == fraction_projection_counts(a1, a2, ycells, level, ylevel)
+
+
+def test_projection_scan_does_not_depend_on_batching():
+    level = 7
+    rng = np.random.default_rng(12)
+    A1 = DyadicGridSet(1, level, rng.choice(np.arange(-128, 128), 20, replace=False))
+    A2 = DyadicGridSet(1, level, rng.choice(np.arange(-128, 128), 15, replace=False))
+    Y = DyadicGridSet(1, level + 1, np.arange(-64, 448))
+    scans = []
+    for pairs in (1, 7, 1000, 2 ** 16):     # 1, 1, 3 and 218 rows per batch
+        with mock.patch.object(dyadic, "_SCAN_PAIRS", pairs):
+            scans.append(projection_scan(A1, A2, Y, s=0.5, t=0.5).covering)
+    for cov in scans[1:]:
+        assert np.array_equal(cov, scans[0])
+
+
+def test_projection_scan_is_exact_past_float_precision():
+    # y = 1 + (2u+1-2**55) 2**-55 is 1.0 in float64, which bins c_a - y c_b
+    # on the wrong side of a cell edge: a float scan counts [3, 3, 3]
+    level, ylevel = 4, 54
+    a1, a2 = [-4, -3], [-1, 0]
+    ycells = [(1 << 54) - 1, 1 << 54, (1 << 54) + 1]
+    rep = projection_scan(DyadicGridSet(1, level, np.array(a1)),
+                          DyadicGridSet(1, level, np.array(a2)),
+                          DyadicGridSet(1, ylevel, np.array(ycells)), s=0.5, t=0.5)
+    assert rep.covering.tolist() == [2, 4, 4]
+    assert fraction_projection_counts(a1, a2, ycells, level, ylevel) == [2, 4, 4]
+
+
+@pytest.mark.parametrize("level, ylevel, a, b, u", [
+    (30, 40, (1 << 30) - 1, 0, 0),      # (2a+1) << (Ly+1) ~ 2**72
+    (40, 30, 0, (1 << 40) - 1, (1 << 30) - 1),   # (2u+1)(2b+1) ~ 2**72
+    (30, 31, -(1 << 30), 0, 0),         # -(2**31 - 1) << 32 ~ -2**63
+], ids=["lead-term", "product-term", "negative"])
+def test_projection_scan_refuses_int64_overflow(level, ylevel, a, b, u):
+    A1 = DyadicGridSet(1, level, np.array([a]))
+    A2 = DyadicGridSet(1, level, np.array([b]))
+    Y = DyadicGridSet(1, ylevel, np.array([u]))
+    with pytest.raises(ValueError, match=f"level {level} .* level {ylevel} .*2\\*\\*62"):
+        projection_scan(A1, A2, Y, s=0.5, t=0.5)
+
+
+def test_projection_scan_accepts_deep_levels_near_zero():
+    # the refusal is on values, not levels: cells at 0 stay far below 2**62
+    A = DyadicGridSet(1, 30, np.array([0]))
+    Y = DyadicGridSet(1, 40, np.array([0]))
+    assert projection_scan(A, A, Y, s=0.5, t=0.5).covering.tolist() == [1]
+
+
+@pytest.mark.parametrize("position", ["A1", "A2", "Y"])
+def test_projection_scan_rejects_dim_2(position):
+    sets = {name: DyadicGridSet(1, 4, np.arange(4)) for name in ("A1", "A2", "Y")}
+    sets[position] = DyadicGridSet(2, 4, np.array([[0, 1], [2, 3]]))
+    with pytest.raises(ValueError, match=f"dim-1 only; {position} has dim 2"):
+        projection_scan(sets["A1"], sets["A2"], sets["Y"], s=0.5, t=0.5)
 
 
 def test_projection_scan_difference_set():
