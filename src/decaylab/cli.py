@@ -256,7 +256,7 @@ def _run_project(p, inputs, config):
     A1, A2 = map(_cells, inputs)
     dirs = config.inputs.get("directions", {})
     if dirs.get("kind", "full") == "full":
-        Y = DyadicGridSet(1, A1.level, np.arange(1 << A1.level))
+        Y = DyadicGridSet(A1.level, np.arange(1 << A1.level))
     else:
         Y = _cells(_build_input(dirs, config, 0))
     rep = projection_scan(A1, A2, Y, float(p["s"]), float(p["t"]), float(p["c"]))

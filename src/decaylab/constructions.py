@@ -103,7 +103,7 @@ def make_random_frostman(spec: CantorSpec, verify: bool = True):
             offsets.sort(axis=1)
             cells = (cells[:, None] * nfold + offsets).reshape(-1)
         cells.sort()
-        X = DyadicGridSet(1, spec.level, cells)
+        X = DyadicGridSet(spec.level, cells)
         mu = _equal_mass_measure(X)
         if not verify:
             return X, mu
@@ -155,7 +155,7 @@ def make_lattice_neighborhood(s: float, schedule, level: int):
         keep &= dist <= 1.0 / n + 1e-12
         if not np.any(keep):
             raise ValueError(f"set is empty at grid resolution after n_{pos + 1}={n}")
-    X = DyadicGridSet(1, level, np.nonzero(keep)[0])
+    X = DyadicGridSet(level, np.nonzero(keep)[0])
     return X, _equal_mass_measure(X)
 
 
@@ -179,7 +179,7 @@ def make_comb(r: float, c: float, verify: bool = True):
     centers = (np.arange(1 << level) + 0.5) * h
     dist = np.abs(centers - np.round(centers / r) * r)
     keep = dist <= c * r / 2.0
-    X = DyadicGridSet(1, level, np.nonzero(keep)[0])
+    X = DyadicGridSet(level, np.nonzero(keep)[0])
     cells = np.zeros(1 << level, dtype=np.float64)
     cells[X.cells] = 1.0 / X.size
     rho = GridMeasure(level, 0, cells).trimmed()

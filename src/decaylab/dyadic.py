@@ -1,10 +1,10 @@
 """Discretized-set combinatorics on dyadic grids.
 
-A set at level m is a collection of dyadic cells of side 2**-m, stored as
-integer cell indices (cell i covers [i*2**-m, (i+1)*2**-m), and analogously
-per axis in dimension 2).  This module provides covering numbers,
-non-concentration checks (relative "frostman-type" and absolute "katz-tao"),
-uniform-subset extraction, projection scans, and additive energy.
+A set at level m is a collection of dyadic cells of side 2**-m on the line,
+stored as integer cell indices (cell i covers [i*2**-m, (i+1)*2**-m)).  This
+module provides covering numbers, non-concentration checks (relative
+"frostman-type" and absolute "katz-tao"), uniform-subset extraction,
+projection scans, and additive energy.
 
 Ball convention used by every check in this module: the dyadic cell with
 index c belongs to the closed ball B(x, r) iff the closed cell
@@ -46,27 +46,22 @@ _SCAN_PAIRS = 1 << 16
 
 @dataclass(frozen=True)
 class DyadicGridSet:
-    """Set of occupied dyadic cells at one level, in dimension 1 or 2.
+    """Set of occupied dyadic cells of the line at one level.
 
-    cells: int64 array of cell indices; shape (n,) in dim 1, (n, 2) in dim 2.
+    cells: 1-d int64 array of cell indices, stored sorted and distinct.
     Indices may be negative (windows below the origin are fine).
     """
 
-    dim: int
     level: int
     cells: np.ndarray
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if self.level < 0:
             raise ValueError(f"level must be >= 0, got {self.level}")
         cells = np.asarray(self.cells, dtype=np.int64)
-        if self.dim == 1:
-            cells = np.unique(cells.reshape(-1))
-        else:
-            cells = cells.reshape(-1, 2)
-            cells = np.unique(cells, axis=0)
+        if cells.ndim != 1:
+            raise ValueError(f"cells must be 1-d, got shape {cells.shape}")
+        cells = np.unique(cells)
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
 
@@ -82,17 +77,10 @@ class DyadicGridSet:
         return self.size == 0
 
     def window(self) -> tuple:
-        """Bounding index box: (lo, hi) in dim 1, ((lo0, hi0), (lo1, hi1)) in dim 2.
-
-        hi is exclusive.  Empty sets report a degenerate (0, 0) box.
-        """
+        """Bounding index range (lo, hi), hi exclusive; (0, 0) when empty."""
         if self.is_empty():
-            return (0, 0) if self.dim == 1 else ((0, 0), (0, 0))
-        if self.dim == 1:
-            return (int(self.cells[0]), int(self.cells[-1]) + 1)
-        lo = self.cells.min(axis=0)
-        hi = self.cells.max(axis=0) + 1
-        return ((int(lo[0]), int(hi[0])), (int(lo[1]), int(hi[1])))
+            return (0, 0)
+        return (int(self.cells[0]), int(self.cells[-1]) + 1)
 
     def centers(self) -> np.ndarray:
         return (self.cells + 0.5) * self.spacing
@@ -102,12 +90,10 @@ class DyadicGridSet:
         if to_level > self.level:
             raise ValueError("coarsened() target must not be finer")
         shift = self.level - to_level
-        return DyadicGridSet(self.dim, to_level, self.cells >> shift)
+        return DyadicGridSet(to_level, self.cells >> shift)
 
     def contains_points(self, x: np.ndarray) -> np.ndarray:
-        """Membership of 1-d coordinates in the union of cells (dim 1 only)."""
-        if self.dim != 1:
-            raise ValueError("contains_points is dim-1 only")
+        """Membership of coordinates in the union of cells."""
         idx = np.floor(np.asarray(x) / self.spacing).astype(np.int64)
         return np.isin(idx, self.cells)
 
@@ -123,11 +109,7 @@ def covering_number(X: DyadicGridSet, r: float) -> int:
         raise ValueError(f"r={r} is finer than the set's grid 2**-{X.level}")
     if X.is_empty():
         return 0
-    shift = X.level - l
-    coarse = X.cells >> shift
-    if X.dim == 1:
-        return int(np.unique(coarse).size)
-    return int(np.unique(coarse, axis=0).shape[0])
+    return int(np.unique(X.cells >> (X.level - l)).size)
 
 
 def _dyadic_exponent(r: float) -> int:
@@ -140,7 +122,7 @@ def _dyadic_exponent(r: float) -> int:
 def ball_cell_count(X: DyadicGridSet, center: float, r: float) -> int:
     """|X ∩ B(center, r)| in δ-cells, closed-cell-meets-closed-ball convention.
 
-    Dim-1 only; shared by the fast scans and the brute-force test oracles.
+    Shared by the fast scans and the brute-force test oracles.
     """
     h = X.spacing
     # cell c intersects [center-r, center+r]  iff  c*h <= center+r and (c+1)*h >= center-r
@@ -162,8 +144,6 @@ def set_check(X: DyadicGridSet, s: float, K: float, kind: str = "frostman-type")
     """
     if kind not in ("frostman-type", "katz-tao"):
         raise ValueError(f"unknown kind {kind!r}")
-    if X.dim != 1:
-        raise ValueError("set_check is dim-1 only")
     if X.is_empty():
         raise ValueError("set_check needs a nonempty set")
     delta = X.spacing
@@ -193,8 +173,8 @@ def uniformize(X: DyadicGridSet, D: int, m: int) -> DyadicGridSet:
 
     Because levels are processed bottom-up, every surviving level-D*j cell
     carries the same number of final cells, so each step keeps at least a
-    1/(2**(dim*D) harmonic) >= 1/(D*dim+1) fraction; in dimension 1 the
-    output satisfies |X'| >= |X| / (D+1)**m exactly.
+    1/(2**D harmonic) >= 1/(D+1) fraction and the output satisfies
+    |X'| >= |X| / (D+1)**m exactly.
     """
     if D < 1 or m < 1:
         raise ValueError("need D >= 1 and m >= 1")
@@ -205,8 +185,8 @@ def uniformize(X: DyadicGridSet, D: int, m: int) -> DyadicGridSet:
     cells = X.cells
     for j in range(m, 0, -1):
         shift = D * (m - j)
-        child = _level_key(cells, X.dim, shift)        # level D*j key per cell
-        parent = _level_key(cells, X.dim, shift + D)   # level D*(j-1) key per cell
+        child = cells >> shift           # level D*j cell per cell
+        parent = cells >> (shift + D)    # level D*(j-1) cell per cell
         # distinct (parent, child) pairs define the level-D*j occupancy
         pairs = np.unique(np.stack([parent, child], axis=1), axis=0)
         par_ids, counts = np.unique(pairs[:, 0], return_counts=True)
@@ -229,16 +209,7 @@ def uniformize(X: DyadicGridSet, D: int, m: int) -> DyadicGridSet:
         cells = cells[sel]
         if cells.shape[0] == 0:  # cannot happen: best_R >= 1 keeps something
             break
-    return DyadicGridSet(X.dim, X.level, cells)
-
-
-def _level_key(cells: np.ndarray, dim: int, shift: int) -> np.ndarray:
-    """Collapse cell indices to a single sortable key at a coarser level."""
-    if dim == 1:
-        return cells >> shift
-    a = cells[:, 0] >> shift
-    b = cells[:, 1] >> shift
-    return (a << 32) ^ (b & np.int64(0xFFFFFFFF))
+    return DyadicGridSet(X.level, cells)
 
 
 def uniformity_audit(X: DyadicGridSet, D: int, m: int):
@@ -248,8 +219,8 @@ def uniformity_audit(X: DyadicGridSet, D: int, m: int):
     counts = []
     for j in range(1, m + 1):
         shift = D * (m - j)
-        child = _level_key(X.cells, X.dim, shift)
-        parent = _level_key(X.cells, X.dim, shift + D)
+        child = X.cells >> shift
+        parent = X.cells >> (shift + D)
         pairs = np.unique(np.stack([parent, child], axis=1), axis=0)
         _, cnt = np.unique(pairs[:, 0], return_counts=True)
         if cnt.min() != cnt.max():
@@ -294,9 +265,6 @@ def projection_scan(A1: DyadicGridSet, A2: DyadicGridSet, Y: DyadicGridSet,
     The verdict compares the best direction against δ**-(s + c*t); the scan
     can confirm instances of the projection lower bound, never refute it.
     """
-    for name, X in (("A1", A1), ("A2", A2), ("Y", Y)):
-        if X.dim != 1:
-            raise ValueError(f"projection_scan is dim-1 only; {name} has dim {X.dim}")
     if A1.is_empty() or A2.is_empty() or Y.is_empty():
         raise ValueError("projection_scan needs nonempty A1, A2, Y")
     if A1.level != A2.level:
@@ -344,8 +312,6 @@ def additive_energy(A: DyadicGridSet, B: DyadicGridSet) -> int:
     Computed at cell resolution via the difference histogram
     h(d) = #{(a,b): a-b = d} as sum h(d)**2.
     """
-    if A.dim != 1 or B.dim != 1:
-        raise ValueError("additive_energy is dim-1 only")
     if A.level != B.level:
         raise ValueError("sets must share a level")
     if A.is_empty() or B.is_empty():

@@ -77,8 +77,13 @@ def energy_spatial(mu: GridMeasure, s: float, delta: float,
     return offdiag + diag
 
 
-def _fourier_energy_raw(mu: GridMeasure, s: float, delta: float,
-                        spacing: float = 1.0 / 16, low_points: int = 129) -> float:
+# trapezoid grid of the frequency-side integral: xi step on [1, 8/delta],
+# and v points on the substituted [0, 1] block
+_HIGH_SPACING = 1.0 / 16
+_LOW_POINTS = 129
+
+
+def _fourier_energy_raw(mu: GridMeasure, s: float, delta: float) -> float:
     """integral of |mu_hat_delta|^2 |xi|^(s-1) d xi over the line, uncalibrated.
 
     [1, 8/delta] is covered by trapezoid at fixed spacing (the integrand's
@@ -93,12 +98,12 @@ def _fourier_energy_raw(mu: GridMeasure, s: float, delta: float,
     if md.level < want:
         md = md.refined(want)
     xi_max = 8.0 / delta
-    n = int(np.ceil((xi_max - 1.0) / spacing)) + 1
+    n = int(np.ceil((xi_max - 1.0) / _HIGH_SPACING)) + 1
     xis = np.linspace(1.0, xi_max, n)
     vals = np.abs(fourier_progression(md, 1.0, (xi_max - 1.0) / max(n - 1, 1),
                                       np.arange(n))[0]) ** 2 * xis ** (s - 1.0)
     high = np.trapezoid(vals, xis)
-    v = np.linspace(0.0, 1.0, low_points)
+    v = np.linspace(0.0, 1.0, _LOW_POINTS)
     low = np.trapezoid(np.abs(fourier_many(md, v ** (1.0 / s))) ** 2, v) / s
     return float(2.0 * (high + low))
 
@@ -192,12 +197,12 @@ def exceptional_set(mu: GridMeasure, s: float, delta: float,
     own_lo = mu.origin_index
     own_hi = mu.origin_index + mu.size
     idx = idx[(idx >= own_lo) & (idx < own_hi)]
-    eset = DyadicGridSet(1, mu.level, idx)
+    eset = DyadicGridSet(mu.level, idx)
     mass = float(np.sum(mu.masses[idx - own_lo])) if idx.size else 0.0
     bound = np.log2(1.0 / delta) * delta ** eps
     keep = np.setdiff1d(own_lo + np.nonzero(mu.masses)[0], idx)
     if keep.size:
-        rest = mask_measure(mu, DyadicGridSet(1, mu.level, keep))
+        rest = mask_measure(mu, DyadicGridSet(mu.level, keep))
         comp = frostman_constant(rest, s, (delta, 1.0)).constant
     else:
         comp = float("inf")
@@ -242,7 +247,7 @@ def extract_nonconcentrated(nu: GridMeasure, s: float, rho: float,
     dens = coarse.masses / coarse.spacing
     good = ~np.isin(idx, exc_cells) & (dens > 0)
     if not np.any(good):
-        empty = DyadicGridSet(1, rho_level, np.empty(0, dtype=np.int64))
+        empty = DyadicGridSet(rho_level, np.empty(0, dtype=np.int64))
         return ExtractionResult(empty, 0.0, float(rho ** (2 * tau)), {}, False,
                                 False, bool(precond))
     dmax = dens[good].max()
@@ -261,12 +266,12 @@ def extract_nonconcentrated(nu: GridMeasure, s: float, rho: float,
         sel = sel[(sel >= 0) & (sel < nu_coarse.size)]
         hist[k] = float(np.sum(nu_coarse.masses[sel]))
     if not hist:
-        empty = DyadicGridSet(1, rho_level, np.empty(0, dtype=np.int64))
+        empty = DyadicGridSet(rho_level, np.empty(0, dtype=np.int64))
         return ExtractionResult(empty, 0.0, float(rho ** (2 * tau)), {}, False,
                                 False, bool(precond))
     best_k = max(hist, key=lambda k: (hist[k], -k))   # mass first, then denser class
     cells = idx[classes == best_k]
-    a1 = DyadicGridSet(1, rho_level, cells)
+    a1 = DyadicGridSet(rho_level, cells)
     retained = hist[best_k]
     target = float(rho ** (2.0 * tau))
     passed, _ = set_check(a1, s, rho ** (-6.0 * tau), "frostman-type")

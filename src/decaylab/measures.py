@@ -156,7 +156,7 @@ class GridMeasure:
     def occupied_set(self, level: int | None = None) -> DyadicGridSet:
         """Cells carrying mass, as a dyadic set (optionally coarsened)."""
         nz = np.nonzero(self.masses)[0]
-        s = DyadicGridSet(1, self.level, self.origin_index + nz)
+        s = DyadicGridSet(self.level, self.origin_index + nz)
         return s if level is None or level == self.level else s.coarsened(level)
 
     # -- serialization --------------------------------------------------------------
@@ -409,8 +409,6 @@ def pushforward_affine(mu: GridMeasure, a: float, b: float,
 
 def mask_measure(mu: GridMeasure, A: DyadicGridSet) -> GridMeasure:
     """mu restricted to A as a sub-measure; `.normalized()` makes it a probability."""
-    if A.dim != 1:
-        raise ValueError("restriction set must be dim 1")
     shift = mu.level - A.level
     if shift < 0:
         raise ValueError("restriction set must live at a level <= the measure's")

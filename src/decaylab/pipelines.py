@@ -132,7 +132,6 @@ class FlatteningTrace:
     k_values: np.ndarray         # 0..k_max (power = 2**k)
     l2_by_scale: np.ndarray      # shape (len(k), len(r)): ||(Pi^{+2^k})_r||_2
     energies: np.ndarray         # per k: I^delta_{s+t}; at s+t=1 the L2^2 form
-    level_class_counts: np.ndarray  # per (k, r): number of nonempty dyadic classes
     symmetry_defect: float
     verdicts: tuple
 
@@ -161,10 +160,10 @@ def run_flattening(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
 
     Builds Pi = (mu - mu) x (nu - nu), doubles it additively up to 2**k_max,
     and records J(k, r) = || density of (Pi^{+2^k})_r ||_2 on dyadic
-    r in [delta, 1], the s+t energies, and per-(k, r) dyadic level-set class
-    counts.  J(k+1, r) <= J(k, r) is exact (the k+1 spectrum is dominated
-    pointwise), asserted to 1e-9.  The target verdict checks
-    J(k_max, r) <= delta^(-kappa/2) r^((s+t-1)/2) over the whole r range.
+    r in [delta, 1] and the s+t energies.  J(k+1, r) <= J(k, r) is exact
+    (the k+1 spectrum is dominated pointwise), asserted to 1e-9.  The target
+    verdict checks J(k_max, r) <= delta^(-kappa/2) r^((s+t-1)/2) over the
+    whole r range.
     """
     if s + t > 1.0 + 1e-12:
         raise ValueError("need s + t <= 1")
@@ -180,7 +179,7 @@ def run_flattening(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
     for _ in range(k_max):
         powers.append(convolve(powers[-1], powers[-1], "add"))
 
-    r_levels = list(range(int(round(-np.log2(delta))), -1, -1))  # delta .. 1/2
+    r_levels = list(range(int(round(-np.log2(delta))), -1, -1))  # delta .. 1
     r_values = np.array([2.0 ** -l for l in r_levels])
     max_len = powers[-1].size + int(2.0 / h) + 8
     nfft = next_fast_len(max_len)
@@ -190,13 +189,11 @@ def run_flattening(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
 
     J = np.empty((k_max + 1, r_values.size))
     energies = np.empty(k_max + 1)
-    class_counts = np.empty((k_max + 1, r_values.size), dtype=np.int64)
     s_sum = s + t
     for k, pk in enumerate(powers):
         spec_sq = np.abs(rfft(pk.masses, nfft)) ** 2
         for j, r in enumerate(r_values):
             J[k, j] = _parseval_l2_of_smoothed(spec_sq, kernels[r], nfft, h)
-            class_counts[k, j] = _level_class_count(pk, float(r))
         if s_sum < 1.0 - 1e-12:
             energies[k] = energy_spatial(pk, s_sum, delta)
         else:
@@ -221,13 +218,7 @@ def run_flattening(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
     return FlatteningTrace(s=s, t=t, delta=delta, kappa=kappa,
                            r_values=r_values, k_values=np.arange(k_max + 1),
                            l2_by_scale=J, energies=energies,
-                           level_class_counts=class_counts,
                            symmetry_defect=sym, verdicts=verdicts)
-
-
-def _level_class_count(m: GridMeasure, r: float) -> int:
-    cls, _, _ = _level_set_classes(m, r)
-    return int(np.unique(cls[cls >= 0]).size)
 
 
 def _level_set_classes(m: GridMeasure, r: float):
@@ -344,6 +335,10 @@ class InductionChainReport:
                 "verdicts": [v.as_dict() for v in self.verdicts]}
 
 
+# the order-exchange chain runs on inputs coarsened to at most this many cells
+_CHAIN_CELLS = 64
+
+
 def _coarsen_to_cap(m: GridMeasure, cap: int) -> GridMeasure:
     """Coarsen until at most cap cells carry mass (keeps the measure exact)."""
     out = m
@@ -366,8 +361,7 @@ def _self_difference_atoms(m: GridMeasure):
 
 
 def run_induction_chain(measures, exponents, delta: float,
-                        k: int, n_samples: int = 64,
-                        chain_cells: int = 64) -> InductionChainReport:
+                        k: int, n_samples: int = 64) -> InductionChainReport:
     """Verify the order-exchange chain at sampled frequencies, atom-exactly.
 
     For F = mu_1 x ... x mu_n and Pi = (mu_1 - mu_1) x (mu_2 - mu_2):
@@ -376,7 +370,7 @@ def run_induction_chain(measures, exponents, delta: float,
 
     holds for every xi and any probability measures, as iterated
     Cauchy-Schwarz.  Both sides are evaluated on atomized copies of the
-    inputs (coarsened until each carries at most chain_cells cells, which
+    inputs (coarsened until each carries at most _CHAIN_CELLS cells, which
     leaves the inequality exact while bounding the cost): the right side
     uses Pi^ = integral |mu_1^|^2 >= 0 and the power identity for additive
     convolutions, so violations beyond roundoff would be implementation
@@ -392,7 +386,7 @@ def run_induction_chain(measures, exponents, delta: float,
     input_energies = tuple(
         float(energy_spatial(m_, min(float(e), 0.999), max(delta, m_.spacing)))
         for m_, e in zip(measures, exponents))
-    work = [_coarsen_to_cap(m, chain_cells) for m in measures]
+    work = [_coarsen_to_cap(m, _CHAIN_CELLS) for m in measures]
     xis = np.geomspace(1.0 / delta, 2.0 / delta, n_samples)
     chain = product_chain_fourier(work, xis)
     lhs = np.hypot(chain.real, chain.imag) ** (2 ** (k + 2))
@@ -581,13 +575,13 @@ class KeystepScanReport:
 
 
 def run_keystep_scan(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
-                     delta: float, big_c: float = 2.0, tau: float | None = None,
+                     delta: float, big_c: float = 2.0,
                      eps: float = 0.05) -> KeystepScanReport:
     """Scan the single-scale flattening implication over dyadic rho.
 
     For Pi = (mu x nu) - (mu x nu) and rho in [delta, delta^(eps/t)]:
     antecedent  ||mu_rho||_2^2 >= rho^(-1+s+t/C),
-    consequent  ||Pi_rho||_2^2 <= rho^tau ||mu_rho||_2^2  (tau defaults to t/C).
+    consequent  ||Pi_rho||_2^2 <= rho^tau ||mu_rho||_2^2  with tau = t/C.
 
     Each row also carries the indicator-difference diagnostic
     2^(i+j) ||1_Ai - 1_Aj||_2 for the two heaviest density classes of mu_rho.
@@ -598,8 +592,7 @@ def run_keystep_scan(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
         lo, hi = m_.support()
         if lo < 1.0 - 1e-9 or hi > 2.0 + 1e-9:
             raise ValueError("keystep scan expects supports in [1, 2]")
-    if tau is None:
-        tau = t / big_c
+    tau = t / big_c
     prod = convolve(mu, nu, "mul")
     pi = convolve(prod, prod, "sub").trimmed()
     l_hi = int(round(-np.log2(delta)))

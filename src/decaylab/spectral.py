@@ -281,7 +281,6 @@ class DecayProfile:
 
     xi_samples: np.ndarray
     magnitudes: np.ndarray
-    band: tuple[float, float]
     tau_hat: float
     fit_residual: float
     floor_hits: int
@@ -342,10 +341,8 @@ def profile_from_samples(xis: np.ndarray, mags: np.ndarray) -> DecayProfile:
     xis = np.asarray(xis, dtype=np.float64)
     mags = np.asarray(mags, dtype=np.float64)
     tau, rms, hits, dead = _fit_decay(xis, mags)
-    return DecayProfile(xi_samples=xis, magnitudes=mags,
-                        band=(float(xis.min()), float(xis.max())),
-                        tau_hat=tau, fit_residual=rms, floor_hits=hits,
-                        all_below_floor=dead)
+    return DecayProfile(xi_samples=xis, magnitudes=mags, tau_hat=tau,
+                        fit_residual=rms, floor_hits=hits, all_below_floor=dead)
 
 
 def order_check(mu: GridMeasure, nu: GridMeasure, xi):

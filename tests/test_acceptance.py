@@ -233,7 +233,7 @@ def test_c07_combinatorial_oracles():
     for trial in range(100):
         n = int(rng.integers(1, 33))
         cells = np.unique(rng.choice(1 << level, size=n, replace=False))
-        X = DyadicGridSet(1, level, cells)
+        X = DyadicGridSet(level, cells)
         # covering numbers, every dyadic scale
         for l in range(0, level + 1):
             assert covering_number(X, 2.0 ** -l) == _brute_covering(
@@ -248,7 +248,7 @@ def test_c07_combinatorial_oracles():
         # additive energy vs quadruple enumeration
         m = int(rng.integers(1, 33))
         other = np.unique(rng.choice(1 << level, size=m, replace=False))
-        B = DyadicGridSet(1, level, other)
+        B = DyadicGridSet(level, other)
         assert additive_energy(X, B) == _brute_quadruples(cells, other)
     # uniformize: audit + cardinality floor on 50 seeded inputs
     D, m = 2, 5
@@ -256,7 +256,7 @@ def test_c07_combinatorial_oracles():
         rng2 = np.random.default_rng(seed)
         size = int(rng2.integers(2, 700))
         cells = np.unique(rng2.choice(1 << (D * m), size=size, replace=False))
-        X = DyadicGridSet(1, D * m, cells)
+        X = DyadicGridSet(D * m, cells)
         out = uniformize(X, D, m)
         ok, _ = uniformity_audit(out, D, m)
         assert ok
@@ -276,7 +276,7 @@ def test_c08_projection_instances():
     t0 = time.perf_counter()
     from decaylab import projection_scan
     level = 10
-    Y = DyadicGridSet(1, level, np.arange(1 << level))
+    Y = DyadicGridSet(level, np.arange(1 << level))
     margins = []
     for seed in range(16):
         A1, _ = make_random_frostman(CantorSpec(block=2, keep=2, depth=5, seed=seed))

@@ -57,13 +57,13 @@ def brute_additive_energy(a_cells, b_cells):
 # ---------------------------------------------------------------------------
 
 def test_covering_full_interval():
-    X = DyadicGridSet(1, 8, np.arange(256))
+    X = DyadicGridSet(8, np.arange(256))
     assert covering_number(X, 2.0 ** -4) == 16
     assert covering_number(X, 2.0 ** -8) == 256
 
 
 def test_covering_singleton():
-    X = DyadicGridSet(1, 8, np.array([137]))
+    X = DyadicGridSet(8, np.array([137]))
     for l in range(0, 9):
         assert covering_number(X, 2.0 ** -l) == 1
 
@@ -78,17 +78,21 @@ def test_covering_cantor_generator_recursion():
 
 def test_covering_monotone():
     rng = np.random.default_rng(3)
-    X = DyadicGridSet(1, 10, rng.choice(1 << 10, size=200, replace=False))
+    X = DyadicGridSet(10, rng.choice(1 << 10, size=200, replace=False))
     vals = [covering_number(X, 2.0 ** -l) for l in range(0, 11)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert vals[-1] == X.size
 
 
 def test_window_bounds_cells():
-    assert DyadicGridSet(1, 6, np.array([9, -3, 40])).window() == (-3, 41)
-    X = DyadicGridSet(2, 4, np.array([[0, 5], [3, 2], [15, 15]]))
-    assert X.window() == ((0, 16), (2, 16))
-    assert DyadicGridSet(1, 6, np.array([], dtype=np.int64)).window() == (0, 0)
+    assert DyadicGridSet(6, np.array([9, -3, 40])).window() == (-3, 41)
+    assert DyadicGridSet(6, np.array([], dtype=np.int64)).window() == (0, 0)
+
+
+def test_grid_set_rejects_non_1d_cells():
+    # a two-column array is refused, not flattened into unrelated cells
+    with pytest.raises(ValueError, match=r"1-d, got shape \(3, 2\)"):
+        DyadicGridSet(4, np.array([[0, 5], [3, 2], [15, 15]]))
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +100,14 @@ def test_window_bounds_cells():
 # ---------------------------------------------------------------------------
 
 def test_set_check_full_interval_passes():
-    X = DyadicGridSet(1, 8, np.arange(256))
+    X = DyadicGridSet(8, np.arange(256))
     ok, witness = set_check(X, 1.0, 4.0, "frostman-type")
     assert ok and witness is None
 
 
 def test_set_check_block_fails_katz_tao():
     # one 2^-4 block at level 8: absolutely concentrated, must fail at K=1
-    X = DyadicGridSet(1, 8, np.arange(16))
+    X = DyadicGridSet(8, np.arange(16))
     ok, witness = set_check(X, 0.5, 1.0, "katz-tao")
     assert not ok
     ok2, _ = brute_set_check(list(range(16)), 8, 0.5, 1.0, "katz-tao")
@@ -113,14 +117,14 @@ def test_set_check_block_fails_katz_tao():
 def test_set_check_zero_s_always_passes():
     rng = np.random.default_rng(11)
     for _ in range(5):
-        X = DyadicGridSet(1, 7, rng.choice(128, size=30, replace=False))
+        X = DyadicGridSet(7, rng.choice(128, size=30, replace=False))
         ok, _ = set_check(X, 0.0, 1.0, "frostman-type")
         assert ok
 
 
 def test_set_check_monotone_in_s():
     rng = np.random.default_rng(12)
-    X = DyadicGridSet(1, 8, rng.choice(256, size=40, replace=False))
+    X = DyadicGridSet(8, rng.choice(256, size=40, replace=False))
     for K in (2.0, 4.0):
         passed_high, _ = set_check(X, 0.7, K, "frostman-type")
         if passed_high:
@@ -147,7 +151,7 @@ def test_remark_equivalence_frostman_implies_katz_tao():
        st.sampled_from([1.0, 2.0, 6.0]),
        st.sampled_from(["frostman-type", "katz-tao"]))
 def test_set_check_matches_brute_force(cells, s, K, kind):
-    X = DyadicGridSet(1, 6, np.array(sorted(cells)))
+    X = DyadicGridSet(6, np.array(sorted(cells)))
     fast = set_check(X, s, K, kind)
     slow = brute_set_check(sorted(cells), 6, s, K, kind)
     assert fast[0] == slow[0]
@@ -156,7 +160,7 @@ def test_set_check_matches_brute_force(cells, s, K, kind):
 
 
 def test_ball_cell_count_convention():
-    X = DyadicGridSet(1, 4, np.array([3, 4, 5, 9]))
+    X = DyadicGridSet(4, np.array([3, 4, 5, 9]))
     for x in (0.2, 0.25, 0.3, 0.6):
         for r in (2.0 ** -4, 2.0 ** -3, 0.25):
             assert ball_cell_count(X, x, r) == brute_ball_count([3, 4, 5, 9], 4, x, r)
@@ -171,7 +175,7 @@ def test_uniformize_fixed_points():
     X, _ = make_random_frostman(spec)
     out = uniformize(X, 2, 5)
     assert np.array_equal(out.cells, X.cells)   # already uniform
-    full = DyadicGridSet(1, 6, np.arange(64))
+    full = DyadicGridSet(6, np.arange(64))
     out2 = uniformize(full, 2, 3)
     assert np.array_equal(out2.cells, full.cells)
 
@@ -182,22 +186,12 @@ def test_uniformize_random_inputs():
     for trial in range(25):
         size = int(rng.integers(3, 500))
         cells = np.unique(rng.choice(1 << (D * m), size=size, replace=False))
-        X = DyadicGridSet(1, D * m, cells)
+        X = DyadicGridSet(D * m, cells)
         out = uniformize(X, D, m)
         ok, counts = uniformity_audit(out, D, m)
         assert ok
         assert out.size >= X.size / (D + 1) ** m
         assert np.all(np.isin(out.cells, X.cells))
-
-
-def test_uniformize_dim2():
-    rng = np.random.default_rng(5)
-    D, m = 2, 3
-    cells = np.unique(rng.integers(0, 1 << (D * m), size=(300, 2)), axis=0)
-    X = DyadicGridSet(2, D * m, cells)
-    out = uniformize(X, D, m)
-    ok, _ = uniformity_audit(out, D, m)
-    assert ok
 
 
 def test_uniformize_keeps_covering_profile():
@@ -206,7 +200,7 @@ def test_uniformize_keeps_covering_profile():
     rng = np.random.default_rng(31)
     D, m = 2, 6
     cells = np.unique(rng.choice(1 << (D * m), size=800, replace=False))
-    X = DyadicGridSet(1, D * m, cells)
+    X = DyadicGridSet(D * m, cells)
     U = uniformize(X, D, m)
     assert uniformity_audit(U, D, m)[0]
     denom = D * m * np.log(2.0)
@@ -226,9 +220,9 @@ def test_uniformity_audit_counts_cantor_branching():
 
 def test_uniformity_audit_flags_unequal_branching():
     # the audit names the first block level whose parents branch unequally
-    X = DyadicGridSet(1, 4, np.array([0, 1, 2, 3, 4]))   # level-2 cells 0, 1: 4 vs 1
+    X = DyadicGridSet(4, np.array([0, 1, 2, 3, 4]))   # level-2 cells 0, 1: 4 vs 1
     assert uniformity_audit(X, 2, 2) == (False, 2)
-    Y = DyadicGridSet(1, 4, np.array([0, 4, 16]))        # level-0 cells 0, 1: 2 vs 1
+    Y = DyadicGridSet(4, np.array([0, 4, 16]))        # level-0 cells 0, 1: 2 vs 1
     assert uniformity_audit(Y, 2, 2) == (False, 1)
 
 
@@ -238,8 +232,8 @@ def test_uniformity_audit_flags_unequal_branching():
 
 def test_projection_scan_full_sets():
     level = 6
-    A = DyadicGridSet(1, level, np.arange(1 << level))
-    Y = DyadicGridSet(1, level, np.arange(1 << level))
+    A = DyadicGridSet(level, np.arange(1 << level))
+    Y = DyadicGridSet(level, np.arange(1 << level))
     rep = projection_scan(A, A, Y, s=1.0, t=1.0, c=1.0 / 24)
     assert rep.passed
 
@@ -247,9 +241,9 @@ def test_projection_scan_full_sets():
 def test_projection_scan_zero_direction():
     level = 6
     rng = np.random.default_rng(8)
-    A1 = DyadicGridSet(1, level, rng.choice(1 << level, 12, replace=False))
-    A2 = DyadicGridSet(1, level, rng.choice(1 << level, 9, replace=False))
-    Y = DyadicGridSet(1, level, np.array([0]))   # y-cell center 2^-7, almost 0
+    A1 = DyadicGridSet(level, rng.choice(1 << level, 12, replace=False))
+    A2 = DyadicGridSet(level, rng.choice(1 << level, 9, replace=False))
+    Y = DyadicGridSet(level, np.array([0]))   # y-cell center 2^-7, almost 0
     rep = projection_scan(A1, A2, Y, s=0.5, t=0.0)
     # y*c2 < 2**-7 = h/2 never moves a cell center across a cell edge, so
     # every pair floors to its own A1 cell
@@ -272,9 +266,9 @@ def brute_projection_counts(a1, a2, ycells, level, ylevel):
        st.sets(st.integers(0, 127), min_size=1, max_size=8))
 def test_projection_scan_matches_brute_force(a1, a2, ycells):
     level, ylevel = 6, 7
-    A1 = DyadicGridSet(1, level, np.array(sorted(a1)))
-    A2 = DyadicGridSet(1, level, np.array(sorted(a2)))
-    Y = DyadicGridSet(1, ylevel, np.array(sorted(ycells)))
+    A1 = DyadicGridSet(level, np.array(sorted(a1)))
+    A2 = DyadicGridSet(level, np.array(sorted(a2)))
+    Y = DyadicGridSet(ylevel, np.array(sorted(ycells)))
     rep = projection_scan(A1, A2, Y, s=0.5, t=0.5)
     expected = brute_projection_counts(sorted(a1), sorted(a2), sorted(ycells),
                                        level, ylevel)
@@ -311,18 +305,18 @@ def _scan_inputs(draw):
 @given(_scan_inputs())
 def test_projection_scan_matches_fraction_oracle(inputs):
     level, ylevel, a1, a2, ycells = inputs
-    rep = projection_scan(DyadicGridSet(1, level, np.array(a1)),
-                          DyadicGridSet(1, level, np.array(a2)),
-                          DyadicGridSet(1, ylevel, np.array(ycells)), s=0.5, t=0.5)
+    rep = projection_scan(DyadicGridSet(level, np.array(a1)),
+                          DyadicGridSet(level, np.array(a2)),
+                          DyadicGridSet(ylevel, np.array(ycells)), s=0.5, t=0.5)
     assert rep.covering.tolist() == fraction_projection_counts(a1, a2, ycells, level, ylevel)
 
 
 def test_projection_scan_does_not_depend_on_batching():
     level = 7
     rng = np.random.default_rng(12)
-    A1 = DyadicGridSet(1, level, rng.choice(np.arange(-128, 128), 20, replace=False))
-    A2 = DyadicGridSet(1, level, rng.choice(np.arange(-128, 128), 15, replace=False))
-    Y = DyadicGridSet(1, level + 1, np.arange(-64, 448))
+    A1 = DyadicGridSet(level, rng.choice(np.arange(-128, 128), 20, replace=False))
+    A2 = DyadicGridSet(level, rng.choice(np.arange(-128, 128), 15, replace=False))
+    Y = DyadicGridSet(level + 1, np.arange(-64, 448))
     scans = []
     for pairs in (1, 7, 1000, 2 ** 16):     # 1, 1, 3 and 218 rows per batch
         with mock.patch.object(dyadic, "_SCAN_PAIRS", pairs):
@@ -337,9 +331,9 @@ def test_projection_scan_is_exact_past_float_precision():
     level, ylevel = 4, 54
     a1, a2 = [-4, -3], [-1, 0]
     ycells = [(1 << 54) - 1, 1 << 54, (1 << 54) + 1]
-    rep = projection_scan(DyadicGridSet(1, level, np.array(a1)),
-                          DyadicGridSet(1, level, np.array(a2)),
-                          DyadicGridSet(1, ylevel, np.array(ycells)), s=0.5, t=0.5)
+    rep = projection_scan(DyadicGridSet(level, np.array(a1)),
+                          DyadicGridSet(level, np.array(a2)),
+                          DyadicGridSet(ylevel, np.array(ycells)), s=0.5, t=0.5)
     assert rep.covering.tolist() == [2, 4, 4]
     assert fraction_projection_counts(a1, a2, ycells, level, ylevel) == [2, 4, 4]
 
@@ -350,32 +344,24 @@ def test_projection_scan_is_exact_past_float_precision():
     (30, 31, -(1 << 30), 0, 0),         # -(2**31 - 1) << 32 ~ -2**63
 ], ids=["lead-term", "product-term", "negative"])
 def test_projection_scan_refuses_int64_overflow(level, ylevel, a, b, u):
-    A1 = DyadicGridSet(1, level, np.array([a]))
-    A2 = DyadicGridSet(1, level, np.array([b]))
-    Y = DyadicGridSet(1, ylevel, np.array([u]))
+    A1 = DyadicGridSet(level, np.array([a]))
+    A2 = DyadicGridSet(level, np.array([b]))
+    Y = DyadicGridSet(ylevel, np.array([u]))
     with pytest.raises(ValueError, match=f"level {level} .* level {ylevel} .*2\\*\\*62"):
         projection_scan(A1, A2, Y, s=0.5, t=0.5)
 
 
 def test_projection_scan_accepts_deep_levels_near_zero():
     # the refusal is on values, not levels: cells at 0 stay far below 2**62
-    A = DyadicGridSet(1, 30, np.array([0]))
-    Y = DyadicGridSet(1, 40, np.array([0]))
+    A = DyadicGridSet(30, np.array([0]))
+    Y = DyadicGridSet(40, np.array([0]))
     assert projection_scan(A, A, Y, s=0.5, t=0.5).covering.tolist() == [1]
-
-
-@pytest.mark.parametrize("position", ["A1", "A2", "Y"])
-def test_projection_scan_rejects_dim_2(position):
-    sets = {name: DyadicGridSet(1, 4, np.arange(4)) for name in ("A1", "A2", "Y")}
-    sets[position] = DyadicGridSet(2, 4, np.array([[0, 1], [2, 3]]))
-    with pytest.raises(ValueError, match=f"dim-1 only; {position} has dim 2"):
-        projection_scan(sets["A1"], sets["A2"], sets["Y"], s=0.5, t=0.5)
 
 
 def test_projection_scan_difference_set():
     # direction y just above 1 sends A x A onto A - A = {-3/4 .. 3/4} step 1/4
-    A = DyadicGridSet(1, 2, np.arange(4))
-    Y = DyadicGridSet(1, 20, np.array([1 << 20]))
+    A = DyadicGridSet(level=2, cells=np.arange(4))
+    Y = DyadicGridSet(20, np.array([1 << 20]))
     rep = projection_scan(A, A, Y, s=0.5, t=0.0)
     assert rep.covering.tolist() == [7]
 
@@ -383,9 +369,9 @@ def test_projection_scan_difference_set():
 def test_projection_scan_report_is_json_record():
     level = 5
     rng = np.random.default_rng(17)
-    A1 = DyadicGridSet(1, level, rng.choice(1 << level, 8, replace=False))
-    A2 = DyadicGridSet(1, level, rng.choice(1 << level, 6, replace=False))
-    Y = DyadicGridSet(1, level, np.arange(1 << level))
+    A1 = DyadicGridSet(level, rng.choice(1 << level, 8, replace=False))
+    A2 = DyadicGridSet(level, rng.choice(1 << level, 6, replace=False))
+    Y = DyadicGridSet(level, np.arange(1 << level))
     rep = projection_scan(A1, A2, Y, s=0.5, t=1.0)
     doc = json.loads(json.dumps(rep.as_dict()))
     assert set(doc) == {"threshold", "min_covering", "max_covering", "best_y",
@@ -396,12 +382,12 @@ def test_projection_scan_report_is_json_record():
 
 
 def test_projection_scan_rejects_bad_inputs():
-    A = DyadicGridSet(1, 4, np.arange(4))
-    empty = DyadicGridSet(1, 4, np.array([], dtype=np.int64))
+    A = DyadicGridSet(4, np.arange(4))
+    empty = DyadicGridSet(4, np.array([], dtype=np.int64))
     with pytest.raises(ValueError, match="nonempty"):
         projection_scan(A, empty, A, s=0.5, t=0.5)
     with pytest.raises(ValueError, match="share a level"):
-        projection_scan(A, DyadicGridSet(1, 5, np.arange(4)), A, s=0.5, t=0.5)
+        projection_scan(A, DyadicGridSet(5, np.arange(4)), A, s=0.5, t=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -410,16 +396,16 @@ def test_projection_scan_rejects_bad_inputs():
 
 def test_additive_energy_progression_formula():
     for N in (3, 8, 20, 64):
-        A = DyadicGridSet(1, 8, np.arange(N))
+        A = DyadicGridSet(8, np.arange(N))
         expected = (2 * N ** 3 + N) // 3
         assert additive_energy(A, A) == expected
     # brute-force quadruple count for a small case
-    A = DyadicGridSet(1, 8, np.arange(6))
+    A = DyadicGridSet(8, np.arange(6))
     assert additive_energy(A, A) == brute_additive_energy(range(6), range(6))
 
 
 def test_additive_energy_singleton():
-    A = DyadicGridSet(1, 5, np.array([7]))
+    A = DyadicGridSet(5, np.array([7]))
     assert additive_energy(A, A) == 1
 
 
@@ -427,8 +413,8 @@ def test_additive_energy_singleton():
 @given(st.sets(st.integers(0, 31), min_size=1, max_size=12),
        st.sets(st.integers(0, 31), min_size=1, max_size=12))
 def test_additive_energy_matches_four_loop(a, b):
-    A = DyadicGridSet(1, 5, np.array(sorted(a)))
-    B = DyadicGridSet(1, 5, np.array(sorted(b)))
+    A = DyadicGridSet(5, np.array(sorted(a)))
+    B = DyadicGridSet(5, np.array(sorted(b)))
     assert additive_energy(A, B) == brute_additive_energy(sorted(a), sorted(b))
 
 
@@ -437,7 +423,7 @@ def test_additive_energy_cauchy_schwarz_floor():
     for _ in range(10):
         a = np.unique(rng.choice(256, size=20))
         b = np.unique(rng.choice(256, size=25))
-        A = DyadicGridSet(1, 8, a)
-        B = DyadicGridSet(1, 8, b)
+        A = DyadicGridSet(8, a)
+        B = DyadicGridSet(8, b)
         diff_count = np.unique(np.subtract.outer(a, b)).size
         assert additive_energy(A, B) >= (a.size * b.size) ** 2 / diff_count - 1e-9

@@ -1,8 +1,11 @@
-"""Cross-module plumbing: the public exports, Frostman constants against
-energies, and experiments run end to end through the CLI dispatcher."""
+"""Cross-module plumbing: the public exports, unused imports, Frostman
+constants against energies, and experiments run end to end through the CLI
+dispatcher."""
+import ast
 import importlib
 import json
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +24,35 @@ def test_all_exports_resolve(module):
     mod = importlib.import_module(module)
     assert mod.__all__
     assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    """Imported names neither read anywhere in the module nor listed in __all__."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_unused_import_scan_flags_dead_names():
+    src = "import os\nfrom a import b, c as d\nfrom b import e\n__all__ = ['e']\nd()\n"
+    assert _unused_imports(ast.parse(src)) == [(1, "os"), (2, "b")]
+
+
+def test_no_unused_imports():
+    found = {path.name: _unused_imports(ast.parse(path.read_text()))
+             for path in sorted(Path(decaylab.__file__).parent.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
 
 
 def test_frostman_constant_monotone_in_range():

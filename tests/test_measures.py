@@ -10,7 +10,7 @@ from decaylab.constructions import CantorSpec, make_random_frostman
 from decaylab.dyadic import DyadicGridSet
 from decaylab.measures import (bump_profile, fftconvolve, kernel_weights,
                                next_fast_len)
-from decaylab.pipelines import _level_class_count
+from decaylab.pipelines import _level_set_classes
 
 from conftest import lossy, random_masses_measure
 
@@ -174,9 +174,11 @@ def test_regularize_fft_path_support_is_exact(seed, delta, monkeypatch):
     out = regularize(mu, delta)
     assert np.array_equal(np.nonzero(out.masses)[0],
                           np.nonzero(np.convolve(mu.masses, w))[0])
-    classes = _level_class_count(mu, delta)
+    classes, _, base = _level_set_classes(mu, delta)
     monkeypatch.setattr(measures, "fftconvolve", np.convolve)
-    assert classes == _level_class_count(mu, delta)
+    direct_classes, _, direct_base = _level_set_classes(mu, delta)
+    assert np.array_equal(classes, direct_classes)
+    assert base == direct_base
 
 
 def test_regularize_rejects_subgrid_scale():
@@ -222,7 +224,7 @@ def test_pushforward_mass_conservation():
 
 def test_restrict_full_window():
     mu = uniform_measure(0.0, 1.0, 6)
-    A = DyadicGridSet(1, 6, np.arange(64))
+    A = DyadicGridSet(6, np.arange(64))
     part = mask_measure(mu, A)
     assert part.total_mass == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(part.normalized().masses, mu.masses, atol=1e-15)
@@ -230,7 +232,7 @@ def test_restrict_full_window():
 
 def test_restrict_half_window():
     mu = uniform_measure(0.0, 1.0, 6)
-    A = DyadicGridSet(1, 5, np.arange(16))   # [0, 1/2] at a coarser level
+    A = DyadicGridSet(5, np.arange(16))   # [0, 1/2] at a coarser level
     part = mask_measure(mu, A)
     assert part.total_mass == pytest.approx(0.5, abs=1e-12)
     out = part.normalized()
@@ -241,15 +243,9 @@ def test_restrict_half_window():
 
 def test_restrict_empty_rejected():
     mu = uniform_measure(0.0, 1.0, 6)
-    A = DyadicGridSet(1, 6, np.array([4000]))
+    A = DyadicGridSet(6, np.array([4000]))
     with pytest.raises(ValueError, match="zero measure"):
         mask_measure(mu, A).normalized()
-
-
-def test_restrict_rejects_2d_set():
-    mu = uniform_measure(0.0, 1.0, 6)
-    with pytest.raises(ValueError, match="dim 1"):
-        mask_measure(mu, DyadicGridSet(2, 6, np.array([[0, 0]])))
 
 
 def test_sup_ball_mass_point_and_uniform():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from decaylab import (GridMeasure, point_mass, product_fourier,
+from decaylab import (GridMeasure, l2_at_scale, point_mass, product_fourier,
                       pushforward_affine, uniform_measure)
 from decaylab.constructions import make_comb
+from decaylab.convolution import convolve, difference_product
 from decaylab.pipelines import (quantitative_parameters, run_base_case,
                                 run_flattening, run_induction_chain,
                                 run_keystep_scan, run_level_sets,
@@ -72,6 +73,23 @@ def test_flattening_cantor_trace():
     # energies nonincreasing, final at most the initial
     assert np.all(np.diff(tr.energies) <= 1e-9)
     assert tr.energies[-1] <= tr.energies[0]
+
+
+@pytest.mark.parametrize("pair", ["cantor", "comb"])
+def test_flattening_l2_matches_mollified_powers(pair):
+    # oracle: J(k, r) is the L2 norm of the mollified 2^k-fold additive power
+    if pair == "cantor":
+        mu, nu = random_cantor_measure(2, depth=4), random_cantor_measure(3, depth=4)
+    else:
+        mu, nu = make_comb(2.0 ** -4, 1.0 / 8)[1], make_comb(2.0 ** -3, 1.0 / 8)[1]
+    delta, k_max = 2.0 ** -6, 2
+    tr = run_flattening(mu, nu, 0.5, 0.5, delta, k_max)
+    pk = difference_product(mu, nu).trimmed()
+    for k in range(k_max + 1):
+        if k:
+            pk = convolve(pk, pk, "add")
+        want = [l2_at_scale(pk, float(r)) for r in tr.r_values]
+        np.testing.assert_allclose(tr.l2_by_scale[k], want, rtol=1e-12, atol=0)
 
 
 def test_flattening_rejects_large_sum():
@@ -146,7 +164,6 @@ def test_induction_chain_cantor_instance():
 
 def test_induction_chain_tau_quarter_comparison():
     # product of three factors decays at least a quarter as fast as a pair
-    from decaylab.convolution import convolve
     from decaylab.spectral import fourier_many, profile_from_samples
     mus = [random_cantor_measure(20 + i, depth=5) for i in range(3)]
     rep = run_induction_chain(mus, [0.5, 0.5, 0.5], 2.0 ** -10, k=1,
