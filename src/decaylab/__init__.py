@@ -6,7 +6,7 @@ combinatorics, and reproducible experiment pipelines.
 
 __version__ = "0.1.0"
 
-from .convolution import convolve, difference_product, power
+from .convolution import convolve, difference_product
 from .dyadic import (DyadicGridSet, additive_energy, covering_number,
                      projection_scan, set_check, uniformize)
 from .energy import (FrostmanReport, energy_fourier, energy_spatial,
@@ -26,7 +26,7 @@ __all__ = [
     "from_density", "from_atoms", "uniform_measure", "point_mass",
     "regularize", "pushforward_affine", "mask_measure", "ball_mass_vector",
     "l1_distance",
-    "convolve", "power", "difference_product",
+    "convolve", "difference_product",
     "fourier_at", "fourier_many", "product_fourier", "product_chain_fourier",
     "l2_at_scale", "DecayProfile", "decay_profile", "order_check",
     "energy_spatial", "energy_fourier",

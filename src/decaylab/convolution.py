@@ -35,7 +35,6 @@ from .measures import GridMeasure, assert_mass_conserved, fftconvolve
 __all__ = [
     "VALID_OPS",
     "convolve",
-    "power",
     "difference_product",
 ]
 
@@ -123,24 +122,6 @@ def _conv_mul(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
     assert_mass_conserved(a.total_mass * b.total_mass, res.total_mass,
                           "multiplicative convolution")
     return res
-
-
-def power(mu: GridMeasure, k: int, op: str) -> GridMeasure:
-    """k-fold convolution power; repeated doubling for additive powers of two."""
-    if k < 1:
-        raise ValueError("k must be >= 1 (grids have no neutral element for mul)")
-    if k == 1:
-        return mu
-    if op == "add" and (k & (k - 1)) == 0:
-        out = mu
-        while k > 1:
-            out = convolve(out, out, "add")
-            k >>= 1
-        return out
-    out = mu
-    for _ in range(k - 1):
-        out = convolve(out, mu, op)
-    return out
 
 
 def difference_product(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:

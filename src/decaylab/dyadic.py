@@ -207,8 +207,6 @@ def uniformize(X: DyadicGridSet, D: int, m: int) -> DyadicGridSet:
         keep_children = sp[ranks < best_R, 1]
         sel = np.isin(child, keep_children) & np.isin(parent, keep_parents)
         cells = cells[sel]
-        if cells.shape[0] == 0:  # cannot happen: best_R >= 1 keeps something
-            break
     return DyadicGridSet(X.level, cells)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .dyadic import DyadicGridSet, set_check
 from .measures import (GridMeasure, ball_mass_vector, fftconvolve, mask_measure,
-                       regularize)
+                       regularize, uniform_measure)
 from .spectral import fourier_many, fourier_progression
 
 __all__ = [
@@ -116,7 +116,6 @@ _CAL_DELTA = 2.0 ** -6
 def _calibration_constant(s: float) -> float:
     key = (round(s, 12), _CAL_LEVEL)
     if key not in _cs_cache:
-        from .measures import uniform_measure
         ref = uniform_measure(0.0, 1.0, _CAL_LEVEL)
         spatial = energy_spatial(ref, s, _CAL_DELTA)
         raw = _fourier_energy_raw(ref, s, _CAL_DELTA)
@@ -265,10 +264,6 @@ def extract_nonconcentrated(nu: GridMeasure, s: float, rho: float,
         sel = cells - lo
         sel = sel[(sel >= 0) & (sel < nu_coarse.size)]
         hist[k] = float(np.sum(nu_coarse.masses[sel]))
-    if not hist:
-        empty = DyadicGridSet(rho_level, np.empty(0, dtype=np.int64))
-        return ExtractionResult(empty, 0.0, float(rho ** (2 * tau)), {}, False,
-                                False, bool(precond))
     best_k = max(hist, key=lambda k: (hist[k], -k))   # mass first, then denser class
     cells = idx[classes == best_k]
     a1 = DyadicGridSet(rho_level, cells)

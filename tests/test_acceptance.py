@@ -170,7 +170,7 @@ def test_c05_counterexample_reproduction():
     budget = 300.0
     t0 = time.perf_counter()
     s, delta = 0.4, 2.0 ** -20
-    mu = make_shifted_comb(s, delta, verify=False)
+    mu = make_shifted_comb(s, delta)
     l2sq = l2_at_scale(mu, delta) ** 2
     ref = delta ** (s - 1.0)
     t2 = convolve(mu, mu, "mul")
@@ -193,7 +193,7 @@ def test_c06_interval_example():
     budget = 30.0
     t0 = time.perf_counter()
     s, delta, c = 0.5, 2.0 ** -12, 0.25
-    mu = make_thin_interval(s, delta, c, verify=False)
+    mu = make_thin_interval(s, delta, c)
     t3 = convolve(convolve(mu, mu, "mul"), mu, "mul").trimmed()
     lo, hi = t3.support()
     from decaylab import fourier_at

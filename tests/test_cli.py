@@ -4,10 +4,11 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decaylab import cli
+from decaylab import GridMeasure, cli, uniform_measure
 from decaylab.cli import (ConfigError, ExperimentConfig, dispatch,
                           exit_code_for, main, parse_config)
 
@@ -185,6 +186,39 @@ def test_main_rejects_malformed_measure_file(tmp_path, capsys, text):
     assert not (out / "report.json").exists()
 
 
+def test_main_rejects_file_input_of_mass_two(tmp_path, capsys):
+    # past the loader, a mass-2 input fails young-monotone: a bad input, not a bug
+    mu = uniform_measure(0.0, 1.0, 9)
+    mpath = tmp_path / "measure.txt"
+    mpath.write_text(GridMeasure(mu.level, mu.origin_index, 2 * mu.masses).to_text())
+    cfg_path = tmp_path / "file.cfg"
+    cfg_path.write_text("experiment = flatten\nscale = 6\ns = 0.5\nt = 0.5\nk_max = 2\n"
+                        f"input1.kind = file\ninput1.path = {mpath}\n"
+                        f"input2.kind = file\ninput2.path = {mpath}\n")
+    out = tmp_path / "out"
+    assert main([str(cfg_path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "runtime error: ValueError" in err and "total mass 2.0" in err
+    assert not (out / "report.json").exists()
+
+
+def test_main_refuses_level_sets_at_grid_spacing(tmp_path, capsys):
+    # at r = spacing the density is not mollified, and lower-sandwich would read 12 > 8
+    masses = np.zeros(64)
+    masses[[10, 40]] = 0.5001, 0.4999
+    mpath = tmp_path / "atoms.txt"
+    mpath.write_text(GridMeasure(9, 0, masses).to_text())
+    cfg_path = tmp_path / "ls.cfg"
+    cfg_path.write_text("experiment = level-sets\nscale = 6\nr = 0.001953125\n"
+                        f"input1.kind = file\ninput1.path = {mpath}\n")
+    out = tmp_path / "out"
+    assert main([str(cfg_path), "--output", str(out)]) == 2
+    assert "below twice the grid spacing" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+    assert main([str(cfg_path), "--output", str(out), "--param", "r=0.00390625"]) == 0
+    assert "[PASS] lower-sandwich: measured=6.0" in capsys.readouterr().out
+
+
 def _shipped(name):
     path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", name)
     with open(path, encoding="utf-8") as fh:
@@ -277,6 +311,7 @@ def test_dispatch_lattice_and_project(tmp_path):
             "s = 0.5\nschedule = 16\n")
     rep = dispatch(parse_config(text), tmp_path / "l")
     assert exit_code_for(rep) == 0
+    assert rep.verdicts == [] and rep.payload == {"cells": 128}
     text = ("experiment = project\nscale = 10\nseed = 0\ns = 0.5\nt = 1.0\n"
             "input1.kind = cantor\ninput1.d = 2\ninput1.keep = 2\ninput1.depth = 5\n"
             "input2.kind = cantor\ninput2.d = 2\ninput2.keep = 2\ninput2.depth = 5\n"

@@ -92,7 +92,7 @@ def test_lattice_product_containment():
 
 def test_shifted_comb_moderate_scale():
     s, delta = 0.4, 2.0 ** -20
-    mu = make_shifted_comb(s, delta)     # verify=True re-checks the guarantees
+    mu = make_shifted_comb(s, delta)
     lo, hi = mu.support()
     assert lo >= 1.0 - mu.spacing
     assert hi <= 1.0 + delta ** (1 - s) + 2 * mu.spacing
@@ -108,8 +108,8 @@ def test_shifted_comb_phase_defect_within_budget():
     # |(mu x mu x mu)^(1/delta)| against |rho_hat(delta**-s)|**3: the phase
     # defect is at most 2 pi (delta^(2-3s) + 3 delta^(1-2s)) plus grid slop
     c = 1.0 / 16
-    _, rho = make_comb(2.0 ** -int(round(-np.log2(delta ** s))), c, verify=False)
-    mu = make_shifted_comb(s, delta, c, verify=False)
+    _, rho = make_comb(2.0 ** -int(round(-np.log2(delta ** s))), c)
+    mu = make_shifted_comb(s, delta, c)
     actual = product_fourier(convolve(mu, mu, "mul"), mu, 1.0 / delta)
     base = fourier_at(rho, delta ** -s) ** 3 * np.exp(-2j * np.pi / delta)
     defect = abs(actual - base)
@@ -129,13 +129,16 @@ def test_shifted_comb_rejects_bad_budget():
 
 def test_thin_interval_guarantees():
     s, delta, c = 0.5, 2.0 ** -12, 0.25
-    mu = make_thin_interval(s, delta, c)   # build-time checks support + transform
+    mu = make_thin_interval(s, delta, c)
     lo, hi = mu.support()
     assert lo == pytest.approx(0.0, abs=mu.spacing)
     assert hi == pytest.approx(c * delta ** (1 - s), abs=2 * mu.spacing)
+    # the triple product sits in [0, c delta] up to one cell of routing slop
     t3 = convolve(convolve(mu, mu, "mul"), mu, "mul").trimmed()
     lo3, hi3 = t3.support()
-    assert hi3 <= c * delta + 2 * t3.spacing
+    assert lo3 >= -1e-15
+    assert hi3 <= c * delta + t3.spacing + 1e-15
+    assert abs(fourier_at(t3, 1.0 / delta)) >= 0.5
 
 
 def test_thin_interval_l2():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decaylab import (GridMeasure, convolve, difference_product, l1_distance,
-                      point_mass, power, uniform_measure)
+                      point_mass, uniform_measure)
 from decaylab import convolution
 from decaylab.convolution import symmetry_defect
 
@@ -120,20 +120,9 @@ def test_mul_vs_monte_carlo_ks():
     assert np.max(np.abs(cdf_grid - cdf_mc)) <= 2e-2
 
 
-def test_power_basics():
-    mu = uniform_measure(0.0, 1.0, 8)
-    assert power(mu, 1, "add") is mu
-    p2 = power(mu, 2, "add")
-    direct = convolve(mu, mu, "add")
-    assert p2.origin_index == direct.origin_index
-    assert np.array_equal(p2.masses, direct.masses)   # cell-exact, same path
-    with pytest.raises(ValueError):
-        power(mu, 0, "mul")
-
-
 def test_power_point_mass_cubed():
     pm = point_mass(2.0, 6)
-    out = power(pm, 3, "mul")
+    out = convolve(convolve(pm, pm, "mul"), pm, "mul")
     c, w = out.occupied()
     assert w.sum() == pytest.approx(1.0, rel=1e-12)
     # atom sits in the cell containing 8 (up to half-cell drift from binning)
@@ -142,7 +131,8 @@ def test_power_point_mass_cubed():
 
 def test_power_doubling_vs_sequential():
     mu = uniform_measure(0.0, 1.0, 9)
-    via_doubling = power(mu, 4, "add")
+    twice = convolve(mu, mu, "add")
+    via_doubling = convolve(twice, twice, "add")
     seq = convolve(convolve(convolve(mu, mu, "add"), mu, "add"), mu, "add")
     assert l1_distance(via_doubling, seq) <= 1e-6
 

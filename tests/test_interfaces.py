@@ -1,19 +1,21 @@
 """Cross-module plumbing: the public exports, unused imports, Frostman
-constants against energies, and experiments run end to end through the CLI
-dispatcher."""
+constants against energies, experiments run end to end through the CLI
+dispatcher, and one injected fault per exact verdict that makes it fail."""
 import ast
 import importlib
 import json
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import decaylab
-from decaylab import energy_spatial, frostman_constant, uniform_measure
-from decaylab.cli import dispatch, exit_code_for, parse_config
+from decaylab import (GridMeasure, convolution, energy_spatial,
+                      frostman_constant, pipelines, spectral, uniform_measure)
+from decaylab.cli import dispatch, exit_code_for, main, parse_config
 
-from conftest import random_cantor_measure
+from conftest import lossy, random_cantor_measure
 
 MODULES = ["decaylab"] + [f"decaylab.{m.name}"
                           for m in pkgutil.iter_modules(decaylab.__path__)]
@@ -120,3 +122,95 @@ def test_cli_keystep_and_level_sets(tmp_path):
             "input2.kind = uniform\ninput2.a = 1.0\ninput2.b = 2.0\n")
     cfg = parse_config(text)
     assert exit_code_for(dispatch(cfg, tmp_path / "ks")) == 0
+
+
+# ---------------------------------------------------------------------------
+# every exact verdict can fail: one injected fault each, seen through main
+# ---------------------------------------------------------------------------
+
+def _rescaled(fn, factor: float):
+    """fn with the masses of its measure scaled: a normalisation bug that
+    sits past the mass checks."""
+    def faulty(*args, **kwargs):
+        m = fn(*args, **kwargs)
+        return GridMeasure(m.level, m.origin_index, m.masses * factor)
+    return faulty
+
+
+def _shifted(fn):
+    """fn with its measure moved one cell right: an off-by-one origin."""
+    def faulty(*args, **kwargs):
+        m = fn(*args, **kwargs)
+        return GridMeasure(m.level, m.origin_index + 1, m.masses)
+    return faulty
+
+
+def _class_too_high(fn):
+    """_level_set_classes with every class j >= 1 one too high."""
+    def faulty(*args, **kwargs):
+        cls, sup, base = fn(*args, **kwargs)
+        return np.where(cls >= 1, cls + 1, cls), sup, base
+    return faulty
+
+
+_FLATTEN = ("experiment = flatten\nscale = 8\nseed = 5\ns = 0.5\nt = 0.5\n"
+            "k_max = 1\ninput1.kind = cantor\ninput1.depth = 4\n"
+            "input2.kind = cantor\ninput2.depth = 4\n")
+# point masses make |F^| = 1, so the order chain holds with equality
+_POINT_CHAIN = ("experiment = induction\nscale = 7\nexponents = 0.5,0.5,0.5\n"
+                "k = 1\nn_samples = 8\n"
+                + "".join(f"input{i}.kind = point\ninput{i}.x = 1.5\n" for i in (1, 2, 3)))
+_POINT_LEVELS = ("experiment = level-sets\nscale = 6\nr = 0.00390625\n"
+                 "input1.kind = point\ninput1.x = 0.3\n")
+_COUNTEREXAMPLE = "experiment = counterexample\nscale = 20\nseed = 1\ns = 0.4\n"
+
+# exact verdict -> (config, module, attribute, fault wrapping the attribute)
+FIRE_TESTS = {
+    "young-monotone": (_FLATTEN, pipelines, "convolve", lambda f: _rescaled(f, 2.0)),
+    "pi-symmetry": (_FLATTEN, convolution, "_reflected", _shifted),
+    "order-chain": (_POINT_CHAIN, pipelines, "_reduced_rows", lambda f: lossy(f, 1e-3)),
+    "lower-sandwich": (_POINT_LEVELS, pipelines, "_level_set_classes", _class_too_high),
+    "l2-size": (_COUNTEREXAMPLE, spectral, "regularize", lambda f: _rescaled(f, 0.1)),
+    "triple-transform": (_COUNTEREXAMPLE, spectral, "fourier_progression",
+                         lambda f: lossy(f, 0.9)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRE_TESTS))
+def test_exact_verdict_fires(name, tmp_path, capsys, monkeypatch):
+    text, module, attr, fault = FIRE_TESTS[name]
+    cfg = tmp_path / "fire.cfg"
+    cfg.write_text(text)
+    assert main([str(cfg), "--output", str(tmp_path / "clean")]) == 0
+    assert f"[PASS] {name}:" in capsys.readouterr().out
+    monkeypatch.setattr(module, attr, fault(getattr(module, attr)))
+    assert main([str(cfg), "--output", str(tmp_path / "faulty")]) == 1
+    assert f"[FAIL] {name}:" in capsys.readouterr().out
+
+
+def _exact_verdict_names(tree: ast.Module) -> set:
+    """First arguments of the Verdict(<name>, "exact", ...) calls; a Verdict
+    whose name or kind is not a literal fails the scan."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Verdict":
+            name, kind = node.args[:2]
+            assert isinstance(name, ast.Constant) and isinstance(kind, ast.Constant), \
+                f"Verdict at line {node.lineno} needs a literal name and kind"
+            if kind.value == "exact":
+                names.add(name.value)
+    return names
+
+
+def test_exact_verdict_scan_reads_literals():
+    tree = ast.parse('Verdict("a", "exact", True)\nVerdict("b", "evidence", True)\n')
+    assert _exact_verdict_names(tree) == {"a"}
+    with pytest.raises(AssertionError, match="literal name and kind"):
+        _exact_verdict_names(ast.parse('Verdict(name, "exact", True)\n'))
+
+
+def test_every_exact_verdict_has_a_fire_test():
+    found = set()
+    for path in Path(decaylab.__file__).parent.glob("*.py"):
+        found |= _exact_verdict_names(ast.parse(path.read_text()))
+    assert found == set(FIRE_TESTS)

@@ -107,22 +107,31 @@ def test_level_sets_uniform_single_class():
     rep = run_level_sets(mu, 2.0 ** -5)
     assert rep.class_count == 1
     assert list(rep.classes) == [0]
-    assert _verdict(rep, "upper-sandwich").passed
     assert _verdict(rep, "lower-sandwich").passed
 
 
-def test_level_sets_two_plateaus():
-    # heights 1 and 1024, far apart; r at grid scale so level sets are exact
+def _two_plateaus() -> GridMeasure:
+    # heights 1 and 1024, far apart, laid out one level finer than r = 2**-8
     level = 8
     h = 2.0 ** -level
     masses = np.zeros(1 << level)
     masses[: 1 << 6] = h                      # density 1 on [0, 1/4)
     masses[3 << 6: (3 << 6) + 8] = h * 1024   # density 1024, 8 cells
-    mu = GridMeasure(level, 0, masses)
-    rep = run_level_sets(mu, h)
-    assert sorted(rep.classes) == [0, 10]
-    assert rep.class_count == 2
+    return GridMeasure(level, 0, masses).refined(9)
+
+
+def test_level_sets_two_plateaus():
+    rep = run_level_sets(_two_plateaus(), 2.0 ** -8)
+    # mollifying spreads each plateau by one r-cell on either side: two more
+    # cells of class 0, and two of class 9 beside the 1024 plateau
+    assert rep.classes == {0: 66, 9: 2, 10: 8}
     assert _verdict(rep, "lower-sandwich").passed
+
+
+def test_level_sets_refuses_r_below_twice_spacing():
+    # at r = spacing the mollifier is the identity and the sandwich lapses
+    with pytest.raises(ValueError, match="twice the grid spacing"):
+        run_level_sets(_two_plateaus(), 2.0 ** -9)
 
 
 def test_level_sets_class_count_logarithmic():
