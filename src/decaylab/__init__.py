@@ -9,9 +9,8 @@ __version__ = "0.1.0"
 from .convolution import convolve, difference_product
 from .dyadic import (DyadicGridSet, additive_energy, covering_number,
                      projection_scan, set_check, uniformize)
-from .energy import (FrostmanReport, energy_fourier, energy_spatial,
-                     exceptional_set, extract_nonconcentrated,
-                     frostman_constant)
+from .energy import (energy_fourier, energy_spatial, exceptional_set,
+                     extract_nonconcentrated, frostman_constant)
 from .measures import (GridMeasure, OVERSAMPLE_BITS, ball_mass_vector,
                        from_atoms, from_density, l1_distance, mask_measure,
                        point_mass, pushforward_affine, regularize,
@@ -30,7 +29,7 @@ __all__ = [
     "fourier_at", "fourier_many", "product_fourier", "product_chain_fourier",
     "l2_at_scale", "DecayProfile", "decay_profile", "order_check",
     "energy_spatial", "energy_fourier",
-    "FrostmanReport", "frostman_constant", "exceptional_set",
+    "frostman_constant", "exceptional_set",
     "extract_nonconcentrated",
     "DyadicGridSet", "covering_number", "set_check", "uniformize",
     "projection_scan", "additive_energy",

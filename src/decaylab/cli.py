@@ -174,7 +174,7 @@ def _build_input(spec: dict, config: ExperimentConfig, index: int) -> GridMeasur
         return make_random_frostman(CantorSpec(block=spec["d"], keep=spec["keep"],
                                                depth=depth, seed=seed))[1]
     if kind == "comb":
-        return make_comb(float(spec["r"]), float(spec["c"]))[1]
+        return make_comb(float(spec["r"]), float(spec["c"]))
     if kind == "shifted-comb":
         return make_shifted_comb(float(spec["s"]), config.delta, float(spec["c"]))
     if kind == "thin-interval":
@@ -286,9 +286,9 @@ def _run_counterexample(p, inputs, config):
 
 
 def _run_lattice_set(p, inputs, config):
-    X, _ = make_lattice_neighborhood(float(p["s"]),
-                                     tuple(int(n) for n in _as_tuple(p["schedule"])),
-                                     config.scale)
+    X = make_lattice_neighborhood(float(p["s"]),
+                                  tuple(int(n) for n in _as_tuple(p["schedule"])),
+                                  config.scale)
     rows = [(2.0 ** -l, covering_number(X, 2.0 ** -l)) for l in range(1, config.scale + 1)]
     return {"cells": X.size}, (), {"covering.csv": (("r", "covering"), rows)}
 

@@ -39,36 +39,20 @@ __all__ = [
 class CantorSpec:
     """Seeded random dyadic Cantor construction.
 
-    Per block level, every surviving cell spawns 2**block children of which
-    `keep` (an int, or one int per level) survive, chosen by the seeded RNG.
-    The natural measure splits mass equally among kept children, giving
-    dimension log2(keep)/block.
+    At each of `depth` block levels, every surviving cell spawns 2**block
+    children of which `keep` survive, chosen by the seeded RNG.  The natural
+    measure splits mass equally among kept children, giving dimension
+    log2(keep)/block.
     """
 
     block: int
-    keep: int | tuple
+    keep: int
     depth: int
     seed: int
-    s_target: float | None = None
 
     def __post_init__(self):
-        keeps = self.keep_schedule()
-        if len(keeps) != self.depth:
-            raise ValueError("keep schedule length must equal depth")
-        for k in keeps:
-            if not 1 <= k <= 2 ** self.block:
-                raise ValueError(f"keep={k} outside [1, 2**block]")
-        if self.s_target is not None:
-            s_eff = float(np.mean([np.log2(k) for k in keeps])) / self.block
-            if abs(s_eff - self.s_target) > 1.0 / (self.block * self.depth) + 1e-12:
-                raise ValueError(
-                    f"keep schedule gives dimension {s_eff:.4f}, "
-                    f"requested {self.s_target}")
-
-    def keep_schedule(self) -> tuple:
-        if isinstance(self.keep, int):
-            return (self.keep,) * self.depth
-        return tuple(self.keep)
+        if not 1 <= self.keep <= 2 ** self.block:
+            raise ValueError(f"keep={self.keep} outside [1, 2**block]")
 
     @property
     def level(self) -> int:
@@ -76,8 +60,7 @@ class CantorSpec:
 
     @property
     def dimension(self) -> float:
-        keeps = self.keep_schedule()
-        return float(np.mean([np.log2(k) for k in keeps])) / self.block
+        return float(np.log2(self.keep)) / self.block
 
 
 _FROSTMAN_CAP = 4.0
@@ -92,21 +75,20 @@ def make_random_frostman(spec: CantorSpec):
     dyadic radii in [2**-level, 1/2]; the seed is deterministically re-drawn
     (seed + k*10007) until the draw passes, so equal specs give equal output.
     """
-    keeps = spec.keep_schedule()
     for attempt in range(8):
         rng = np.random.default_rng(spec.seed + attempt * _RETRY_STRIDE)
         cells = np.zeros(1, dtype=np.int64)
         nfold = 1 << spec.block
-        for k in keeps:
+        for _ in range(spec.depth):
             n = cells.size
-            offsets = np.argsort(rng.random((n, nfold)), axis=1)[:, :k]
+            offsets = np.argsort(rng.random((n, nfold)), axis=1)[:, :spec.keep]
             offsets.sort(axis=1)
             cells = (cells[:, None] * nfold + offsets).reshape(-1)
         cells.sort()
         X = DyadicGridSet(spec.level, cells)
         mu = _equal_mass_measure(X)
-        rep = frostman_constant(mu, spec.dimension, (2.0 ** -spec.level, 0.5))
-        if rep.constant <= _FROSTMAN_CAP:
+        if frostman_constant(mu, spec.dimension,
+                             (2.0 ** -spec.level, 0.5)) <= _FROSTMAN_CAP:
             return X, mu
     raise RuntimeError(
         f"no draw of {spec} met the Frostman cap {_FROSTMAN_CAP} in 8 attempts")
@@ -129,12 +111,12 @@ def _equal_mass_measure(X: DyadicGridSet) -> GridMeasure:
 # lattice-neighborhood sets
 # ---------------------------------------------------------------------------
 
-def make_lattice_neighborhood(s: float, schedule, level: int):
+def make_lattice_neighborhood(s: float, schedule, level: int) -> DyadicGridSet:
     """Grid points of [0, 1] within n_k**-1 of the lattice n_k**-s * Z, all k.
 
-    Returns (set, uniform measure on it).  An empty schedule imposes no
-    constraint (the full interval); a schedule entry that empties the set at
-    grid resolution is reported by its position.
+    Returns the set.  An empty schedule imposes no constraint (the full
+    interval); a schedule entry that empties the set at grid resolution is
+    reported by its position.
     """
     if not 0 < s < 1:
         raise ValueError("need 0 < s < 1")
@@ -152,18 +134,18 @@ def make_lattice_neighborhood(s: float, schedule, level: int):
         keep &= dist <= 1.0 / n + 1e-12
         if not np.any(keep):
             raise ValueError(f"set is empty at grid resolution after n_{pos + 1}={n}")
-    X = DyadicGridSet(level, np.nonzero(keep)[0])
-    return X, _equal_mass_measure(X)
+    return DyadicGridSet(level, np.nonzero(keep)[0])
 
 
 # ---------------------------------------------------------------------------
 # combs
 # ---------------------------------------------------------------------------
 
-def make_comb(r: float, c: float):
-    """Intervals of length c*r centred on r*Z inside [0, 1], uniform measure.
+def make_comb(r: float, c: float) -> GridMeasure:
+    """Uniform probability measure on the intervals of length c*r centred on
+    r*Z inside [0, 1]; its occupied cells are the comb's cells.
 
-    Guarantees: cos(2 pi x / r) >= 1/2 on the set (c <= 1/8), hence
+    Guarantees: cos(2 pi x / r) >= 1/2 on the support (c <= 1/8), hence
     |rho_hat(1/r)| >= 1/2.
     """
     l = int(round(-np.log2(r)))
@@ -176,10 +158,8 @@ def make_comb(r: float, c: float):
     centers = (np.arange(1 << level) + 0.5) * h
     dist = np.abs(centers - np.round(centers / r) * r)
     keep = dist <= c * r / 2.0
-    X = DyadicGridSet(level, np.nonzero(keep)[0])
-    cells = np.zeros(1 << level, dtype=np.float64)
-    cells[X.cells] = 1.0 / X.size
-    return X, GridMeasure(level, 0, cells).trimmed()
+    masses = keep / np.count_nonzero(keep)
+    return GridMeasure(level, 0, masses).trimmed()
 
 
 def make_shifted_comb(s: float, delta: float, c: float = 1.0 / 16) -> GridMeasure:
@@ -206,7 +186,7 @@ def make_shifted_comb(s: float, delta: float, c: float = 1.0 / 16) -> GridMeasur
             f"delta^(1-2s)={budget_square:.3g} (need both <= 1/16)")
     r = delta ** s
     l = int(round(-np.log2(r)))
-    _, rho = make_comb(2.0 ** -l, c)
+    rho = make_comb(2.0 ** -l, c)
     out_level = int(np.ceil(-np.log2(c * delta))) + 2
     return pushforward_affine(rho, delta ** (1.0 - s), 1.0, level=out_level).trimmed()
 

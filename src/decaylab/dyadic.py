@@ -76,12 +76,6 @@ class DyadicGridSet:
     def is_empty(self) -> bool:
         return self.size == 0
 
-    def window(self) -> tuple:
-        """Bounding index range (lo, hi), hi exclusive; (0, 0) when empty."""
-        if self.is_empty():
-            return (0, 0)
-        return (int(self.cells[0]), int(self.cells[-1]) + 1)
-
     def centers(self) -> np.ndarray:
         return (self.cells + 0.5) * self.spacing
 
@@ -91,11 +85,6 @@ class DyadicGridSet:
             raise ValueError("coarsened() target must not be finer")
         shift = self.level - to_level
         return DyadicGridSet(to_level, self.cells >> shift)
-
-    def contains_points(self, x: np.ndarray) -> np.ndarray:
-        """Membership of coordinates in the union of cells."""
-        idx = np.floor(np.asarray(x) / self.spacing).astype(np.int64)
-        return np.isin(idx, self.cells)
 
 
 def covering_number(X: DyadicGridSet, r: float) -> int:

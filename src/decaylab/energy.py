@@ -30,7 +30,6 @@ from .measures import (GridMeasure, ball_mass_vector, fftconvolve, mask_measure,
 from .spectral import fourier_many, fourier_progression
 
 __all__ = [
-    "FrostmanReport",
     "energy_spatial",
     "energy_fourier",
     "frostman_constant",
@@ -130,34 +129,20 @@ def energy_fourier(mu: GridMeasure, s: float, delta: float) -> float:
     return _calibration_constant(s) * _fourier_energy_raw(mu, s, delta)
 
 
-@dataclass(frozen=True)
-class FrostmanReport:
-    s: float
-    r_min: float
-    r_max: float
-    constant: float          # smallest K with mu(B(x,r)) <= K r^s on the scan
-    argmax_r: float
-    argmax_x: float
-
-
 def frostman_constant(mu: GridMeasure, s: float,
-                      r_range: tuple[float, float]) -> FrostmanReport:
-    """Smallest K with mu(B(x, r)) <= K r^s over grid centers x and dyadic r in range."""
+                      r_range: tuple[float, float]) -> float:
+    """The Frostman constant of mu: the smallest K with mu(B(x, r)) <= K r^s
+    over grid centers x and dyadic r in r_range = (r_min, r_max)."""
     r_min, r_max = r_range
     if r_min < mu.spacing:
         raise ValueError(f"r_min={r_min} below grid scale {mu.spacing}")
     l_hi = int(np.floor(-np.log2(r_min) + 1e-9))
     l_lo = int(np.ceil(-np.log2(r_max) - 1e-9))
-    best = (0.0, r_min, 0.0)
-    centers = mu.centers()
+    best = 0.0
     for l in range(l_lo, l_hi + 1):
         r = 2.0 ** -l
-        ratios = ball_mass_vector(mu, r) / r ** s
-        i = int(np.argmax(ratios))
-        if ratios[i] > best[0]:
-            best = (float(ratios[i]), r, float(centers[i]))
-    return FrostmanReport(s=s, r_min=r_min, r_max=r_max,
-                          constant=best[0], argmax_r=best[1], argmax_x=best[2])
+        best = max(best, float(np.max(ball_mass_vector(mu, r) / r ** s)))
+    return best
 
 
 @dataclass(frozen=True)
@@ -167,8 +152,7 @@ class ExceptionalSetReport:
     mass_bound: float              # log2(1/delta) * delta^eps
     precondition_ok: bool          # I_s^delta(mu) <= delta^-eps held on input
     guaranteed: bool               # mass <= mass_bound (meaningful when precondition_ok)
-    complement_constant: float     # Frostman constant of mu restricted off E
-    complement_ok: bool            # complement constant <= delta^(-2 eps)
+    complement_ok: bool            # Frostman constant of mu off E <= delta^(-2 eps)
 
 
 def exceptional_set(mu: GridMeasure, s: float, delta: float,
@@ -202,13 +186,12 @@ def exceptional_set(mu: GridMeasure, s: float, delta: float,
     keep = np.setdiff1d(own_lo + np.nonzero(mu.masses)[0], idx)
     if keep.size:
         rest = mask_measure(mu, DyadicGridSet(mu.level, keep))
-        comp = frostman_constant(rest, s, (delta, 1.0)).constant
+        comp = frostman_constant(rest, s, (delta, 1.0))
     else:
         comp = float("inf")
     return ExceptionalSetReport(
         exceptional=eset, mass=mass, mass_bound=float(bound),
         precondition_ok=bool(precond), guaranteed=bool(mass <= bound),
-        complement_constant=float(comp),
         complement_ok=bool(comp <= threshold * (1.0 + 1e-9)))
 
 
@@ -233,7 +216,6 @@ def extract_nonconcentrated(nu: GridMeasure, s: float, rho: float,
     the most mass; ties prefer the denser class.  The output is audited with
     the frostman-type set check at K = rho^(-6 tau).
     """
-    precond = energy_spatial(nu, s, rho) < rho ** (-2.0 * tau)
     exc = exceptional_set(nu, s, rho, 2.0 * tau)
     m_rho = regularize(nu, rho)
     rho_level = int(round(-np.log2(rho)))
@@ -248,7 +230,7 @@ def extract_nonconcentrated(nu: GridMeasure, s: float, rho: float,
     if not np.any(good):
         empty = DyadicGridSet(rho_level, np.empty(0, dtype=np.int64))
         return ExtractionResult(empty, 0.0, float(rho ** (2 * tau)), {}, False,
-                                False, bool(precond))
+                                False, exc.precondition_ok)
     dmax = dens[good].max()
     k_max = int(np.floor(np.log2(1.0 / rho)))
     classes = np.full(idx.size, -1, dtype=np.int64)
@@ -274,4 +256,4 @@ def extract_nonconcentrated(nu: GridMeasure, s: float, rho: float,
                             retained_target=target,
                             level_histogram=hist, set_ok=bool(passed),
                             ok=bool(retained >= target and passed),
-                            precondition_ok=bool(precond))
+                            precondition_ok=exc.precondition_ok)

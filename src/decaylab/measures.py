@@ -248,9 +248,9 @@ def _window_indices(window: tuple[float, float], level: int) -> tuple[int, int]:
     return lo, max(hi, lo + 1)
 
 
-def from_density(fn, window: tuple[float, float], level: int,
-                 normalize: bool = True) -> GridMeasure:
-    """Bin a density by the midpoint rule; rejects negative samples.
+def from_density(fn, window: tuple[float, float], level: int) -> GridMeasure:
+    """Probability measure binned from a density by the midpoint rule and
+    normalized to mass 1; rejects negative samples.
 
     Cells whose centers fall outside [a, b) carry no mass, so non-dyadic
     window endpoints do not leak density into the rounded-out cells.
@@ -263,14 +263,12 @@ def from_density(fn, window: tuple[float, float], level: int,
     if np.any(vals < 0):
         bad = centers[np.argmin(vals)]
         raise ValueError(f"density is negative at x={bad}")
-    masses = vals * h
-    mu = GridMeasure(level, lo, masses)
-    return mu.normalized() if normalize else mu
+    return GridMeasure(level, lo, vals * h).normalized()
 
 
-def from_atoms(atoms, window: tuple[float, float], level: int,
-               weights=None, normalize: bool = True) -> GridMeasure:
-    """Bin point masses to half-open cells (boundary ties go right)."""
+def from_atoms(atoms, window: tuple[float, float], level: int) -> GridMeasure:
+    """Probability measure giving each atom equal mass, binned to half-open
+    cells (boundary ties go right)."""
     atoms = np.asarray(atoms, dtype=np.float64)
     a, b = window
     if atoms.size == 0:
@@ -278,22 +276,18 @@ def from_atoms(atoms, window: tuple[float, float], level: int,
     out_of_window = (atoms < a) | (atoms > b)
     if np.any(out_of_window):
         raise ValueError(f"atom outside window: x={atoms[out_of_window][0]}")
-    if weights is None:
-        weights = np.full(atoms.size, 1.0 / atoms.size)
-    weights = np.asarray(weights, dtype=np.float64)
     lo, hi = _window_indices(window, level)
     h = 2.0 ** -level
     idx = np.floor(atoms / h).astype(np.int64)
     idx = np.clip(idx, lo, hi - 1)          # right-endpoint atoms fold into the window
     masses = np.zeros(hi - lo, dtype=np.float64)
-    np.add.at(masses, idx - lo, weights)
-    mu = GridMeasure(level, lo, masses)
-    return mu.normalized() if normalize else mu
+    np.add.at(masses, idx - lo, 1.0 / atoms.size)
+    return GridMeasure(level, lo, masses).normalized()
 
 
 def uniform_measure(a: float, b: float, level: int) -> GridMeasure:
     """Uniform probability measure on [a, b] at the given grid level."""
-    return from_density(lambda x: np.ones_like(x), (a, b), level, normalize=True)
+    return from_density(lambda x: np.ones_like(x), (a, b), level)
 
 
 def point_mass(x: float, level: int) -> GridMeasure:

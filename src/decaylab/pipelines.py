@@ -482,7 +482,7 @@ def run_quantitative_decay(measures, sigma: float, delta: float,
 
     With ell = ceil(c0 / sigma), two disjoint chains of length ell are built
     from the inputs; each stage records the energy at the expected exponent
-    sigma * (1 + (k-1)/c0) capped at 2/3 (the L2^2 form at exponents >= 1).
+    sigma * (1 + (k-1)/c0) capped at 2/3.
     The transform of (last of chain 1) x (last of chain 2) is profiled over
     [16, 2/delta] and its fitted exponent compared against the theoretical
     floor tau = 2^-(2 ell + 1).
@@ -490,7 +490,7 @@ def run_quantitative_decay(measures, sigma: float, delta: float,
     The default c0 = 2 is a practical knob: the literal constant chain from
     the flattening analysis (c0 = 524 * 24) is far beyond desk scale.
     """
-    ell, tau_floor = quantitative_parameters(sigma, c0)
+    ell, tau_theory = quantitative_parameters(sigma, c0)
     n = len(measures)
     if n < 2 * ell:
         raise ValueError(f"need n >= 2*ell = {2 * ell} measures, got {n}")
@@ -505,13 +505,12 @@ def run_quantitative_decay(measures, sigma: float, delta: float,
     stages = []
     for k, pk in enumerate(chain1, start=1):
         s_k = min(sigma * (1.0 + (k - 1.0) / c0), 2.0 / 3.0)
-        en = energy_spatial(pk, s_k, delta) if s_k < 1 else l2_at_scale(pk, delta) ** 2
+        en = energy_spatial(pk, s_k, delta)
         stages.append(StageReport(stage=k, exponent=float(s_k), energy=float(en),
                                   l2_sq=float(l2_at_scale(pk, delta) ** 2)))
     final = convolve(chain1[-1], chain2[-1], "mul")
     top = min(2.0 / delta, 1.0 / (8.0 * final.spacing))
     prof = decay_profile(final, (16.0, top), n_samples)
-    tau_theory = tau_floor
     verdicts = (
         Verdict("tau-vs-theory", "evidence",
                 bool(prof.tau_hat >= tau_theory), measured=prof.tau_hat,

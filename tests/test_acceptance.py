@@ -73,7 +73,7 @@ def test_c02_young_monotonicity():
         _, mu = make_random_frostman(CantorSpec(block=2, keep=2, depth=6, seed=seed))
         _, nu = make_random_frostman(CantorSpec(block=2, keep=2, depth=6, seed=seed + 100))
         batteries.append((mu, nu))
-    _, comb = make_comb(2.0 ** -6, 1.0 / 16)
+    comb = make_comb(2.0 ** -6, 1.0 / 16)
     batteries.append((comb, comb))
     worst = -np.inf
     for mu, nu in batteries:
@@ -98,8 +98,8 @@ def test_c03_energy_equivalence():
     family = [
         uniform_measure(0.0, 0.5, 9),
         uniform_measure(-1.0, 1.0, 9),
-        make_comb(2.0 ** -4, 1.0 / 8)[1],
-        make_comb(2.0 ** -5, 1.0 / 16)[1],
+        make_comb(2.0 ** -4, 1.0 / 8),
+        make_comb(2.0 ** -5, 1.0 / 16),
         mix(uniform_measure(0.0, 1.0, 9), uniform_measure(0.0, 0.25, 9), 0.5),
     ]
     delta = 2.0 ** -6

@@ -16,7 +16,8 @@ from decaylab.spectral import fourier_at, l2_at_scale, product_fourier
 
 def test_comb_cosine_floor_and_transform():
     r, c = 2.0 ** -4, 1.0 / 16
-    X, rho = make_comb(r, c)
+    rho = make_comb(r, c)
+    X = rho.occupied_set()
     assert np.cos(2 * np.pi * X.centers() / r).min() >= 0.5
     assert abs(fourier_at(rho, 1.0 / r)) >= 0.5
     assert rho.total_mass == pytest.approx(1.0, abs=1e-12)
@@ -24,7 +25,8 @@ def test_comb_cosine_floor_and_transform():
 
 def test_comb_teeth_count():
     # oracle: maximal runs of consecutive kept cells
-    X, rho = make_comb(2.0 ** -2, 1.0 / 8)
+    rho = make_comb(2.0 ** -2, 1.0 / 8)
+    X = rho.occupied_set()
     runs = int(np.sum(np.diff(X.cells) > 1)) + 1
     # teeth sit at 0, 1/4, 1/2, 3/4 and 1 (the two end teeth are halved)
     assert runs == 5
@@ -43,15 +45,13 @@ def test_comb_rejections():
 # ---------------------------------------------------------------------------
 
 def test_lattice_empty_schedule_full_interval():
-    X, mu = make_lattice_neighborhood(0.5, (), 8)
-    assert X.size == 256
-    assert mu.total_mass == pytest.approx(1.0, abs=1e-12)
+    assert make_lattice_neighborhood(0.5, (), 8).size == 256
 
 
 def test_lattice_single_entry_structure():
     # oracle: direct arithmetic enumeration over cell centers
     s, n, level = 0.5, 16, 8
-    X, _ = make_lattice_neighborhood(s, (n,), level)
+    X = make_lattice_neighborhood(s, (n,), level)
     h = 2.0 ** -level
     centers = (np.arange(1 << level) + 0.5) * h
     gap = n ** -s
@@ -74,8 +74,8 @@ def test_lattice_rejects_below_resolution():
 def test_lattice_product_containment():
     s1 = s2 = 0.3
     n, level = 16, 10
-    A, _ = make_lattice_neighborhood(s1, (n,), level)
-    B, _ = make_lattice_neighborhood(s2, (n,), level)
+    A = make_lattice_neighborhood(s1, (n,), level)
+    B = make_lattice_neighborhood(s2, (n,), level)
     # every product a*b lies within 2/n of the lattice n**-(s1+s2) * Z;
     # grid slop: each center is within h/2 of a true set point; products move
     # by at most ~3 h/2
@@ -108,7 +108,7 @@ def test_shifted_comb_phase_defect_within_budget():
     # |(mu x mu x mu)^(1/delta)| against |rho_hat(delta**-s)|**3: the phase
     # defect is at most 2 pi (delta^(2-3s) + 3 delta^(1-2s)) plus grid slop
     c = 1.0 / 16
-    _, rho = make_comb(2.0 ** -int(round(-np.log2(delta ** s))), c)
+    rho = make_comb(2.0 ** -int(round(-np.log2(delta ** s))), c)
     mu = make_shifted_comb(s, delta, c)
     actual = product_fourier(convolve(mu, mu, "mul"), mu, 1.0 / delta)
     base = fourier_at(rho, delta ** -s) ** 3 * np.exp(-2j * np.pi / delta)
@@ -178,8 +178,7 @@ def test_cantor_standard_draw():
     X, mu = make_random_frostman(spec)
     assert X.level == 12
     assert X.size == 64
-    rep = frostman_constant(mu, 0.5, (2.0 ** -12, 0.5))
-    assert rep.constant <= 4.0
+    assert frostman_constant(mu, 0.5, (2.0 ** -12, 0.5)) <= 4.0
 
 
 def test_cantor_determinism():
@@ -194,6 +193,6 @@ def test_cantor_spec_validation():
     with pytest.raises(ValueError):
         CantorSpec(block=2, keep=5, depth=3, seed=0)
     with pytest.raises(ValueError):
-        CantorSpec(block=2, keep=2, depth=3, seed=0, s_target=0.9)
-    spec = CantorSpec(block=2, keep=2, depth=3, seed=0, s_target=0.5)
+        CantorSpec(block=2, keep=0, depth=3, seed=0)
+    spec = CantorSpec(block=2, keep=2, depth=3, seed=0)
     assert spec.dimension == pytest.approx(0.5)

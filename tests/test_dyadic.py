@@ -84,11 +84,6 @@ def test_covering_monotone():
     assert vals[-1] == X.size
 
 
-def test_window_bounds_cells():
-    assert DyadicGridSet(6, np.array([9, -3, 40])).window() == (-3, 41)
-    assert DyadicGridSet(6, np.array([], dtype=np.int64)).window() == (0, 0)
-
-
 def test_grid_set_rejects_non_1d_cells():
     # a two-column array is refused, not flattened into unrelated cells
     with pytest.raises(ValueError, match=r"1-d, got shape \(3, 2\)"):
@@ -407,6 +402,22 @@ def test_additive_energy_progression_formula():
 def test_additive_energy_singleton():
     A = DyadicGridSet(5, np.array([7]))
     assert additive_energy(A, A) == 1
+
+
+def test_additive_energy_fft_branch_matches_exact_histogram():
+    # 4100 x 4100 pairs exceed the 16e6 limit of the outer-difference path,
+    # so the count goes through the FFT histogram
+    rng = np.random.default_rng(12)
+    A = DyadicGridSet(14, rng.choice(1 << 14, size=4100, replace=False))
+    B = DyadicGridSet(14, rng.choice(1 << 14, size=4100, replace=False))
+    assert A.size * B.size > 16_000_000
+    # oracle: exact difference histogram, accumulated in chunks of A
+    lo = A.cells[0] - B.cells[-1]
+    hist = np.zeros(A.cells[-1] - B.cells[0] - lo + 1, dtype=np.int64)
+    for chunk in np.array_split(A.cells, 16):
+        d = np.subtract.outer(chunk, B.cells).ravel() - lo
+        hist += np.bincount(d, minlength=hist.size)
+    assert additive_energy(A, B) == int(np.sum(hist * hist))
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,7 @@
-"""Cross-module plumbing: the public exports, unused imports, Frostman
-constants against energies, experiments run end to end through the CLI
-dispatcher, and one injected fault per exact verdict that makes it fail."""
+"""Cross-module plumbing: the public exports, unused imports, unread
+dataclass fields, Frostman constants against energies, experiments run end
+to end through the CLI dispatcher, and one injected fault per exact verdict
+that makes it fail."""
 import ast
 import importlib
 import json
@@ -57,10 +58,37 @@ def test_no_unused_imports():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return "dataclass" in {ast.unparse(d.func if isinstance(d, ast.Call) else d)
+                           for d in node.decorator_list}
+
+
+def test_every_dataclass_field_is_read():
+    """Every annotated field of a decaylab dataclass is read as an attribute
+    somewhere in the package or its tests.
+
+    The scan matches by name only: a field counts as read when any
+    `obj.<name>` load exists, so it misses a field whose name is read on
+    some other object.
+    """
+    package = Path(decaylab.__file__).parent
+    src = [ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))]
+    tests = [ast.parse(p.read_text()) for p in sorted(Path(__file__).parent.glob("*.py"))]
+    read = {n.attr for tree in src + tests for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = [f"{cls.name}.{st.target.id}"
+              for tree in src for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+              for st in cls.body
+              if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)
+              and st.target.id not in read]
+    assert unread == []
+
+
 def test_frostman_constant_monotone_in_range():
     mu = random_cantor_measure(5, depth=4)
-    wide = frostman_constant(mu, 0.5, (2.0 ** -8, 0.5)).constant
-    narrow = frostman_constant(mu, 0.5, (2.0 ** -6, 0.5)).constant
+    wide = frostman_constant(mu, 0.5, (2.0 ** -8, 0.5))
+    narrow = frostman_constant(mu, 0.5, (2.0 ** -6, 0.5))
     assert narrow <= wide + 1e-12
 
 
@@ -71,7 +99,7 @@ def test_frostman_implies_energy_bound():
     for seed in range(3):
         mu = random_cantor_measure(seed, depth=5)
         s = 0.5
-        C = frostman_constant(mu, s, (delta, delta ** eps)).constant
+        C = frostman_constant(mu, s, (delta, delta ** eps))
         e = energy_spatial(mu, s - 0.01, delta)
         assert e <= 10.0 * C * delta ** -eps
 

@@ -67,9 +67,12 @@ def test_construct_rejections():
 
 
 def test_mass_conservation_construct():
-    mu = from_density(lambda x: np.exp(x), (0.0, 1.0), 9, normalize=False)
-    direct = np.sum(np.exp((np.arange(512) + 0.5) / 512) / 512)
-    assert abs(mu.total_mass - direct) <= 1e-12 * direct
+    # oracle: midpoint-rule masses, normalized to a probability
+    mu = from_density(lambda x: np.exp(x), (0.0, 1.0), 9)
+    direct = np.exp((np.arange(512) + 0.5) / 512) / 512
+    direct /= direct.sum()
+    assert np.allclose(mu.masses, direct, rtol=1e-12, atol=0)
+    assert abs(mu.total_mass - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -89,11 +92,11 @@ def test_bump_sandwich_cell_exact():
 
 
 def test_non_dyadic_window_does_not_leak():
-    mu = from_density(lambda x: np.ones_like(x), (0.3, 0.7), 8, normalize=False)
+    mu = from_density(lambda x: np.ones_like(x), (0.3, 0.7), 8)
     lo, hi = mu.support()
     h = mu.spacing
     assert lo >= 0.3 - h and hi <= 0.7 + h
-    assert mu.total_mass == pytest.approx(0.4, abs=2 * h)
+    assert np.count_nonzero(mu.masses) * h == pytest.approx(0.4, abs=2 * h)
 
 
 def test_regularize_point_mass_plateau():
@@ -135,8 +138,9 @@ def test_regularize_matches_quadrature_on_atoms():
     # oracle: density(x) = sum_a w_a * P_delta(x - a) evaluated per cell
     level, delta = 8, 2.0 ** -4
     atoms = np.array([0.25, 0.7071])
-    weights = np.array([0.25, 0.75])
-    mu = from_atoms(atoms, (0.0, 1.0), level, weights=weights, normalize=False)
+    masses = np.zeros(1 << level)
+    masses[np.floor(atoms * (1 << level)).astype(int)] = [0.25, 0.75]
+    mu = GridMeasure(level, 0, masses)
     md = regularize(mu, delta)
     wk = kernel_weights(delta, level)
     kk = (wk.size - 1) // 2
@@ -266,7 +270,7 @@ def test_sup_ball_mass_comb_tooth():
     # oracle: direct enumeration over all (center, cell) pairs
     from decaylab.constructions import make_comb
     r_comb = 2.0 ** -4
-    _, rho = make_comb(r_comb, 1.0 / 16)
+    rho = make_comb(r_comb, 1.0 / 16)
     r = r_comb / 2
     val = ball_mass_vector(rho, r).max()
     c, w = rho.occupied()

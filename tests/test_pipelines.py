@@ -81,7 +81,7 @@ def test_flattening_l2_matches_mollified_powers(pair):
     if pair == "cantor":
         mu, nu = random_cantor_measure(2, depth=4), random_cantor_measure(3, depth=4)
     else:
-        mu, nu = make_comb(2.0 ** -4, 1.0 / 8)[1], make_comb(2.0 ** -3, 1.0 / 8)[1]
+        mu, nu = make_comb(2.0 ** -4, 1.0 / 8), make_comb(2.0 ** -3, 1.0 / 8)
     delta, k_max = 2.0 ** -6, 2
     tr = run_flattening(mu, nu, 0.5, 0.5, delta, k_max)
     pk = difference_product(mu, nu).trimmed()
@@ -253,7 +253,7 @@ def test_keystep_uniform_vacuous():
 def test_keystep_concentrated_comb():
     # a comb shifted into [1, 2] concentrates at the tooth scale, so the
     # antecedent fires at coarse rho; the consequent is then measured
-    _, rho_comb = make_comb(2.0 ** -4, 1.0 / 16)
+    rho_comb = make_comb(2.0 ** -4, 1.0 / 16)
     mu = pushforward_affine(rho_comb, 1.0, 1.0)
     nu = uniform_measure(1.0, 2.0, mu.level)
     rep = run_keystep_scan(mu, nu, 0.5, 0.5, 2.0 ** -8, big_c=2.0)
