@@ -91,11 +91,6 @@ class ExperimentConfig:
     def delta(self) -> float:
         return 2.0 ** -self.scale
 
-    def as_dict(self) -> dict:
-        return {"experiment": self.experiment, "scale": self.scale,
-                "seed": self.seed, "parameters": dict(sorted(self.parameters.items())),
-                "inputs": {k: dict(sorted(v.items())) for k, v in sorted(self.inputs.items())}}
-
 
 # ---------------------------------------------------------------------------
 # parameter domains
@@ -200,10 +195,8 @@ def _cells(mu: GridMeasure) -> DyadicGridSet:
 # ---------------------------------------------------------------------------
 
 def _run_base_case(p, inputs, config):
-    rep = run_base_case(*inputs, float(p["s"]), float(p["t"]), config.delta,
-                        n_samples=int(p["n_samples"]))
-    rows = list(zip(rep.xi_samples, rep.magnitudes))
-    return rep.as_dict(), rep.verdicts, {"band.csv": (("xi", "magnitude"), rows)}
+    return run_base_case(*inputs, float(p["s"]), float(p["t"]), config.delta,
+                         n_samples=int(p["n_samples"]))
 
 
 def _run_decay(p, inputs, config):
@@ -218,43 +211,27 @@ def _run_decay(p, inputs, config):
 
 
 def _run_flatten(p, inputs, config):
-    tr = run_flattening(*inputs, float(p["s"]), float(p["t"]), config.delta,
-                        int(p["k_max"]), kappa=float(p["kappa"]))
-    rows = [(float(r), int(k), float(tr.l2_by_scale[ki, ri]))
-            for ki, k in enumerate(tr.k_values)
-            for ri, r in enumerate(tr.r_values)]
-    return tr.as_dict(), tr.verdicts, {"flatten.csv": (("r", "k", "J"), rows)}
+    return run_flattening(*inputs, float(p["s"]), float(p["t"]), config.delta,
+                          int(p["k_max"]), kappa=float(p["kappa"]))
 
 
 def _run_level_sets(p, inputs, config):
-    rep = run_level_sets(*inputs, float(p["r"]))
-    rows = sorted((int(j), int(c)) for j, c in rep.classes.items())
-    return rep.as_dict(), rep.verdicts, {"level_sets.csv": (("class", "count"), rows)}
+    return run_level_sets(*inputs, float(p["r"]))
 
 
 def _run_induction(p, inputs, config):
-    rep = run_induction_chain(inputs, [float(e) for e in _as_tuple(p["exponents"])],
-                              config.delta, int(p["k"]), n_samples=int(p["n_samples"]))
-    rows = list(zip(rep.xi_samples, rep.lhs, rep.rhs))
-    return rep.as_dict(), rep.verdicts, {"chain.csv": (("xi", "lhs", "rhs"), rows)}
+    return run_induction_chain(inputs, [float(e) for e in _as_tuple(p["exponents"])],
+                               config.delta, int(p["k"]), n_samples=int(p["n_samples"]))
 
 
 def _run_quantitative(p, inputs, config):
-    rep = run_quantitative_decay(inputs, float(p["sigma"]), config.delta,
-                                 c0=float(p["c0"]), n_samples=int(p["n_samples"]))
-    rows = [(s.stage, s.exponent, s.energy, s.l2_sq) for s in rep.stage_reports]
-    tables = {"stages.csv": (("stage", "exponent", "energy", "l2_sq"), rows)}
-    return rep.as_dict(), rep.verdicts, tables
+    return run_quantitative_decay(inputs, float(p["sigma"]), config.delta,
+                                  c0=float(p["c0"]), n_samples=int(p["n_samples"]))
 
 
 def _run_keystep(p, inputs, config):
-    rep = run_keystep_scan(*inputs, float(p["s"]), float(p["t"]), config.delta,
-                           big_c=float(p["C"]), eps=float(p["eps"]))
-    rows = [(r.rho, r.l2_mu_sq, int(r.antecedent), r.l2_pi_sq,
-             int(r.consequent), r.diag_indicator_l2) for r in rep.rows]
-    tables = {"keystep.csv": (("rho", "l2_mu_sq", "antecedent", "l2_pi_sq",
-                               "consequent", "diag"), rows)}
-    return rep.as_dict(), rep.verdicts, tables
+    return run_keystep_scan(*inputs, float(p["s"]), float(p["t"]), config.delta,
+                            big_c=float(p["C"]), eps=float(p["eps"]))
 
 
 def _run_project(p, inputs, config):
@@ -268,8 +245,12 @@ def _run_project(p, inputs, config):
     verd = (Verdict("projection-floor", "evidence", rep.passed,
                     measured=float(rep.best_covering),
                     detail=f"threshold {rep.threshold}"),)
+    payload = {"threshold": rep.threshold, "min_covering": int(rep.covering.min()),
+               "max_covering": int(rep.covering.max()), "best_y": rep.best_y,
+               "best_covering": rep.best_covering,
+               "fraction_above": rep.fraction_above, "passed": rep.passed}
     rows = list(zip(rep.directions, rep.covering))
-    return rep.as_dict(), verd, {"projection.csv": (("y", "covering"), rows)}
+    return payload, verd, {"projection.csv": (("y", "covering"), rows)}
 
 
 def _run_counterexample(p, inputs, config):
@@ -535,7 +516,11 @@ def dispatch(config: ExperimentConfig, out_dir) -> RunReport:
         config.parameters, inputs, config)
     timings.append(("experiment", time.perf_counter() - t0))
 
-    report = RunReport(config=config.as_dict(), version=__version__,
+    # to_json sorts every key, so the config echo is written in key order
+    echo = {"experiment": config.experiment, "scale": config.scale,
+            "seed": config.seed, "parameters": config.parameters,
+            "inputs": config.inputs}
+    report = RunReport(config=echo, version=__version__,
                        verdicts=[_verdict_dict(v) for v in verdicts],
                        payload=result)
     t0 = time.perf_counter()

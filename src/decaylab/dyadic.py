@@ -226,17 +226,6 @@ class ProjectionScanReport:
     fraction_above: float
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "min_covering": int(self.covering.min()),
-            "max_covering": int(self.covering.max()),
-            "best_y": self.best_y,
-            "best_covering": self.best_covering,
-            "fraction_above": self.fraction_above,
-            "passed": self.passed,
-        }
-
 
 def projection_scan(A1: DyadicGridSet, A2: DyadicGridSet, Y: DyadicGridSet,
                     s: float, t: float, c: float = 1.0 / 24) -> ProjectionScanReport:

@@ -1,6 +1,8 @@
 """Experiment pipelines: each run_* function drives one numerical experiment
-end to end, re-derives its inputs' preconditions, and returns a report
-object with named verdicts.
+end to end, re-derives its inputs' preconditions, and returns what the CLI
+writes: (payload, verdicts, tables), with payload the report.json record
+(its verdicts included), verdicts a tuple of named Verdicts, and tables
+{csv name: (header, rows)}.
 
 Verdict kinds:
   exact     - a grid-level identity or inequality that must hold up to
@@ -23,23 +25,16 @@ from .convolution import convolve, difference_product, symmetry_defect
 from .energy import energy_spatial
 from .measures import (GridMeasure, kernel_weights, next_fast_len,
                        pushforward_affine, regularize)
-from .spectral import (DecayProfile, _atom_products, _reduced_rows,
-                       decay_profile, l2_at_scale, product_chain_fourier,
-                       product_fourier)
+from .spectral import (_atom_products, _reduced_rows, decay_profile,
+                       l2_at_scale, product_chain_fourier, product_fourier)
 
 __all__ = [
     "Verdict",
-    "BaseCaseReport",
     "run_base_case",
-    "FlatteningTrace",
     "run_flattening",
-    "LevelSetReport",
     "run_level_sets",
-    "InductionChainReport",
     "run_induction_chain",
-    "DecayPipelineReport",
     "run_quantitative_decay",
-    "KeystepScanReport",
     "run_keystep_scan",
 ]
 
@@ -57,37 +52,18 @@ class Verdict:
                 "measured": self.measured, "detail": self.detail}
 
 
+def _outputs(payload: dict, verdicts: tuple, csv: str, header: tuple, rows: list):
+    """(payload, verdicts, tables) with the verdicts recorded in the payload."""
+    payload["verdicts"] = [v.as_dict() for v in verdicts]
+    return payload, verdicts, {csv: (header, rows)}
+
+
 # ---------------------------------------------------------------------------
 # base case n = 2
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BaseCaseReport:
-    s: float
-    t: float
-    delta: float
-    l2_mu_sq: float
-    l2_nu_sq: float
-    preconditions_ok: bool
-    xi_samples: np.ndarray
-    magnitudes: np.ndarray
-    max_magnitude: float
-    reference: float            # delta**((s+t-1)/2)
-    measured_constant: float    # max_magnitude / reference
-    verdicts: tuple
-
-    def as_dict(self) -> dict:
-        return {"s": self.s, "t": self.t, "delta": self.delta,
-                "l2_mu_sq": self.l2_mu_sq, "l2_nu_sq": self.l2_nu_sq,
-                "preconditions_ok": self.preconditions_ok,
-                "max_magnitude": self.max_magnitude,
-                "reference": self.reference,
-                "measured_constant": self.measured_constant,
-                "verdicts": [v.as_dict() for v in self.verdicts]}
-
-
 def run_base_case(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
-                  delta: float, n_samples: int = 32) -> BaseCaseReport:
+                  delta: float, n_samples: int = 32):
     """Band decay of the multiplicative convolution of two L2-bounded measures.
 
     Checks the single-scale bounds l2(mu_delta)^2 <= 4 delta^(s-1) (and the
@@ -95,6 +71,11 @@ def run_base_case(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
     [1/delta, 2/delta], and reports max magnitude against delta^((s+t-1)/2)
     with the measured constant.  Failed preconditions flag the report but do
     not stop it.
+
+    Payload: s, t, delta; l2_mu_sq and l2_nu_sq, the squared L2 norms at
+    delta; preconditions_ok; max_magnitude; reference = delta**((s+t-1)/2);
+    measured_constant = max_magnitude / reference.  band.csv: xi, magnitude
+    per sample.
     """
     l2m = l2_at_scale(mu, delta) ** 2
     l2n = l2_at_scale(nu, delta) ** 2
@@ -111,37 +92,16 @@ def run_base_case(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
                 measured=cmax,
                 detail="max band |transform| / delta^((s+t-1)/2)"),
     )
-    return BaseCaseReport(s=s, t=t, delta=delta, l2_mu_sq=l2m, l2_nu_sq=l2n,
-                          preconditions_ok=bool(pre), xi_samples=xis,
-                          magnitudes=mags, max_magnitude=float(mags.max()),
-                          reference=float(ref), measured_constant=cmax,
-                          verdicts=verdicts)
+    payload = {"s": s, "t": t, "delta": delta, "l2_mu_sq": l2m, "l2_nu_sq": l2n,
+               "preconditions_ok": bool(pre), "max_magnitude": float(mags.max()),
+               "reference": float(ref), "measured_constant": cmax}
+    return _outputs(payload, verdicts, "band.csv", ("xi", "magnitude"),
+                    list(zip(xis, mags)))
 
 
 # ---------------------------------------------------------------------------
 # flattening of additive powers
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FlatteningTrace:
-    s: float
-    t: float
-    delta: float
-    kappa: float
-    r_values: np.ndarray         # dyadic scales in [delta, 1]
-    k_values: np.ndarray         # 0..k_max (power = 2**k)
-    l2_by_scale: np.ndarray      # shape (len(k), len(r)): ||(Pi^{+2^k})_r||_2
-    energies: np.ndarray         # per k: I^delta_{s+t}; at s+t=1 the L2^2 form
-    symmetry_defect: float
-    verdicts: tuple
-
-    def as_dict(self) -> dict:
-        return {"s": self.s, "t": self.t, "delta": self.delta,
-                "kappa": self.kappa,
-                "energies": list(map(float, self.energies)),
-                "symmetry_defect": self.symmetry_defect,
-                "verdicts": [v.as_dict() for v in self.verdicts]}
-
 
 def _parseval_l2_of_smoothed(spec_sq: np.ndarray, kernel_rfft: np.ndarray,
                              nfft: int, spacing: float) -> float:
@@ -155,7 +115,7 @@ def _parseval_l2_of_smoothed(spec_sq: np.ndarray, kernel_rfft: np.ndarray,
 
 
 def run_flattening(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
-                   delta: float, k_max: int, kappa: float = 0.1) -> FlatteningTrace:
+                   delta: float, k_max: int, kappa: float = 0.1):
     """Trace the L2 flattening of additive powers of the difference product.
 
     Builds Pi = (mu - mu) x (nu - nu), doubles it additively up to 2**k_max,
@@ -164,6 +124,10 @@ def run_flattening(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
     (the k+1 spectrum is dominated pointwise), asserted to 1e-9.  The target
     verdict checks J(k_max, r) <= delta^(-kappa/2) r^((s+t-1)/2) over the
     whole r range.
+
+    Payload: s, t, delta, kappa; energies, per k the s+t energy of
+    Pi^{+2^k} at delta (at s+t=1 the L2^2 form ||(Pi^{+2^k})_delta||_2^2);
+    symmetry_defect of Pi.  flatten.csv: r, k, J(k, r), k-major.
     """
     if s + t > 1.0 + 1e-12:
         raise ValueError("need s + t <= 1")
@@ -215,10 +179,11 @@ def run_flattening(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
         Verdict("input-energies", "evidence", True,
                 measured=float(max(e_mu, e_nu))),
     )
-    return FlatteningTrace(s=s, t=t, delta=delta, kappa=kappa,
-                           r_values=r_values, k_values=np.arange(k_max + 1),
-                           l2_by_scale=J, energies=energies,
-                           symmetry_defect=sym, verdicts=verdicts)
+    payload = {"s": s, "t": t, "delta": delta, "kappa": kappa,
+               "energies": list(map(float, energies)), "symmetry_defect": sym}
+    rows = [(float(r), k, float(J[k, j]))
+            for k in range(k_max + 1) for j, r in enumerate(r_values)]
+    return _outputs(payload, verdicts, "flatten.csv", ("r", "k", "J"), rows)
 
 
 def _level_set_classes(m: GridMeasure, r: float):
@@ -245,22 +210,7 @@ def _level_set_classes(m: GridMeasure, r: float):
     return cls, sup, int(lo)
 
 
-@dataclass(frozen=True)
-class LevelSetReport:
-    r: float
-    classes: dict                  # class j -> number of r-intervals
-    lower_constant: float          # sup over classes j>=1 of 2^j / density_{4r}
-    class_count: int
-    verdicts: tuple
-
-    def as_dict(self) -> dict:
-        return {"r": self.r, "classes": {str(k): v for k, v in self.classes.items()},
-                "lower_constant": self.lower_constant,
-                "class_count": self.class_count,
-                "verdicts": [v.as_dict() for v in self.verdicts]}
-
-
-def run_level_sets(lam: GridMeasure, r: float) -> LevelSetReport:
+def run_level_sets(lam: GridMeasure, r: float):
     """Dyadic level-set decomposition of the density of lam_r.
 
     The classes bound density_r by sum 2^j 1_{class j} pointwise by
@@ -268,6 +218,10 @@ def run_level_sets(lam: GridMeasure, r: float) -> LevelSetReport:
     2^j <= C' * density_{4r} on every class-j interval, with C' <= 8.  The
     sandwich is for the mollified density, so r must be at least twice the
     grid spacing (at r = spacing, regularize returns lam unmollified).
+
+    Payload: r; classes, class j (as a string) -> number of r-intervals;
+    lower_constant, the sup over classes j >= 1 of 2^j / density_{4r};
+    class_count.  level_sets.csv: class, count.
     """
     if r < 2.0 * lam.spacing:
         raise ValueError(f"r = {r} is below twice the grid spacing ({2.0 * lam.spacing})")
@@ -281,10 +235,10 @@ def run_level_sets(lam: GridMeasure, r: float) -> LevelSetReport:
     sel = (idx4 >= base) & (idx4 < base + cls.size)
     np.maximum.at(sup4, (idx4[sel] - base).astype(np.int64), dens4[sel])
     lower = 0.0
-    counts: dict[int, int] = {}
+    rows = []
     for j in np.unique(cls[cls >= 0]):
         cells = np.nonzero(cls == j)[0]
-        counts[int(j)] = int(cells.size)
+        rows.append((int(j), int(cells.size)))
         if j >= 1:
             d4 = sup4[cells]
             if np.any(d4 <= 0):
@@ -295,39 +249,24 @@ def run_level_sets(lam: GridMeasure, r: float) -> LevelSetReport:
         Verdict("lower-sandwich", "exact", bool(lower <= 8.0), measured=lower,
                 detail="sup over classes of 2^j / density at scale 4r"),
     )
-    return LevelSetReport(r=r, classes=counts, lower_constant=float(lower),
-                          class_count=len(counts), verdicts=verdicts)
+    payload = {"r": r, "classes": {str(j): c for j, c in rows},
+               "lower_constant": float(lower), "class_count": len(rows)}
+    return _outputs(payload, verdicts, "level_sets.csv", ("class", "count"), rows)
 
 
 # ---------------------------------------------------------------------------
 # induction chain
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InductionChainReport:
-    exponents: tuple
-    delta: float
-    k: int
-    xi_samples: np.ndarray
-    lhs: np.ndarray               # |F^(xi)|^(2^(k+2))
-    rhs: np.ndarray               # atom-exact (Pi^{+2^k} x mu_3 ... )^(xi)
-    max_violation: float
-    input_energies: tuple         # I^delta_{s_j}(mu_j), re-derived per input
-    rescaled_energy: float
-    tau_profile: DecayProfile
-    verdicts: tuple
-
-    def as_dict(self) -> dict:
-        return {"exponents": list(self.exponents), "delta": self.delta,
-                "k": self.k, "max_violation": self.max_violation,
-                "input_energies": list(self.input_energies),
-                "rescaled_energy": self.rescaled_energy,
-                "tau_hat": self.tau_profile.tau_hat,
-                "verdicts": [v.as_dict() for v in self.verdicts]}
-
-
 # the order-exchange chain runs on inputs coarsened to at most this many cells
 _CHAIN_CELLS = 64
+
+
+def _band_profile(product: GridMeasure, delta: float, n_samples: int):
+    """Decay profile of product over [16, 2/delta], capped at 1/(8 spacing)."""
+    # fit only where the x-routing slop (a few cells) keeps phases coherent
+    top = min(2.0 / delta, 1.0 / (8.0 * product.spacing))
+    return decay_profile(product, (16.0, top), n_samples)
 
 
 def _coarsen_to_cap(m: GridMeasure, cap: int) -> GridMeasure:
@@ -352,7 +291,7 @@ def _self_difference_atoms(m: GridMeasure):
 
 
 def run_induction_chain(measures, exponents, delta: float,
-                        k: int, n_samples: int = 64) -> InductionChainReport:
+                        k: int, n_samples: int = 64):
     """Verify the order-exchange chain at sampled frequencies, atom-exactly.
 
     For F = mu_1 x ... x mu_n and Pi = (mu_1 - mu_1) x (mu_2 - mu_2):
@@ -368,15 +307,20 @@ def run_induction_chain(measures, exponents, delta: float,
     bugs.  Also reports the energy of the rescaled grid power (support
     shrunk by 2^-(k+2)) and a wide-band decay fit of the full-resolution
     product.
+
+    Payload: exponents, delta, k; max_violation, the max over xi of
+    lhs - rhs; input_energies, I^delta_{s_j}(mu_j) re-derived per input;
+    rescaled_energy; tau_hat of the decay fit.  chain.csv: xi, lhs
+    (|F^(xi)|^(2^(k+2))), rhs (atom-exact (Pi^{+2^k} x mu_3 ... )^(xi)).
     """
     n = len(measures)
     if n < 3:
         raise ValueError("need n >= 3 measures")
     if np.sum(exponents) <= 1.0:
         raise ValueError("need sum of exponents > 1")
-    input_energies = tuple(
+    input_energies = [
         float(energy_spatial(m_, min(float(e), 0.999), max(delta, m_.spacing)))
-        for m_, e in zip(measures, exponents))
+        for m_, e in zip(measures, exponents)]
     work = [_coarsen_to_cap(m, _CHAIN_CELLS) for m in measures]
     xis = np.geomspace(1.0 / delta, 2.0 / delta, n_samples)
     chain = product_chain_fourier(work, xis)
@@ -401,9 +345,7 @@ def run_induction_chain(measures, exponents, delta: float,
     full_product = measures[0]
     for m_ in measures[1:]:
         full_product = convolve(full_product, m_, "mul")
-    # fit only where the x-routing slop (a few cells) keeps phases coherent
-    top = min(2.0 / delta, 1.0 / (8.0 * full_product.spacing))
-    prof = decay_profile(full_product, (16.0, top), max(n_samples, 64))
+    prof = _band_profile(full_product, delta, max(n_samples, 64))
     verdicts = (
         Verdict("order-chain", "exact", bool(violation <= 1e-6), measured=violation,
                 detail="max over sampled xi of lhs - rhs"),
@@ -412,50 +354,16 @@ def run_induction_chain(measures, exponents, delta: float,
         Verdict("input-energies", "evidence", True,
                 measured=float(max(input_energies))),
     )
-    return InductionChainReport(exponents=tuple(float(e) for e in exponents),
-                                delta=delta, k=k, xi_samples=xis, lhs=lhs,
-                                rhs=rhs, max_violation=violation,
-                                input_energies=input_energies,
-                                rescaled_energy=float(resc_energy),
-                                tau_profile=prof, verdicts=verdicts)
+    payload = {"exponents": [float(e) for e in exponents], "delta": delta,
+               "k": k, "max_violation": violation, "input_energies": input_energies,
+               "rescaled_energy": float(resc_energy), "tau_hat": prof.tau_hat}
+    return _outputs(payload, verdicts, "chain.csv", ("xi", "lhs", "rhs"),
+                    list(zip(xis, lhs, rhs)))
 
 
 # ---------------------------------------------------------------------------
 # iterated multiply-subtract pipeline (quantitative decay)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StageReport:
-    stage: int
-    exponent: float
-    energy: float
-    l2_sq: float
-
-    def as_dict(self) -> dict:
-        return {"stage": self.stage, "exponent": self.exponent,
-                "energy": self.energy, "l2_sq": self.l2_sq}
-
-
-@dataclass(frozen=True)
-class DecayPipelineReport:
-    n: int
-    sigma: float
-    delta: float
-    c0: float
-    ell: int
-    tau_theory: float
-    tau_measured: float
-    stage_reports: tuple
-    verdicts: tuple
-
-    def as_dict(self) -> dict:
-        return {"n": self.n, "sigma": self.sigma, "delta": self.delta,
-                "c0": self.c0, "ell": self.ell,
-                "tau_theory": self.tau_theory,
-                "tau_measured": self.tau_measured,
-                "stages": [s.as_dict() for s in self.stage_reports],
-                "verdicts": [v.as_dict() for v in self.verdicts]}
-
 
 def quantitative_parameters(sigma: float, c0: float) -> tuple[int, float]:
     """Chain length ell = ceil(c0/sigma) and the decay floor 2^-(2 ell + 1)."""
@@ -477,7 +385,7 @@ def _multiply_subtract_chain(measures, ell: int):
 
 
 def run_quantitative_decay(measures, sigma: float, delta: float,
-                           c0: float = 2.0, n_samples: int = 48) -> DecayPipelineReport:
+                           c0: float = 2.0, n_samples: int = 48):
     """Iterated multiply-and-subtract flattening with a final band-decay fit.
 
     With ell = ceil(c0 / sigma), two disjoint chains of length ell are built
@@ -489,6 +397,11 @@ def run_quantitative_decay(measures, sigma: float, delta: float,
 
     The default c0 = 2 is a practical knob: the literal constant chain from
     the flattening analysis (c0 = 524 * 24) is far beyond desk scale.
+
+    Payload: n, sigma, delta, c0, ell, tau_theory, tau_measured (the fitted
+    exponent); stages, one {stage, exponent, energy, l2_sq} per stage of
+    chain 1, with energy at that exponent and l2_sq = ||(Pi_k)_delta||_2^2.
+    stages.csv: the same four columns.
     """
     ell, tau_theory = quantitative_parameters(sigma, c0)
     n = len(measures)
@@ -502,72 +415,35 @@ def run_quantitative_decay(measures, sigma: float, delta: float,
                       for m_ in measures[:2 * ell]] if sigma < 1 else []
     chain1 = _multiply_subtract_chain(measures[:ell], ell)
     chain2 = _multiply_subtract_chain(measures[ell:2 * ell], ell)
-    stages = []
+    header = ("stage", "exponent", "energy", "l2_sq")
+    rows = []
     for k, pk in enumerate(chain1, start=1):
         s_k = min(sigma * (1.0 + (k - 1.0) / c0), 2.0 / 3.0)
         en = energy_spatial(pk, s_k, delta)
-        stages.append(StageReport(stage=k, exponent=float(s_k), energy=float(en),
-                                  l2_sq=float(l2_at_scale(pk, delta) ** 2)))
-    final = convolve(chain1[-1], chain2[-1], "mul")
-    top = min(2.0 / delta, 1.0 / (8.0 * final.spacing))
-    prof = decay_profile(final, (16.0, top), n_samples)
+        rows.append((k, float(s_k), float(en), float(l2_at_scale(pk, delta) ** 2)))
+    prof = _band_profile(convolve(chain1[-1], chain2[-1], "mul"), delta, n_samples)
     verdicts = (
         Verdict("tau-vs-theory", "evidence",
                 bool(prof.tau_hat >= tau_theory), measured=prof.tau_hat,
                 detail=f"theory floor {tau_theory}"),
         Verdict("stage-energies", "evidence", True,
-                measured=float(stages[-1].energy)),
+                measured=rows[-1][2]),
         Verdict("input-energies", "evidence", True,
                 measured=float(max(input_energies)) if input_energies else None),
     )
-    return DecayPipelineReport(n=n, sigma=sigma, delta=delta, c0=c0, ell=ell,
-                               tau_theory=float(tau_theory),
-                               tau_measured=float(prof.tau_hat),
-                               stage_reports=tuple(stages), verdicts=verdicts)
+    payload = {"n": n, "sigma": sigma, "delta": delta, "c0": c0, "ell": ell,
+               "tau_theory": float(tau_theory), "tau_measured": float(prof.tau_hat),
+               "stages": [dict(zip(header, row)) for row in rows]}
+    return _outputs(payload, verdicts, "stages.csv", header, rows)
 
 
 # ---------------------------------------------------------------------------
 # keystep scan
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KeystepRow:
-    rho: float
-    l2_mu_sq: float
-    antecedent: bool            # l2_mu_sq >= rho^(-1+s+t/C)
-    l2_pi_sq: float
-    consequent: bool            # l2_pi_sq <= rho^tau * l2_mu_sq
-    diag_indicator_l2: float    # 2^(i+j) ||1_Ai - 1_Aj||_2 for dominant classes
-
-    def as_dict(self) -> dict:
-        return {"rho": self.rho, "l2_mu_sq": self.l2_mu_sq,
-                "antecedent": self.antecedent, "l2_pi_sq": self.l2_pi_sq,
-                "consequent": self.consequent,
-                "diag_indicator_l2": self.diag_indicator_l2}
-
-
-@dataclass(frozen=True)
-class KeystepScanReport:
-    s: float
-    t: float
-    delta: float
-    big_c: float
-    tau: float
-    rows: tuple
-    implication_ok: bool        # no rho with antecedent true and consequent false
-    verdicts: tuple
-
-    def as_dict(self) -> dict:
-        return {"s": self.s, "t": self.t, "delta": self.delta,
-                "C": self.big_c, "tau": self.tau,
-                "rows": [r.as_dict() for r in self.rows],
-                "implication_ok": self.implication_ok,
-                "verdicts": [v.as_dict() for v in self.verdicts]}
-
-
 def run_keystep_scan(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
                      delta: float, big_c: float = 2.0,
-                     eps: float = 0.05) -> KeystepScanReport:
+                     eps: float = 0.05):
     """Scan the single-scale flattening implication over dyadic rho.
 
     For Pi = (mu x nu) - (mu x nu) and rho in [delta, delta^(eps/t)]:
@@ -578,17 +454,22 @@ def run_keystep_scan(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
     2^(i+j) ||1_Ai - 1_Aj||_2 for the two heaviest density classes of mu_rho.
     The report records whether the implication survived every rho (instance
     evidence).
+
+    Payload: s, t, delta, C, tau; rows, one {rho, l2_mu_sq, antecedent,
+    l2_pi_sq, consequent, diag_indicator_l2} per rho, with l2_mu_sq =
+    ||mu_rho||_2^2 and l2_pi_sq = ||Pi_rho||_2^2; implication_ok, no rho with
+    the antecedent true and the consequent false.  keystep.csv: rho,
+    l2_mu_sq, antecedent (0/1), l2_pi_sq, consequent (0/1), diag.
     """
     for m_ in (mu, nu):
         lo, hi = m_.support()
         if lo < 1.0 - 1e-9 or hi > 2.0 + 1e-9:
             raise ValueError("keystep scan expects supports in [1, 2]")
     tau = t / big_c
-    prod = convolve(mu, nu, "mul")
-    pi = convolve(prod, prod, "sub").trimmed()
+    pi = _multiply_subtract_chain([mu, nu], 2)[-1]
     l_hi = int(round(-np.log2(delta)))
     l_lo = max(1, int(np.floor(-np.log2(delta ** (eps / t)))))
-    rows = []
+    rows, table = [], []
     ok = True
     for l in range(l_hi, l_lo - 1, -1):
         rho = 2.0 ** -l
@@ -596,22 +477,23 @@ def run_keystep_scan(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
             continue
         l2m = l2_at_scale(mu, rho) ** 2
         l2p = l2_at_scale(pi, rho) ** 2
-        ante = l2m >= rho ** (-1.0 + s + t / big_c)
-        cons = l2p <= rho ** tau * l2m
+        ante = bool(l2m >= rho ** (-1.0 + s + t / big_c))
+        cons = bool(l2p <= rho ** tau * l2m)
         diag = _indicator_diagnostic(mu, rho)
         if ante and not cons:
             ok = False
-        rows.append(KeystepRow(rho=float(rho), l2_mu_sq=float(l2m),
-                               antecedent=bool(ante), l2_pi_sq=float(l2p),
-                               consequent=bool(cons),
-                               diag_indicator_l2=float(diag)))
+        rows.append({"rho": rho, "l2_mu_sq": l2m, "antecedent": ante, "l2_pi_sq": l2p,
+                     "consequent": cons, "diag_indicator_l2": diag})
+        table.append((rho, l2m, int(ante), l2p, int(cons), diag))
     verdicts = (
         Verdict("keystep-implication", "evidence", bool(ok),
                 measured=float(len(rows))),
     )
-    return KeystepScanReport(s=s, t=t, delta=delta, big_c=float(big_c),
-                             tau=float(tau), rows=tuple(rows),
-                             implication_ok=bool(ok), verdicts=verdicts)
+    payload = {"s": s, "t": t, "delta": delta, "C": float(big_c), "tau": float(tau),
+               "rows": rows, "implication_ok": ok}
+    return _outputs(payload, verdicts, "keystep.csv",
+                    ("rho", "l2_mu_sq", "antecedent", "l2_pi_sq", "consequent", "diag"),
+                    table)
 
 
 def _indicator_diagnostic(mu: GridMeasure, rho: float) -> float:

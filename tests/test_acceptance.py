@@ -77,8 +77,10 @@ def test_c02_young_monotonicity():
     batteries.append((comb, comb))
     worst = -np.inf
     for mu, nu in batteries:
-        tr = run_flattening(mu, nu, 0.5, 0.5, delta, 4)
-        gaps = tr.l2_by_scale[1:] - tr.l2_by_scale[:-1]
+        _, _, tables = run_flattening(mu, nu, 0.5, 0.5, delta, 4)
+        _, rows = tables["flatten.csv"]     # (r, k, J) rows, k-major over k = 0..4
+        J = np.array([row[2] for row in rows]).reshape(5, -1)
+        gaps = J[1:] - J[:-1]
         worst = max(worst, float(np.max(gaps)))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < budget
@@ -130,13 +132,13 @@ def test_c04a_base_case_band_constant():
     t0 = time.perf_counter()
     delta = 2.0 ** -10
     mu = uniform_measure(1.0, 2.0, 13)
-    rep = run_base_case(mu, mu, 1.0, 1.0, delta, n_samples=8)
+    top = run_base_case(mu, mu, 1.0, 1.0, delta, n_samples=8)[0]["max_magnitude"]
     elapsed = time.perf_counter() - t0
-    ok = rep.max_magnitude <= 16.0 * delta ** 0.5 and elapsed < budget
+    ok = top <= 16.0 * delta ** 0.5 and elapsed < budget
     _announce("C04a base-case-constant", ok,
-              f"max band magnitude = {rep.max_magnitude:.3e} vs "
+              f"max band magnitude = {top:.3e} vs "
               f"16*delta^0.5 = {16 * delta ** 0.5:.3e}, {elapsed:.1f}s")
-    assert rep.max_magnitude <= 16.0 * delta ** 0.5
+    assert top <= 16.0 * delta ** 0.5
     assert elapsed < budget
 
 
@@ -335,10 +337,10 @@ def test_c10_triple_product_instances():
         mus = [make_random_frostman(CantorSpec(block=2, keep=2, depth=6,
                                                seed=10 * trial + j))[1]
                for j in range(3)]
-        rep = run_induction_chain(mus, [0.5, 0.5, 0.5], delta, k=2,
-                                  n_samples=32)
-        taus.append(rep.tau_profile.tau_hat)
-        violations.append(rep.max_violation)
+        payload, _, _ = run_induction_chain(mus, [0.5, 0.5, 0.5], delta, k=2,
+                                            n_samples=32)
+        taus.append(payload["tau_hat"])
+        violations.append(payload["max_violation"])
     elapsed = time.perf_counter() - t0
     ok = min(taus) >= 0.02 and max(violations) <= 1e-6 and elapsed < budget
     _announce("C10 triple-product", ok,

@@ -101,15 +101,14 @@ def test_dispatch_deterministic_bytes(tmp_path):
 
 def test_exit_code_fail_on_corrupted_exact_verdict(tmp_path, monkeypatch):
     import decaylab.cli as cli
-    from decaylab.pipelines import BaseCaseReport, Verdict
+    from decaylab.pipelines import Verdict
 
     real = cli.run_base_case
 
     def corrupted(*args, **kwargs):
-        rep = real(*args, **kwargs)
-        bad = tuple(list(rep.verdicts) +
-                    [Verdict("order-fixture", "exact", False, measured=1.0)])
-        return BaseCaseReport(**{**rep.__dict__, "verdicts": bad})
+        payload, verdicts, tables = real(*args, **kwargs)
+        bad = verdicts + (Verdict("order-fixture", "exact", False, measured=1.0),)
+        return payload, bad, tables
 
     monkeypatch.setattr(cli, "run_base_case", corrupted)
     report = dispatch(parse_config(BASE_CASE), tmp_path)
@@ -319,6 +318,17 @@ def test_dispatch_lattice_and_project(tmp_path):
     rep = dispatch(parse_config(text), tmp_path / "p")
     assert exit_code_for(rep) == 0
     assert (tmp_path / "p" / "projection.csv").exists()
+
+
+def test_project_payload_summarises_its_scan(tmp_path):
+    dispatch(parse_config(PROJECT), tmp_path)
+    payload = json.loads((tmp_path / "report.json").read_text())["payload"]
+    y, covering = np.loadtxt(tmp_path / "projection.csv", delimiter=",", skiprows=1).T
+    assert payload["min_covering"] == covering.min()
+    assert payload["max_covering"] == payload["best_covering"] == covering.max()
+    assert payload["best_y"] == y[np.argmax(covering)]
+    assert payload["fraction_above"] == np.mean(covering >= payload["threshold"])
+    assert payload["passed"] is (payload["best_covering"] >= payload["threshold"])
 
 
 _IMPORT_PROBE = """
@@ -554,3 +564,42 @@ def test_reports_match_schema(tmp_path):
         out = tmp_path / name
         dispatch(parse_config(text), out)
         validator.validate(json.loads((out / "report.json").read_text()))
+
+
+# per experiment: sorted payload keys, the keys of each record in a payload
+# list, and the header line of each CSV
+FORMATS = {
+    "base-case": ("delta l2_mu_sq l2_nu_sq max_magnitude measured_constant "
+                  "preconditions_ok reference s t verdicts", {},
+                  {"band.csv": "xi,magnitude"}),
+    "counterexample": ("l2_reference l2_sq triple_magnitude", {},
+                       {"counterexample.csv": "quantity,value"}),
+    "decay": ("fit_residual floor_hits tau_hat", {}, {"decay.csv": "xi,magnitude"}),
+    "flatten": ("delta energies kappa s symmetry_defect t verdicts", {},
+                {"flatten.csv": "r,k,J"}),
+    "induction": ("delta exponents input_energies k max_violation rescaled_energy "
+                  "tau_hat verdicts", {}, {"chain.csv": "xi,lhs,rhs"}),
+    "keystep": ("C delta implication_ok rows s t tau verdicts",
+                {"rows": "antecedent consequent diag_indicator_l2 l2_mu_sq l2_pi_sq rho"},
+                {"keystep.csv": "rho,l2_mu_sq,antecedent,l2_pi_sq,consequent,diag"}),
+    "lattice-set": ("cells", {}, {"covering.csv": "r,covering"}),
+    "level-sets": ("class_count classes lower_constant r verdicts", {},
+                   {"level_sets.csv": "class,count"}),
+    "project": ("best_covering best_y fraction_above max_covering min_covering "
+                "passed threshold", {}, {"projection.csv": "y,covering"}),
+    "quantitative": ("c0 delta ell n sigma stages tau_measured tau_theory verdicts",
+                     {"stages": "energy exponent l2_sq stage"},
+                     {"stages.csv": "stage,exponent,energy,l2_sq"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_report_format(tmp_path, name):
+    keys, records, headers = FORMATS[name]
+    rep = dispatch(parse_config(SMALL[name]), tmp_path)
+    payload = json.loads((tmp_path / "report.json").read_text())["payload"]
+    assert sorted(payload) == keys.split()
+    for key, fields in records.items():
+        assert payload[key]
+        assert all(sorted(record) == fields.split() for record in payload[key])
+    assert {a: (tmp_path / a).read_text().split("\n", 1)[0] for a in rep.artifacts} == headers

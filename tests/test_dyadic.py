@@ -1,4 +1,3 @@
-import json
 import math
 from fractions import Fraction
 from unittest import mock
@@ -359,21 +358,6 @@ def test_projection_scan_difference_set():
     Y = DyadicGridSet(20, np.array([1 << 20]))
     rep = projection_scan(A, A, Y, s=0.5, t=0.0)
     assert rep.covering.tolist() == [7]
-
-
-def test_projection_scan_report_is_json_record():
-    level = 5
-    rng = np.random.default_rng(17)
-    A1 = DyadicGridSet(level, rng.choice(1 << level, 8, replace=False))
-    A2 = DyadicGridSet(level, rng.choice(1 << level, 6, replace=False))
-    Y = DyadicGridSet(level, np.arange(1 << level))
-    rep = projection_scan(A1, A2, Y, s=0.5, t=1.0)
-    doc = json.loads(json.dumps(rep.as_dict()))
-    assert set(doc) == {"threshold", "min_covering", "max_covering", "best_y",
-                        "best_covering", "fraction_above", "passed"}
-    assert doc["min_covering"] == int(rep.covering.min())
-    assert doc["max_covering"] == doc["best_covering"] == int(rep.covering.max())
-    assert doc["passed"] is rep.passed
 
 
 def test_projection_scan_rejects_bad_inputs():

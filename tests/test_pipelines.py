@@ -13,8 +13,14 @@ from decaylab.pipelines import (quantitative_parameters, run_base_case,
 from conftest import random_cantor_measure
 
 
-def _verdict(report, name):
-    return next(v for v in report.verdicts if v.name == name)
+def _verdict(run, name):
+    return next(v for v in run[1] if v.name == name)
+
+
+def _columns(run):
+    """The run's one CSV table as float arrays, by column name."""
+    (header, rows), = run[2].values()
+    return dict(zip(header, np.array(rows, dtype=float).T))
 
 
 # ---------------------------------------------------------------------------
@@ -23,23 +29,23 @@ def _verdict(report, name):
 
 def test_base_case_uniform_pair():
     mu = uniform_measure(1.0, 2.0, 13)
-    rep = run_base_case(mu, mu, 1.0, 1.0, 2.0 ** -10, n_samples=12)
-    assert rep.preconditions_ok
-    assert rep.measured_constant <= 16.0
+    payload, _, _ = run_base_case(mu, mu, 1.0, 1.0, 2.0 ** -10, n_samples=12)
+    assert payload["preconditions_ok"]
+    assert payload["measured_constant"] <= 16.0
 
 
 def test_base_case_magnitudes_match_scalar_calls_bit_for_bit():
     mu, nu = random_cantor_measure(4), random_cantor_measure(5)
-    rep = run_base_case(mu, nu, 0.5, 0.5, 2.0 ** -7, n_samples=9)
-    want = [abs(product_fourier(mu, nu, x)) for x in rep.xi_samples]
-    assert rep.magnitudes.tobytes() == np.array(want).tobytes()
+    band = _columns(run_base_case(mu, nu, 0.5, 0.5, 2.0 ** -7, n_samples=9))
+    want = [abs(product_fourier(mu, nu, x)) for x in band["xi"]]
+    assert band["magnitude"].tobytes() == np.array(want).tobytes()
 
 
 def test_base_case_point_masses_flagged():
     pm = point_mass(1.0, 10)
-    rep = run_base_case(pm, pm, 0.5, 0.5, 2.0 ** -7, n_samples=6)
-    assert not rep.preconditions_ok
-    assert rep.max_magnitude == pytest.approx(1.0, abs=1e-9)
+    payload, _, _ = run_base_case(pm, pm, 0.5, 0.5, 2.0 ** -7, n_samples=6)
+    assert not payload["preconditions_ok"]
+    assert payload["max_magnitude"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_base_case_no_decay_below_critical_frequency():
@@ -71,8 +77,9 @@ def test_flattening_cantor_trace():
     assert _verdict(tr, "young-monotone").passed
     assert _verdict(tr, "young-monotone").measured <= 1e-9
     # energies nonincreasing, final at most the initial
-    assert np.all(np.diff(tr.energies) <= 1e-9)
-    assert tr.energies[-1] <= tr.energies[0]
+    energies = tr[0]["energies"]
+    assert np.all(np.diff(energies) <= 1e-9)
+    assert energies[-1] <= energies[0]
 
 
 @pytest.mark.parametrize("pair", ["cantor", "comb"])
@@ -83,13 +90,14 @@ def test_flattening_l2_matches_mollified_powers(pair):
     else:
         mu, nu = make_comb(2.0 ** -4, 1.0 / 8), make_comb(2.0 ** -3, 1.0 / 8)
     delta, k_max = 2.0 ** -6, 2
-    tr = run_flattening(mu, nu, 0.5, 0.5, delta, k_max)
+    cols = _columns(run_flattening(mu, nu, 0.5, 0.5, delta, k_max))
     pk = difference_product(mu, nu).trimmed()
     for k in range(k_max + 1):
         if k:
             pk = convolve(pk, pk, "add")
-        want = [l2_at_scale(pk, float(r)) for r in tr.r_values]
-        np.testing.assert_allclose(tr.l2_by_scale[k], want, rtol=1e-12, atol=0)
+        at_k = cols["k"] == k
+        want = [l2_at_scale(pk, float(r)) for r in cols["r"][at_k]]
+        np.testing.assert_allclose(cols["J"][at_k], want, rtol=1e-12, atol=0)
 
 
 def test_flattening_rejects_large_sum():
@@ -104,10 +112,10 @@ def test_flattening_rejects_large_sum():
 
 def test_level_sets_uniform_single_class():
     mu = uniform_measure(0.0, 1.0, 10)
-    rep = run_level_sets(mu, 2.0 ** -5)
-    assert rep.class_count == 1
-    assert list(rep.classes) == [0]
-    assert _verdict(rep, "lower-sandwich").passed
+    run = run_level_sets(mu, 2.0 ** -5)
+    assert run[0]["class_count"] == 1
+    assert list(run[0]["classes"]) == ["0"]
+    assert _verdict(run, "lower-sandwich").passed
 
 
 def _two_plateaus() -> GridMeasure:
@@ -121,11 +129,11 @@ def _two_plateaus() -> GridMeasure:
 
 
 def test_level_sets_two_plateaus():
-    rep = run_level_sets(_two_plateaus(), 2.0 ** -8)
+    run = run_level_sets(_two_plateaus(), 2.0 ** -8)
     # mollifying spreads each plateau by one r-cell on either side: two more
     # cells of class 0, and two of class 9 beside the 1024 plateau
-    assert rep.classes == {0: 66, 9: 2, 10: 8}
-    assert _verdict(rep, "lower-sandwich").passed
+    assert run[0]["classes"] == {"0": 66, "9": 2, "10": 8}
+    assert _verdict(run, "lower-sandwich").passed
 
 
 def test_level_sets_refuses_r_below_twice_spacing():
@@ -138,9 +146,9 @@ def test_level_sets_class_count_logarithmic():
     for seed in range(4):
         mu = random_cantor_measure(seed, depth=5)
         r = 2.0 ** -8
-        rep = run_level_sets(mu, r)
-        assert rep.class_count <= 2 * np.log2(1.0 / r) + 2
-        assert _verdict(rep, "lower-sandwich").measured <= 8.0
+        run = run_level_sets(mu, r)
+        assert run[0]["class_count"] <= 2 * np.log2(1.0 / r) + 2
+        assert _verdict(run, "lower-sandwich").measured <= 8.0
 
 
 # ---------------------------------------------------------------------------
@@ -149,39 +157,39 @@ def test_level_sets_class_count_logarithmic():
 
 def test_induction_chain_uniforms():
     mus = [uniform_measure(1.0, 2.0, 13) for _ in range(3)]
-    rep = run_induction_chain(mus, [1.0, 1.0, 1.0], 2.0 ** -10, k=1,
-                              n_samples=64)
-    assert rep.max_violation <= 1e-6
+    payload, _, _ = run_induction_chain(mus, [1.0, 1.0, 1.0], 2.0 ** -10, k=1,
+                                        n_samples=64)
+    assert payload["max_violation"] <= 1e-6
 
 
 def test_induction_chain_point_masses_equality():
     pms = [point_mass(1.0, 8) for _ in range(3)]
-    rep = run_induction_chain(pms, [1.0, 1.0, 1.0], 2.0 ** -5, k=1,
-                              n_samples=8)
+    chain = _columns(run_induction_chain(pms, [1.0, 1.0, 1.0], 2.0 ** -5, k=1,
+                                         n_samples=8))
     # unimodular transforms: equality throughout
-    assert np.max(np.abs(rep.lhs - rep.rhs)) <= 1e-9
+    assert np.max(np.abs(chain["lhs"] - chain["rhs"])) <= 1e-9
 
 
 def test_induction_chain_cantor_instance():
     mus = [random_cantor_measure(i, depth=5) for i in range(3)]
-    rep = run_induction_chain(mus, [0.5, 0.5, 0.5], 2.0 ** -10, k=2,
-                              n_samples=32)
-    assert rep.max_violation <= 1e-6
-    assert rep.tau_profile.tau_hat > 0
-    assert rep.rescaled_energy > 0
+    payload, _, _ = run_induction_chain(mus, [0.5, 0.5, 0.5], 2.0 ** -10, k=2,
+                                        n_samples=32)
+    assert payload["max_violation"] <= 1e-6
+    assert payload["tau_hat"] > 0
+    assert payload["rescaled_energy"] > 0
 
 
 def test_induction_chain_tau_quarter_comparison():
     # product of three factors decays at least a quarter as fast as a pair
     from decaylab.spectral import fourier_many, profile_from_samples
     mus = [random_cantor_measure(20 + i, depth=5) for i in range(3)]
-    rep = run_induction_chain(mus, [0.5, 0.5, 0.5], 2.0 ** -10, k=1,
-                              n_samples=16)
+    payload, _, _ = run_induction_chain(mus, [0.5, 0.5, 0.5], 2.0 ** -10, k=1,
+                                        n_samples=16)
     pair = convolve(mus[0], mus[1], "mul")
     top = min(2.0 ** 11, 1.0 / (8 * pair.spacing))
     xis = np.geomspace(16.0, top, 64)
     pair_prof = profile_from_samples(xis, np.abs(fourier_many(pair, xis)))
-    assert rep.tau_profile.tau_hat >= pair_prof.tau_hat / 4.0 - 0.05
+    assert payload["tau_hat"] >= pair_prof.tau_hat / 4.0 - 0.05
 
 
 def test_induction_chain_validation():
@@ -215,22 +223,21 @@ def test_quantitative_single_stage():
     # the fitted exponent meaningless rather than large
     mus = [pushforward_affine(random_cantor_measure(60 + i, depth=4), 1.0, 1.0)
            for i in range(2)]
-    rep = run_quantitative_decay(mus, 1.0, 2.0 ** -8, c0=1.0, n_samples=24)
-    assert rep.ell == 1
-    assert rep.tau_theory == 2.0 ** -3
-    assert rep.tau_measured >= rep.tau_theory
+    payload, _, _ = run_quantitative_decay(mus, 1.0, 2.0 ** -8, c0=1.0, n_samples=24)
+    assert payload["ell"] == 1
+    assert payload["tau_theory"] == 2.0 ** -3
+    assert payload["tau_measured"] >= payload["tau_theory"]
 
 
 def test_quantitative_two_stages_cantor():
     mus = [pushforward_affine(random_cantor_measure(40 + i, depth=4), 1.0, 1.0)
            for i in range(4)]
-    rep = run_quantitative_decay(mus, 0.5, 2.0 ** -8, c0=1.0, n_samples=24)
-    assert rep.ell == 2
-    assert len(rep.stage_reports) == 2
-    assert rep.stage_reports[0].exponent == pytest.approx(0.5)
-    assert rep.stage_reports[1].exponent == pytest.approx(2.0 / 3.0)
-    assert rep.tau_measured >= rep.tau_theory
-    assert rep.verdicts[0].passed
+    payload, verdicts, _ = run_quantitative_decay(mus, 0.5, 2.0 ** -8, c0=1.0,
+                                                  n_samples=24)
+    assert payload["ell"] == 2
+    assert [st["exponent"] for st in payload["stages"]] == pytest.approx([0.5, 2.0 / 3.0])
+    assert payload["tau_measured"] >= payload["tau_theory"]
+    assert verdicts[0].passed
 
 
 def test_quantitative_requires_supports_in_1_2():
@@ -245,9 +252,9 @@ def test_quantitative_requires_supports_in_1_2():
 
 def test_keystep_uniform_vacuous():
     mu = uniform_measure(1.0, 2.0, 12)
-    rep = run_keystep_scan(mu, mu, 0.5, 0.5, 2.0 ** -9)
-    assert rep.implication_ok
-    assert not any(r.antecedent for r in rep.rows)   # smooth: L2 stays small
+    payload, _, _ = run_keystep_scan(mu, mu, 0.5, 0.5, 2.0 ** -9)
+    assert payload["implication_ok"]
+    assert not any(r["antecedent"] for r in payload["rows"])   # smooth: L2 stays small
 
 
 def test_keystep_concentrated_comb():
@@ -256,15 +263,15 @@ def test_keystep_concentrated_comb():
     rho_comb = make_comb(2.0 ** -4, 1.0 / 16)
     mu = pushforward_affine(rho_comb, 1.0, 1.0)
     nu = uniform_measure(1.0, 2.0, mu.level)
-    rep = run_keystep_scan(mu, nu, 0.5, 0.5, 2.0 ** -8, big_c=2.0)
-    assert any(r.antecedent for r in rep.rows)
-    assert rep.implication_ok
-    assert all(r.diag_indicator_l2 >= 0 for r in rep.rows)
+    payload, _, _ = run_keystep_scan(mu, nu, 0.5, 0.5, 2.0 ** -8, big_c=2.0)
+    assert any(r["antecedent"] for r in payload["rows"])
+    assert payload["implication_ok"]
+    assert all(r["diag_indicator_l2"] >= 0 for r in payload["rows"])
 
 
 def test_keystep_battery_never_false():
     for seed in range(4):
         mu = pushforward_affine(random_cantor_measure(seed, depth=4), 1.0, 1.0)
         nu = pushforward_affine(random_cantor_measure(seed + 9, depth=4), 1.0, 1.0)
-        rep = run_keystep_scan(mu, nu, 0.45, 0.45, 2.0 ** -8, big_c=2.0)
-        assert rep.implication_ok
+        payload, _, _ = run_keystep_scan(mu, nu, 0.45, 0.45, 2.0 ** -8, big_c=2.0)
+        assert payload["implication_ok"]
