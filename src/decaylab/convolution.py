@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dyadic import _MUL_PRODUCT_LIMIT
 from .measures import GridMeasure, assert_mass_conserved, fftconvolve
 
 __all__ = [
@@ -44,9 +45,6 @@ VALID_OPS = ("add", "sub", "mul")
 # Routing flatten-l12's 3.2e8 pairs took 1.43 s at 2**20 and 2.76 s at 2**22
 # (2-CPU VM); 2**18-2**20 were within 3% of each other.
 _MUL_CHUNK = 1 << 20
-
-# mul refuses grids whose largest odd-center product reaches this (int64 room)
-_MUL_PRODUCT_LIMIT = 1 << 62
 
 
 def _common_level(mu: GridMeasure, nu: GridMeasure):

@@ -12,13 +12,14 @@ index c belongs to the closed ball B(x, r) iff the closed cell
 the test-suite share the same convention, so fast paths must match them
 exactly.
 
-projection_scan counts |pi_y(A1 x A2)|_δ exactly in int64.  With A at level
-L and Y at level Ly, pair (a, b) at direction cell u lands in the δ-cell
-((2a+1) << (Ly+1) - (2u+1)(2b+1)) >> (Ly+2), the floor of
+projection_scan returns the count |pi_y(A1 x A2)|_δ per direction, exact in
+int64; the threshold it is compared with belongs to its caller.  With A at
+level L and Y at level Ly, pair (a, b) at direction cell u lands in the
+δ-cell ((2a+1) << (Ly+1) - (2u+1)(2b+1)) >> (Ly+2), the floor of
 (c_a - y_u c_b)/δ for cell centers c and y.  Whole direction rows are
 scanned in batches of at most _SCAN_PAIRS pairs (one row if a row is
 larger), and inputs whose extreme numerators reach 2**62 are refused with
-ValueError (the limit `mul` uses).
+ValueError (_MUL_PRODUCT_LIMIT, which `mul` in convolution uses too).
 """
 from __future__ import annotations
 
@@ -33,7 +34,6 @@ __all__ = [
     "uniformize",
     "uniformity_audit",
     "projection_scan",
-    "ProjectionScanReport",
     "additive_energy",
 ]
 
@@ -42,6 +42,10 @@ __all__ = [
 # and 2**18, and 0.29 s at 2**22, where the process peak RSS rose from 39
 # to 107 MB (2-CPU VM).
 _SCAN_PAIRS = 1 << 16
+
+# projection_scan, and convolution's mul, refuse inputs whose largest odd-center
+# numerator reaches this (int64 room)
+_MUL_PRODUCT_LIMIT = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -216,36 +220,21 @@ def uniformity_audit(X: DyadicGridSet, D: int, m: int):
     return True, counts
 
 
-@dataclass(frozen=True)
-class ProjectionScanReport:
-    directions: np.ndarray          # y values scanned (cell centers of Y)
-    covering: np.ndarray            # |pi_y(A1 x A2)|_delta per direction
-    threshold: float                # delta**-(s + c*t)
-    best_y: float
-    best_covering: int
-    fraction_above: float
-    passed: bool
-
-
-def projection_scan(A1: DyadicGridSet, A2: DyadicGridSet, Y: DyadicGridSet,
-                    s: float, t: float, c: float = 1.0 / 24) -> ProjectionScanReport:
-    """Scan |pi_y(A1 x A2)|_δ over direction cells y in Y.
+def projection_scan(A1: DyadicGridSet, A2: DyadicGridSet, Y: DyadicGridSet) -> np.ndarray:
+    """|pi_y(A1 x A2)|_δ per direction cell y in Y, as an int64 array.
 
     Pair (a, b) at direction cell u lands in δ-cell floor((c_a - y_u c_b)/δ),
     which for A at level L and Y at level Ly is the exact integer
     ((2a+1) << (Ly+1) - (2u+1)(2b+1)) >> (Ly+2).  Whole direction rows are
     scanned in batches of at most _SCAN_PAIRS pairs (or one larger row);
-    each row's indices are sorted and its distinct values counted.  Sets whose extreme numerators
-    reach 2**62 are refused with ValueError rather than wrapped in int64.
-
-    The verdict compares the best direction against δ**-(s + c*t); the scan
-    can confirm instances of the projection lower bound, never refute it.
+    each row's indices are sorted and its distinct values counted.  Sets
+    whose extreme numerators reach 2**62 are refused with ValueError rather
+    than wrapped in int64.
     """
     if A1.is_empty() or A2.is_empty() or Y.is_empty():
         raise ValueError("projection_scan needs nonempty A1, A2, Y")
     if A1.level != A2.level:
         raise ValueError("A1 and A2 must share a level")
-    from .convolution import _MUL_PRODUCT_LIMIT   # convolution imports measures
     level, ylevel = A1.level, Y.level
     # extreme odd numerators and their two terms, as Python ints
     ends = [[2 * int(X.cells[k]) + 1 for k in (0, -1)] for X in (A1, A2, Y)]
@@ -268,18 +257,7 @@ def projection_scan(A1: DyadicGridSet, A2: DyadicGridSet, Y: DyadicGridSet,
         idx = idx.reshape(u1 - u0, -1)
         idx.sort(axis=1)
         counts[u0:u1] = 1 + np.count_nonzero(idx[:, 1:] != idx[:, :-1], axis=1)
-    ys = Y.centers()
-    threshold = (2.0 ** -level) ** -(s + c * t)
-    best = int(np.argmax(counts))
-    return ProjectionScanReport(
-        directions=ys,
-        covering=counts,
-        threshold=float(threshold),
-        best_y=float(ys[best]),
-        best_covering=int(counts[best]),
-        fraction_above=float(np.mean(counts >= threshold)),
-        passed=bool(counts[best] >= threshold),
-    )
+    return counts
 
 
 def additive_energy(A: DyadicGridSet, B: DyadicGridSet) -> int:

@@ -135,10 +135,10 @@ class GridMeasure:
         if level == self.level:
             return self
         f = 1 << (self.level - level)
-        lo = _floor_div(self.origin_index, f)
-        hi = _floor_div(self.origin_index + self.size - 1, f) + 1
+        lo = self.origin_index // f
+        hi = (self.origin_index + self.size - 1) // f + 1
         out = np.zeros(hi - lo, dtype=np.float64)
-        idx = _floor_div(self.origin_index + np.arange(self.size), f) - lo
+        idx = (self.origin_index + np.arange(self.size)) // f - lo
         np.add.at(out, idx, self.masses)
         return GridMeasure(level, lo, out)
 
@@ -185,10 +185,6 @@ class GridMeasure:
         if not scaled.is_integer():
             raise ValueError(f"origin {origin!r} is not on the level-{level} grid")
         return GridMeasure(level, int(scaled), mu.masses)
-
-
-def _floor_div(a, f):
-    return np.floor_divide(a, f) if isinstance(a, np.ndarray) else a // f
 
 
 def assert_mass_conserved(before: float, after: float, what: str = "operation"):

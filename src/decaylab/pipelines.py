@@ -63,7 +63,7 @@ def _outputs(payload: dict, verdicts: tuple, csv: str, header: tuple, rows: list
 # ---------------------------------------------------------------------------
 
 def run_base_case(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
-                  delta: float, n_samples: int = 32):
+                  delta: float, n_samples: int):
     """Band decay of the multiplicative convolution of two L2-bounded measures.
 
     Checks the single-scale bounds l2(mu_delta)^2 <= 4 delta^(s-1) (and the
@@ -115,7 +115,7 @@ def _parseval_l2_of_smoothed(spec_sq: np.ndarray, kernel_rfft: np.ndarray,
 
 
 def run_flattening(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
-                   delta: float, k_max: int, kappa: float = 0.1):
+                   delta: float, k_max: int, kappa: float):
     """Trace the L2 flattening of additive powers of the difference product.
 
     Builds Pi = (mu - mu) x (nu - nu), doubles it additively up to 2**k_max,
@@ -186,6 +186,15 @@ def run_flattening(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
     return _outputs(payload, verdicts, "flatten.csv", ("r", "k", "J"), rows)
 
 
+def _cell_sup(m: GridMeasure, l: int):
+    """(sup density of m per level-l cell, index of the first such cell)."""
+    idx = (m.origin_index + np.arange(m.size)) >> (m.level - l)
+    lo = idx[0]
+    sup = np.zeros(idx[-1] - lo + 1)
+    np.maximum.at(sup, idx - lo, m.density())
+    return sup, int(lo)
+
+
 def _level_set_classes(m: GridMeasure, r: float):
     """Dyadic class of sup density of m_r per dyadic r-interval.
 
@@ -193,21 +202,14 @@ def _level_set_classes(m: GridMeasure, r: float):
     r-cell on the level-log2(1/r) grid); class -1 marks empty cells, 0 the
     cells with sup <= 1, and j >= 1 the band (2^(j-1), 2^j].
     """
-    mr = regularize(m, r)
-    dens = mr.density()
-    l = int(round(-np.log2(r)))
-    shift = mr.level - l
-    idx = (mr.origin_index + np.arange(mr.size)) >> shift
-    lo = idx[0]
-    sup = np.zeros(idx[-1] - lo + 1)
-    np.maximum.at(sup, idx - lo, dens)
+    sup, lo = _cell_sup(regularize(m, r), int(round(-np.log2(r))))
     cls = np.full(sup.size, -1, dtype=np.int64)
     pos = sup > 0
     big = sup > 1.0 + 1e-9          # tolerance keeps exact-1 plateaus in class 0
     cls[pos & ~big] = 0
     if np.any(big):
         cls[big] = np.ceil(np.log2(sup[big]) - 1e-9).astype(np.int64)
-    return cls, sup, int(lo)
+    return cls, sup, lo
 
 
 def run_level_sets(lam: GridMeasure, r: float):
@@ -226,14 +228,11 @@ def run_level_sets(lam: GridMeasure, r: float):
     if r < 2.0 * lam.spacing:
         raise ValueError(f"r = {r} is below twice the grid spacing ({2.0 * lam.spacing})")
     cls, _, base = _level_set_classes(lam, r)
-    l = int(round(-np.log2(r)))
-    # sup of the 4r-density per r-cell, aligned to the same r-cell base
-    m4 = regularize(lam, min(4.0 * r, 0.5))
-    dens4 = m4.density()
-    idx4 = (m4.origin_index + np.arange(m4.size)) >> (m4.level - l)
-    sup4 = np.zeros(cls.size)
-    sel = (idx4 >= base) & (idx4 < base + cls.size)
-    np.maximum.at(sup4, (idx4[sel] - base).astype(np.int64), dens4[sel])
+    # sup of the 4r-density per r-cell, cut to the r-cells of cls: regularize
+    # widens lam's window by the kernel's cell count, so the 4r window holds
+    # the r window
+    sup4, base4 = _cell_sup(regularize(lam, min(4.0 * r, 0.5)), int(round(-np.log2(r))))
+    sup4 = sup4[base - base4:base - base4 + cls.size]
     lower = 0.0
     rows = []
     for j in np.unique(cls[cls >= 0]):
@@ -290,8 +289,7 @@ def _self_difference_atoms(m: GridMeasure):
     return uniq, acc
 
 
-def run_induction_chain(measures, exponents, delta: float,
-                        k: int, n_samples: int = 64):
+def run_induction_chain(measures, exponents, delta: float, k: int, n_samples: int):
     """Verify the order-exchange chain at sampled frequencies, atom-exactly.
 
     For F = mu_1 x ... x mu_n and Pi = (mu_1 - mu_1) x (mu_2 - mu_2):
@@ -373,6 +371,13 @@ def quantitative_parameters(sigma: float, c0: float) -> tuple[int, float]:
     return ell, 2.0 ** -(2 * ell + 1)
 
 
+def _require_support_in_1_2(measures):
+    for m_ in measures:
+        lo, hi = m_.support()
+        if lo < 1.0 - 1e-9 or hi > 2.0 + 1e-9:
+            raise ValueError("all inputs must be supported in [1, 2]")
+
+
 def _multiply_subtract_chain(measures, ell: int):
     """Pi_1 = m_1;  Pi_k = (Pi_{k-1} x m_k) - (Pi_{k-1} x m_k)."""
     pi = measures[0]
@@ -384,8 +389,8 @@ def _multiply_subtract_chain(measures, ell: int):
     return out
 
 
-def run_quantitative_decay(measures, sigma: float, delta: float,
-                           c0: float = 2.0, n_samples: int = 48):
+def run_quantitative_decay(measures, sigma: float, delta: float, c0: float,
+                           n_samples: int):
     """Iterated multiply-and-subtract flattening with a final band-decay fit.
 
     With ell = ceil(c0 / sigma), two disjoint chains of length ell are built
@@ -394,9 +399,6 @@ def run_quantitative_decay(measures, sigma: float, delta: float,
     The transform of (last of chain 1) x (last of chain 2) is profiled over
     [16, 2/delta] and its fitted exponent compared against the theoretical
     floor tau = 2^-(2 ell + 1).
-
-    The default c0 = 2 is a practical knob: the literal constant chain from
-    the flattening analysis (c0 = 524 * 24) is far beyond desk scale.
 
     Payload: n, sigma, delta, c0, ell, tau_theory, tau_measured (the fitted
     exponent); stages, one {stage, exponent, energy, l2_sq} per stage of
@@ -407,10 +409,7 @@ def run_quantitative_decay(measures, sigma: float, delta: float,
     n = len(measures)
     if n < 2 * ell:
         raise ValueError(f"need n >= 2*ell = {2 * ell} measures, got {n}")
-    for m_ in measures:
-        lo, hi = m_.support()
-        if lo < 1.0 - 1e-9 or hi > 2.0 + 1e-9:
-            raise ValueError("all inputs must be supported in [1, 2]")
+    _require_support_in_1_2(measures)
     input_energies = [float(energy_spatial(m_, sigma, max(delta, m_.spacing)))
                       for m_ in measures[:2 * ell]] if sigma < 1 else []
     chain1 = _multiply_subtract_chain(measures[:ell], ell)
@@ -442,8 +441,7 @@ def run_quantitative_decay(measures, sigma: float, delta: float,
 # ---------------------------------------------------------------------------
 
 def run_keystep_scan(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
-                     delta: float, big_c: float = 2.0,
-                     eps: float = 0.05):
+                     delta: float, big_c: float, eps: float):
     """Scan the single-scale flattening implication over dyadic rho.
 
     For Pi = (mu x nu) - (mu x nu) and rho in [delta, delta^(eps/t)]:
@@ -461,10 +459,7 @@ def run_keystep_scan(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
     the antecedent true and the consequent false.  keystep.csv: rho,
     l2_mu_sq, antecedent (0/1), l2_pi_sq, consequent (0/1), diag.
     """
-    for m_ in (mu, nu):
-        lo, hi = m_.support()
-        if lo < 1.0 - 1e-9 or hi > 2.0 + 1e-9:
-            raise ValueError("keystep scan expects supports in [1, 2]")
+    _require_support_in_1_2((mu, nu))
     tau = t / big_c
     pi = _multiply_subtract_chain([mu, nu], 2)[-1]
     l_hi = int(round(-np.log2(delta)))

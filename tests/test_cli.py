@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decaylab import GridMeasure, cli, uniform_measure
-from decaylab.cli import (ConfigError, ExperimentConfig, dispatch,
-                          exit_code_for, main, parse_config)
+from decaylab.cli import ConfigError, ExperimentConfig, dispatch, main, parse_config
 
 BASE_CASE = """
 experiment = base-case
@@ -79,7 +78,7 @@ def test_parse_rejects_unknown_parameter():
 
 def test_dispatch_writes_artifacts(tmp_path):
     report = dispatch(parse_config(BASE_CASE), tmp_path)
-    assert exit_code_for(report) == 0
+    assert report["status"] == "pass"
     assert (tmp_path / "report.json").exists()
     assert (tmp_path / "band.csv").exists()
     doc = json.loads((tmp_path / "report.json").read_text())
@@ -112,7 +111,7 @@ def test_exit_code_fail_on_corrupted_exact_verdict(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_base_case", corrupted)
     report = dispatch(parse_config(BASE_CASE), tmp_path)
-    assert exit_code_for(report) == 1
+    assert report["status"] == "fail"
     doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["status"] == "fail"
 
@@ -309,26 +308,30 @@ def test_dispatch_lattice_and_project(tmp_path):
     text = ("experiment = lattice-set\nscale = 8\nseed = 0\n"
             "s = 0.5\nschedule = 16\n")
     rep = dispatch(parse_config(text), tmp_path / "l")
-    assert exit_code_for(rep) == 0
-    assert rep.verdicts == [] and rep.payload == {"cells": 128}
+    assert rep["status"] == "pass"
+    assert rep["verdicts"] == [] and rep["payload"] == {"cells": 128}
     text = ("experiment = project\nscale = 10\nseed = 0\ns = 0.5\nt = 1.0\n"
             "input1.kind = cantor\ninput1.d = 2\ninput1.keep = 2\ninput1.depth = 5\n"
             "input2.kind = cantor\ninput2.d = 2\ninput2.keep = 2\ninput2.depth = 5\n"
             "input2.seed = 5\n")
     rep = dispatch(parse_config(text), tmp_path / "p")
-    assert exit_code_for(rep) == 0
+    assert rep["status"] == "pass"
     assert (tmp_path / "p" / "projection.csv").exists()
 
 
 def test_project_payload_summarises_its_scan(tmp_path):
-    dispatch(parse_config(PROJECT), tmp_path)
-    payload = json.loads((tmp_path / "report.json").read_text())["payload"]
-    y, covering = np.loadtxt(tmp_path / "projection.csv", delimiter=",", skiprows=1).T
-    assert payload["min_covering"] == covering.min()
-    assert payload["max_covering"] == payload["best_covering"] == covering.max()
-    assert payload["best_y"] == y[np.argmax(covering)]
-    assert payload["fraction_above"] == np.mean(covering >= payload["threshold"])
-    assert payload["passed"] is (payload["best_covering"] >= payload["threshold"])
+    for t in (1.0, 0.5):        # t = 0.5 tells s + c*t from s + c
+        out = tmp_path / str(t)
+        dispatch(parse_config(PROJECT.replace("t = 1.0\n", f"t = {t}\n")), out)
+        payload = json.loads((out / "report.json").read_text())["payload"]
+        y, covering = np.loadtxt(out / "projection.csv", delimiter=",", skiprows=1).T
+        assert payload["min_covering"] == covering.min()
+        assert payload["max_covering"] == payload["best_covering"] == covering.max()
+        assert payload["best_y"] == y[np.argmax(covering)]
+        assert payload["fraction_above"] == np.mean(covering >= payload["threshold"])
+        # delta**-(s + c*t) at delta = 2**-10, s = 0.5 and the default c = 1/24
+        assert payload["threshold"] == pytest.approx(2.0 ** (10 * (0.5 + t / 24)))
+        assert payload["passed"] is (payload["best_covering"] >= payload["threshold"])
 
 
 _IMPORT_PROBE = """
@@ -597,9 +600,11 @@ FORMATS = {
 def test_report_format(tmp_path, name):
     keys, records, headers = FORMATS[name]
     rep = dispatch(parse_config(SMALL[name]), tmp_path)
-    payload = json.loads((tmp_path / "report.json").read_text())["payload"]
+    text = (tmp_path / "report.json").read_text()
+    assert json.dumps(rep, sort_keys=True, indent=1) == text
+    payload = json.loads(text)["payload"]
     assert sorted(payload) == keys.split()
     for key, fields in records.items():
         assert payload[key]
         assert all(sorted(record) == fields.split() for record in payload[key])
-    assert {a: (tmp_path / a).read_text().split("\n", 1)[0] for a in rep.artifacts} == headers
+    assert {a: (tmp_path / a).read_text().split("\n", 1)[0] for a in rep["artifacts"]} == headers

@@ -228,8 +228,8 @@ def test_projection_scan_full_sets():
     level = 6
     A = DyadicGridSet(level, np.arange(1 << level))
     Y = DyadicGridSet(level, np.arange(1 << level))
-    rep = projection_scan(A, A, Y, s=1.0, t=1.0, c=1.0 / 24)
-    assert rep.passed
+    # the best direction meets the projection floor delta**-(s + t/24) at s = t = 1
+    assert projection_scan(A, A, Y).max() >= 2.0 ** (level * (1 + 1.0 / 24))
 
 
 def test_projection_scan_zero_direction():
@@ -238,10 +238,9 @@ def test_projection_scan_zero_direction():
     A1 = DyadicGridSet(level, rng.choice(1 << level, 12, replace=False))
     A2 = DyadicGridSet(level, rng.choice(1 << level, 9, replace=False))
     Y = DyadicGridSet(level, np.array([0]))   # y-cell center 2^-7, almost 0
-    rep = projection_scan(A1, A2, Y, s=0.5, t=0.0)
     # y*c2 < 2**-7 = h/2 never moves a cell center across a cell edge, so
     # every pair floors to its own A1 cell
-    assert rep.best_covering == A1.size
+    assert projection_scan(A1, A2, Y).tolist() == [A1.size]
 
 
 def brute_projection_counts(a1, a2, ycells, level, ylevel):
@@ -263,16 +262,10 @@ def test_projection_scan_matches_brute_force(a1, a2, ycells):
     A1 = DyadicGridSet(level, np.array(sorted(a1)))
     A2 = DyadicGridSet(level, np.array(sorted(a2)))
     Y = DyadicGridSet(ylevel, np.array(sorted(ycells)))
-    rep = projection_scan(A1, A2, Y, s=0.5, t=0.5)
-    expected = brute_projection_counts(sorted(a1), sorted(a2), sorted(ycells),
-                                       level, ylevel)
-    assert rep.covering.tolist() == expected
-    best = int(np.argmax(expected))
-    assert rep.best_covering == expected[best]
-    assert rep.best_y == (sorted(ycells)[best] + 0.5) * 2.0 ** -ylevel
-    assert rep.threshold == pytest.approx(2.0 ** (level * 0.5 * (1 + 1.0 / 24)))
-    assert rep.fraction_above == np.mean([n >= rep.threshold for n in expected])
-    assert rep.passed == (expected[best] >= rep.threshold)
+    counts = projection_scan(A1, A2, Y)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == brute_projection_counts(sorted(a1), sorted(a2),
+                                                      sorted(ycells), level, ylevel)
 
 
 def fraction_projection_counts(a1, a2, ycells, level, ylevel):
@@ -299,10 +292,10 @@ def _scan_inputs(draw):
 @given(_scan_inputs())
 def test_projection_scan_matches_fraction_oracle(inputs):
     level, ylevel, a1, a2, ycells = inputs
-    rep = projection_scan(DyadicGridSet(level, np.array(a1)),
-                          DyadicGridSet(level, np.array(a2)),
-                          DyadicGridSet(ylevel, np.array(ycells)), s=0.5, t=0.5)
-    assert rep.covering.tolist() == fraction_projection_counts(a1, a2, ycells, level, ylevel)
+    counts = projection_scan(DyadicGridSet(level, np.array(a1)),
+                             DyadicGridSet(level, np.array(a2)),
+                             DyadicGridSet(ylevel, np.array(ycells)))
+    assert counts.tolist() == fraction_projection_counts(a1, a2, ycells, level, ylevel)
 
 
 def test_projection_scan_does_not_depend_on_batching():
@@ -314,7 +307,7 @@ def test_projection_scan_does_not_depend_on_batching():
     scans = []
     for pairs in (1, 7, 1000, 2 ** 16):     # 1, 1, 3 and 218 rows per batch
         with mock.patch.object(dyadic, "_SCAN_PAIRS", pairs):
-            scans.append(projection_scan(A1, A2, Y, s=0.5, t=0.5).covering)
+            scans.append(projection_scan(A1, A2, Y))
     for cov in scans[1:]:
         assert np.array_equal(cov, scans[0])
 
@@ -325,10 +318,10 @@ def test_projection_scan_is_exact_past_float_precision():
     level, ylevel = 4, 54
     a1, a2 = [-4, -3], [-1, 0]
     ycells = [(1 << 54) - 1, 1 << 54, (1 << 54) + 1]
-    rep = projection_scan(DyadicGridSet(level, np.array(a1)),
-                          DyadicGridSet(level, np.array(a2)),
-                          DyadicGridSet(ylevel, np.array(ycells)), s=0.5, t=0.5)
-    assert rep.covering.tolist() == [2, 4, 4]
+    counts = projection_scan(DyadicGridSet(level, np.array(a1)),
+                             DyadicGridSet(level, np.array(a2)),
+                             DyadicGridSet(ylevel, np.array(ycells)))
+    assert counts.tolist() == [2, 4, 4]
     assert fraction_projection_counts(a1, a2, ycells, level, ylevel) == [2, 4, 4]
 
 
@@ -342,31 +335,30 @@ def test_projection_scan_refuses_int64_overflow(level, ylevel, a, b, u):
     A2 = DyadicGridSet(level, np.array([b]))
     Y = DyadicGridSet(ylevel, np.array([u]))
     with pytest.raises(ValueError, match=f"level {level} .* level {ylevel} .*2\\*\\*62"):
-        projection_scan(A1, A2, Y, s=0.5, t=0.5)
+        projection_scan(A1, A2, Y)
 
 
 def test_projection_scan_accepts_deep_levels_near_zero():
     # the refusal is on values, not levels: cells at 0 stay far below 2**62
     A = DyadicGridSet(30, np.array([0]))
     Y = DyadicGridSet(40, np.array([0]))
-    assert projection_scan(A, A, Y, s=0.5, t=0.5).covering.tolist() == [1]
+    assert projection_scan(A, A, Y).tolist() == [1]
 
 
 def test_projection_scan_difference_set():
     # direction y just above 1 sends A x A onto A - A = {-3/4 .. 3/4} step 1/4
     A = DyadicGridSet(level=2, cells=np.arange(4))
     Y = DyadicGridSet(20, np.array([1 << 20]))
-    rep = projection_scan(A, A, Y, s=0.5, t=0.0)
-    assert rep.covering.tolist() == [7]
+    assert projection_scan(A, A, Y).tolist() == [7]
 
 
 def test_projection_scan_rejects_bad_inputs():
     A = DyadicGridSet(4, np.arange(4))
     empty = DyadicGridSet(4, np.array([], dtype=np.int64))
     with pytest.raises(ValueError, match="nonempty"):
-        projection_scan(A, empty, A, s=0.5, t=0.5)
+        projection_scan(A, empty, A)
     with pytest.raises(ValueError, match="share a level"):
-        projection_scan(A, DyadicGridSet(5, np.arange(4)), A, s=0.5, t=0.5)
+        projection_scan(A, DyadicGridSet(5, np.arange(4)), A)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 import decaylab
 from decaylab import (GridMeasure, convolution, energy_spatial,
                       frostman_constant, pipelines, spectral, uniform_measure)
-from decaylab.cli import dispatch, exit_code_for, main, parse_config
+from decaylab.cli import dispatch, main, parse_config
 
 from conftest import lossy, random_cantor_measure
 
@@ -110,7 +110,7 @@ def test_cli_decay_experiment(tmp_path):
             "input1.kind = uniform\ninput1.a = 1.0\ninput1.b = 2.0\n")
     cfg = parse_config(text)
     rep = dispatch(cfg, tmp_path)
-    assert exit_code_for(rep) == 0
+    assert rep["status"] == "pass"
     assert (tmp_path / "decay.csv").exists()
     doc = json.loads((tmp_path / "report.json").read_text())
     assert 0.8 <= doc["payload"]["tau_hat"] <= 1.2
@@ -125,7 +125,7 @@ def test_cli_file_input_round_trip(tmp_path):
             f"input1.kind = file\ninput1.path = {mpath}\n")
     cfg = parse_config(text)
     rep = dispatch(cfg, tmp_path / "out")
-    assert exit_code_for(rep) == 0
+    assert rep["status"] == "pass"
 
 
 def test_cli_induction_experiment(tmp_path):
@@ -136,7 +136,7 @@ def test_cli_induction_experiment(tmp_path):
             "input3.kind = cantor\ninput3.d = 2\ninput3.keep = 2\ninput3.depth = 3\n")
     cfg = parse_config(text)
     rep = dispatch(cfg, tmp_path)
-    assert exit_code_for(rep) == 0
+    assert rep["status"] == "pass"
     assert (tmp_path / "chain.csv").exists()
 
 
@@ -144,12 +144,12 @@ def test_cli_keystep_and_level_sets(tmp_path):
     text = ("experiment = level-sets\nscale = 6\nseed = 0\nr = 0.03125\n"
             "input1.kind = uniform\ninput1.a = 0.0\ninput1.b = 1.0\n")
     cfg = parse_config(text)
-    assert exit_code_for(dispatch(cfg, tmp_path / "ls")) == 0
+    assert dispatch(cfg, tmp_path / "ls")["status"] == "pass"
     text = ("experiment = keystep\nscale = 7\nseed = 0\ns = 0.5\nt = 0.5\n"
             "input1.kind = uniform\ninput1.a = 1.0\ninput1.b = 2.0\n"
             "input2.kind = uniform\ninput2.a = 1.0\ninput2.b = 2.0\n")
     cfg = parse_config(text)
-    assert exit_code_for(dispatch(cfg, tmp_path / "ks")) == 0
+    assert dispatch(cfg, tmp_path / "ks")["status"] == "pass"
 
 
 # ---------------------------------------------------------------------------

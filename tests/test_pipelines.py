@@ -73,7 +73,7 @@ def test_flattening_uniform_smooth_case():
 def test_flattening_cantor_trace():
     mu = random_cantor_measure(0, depth=5)
     nu = random_cantor_measure(1, depth=5)
-    tr = run_flattening(mu, nu, 0.5, 0.5, 2.0 ** -10, 3)
+    tr = run_flattening(mu, nu, 0.5, 0.5, 2.0 ** -10, 3, kappa=0.1)
     assert _verdict(tr, "young-monotone").passed
     assert _verdict(tr, "young-monotone").measured <= 1e-9
     # energies nonincreasing, final at most the initial
@@ -90,7 +90,7 @@ def test_flattening_l2_matches_mollified_powers(pair):
     else:
         mu, nu = make_comb(2.0 ** -4, 1.0 / 8), make_comb(2.0 ** -3, 1.0 / 8)
     delta, k_max = 2.0 ** -6, 2
-    cols = _columns(run_flattening(mu, nu, 0.5, 0.5, delta, k_max))
+    cols = _columns(run_flattening(mu, nu, 0.5, 0.5, delta, k_max, kappa=0.1))
     pk = difference_product(mu, nu).trimmed()
     for k in range(k_max + 1):
         if k:
@@ -103,7 +103,7 @@ def test_flattening_l2_matches_mollified_powers(pair):
 def test_flattening_rejects_large_sum():
     mu = uniform_measure(0.0, 1.0, 8)
     with pytest.raises(ValueError):
-        run_flattening(mu, mu, 0.7, 0.7, 2.0 ** -5, 1)
+        run_flattening(mu, mu, 0.7, 0.7, 2.0 ** -5, 1, kappa=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +195,10 @@ def test_induction_chain_tau_quarter_comparison():
 def test_induction_chain_validation():
     mus = [uniform_measure(1.0, 2.0, 8)] * 2
     with pytest.raises(ValueError, match="n >= 3"):
-        run_induction_chain(mus, [1.0, 1.0], 2.0 ** -5, 1)
+        run_induction_chain(mus, [1.0, 1.0], 2.0 ** -5, 1, n_samples=8)
     mus = [uniform_measure(0.0, 0.5, 8)] * 3
     with pytest.raises(ValueError, match="sum of exponents"):
-        run_induction_chain(mus, [0.3, 0.3, 0.3], 2.0 ** -5, 1)
+        run_induction_chain(mus, [0.3, 0.3, 0.3], 2.0 ** -5, 1, n_samples=8)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +215,7 @@ def test_quantitative_parameters_arithmetic():
 def test_quantitative_rejects_short_chain():
     mus = [uniform_measure(1.0, 2.0, 8)] * 2
     with pytest.raises(ValueError, match="n >= 2\\*ell = 8"):
-        run_quantitative_decay(mus, 0.5, 2.0 ** -5, c0=2.0)
+        run_quantitative_decay(mus, 0.5, 2.0 ** -5, c0=2.0, n_samples=8)
 
 
 def test_quantitative_single_stage():
@@ -243,7 +243,7 @@ def test_quantitative_two_stages_cantor():
 def test_quantitative_requires_supports_in_1_2():
     mus = [uniform_measure(0.0, 1.0, 8)] * 2
     with pytest.raises(ValueError, match="\\[1, 2\\]"):
-        run_quantitative_decay(mus, 1.0, 2.0 ** -5, c0=1.0)
+        run_quantitative_decay(mus, 1.0, 2.0 ** -5, c0=1.0, n_samples=8)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +252,7 @@ def test_quantitative_requires_supports_in_1_2():
 
 def test_keystep_uniform_vacuous():
     mu = uniform_measure(1.0, 2.0, 12)
-    payload, _, _ = run_keystep_scan(mu, mu, 0.5, 0.5, 2.0 ** -9)
+    payload, _, _ = run_keystep_scan(mu, mu, 0.5, 0.5, 2.0 ** -9, big_c=2.0, eps=0.05)
     assert payload["implication_ok"]
     assert not any(r["antecedent"] for r in payload["rows"])   # smooth: L2 stays small
 
@@ -263,7 +263,7 @@ def test_keystep_concentrated_comb():
     rho_comb = make_comb(2.0 ** -4, 1.0 / 16)
     mu = pushforward_affine(rho_comb, 1.0, 1.0)
     nu = uniform_measure(1.0, 2.0, mu.level)
-    payload, _, _ = run_keystep_scan(mu, nu, 0.5, 0.5, 2.0 ** -8, big_c=2.0)
+    payload, _, _ = run_keystep_scan(mu, nu, 0.5, 0.5, 2.0 ** -8, big_c=2.0, eps=0.05)
     assert any(r["antecedent"] for r in payload["rows"])
     assert payload["implication_ok"]
     assert all(r["diag_indicator_l2"] >= 0 for r in payload["rows"])
@@ -273,5 +273,6 @@ def test_keystep_battery_never_false():
     for seed in range(4):
         mu = pushforward_affine(random_cantor_measure(seed, depth=4), 1.0, 1.0)
         nu = pushforward_affine(random_cantor_measure(seed + 9, depth=4), 1.0, 1.0)
-        payload, _, _ = run_keystep_scan(mu, nu, 0.45, 0.45, 2.0 ** -8, big_c=2.0)
+        payload, _, _ = run_keystep_scan(mu, nu, 0.45, 0.45, 2.0 ** -8, big_c=2.0,
+                                         eps=0.05)
         assert payload["implication_ok"]
