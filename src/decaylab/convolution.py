@@ -25,6 +25,15 @@ largest such product reaches 2**62 are refused with ValueError rather than
 wrapped.  For measures supported in [-2, 2] the routed point sits within 4
 grid cells of every true product from the source cells, and no mass is
 rescaled: the check runs on the routed sum itself.
+
+mul routing is exactly odd.  A center numerator (2i+1)(2j+1) is odd, so it
+is never a multiple of 2**(L+2), and the flooring shift sends -n to cell
+-1-k whenever it sends n to cell k: R(x) x y = R(x x y) for the reflection R
+(cell k -> cell -1-k).  even_product uses this to multiply two measures meant
+to be even, D1 and D2, from a quarter of the pairs: with D+ the cells k >= 0
+of the symmetrised (D + R(D))/2, D1 x D2 = 2 (B + R(B)) where B = D1+ x D2+.
+difference_product, (mu - mu) x (nu - nu), is the even_product of the two
+self-differences.
 """
 from __future__ import annotations
 
@@ -37,13 +46,15 @@ __all__ = [
     "VALID_OPS",
     "convolve",
     "difference_product",
+    "even_product",
 ]
 
 VALID_OPS = ("add", "sub", "mul")
 
 # pairs routed per mul chunk: 8 MB int64 index and float64 weight blocks.
-# Routing flatten-l12's 3.2e8 pairs took 1.43 s at 2**20 and 2.76 s at 2**22
-# (2-CPU VM); 2**18-2**20 were within 3% of each other.
+# Routing the 8.0e7 pairs of flatten-l12's folded difference product took
+# 0.36-0.40 s at 2**18-2**20, 0.52-0.67 s at 2**21 and 0.68-0.72 s at 2**22
+# (2-CPU VM, three runs each).
 _MUL_CHUNK = 1 << 20
 
 
@@ -122,22 +133,48 @@ def _conv_mul(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
     return res
 
 
-def difference_product(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
-    """(mu - mu) x (nu - nu) as a measure: convolve the self-differences.
-
-    The output is symmetric about 0: cells at index i and -1-i (mirror
-    across the origin edge) carry equal mass up to summation roundoff.
-    """
-    dmu = convolve(mu, mu, "sub")
-    dnu = convolve(nu, nu, "sub")
-    return convolve(dmu, dnu, "mul")
-
-
-def symmetry_defect(pi: GridMeasure) -> float:
-    """max |pi(cell) - pi(mirror cell)| for a measure meant to be even."""
-    lo = pi.origin_index
-    hi = lo + pi.size
+def _mirror_window(m: GridMeasure):
+    """(masses of m on the cells [-span, span), span): the least window about
+    0 that holds m's window and its mirror image, whatever m's window is."""
+    lo = m.origin_index
+    hi = lo + m.size
     span = max(hi, -lo)
     full = np.zeros(2 * span, dtype=np.float64)
-    full[lo + span:hi + span] = pi.masses
+    full[lo + span:hi + span] = m.masses
+    return full, span
+
+
+def _positive_half(d: GridMeasure) -> GridMeasure:
+    """Cells k >= 0 of the symmetrised (d + R(d)) / 2."""
+    full, span = _mirror_window(d)
+    return GridMeasure(d.level, 0, 0.5 * (full[span:] + full[span - 1::-1]))
+
+
+def even_product(d1: GridMeasure, d2: GridMeasure) -> GridMeasure:
+    """d1 x d2 (mul) of two measures meant to be even, from a quarter of the
+    pairs: 2 (B + R(B)) with B = d1+ x d2+ (see the module docstring).
+
+    Each factor is symmetrised first, so the output is exactly even and its
+    window is trimmed; how far the factors were from even is theirs to
+    check (symmetry_defect) before they come here.
+    """
+    b = convolve(_positive_half(d1), _positive_half(d2), "mul")
+    # B sits on cells k >= 0, so B and R(B) share no cell and the sum is exact
+    full, span = _mirror_window(b)
+    return GridMeasure(b.level, -span, 2.0 * (full + full[::-1]))
+
+
+def difference_product(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
+    """(mu - mu) x (nu - nu) as a measure: the even_product of the two
+    self-differences, routing a quarter of the pairs of their mul.
+
+    The output is exactly even: cells at index i and -1-i (mirror across the
+    origin edge) carry equal mass.
+    """
+    return even_product(convolve(mu, mu, "sub"), convolve(nu, nu, "sub"))
+
+
+def symmetry_defect(m: GridMeasure) -> float:
+    """max |m(cell) - m(mirror cell)| for a measure meant to be even."""
+    full, _ = _mirror_window(m)
     return float(np.max(np.abs(full - full[::-1])))

@@ -287,7 +287,12 @@ def uniform_measure(a: float, b: float, level: int) -> GridMeasure:
 
 
 def point_mass(x: float, level: int) -> GridMeasure:
-    return from_atoms([x], (x - 2.0 ** -level, x + 2.0 ** -level), level)
+    """Unit atom at x in a window of one cell either side of it."""
+    h = 2.0 ** -level
+    if not x - h < x < x + h:
+        raise ValueError(f"point x={x!r} is too far from 0 for a level-{level} "
+                         f"grid: x +- 2**-{level} rounds to x in float64")
+    return from_atoms([x], (x - h, x + h), level)
 
 
 # ---------------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import rfft
 
-from .convolution import convolve, difference_product, symmetry_defect
+from .convolution import convolve, difference_product, even_product, symmetry_defect
 from .energy import energy_spatial
 from .measures import (GridMeasure, kernel_weights, next_fast_len,
                        pushforward_affine, regularize)
@@ -127,12 +127,17 @@ def run_flattening(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
 
     Payload: s, t, delta, kappa; energies, per k the s+t energy of
     Pi^{+2^k} at delta (at s+t=1 the L2^2 form ||(Pi^{+2^k})_delta||_2^2);
-    symmetry_defect of Pi.  flatten.csv: r, k, J(k, r), k-major.
+    symmetry_defect, the larger symmetry defect of mu - mu and nu - nu.
+    Pi is built by even_product, which symmetrises both self-differences, so
+    Pi itself is even by construction; the pi-symmetry verdict (<= 1e-9)
+    checks the self-differences before that fold.  flatten.csv: r, k,
+    J(k, r), k-major.
     """
     if s + t > 1.0 + 1e-12:
         raise ValueError("need s + t <= 1")
-    pi = difference_product(mu, nu).trimmed()
-    sym = symmetry_defect(pi)
+    dmu, dnu = convolve(mu, mu, "sub"), convolve(nu, nu, "sub")
+    sym = max(symmetry_defect(dmu), symmetry_defect(dnu))
+    pi = even_product(dmu, dnu)
     h = pi.spacing
     level = pi.level
     # e_mu/e_nu preconditions (energy bounds are reported, not enforced)

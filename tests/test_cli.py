@@ -251,6 +251,19 @@ def test_main_refuses_projection_past_int64(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+def test_main_refuses_point_past_float_resolution(tmp_path, capsys):
+    # scale 40 is grid level 43, where 131072 +- 2**-43 rounds to 131072
+    cfg_path = tmp_path / "far.cfg"
+    cfg_path.write_text("experiment = project\nscale = 40\ns = 0.5\nt = 1.0\n"
+                        "input1.kind = point\ninput1.x = 131072\n"
+                        "input2.kind = point\ninput2.x = 0.5\n")
+    out = tmp_path / "out"
+    assert main([str(cfg_path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "runtime error: ValueError: point x=131072.0" in err and "level-43" in err
+    assert not (out / "report.json").exists()
+
+
 def test_main_param_override(tmp_path, capsys):
     cfg_path = tmp_path / "ok.cfg"
     cfg_path.write_text(BASE_CASE)

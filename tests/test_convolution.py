@@ -150,7 +150,7 @@ def test_difference_product_symmetry_and_mass():
         mu = random_cantor_measure(seed)
         nu = random_cantor_measure(seed + 50)
         pi = difference_product(mu, nu)
-        assert symmetry_defect(pi) <= 1e-9
+        assert symmetry_defect(pi) == 0.0
         assert pi.total_mass == pytest.approx(1.0, rel=1e-11)
 
 
@@ -247,13 +247,80 @@ def test_mul_matches_pair_loop_oracle(mu, nu, chunk):
     assert max(abs(got[k] - want[k]) for k in want) <= 1e-15 * mass
 
 
+def _near_two():
+    """Level-28 grids near x = 2 and x = -2: (2i+1)(2j+1) ~ -2**60, past
+    float64's 53 exact bits."""
+    return (GridMeasure(28, (1 << 29) - 1, np.array([0.25, 0.5, 0.25])),
+            GridMeasure(28, -(1 << 29), np.array([0.5, 0.0, 0.5])))
+
+
 def test_mul_routes_large_indices_exactly():
-    # level 28 near x = +-2: (2i+1)(2j+1) ~ -2**60, past float64's 53 exact bits
-    mu = GridMeasure(28, (1 << 29) - 1, np.array([0.25, 0.5, 0.25]))
-    nu = GridMeasure(28, -(1 << 29), np.array([0.5, 0.0, 0.5]))
+    mu, nu = _near_two()
     out = convolve(mu, nu, "mul")
     assert out.size <= 16
     assert _occupied_cells(out) == _mul_pair_loop_oracle(mu, nu)
+
+
+def _assert_same_cells(got, want, mass):
+    """Same occupied cells, each within 1e-15 x mass."""
+    got, want = _occupied_cells(got), _occupied_cells(want)
+    assert set(got) == set(want)
+    assert max(abs(got[k] - want[k]) for k in want) <= 1e-15 * mass
+
+
+def _assert_mul_is_odd(x, y):
+    """R(x) x y = R(x x y): an odd center product n never sits on a cell
+    edge, so -n floors to cell -1-k when n floors to cell k."""
+    want = convolution._reflected(convolve(x, y, "mul"))
+    _assert_same_cells(convolve(convolution._reflected(x), y, "mul"), want,
+                       want.total_mass)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_dyadic_measures(), _dyadic_measures())
+def test_mul_is_odd(x, y):
+    _assert_mul_is_odd(x, y)
+
+
+def test_mul_is_odd_at_large_indices():
+    mu, nu = _near_two()
+    _assert_mul_is_odd(mu, nu)
+    _assert_mul_is_odd(nu, mu)
+
+
+# point masses off the grid and Cantor measures besides the dyadic ones
+_difference_inputs = st.one_of(
+    _dyadic_measures(),
+    st.builds(point_mass, st.floats(-2.0, 2.0), st.integers(1, 8)),
+    st.builds(random_cantor_measure, st.integers(0, 10_000), depth=st.integers(2, 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_difference_inputs, _difference_inputs)
+def test_difference_product_matches_unfolded_mul(mu, nu):
+    want = convolve(convolve(mu, mu, "sub"), convolve(nu, nu, "sub"), "mul").trimmed()
+    got = difference_product(mu, nu)
+    assert (got.level, got.origin_index, got.size) == \
+        (want.level, want.origin_index, want.size)
+    _assert_same_cells(got, want, want.total_mass)
+
+
+def test_difference_product_routes_a_quarter_of_the_pairs(monkeypatch):
+    mu, nu = random_cantor_measure(3), random_cantor_measure(4)
+    pairs = []
+
+    def counting(a, b, op):
+        if op == "mul":
+            pairs.append(np.count_nonzero(a.masses) * np.count_nonzero(b.masses))
+        return convolve(a, b, op)
+
+    monkeypatch.setattr(convolution, "convolve", counting)
+    difference_product(mu, nu)
+    cells = [convolve(m, m, "sub").occupied_set().cells for m in (mu, nu)]
+    # one mul, on the cells k >= 0 of each self-difference; their supports
+    # are symmetric, so that is exactly a quarter of the unfolded pairs
+    assert pairs == [np.sum(cells[0] >= 0) * np.sum(cells[1] >= 0)]
+    assert 4 * pairs[0] == cells[0].size * cells[1].size
 
 
 def test_mul_refuses_int64_overflow():

@@ -46,6 +46,16 @@ def test_single_atom_covers_endpoint():
     assert left <= 1.0 <= left + mu.spacing
 
 
+def test_point_mass_refuses_points_past_float_resolution():
+    # at level 43, 512 is cell 2**52 and 512 +- h are exact; 1024 +- h round to 1024
+    pm = point_mass(512.0, 43)
+    assert pm.occupied_set().cells.tolist() == [1 << 52]
+    assert pm.total_mass == 1.0
+    for x in (1024.0, -1024.0, 131072.0):
+        with pytest.raises(ValueError, match=rf"point x={x!r} .* level-43 grid"):
+            point_mass(x, 43)
+
+
 def test_linear_density_midpoint_rule():
     # oracle: masses from the midpoint rule directly
     m = 10
