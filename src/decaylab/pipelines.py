@@ -25,8 +25,8 @@ from .convolution import convolve, difference_product, even_product, symmetry_de
 from .energy import energy_spatial
 from .measures import (GridMeasure, kernel_weights, next_fast_len,
                        pushforward_affine, regularize)
-from .spectral import (_atom_products, _reduced_rows, decay_profile,
-                       l2_at_scale, product_chain_fourier, product_fourier)
+from .spectral import (decay_profile, fourier_lattice, l2_at_scale, odd_products,
+                       product_chain_fourier, product_fourier)
 
 __all__ = [
     "Verdict",
@@ -329,13 +329,14 @@ def run_induction_chain(measures, exponents, delta: float, k: int, n_samples: in
     chain = product_chain_fourier(work, xis)
     lhs = np.hypot(chain.real, chain.imag) ** (2 ** (k + 2))
     # Pi^(eta) = integral of |mu_1^(eta w)|^2 >= 0 over the difference atoms
-    # w = +-d h_2 of mu_2 (both signs share one value), one progression in d
-    # per eta = xi times a product of occupied centers of mu_3..mu_n
+    # w = +-d h_2 of mu_2 (both signs share one value), at eta = xi times a
+    # product n_t 2^-e of occupied centers of mu_3..mu_n: mu_1^ at xi 2^-e h_2
+    # times the integers n_t d, whose phase-free table values keep |.|^2 exact
     dists2, w2 = _self_difference_atoms(work[1])
-    tail_c, tail_w = _atom_products(work[2:])
-    etas = np.multiply.outer(xis, tail_c)
-    pi_hat = _reduced_rows(work[0], 0.0, work[1].spacing, dists2, etas,
-                           lambda vals: np.abs(vals) ** 2 @ w2).reshape(etas.shape)
+    tail_n, tail_w, e = odd_products(work[2:])
+    pi_hat = fourier_lattice(work[0], xis * 2.0 ** -(e + work[1].level),
+                             np.multiply.outer(tail_n, dists2),
+                             lambda q: (q.real ** 2 + q.imag ** 2) @ w2, centered=True)
     rhs = pi_hat ** (2 ** k) @ tail_w
     violation = float(np.max(lhs - rhs))
     # rescaling step on the grid power (evidence; grid ops re-bin)

@@ -5,9 +5,14 @@ Cauchy-Schwarz order exchange for multiplicative convolutions.
 Every transform is atom-exact: mu_hat(xi) = sum m_j exp(-2 pi i xi c_j) over
 the cell centers c_j = (o + j + 1/2) h.  Scattered frequencies (geomspace
 fits, single points) go through fourier_many, a direct sum costing
-O(occupied cells x frequencies).  Everything evaluated in bulk is an
-arithmetic progression: xi times the centers of a second measure, eta times
-lattice differences, linspace quadrature grids.  fourier_progression serves
+O(occupied cells x frequencies).  Frequencies s * n with exact integers n
+(products of odd cell indices of other factors, lattice distances) go
+through fourier_lattice: P FFTs of length M tabulate the measure's moments
+about its middle cell once, and each value costs O(P) by Taylor expansion
+about the nearest table node (Anderson-Dahleh 1996), with phases reduced
+exactly; product_chain_fourier and the induction chain's Pi^ use it.  The
+other bulk frequencies are arithmetic progressions: xi times the centers
+of a second measure, linspace quadrature grids.  fourier_progression serves
 those, one row per progression, with a Bluestein chirp-z transform
 (Rabiner-Schafer-Rader 1969; Bluestein 1970) in O(L log L) per row, where L
 is the FFT length covering the window of mu plus the highest index wanted.
@@ -35,6 +40,8 @@ __all__ = [
     "fourier_progression",
     "product_fourier",
     "product_chain_fourier",
+    "fourier_lattice",
+    "odd_products",
     "l2_at_scale",
     "DecayProfile",
     "decay_profile",
@@ -48,7 +55,12 @@ MAGNITUDE_FLOOR = 1e-12
 # at 2**22 (~160 MB) `induction` peaked at 201.7 MiB RSS, at 2**18 at 104.5 MiB
 # (2-CPU x86-64 VM)
 _CHUNK = 1 << 18
-_BATCH = 1 << 20       # transform values held at once by _reduced_rows
+# transform values held at once by _at_centers and fourier_lattice: at 2**20
+# the Pi^ batches took `induction`'s own VmHWM to 119.6 MB, at 2**16 to 52 MB
+# (2-CPU x86-64 VM)
+_BATCH = 1 << 16
+_CHAIN_ATOMS = 1 << 20  # atom products enumerated by odd_products
+_TABLE_ENTRIES = 1 << 22  # P x M entries of one Taylor table (64 MiB)
 _FFT_CHUNK = 1 << 18   # complex entries per chunk of batched chirp-z rows
 _EXACT = 1 << 52       # integer factors of _turns must stay below this
 # One direct-sum term (a complex exp, a multiply-add and their memory
@@ -207,33 +219,143 @@ def _shaped(values: np.ndarray, xi):
     return values.item() if values.ndim == 0 else values
 
 
-def _reduced_rows(mu: GridMeasure, c0: float, h: float, ks, scales, reduce, *args):
-    """reduce(vals, *args) per batch of scales, concatenated, where vals[b, i]
-    = mu_hat(s_b * (c0 + ks[i] * h)); a batch holds about _BATCH values."""
+def _batches(scales, per_scale: int) -> list:
+    """The scales, flattened to floats, in batches of about _BATCH values
+    at per_scale values each (at least one scale per batch)."""
     scales = np.asarray(scales, dtype=np.float64).reshape(-1)
-    rows = max(1, _BATCH // max(ks.size, 1))
-    return np.concatenate([reduce(fourier_progression(mu, s * c0, s * h, ks), *args)
-                           for s in np.array_split(scales, -(-scales.size // rows) or 1)])
+    rows = max(1, _BATCH // max(per_scale, 1))
+    return np.array_split(scales, -(-scales.size // rows) or 1)
 
 
 def _at_centers(mu: GridMeasure, nu: GridMeasure, scales, reduce) -> np.ndarray:
-    """_reduced_rows over the occupied centers y of nu: reduce(vals, q) with
-    vals[b, j] = mu_hat(s_b * y_j) and q nu's masses at those centers."""
+    """reduce(vals, q) per batch of scales, concatenated, with vals[b, j] =
+    mu_hat(s_b * y_j) over the occupied centers y of nu and q nu's masses
+    at those centers."""
     nz = np.nonzero(nu.masses)[0]
     first = int(nz[0]) if nz.size else 0
     c0 = (nu.origin_index + first + 0.5) * nu.spacing
-    return _reduced_rows(mu, c0, nu.spacing, nz - first, scales, reduce, nu.masses[nz])
+    ks = nz - first
+    return np.concatenate([reduce(fourier_progression(mu, s * c0, s * nu.spacing, ks),
+                                  nu.masses[nz]) for s in _batches(scales, ks.size)])
 
 
-def _atom_products(measures):
-    """Every product of one occupied center per measure (last measure fastest)
-    and the product of their masses; no measures give one atom 1 of mass 1."""
-    prod_c, prod_w = np.array([1.0]), np.array([1.0])
-    for m in measures:
-        c, w = m.occupied()
-        prod_c = np.multiply.outer(prod_c, c).ravel()
-        prod_w = np.multiply.outer(prod_w, w).ravel()
-    return prod_c, prod_w
+def odd_products(measures):
+    """Every product of one occupied center per measure as n * 2**-e with n
+    an exact odd integer (last measure fastest), the products of their
+    masses, and e; no measures give n = 1 of mass 1 and e = 0.
+
+    Each center is (2 i + 1) 2**-(level + 1), so n multiplies the odd
+    integers.  Refuses more than _CHAIN_ATOMS products, or n reaching 2**52.
+    """
+    n, w, e = np.ones(1, dtype=np.int64), np.ones(1), 0
+    atoms = [np.nonzero(m.masses)[0] for m in measures]
+    if math.prod(a.size for a in atoms) > _CHAIN_ATOMS:
+        raise ValueError("product chain too dense for atom-exact evaluation")
+    odds = [2 * (m.origin_index + a) + 1 for m, a in zip(measures, atoms)]
+    if math.prod(int(np.abs(o).max(initial=1)) for o in odds) >= _EXACT:
+        raise ValueError("atom products reach 2**52: too many or too fine "
+                         "factors for exact phase reduction")
+    for m, a, o in zip(measures, atoms, odds):
+        n = np.multiply.outer(n, o).ravel()
+        w = np.multiply.outer(w, m.masses[a]).ravel()
+        e += m.level + 1
+    return n, w, e
+
+
+def _lattice_table(mu: GridMeasure):
+    """Taylor tables of Q(theta) = sum_j m_j exp(-2 pi i theta (j - j*)) over
+    mu's occupied window, j* its middle cell and `half` the larger distance
+    from j* to the window's ends.
+
+    Row p of the complex table is (-i)^p times the length-M FFT of
+    m_j ((j - j*) / half)^p / p!, so that Q((k + u) / M) = sum_p row_p[k] t^p
+    with t = 2 pi u half / M and |u| <= 1/2.  M is the power of two at
+    least 8x the window and P the least order with
+    (pi half / M)^P / P! <= 1e-16, which bounds the dropped terms by
+    ~1e-16 of the mass.  Returns (real rows, imaginary rows, odd, half),
+    with the center of j* at odd * h / 2; a measure without mass gets a
+    zero table of its first cell.
+    """
+    nz = np.nonzero(mu.masses)[0]
+    first, last = (int(nz[0]), int(nz[-1])) if nz.size else (0, 0)
+    mid = (first + last) // 2
+    half = max(last - mid, 1)
+    size = 1 << (8 * (last - first + 1) - 1).bit_length()
+    r = math.pi * half / size
+    order = 1
+    while r ** order / math.factorial(order) > 1e-16:
+        order += 1
+    if order * size > _TABLE_ENTRIES:
+        raise ValueError(f"window of {last - first + 1} cells too wide for a "
+                         f"Fourier table ({order} x {size} entries)")
+    offsets = np.arange(first - mid, last - mid + 1)
+    term = mu.masses[first:last + 1].copy()
+    rows = np.zeros((order, size))
+    for p in range(order):
+        rows[p, offsets % size] = term
+        term = term * (offsets / half) / (p + 1)
+    table = fft(rows, axis=-1) * np.array([1, -1j, -1, 1j])[np.arange(order) % 4, None]
+    return table.real.copy(), table.imag.copy(), 2 * (mu.origin_index + mid) + 1, half
+
+
+def fourier_lattice(mu: GridMeasure, s, n, reduce=None, centered: bool = False):
+    """mu_hat(s_b * n) for every float scale s_b and an array n of exact
+    integers, one row per scale; with reduce, reduce(rows) per batch,
+    concatenated.  A batch holds about _BATCH values: several scales, or
+    one scale and a slice of n's first axis when n has more than one axis
+    (reduce must then keep that axis as its axis 1).
+
+    mu_hat(nu) = exp(-2 pi i nu c*) Q(frac(nu h)), with c* the center of
+    the window's middle cell and Q its 1-periodic trigonometric polynomial,
+    read from the Taylor tables of _lattice_table at O(P) per value.  With
+    nu = s n the phases reduce exactly: frac(nu h) = _turns(s h, n), its
+    offset from the nearest table node _turns(s h M, n), and nu c* =
+    _turns(s h / 2, n odd*).  centered=True returns Q(frac(nu h)), the
+    transform of mu moved by -c*, which has the same modulus.  Refuses
+    integers n, or n odd* when the phase is kept, that reach 2**52, and
+    windows whose table would pass _TABLE_ENTRIES entries.
+    """
+    n = np.asarray(n, dtype=np.int64)
+    if reduce is None:
+        reduce = np.asarray
+    re, im, odd, half = _lattice_table(mu)
+    size = re.shape[1]
+    top = int(np.abs(n).max(initial=0)) * (1 if centered else abs(odd))
+    if top >= _EXACT:
+        raise ValueError("lattice integers reach 2**52: phases would lose exactness")
+    h = mu.spacing
+    step = 2 * math.pi * half / size
+
+    def values(b, m):
+        b = b.reshape(b.shape + (1,) * m.ndim)
+        u = _turns(b * (h * size), m)            # offset from the table node, in nodes
+        k = np.rint(_turns(b * h, m) * size - u).astype(np.int64) & (size - 1)
+        t = u * step
+        vr, vi = re[-1][k], im[-1][k]
+        for p in range(re.shape[0] - 2, -1, -1):
+            vr *= t
+            vr += re[p][k]
+            vi *= t
+            vi += im[p][k]
+        vals = np.empty(vr.shape, dtype=np.complex128)
+        if centered:
+            vals.real, vals.imag = vr, vi
+        else:       # rotated in real arithmetic: numpy's complex multiply
+            # rounds differently with the length of the array
+            rot = np.exp(-2j * np.pi * _turns(b * (h / 2), m * odd))
+            vals.real = vr * rot.real - vi * rot.imag
+            vals.imag = vr * rot.imag + vi * rot.real
+        return vals
+
+    heads = [slice(None)]
+    if n.ndim > 1 and n.size > _BATCH:
+        rows = max(1, _BATCH // max(n[0].size, 1))
+        heads = [slice(i, i + rows) for i in range(0, n.shape[0], rows)]
+    out = []
+    for b in _batches(s, n.size):
+        parts = [reduce(values(b, n[head])) for head in heads]
+        out.append(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1))
+    return np.concatenate(out)
 
 
 def product_fourier(mu: GridMeasure, nu: GridMeasure, xi):
@@ -249,19 +371,15 @@ def product_fourier(mu: GridMeasure, nu: GridMeasure, xi):
 def product_chain_fourier(measures, xi):
     """Transform of mu_1 x ... x mu_n (multiplicative) at xi, atom-exactly.
 
-    A weighted sum, over every product a of occupied centers of the first
-    n - 2 factors, of (mu_{n-1} x mu_n)^(xi a); the rows xi a of every xi
-    go through one batched progression call.  Cost grows with the product of
-    occupied-cell counts; intended for sparse measures.
+    A weighted sum of mu_1_hat(xi a) over every product a = n 2**-e of
+    occupied centers of mu_2..mu_n, read from one Taylor table of mu_1
+    (fourier_lattice) with exact odd integers n.  Cost: one table of
+    mu_1's window, then O(P) per atom product of mu_2..mu_n and per xi;
+    refuses products that reach 2**52 (see odd_products).
     """
-    if len(measures) == 1:
-        return _shaped(fourier_many(measures[0], np.ravel(xi)), xi)
-    if math.prod(np.count_nonzero(m.masses) for m in measures[:-1]) > 50_000_000:
-        raise ValueError("product chain too dense for atom-exact evaluation")
-    prod_c, prod_w = _atom_products(measures[:-2])
-    rows = np.multiply.outer(np.ravel(xi), prod_c).ravel()
-    per_row = _at_centers(measures[-2], measures[-1], rows, _matvec)
-    return _shaped(np.sum(prod_w * per_row.reshape(-1, prod_c.size), axis=-1), xi)
+    n, w, e = odd_products(measures[1:])
+    scales = np.ravel(xi) * 2.0 ** -e
+    return _shaped(fourier_lattice(measures[0], scales, n, lambda vals: _matvec(vals, w)), xi)
 
 
 def l2_at_scale(mu: GridMeasure, delta: float) -> float:

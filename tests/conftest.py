@@ -4,6 +4,8 @@ import pytest
 from decaylab import GridMeasure
 from decaylab.constructions import CantorSpec, make_random_frostman
 
+pytest_plugins = ["pytester"]
+
 
 def random_cantor_measure(seed: int, block: int = 2, keep: int = 2,
                           depth: int = 5):

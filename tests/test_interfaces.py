@@ -196,7 +196,7 @@ _COUNTEREXAMPLE = "experiment = counterexample\nscale = 20\nseed = 1\ns = 0.4\n"
 FIRE_TESTS = {
     "young-monotone": (_FLATTEN, pipelines, "convolve", lambda f: _rescaled(f, 2.0)),
     "pi-symmetry": (_FLATTEN, convolution, "_reflected", _shifted),
-    "order-chain": (_POINT_CHAIN, pipelines, "_reduced_rows", lambda f: lossy(f, 1e-3)),
+    "order-chain": (_POINT_CHAIN, pipelines, "fourier_lattice", lambda f: lossy(f, 1e-3)),
     "lower-sandwich": (_POINT_LEVELS, pipelines, "_level_set_classes", _class_too_high),
     "l2-size": (_COUNTEREXAMPLE, spectral, "regularize", lambda f: _rescaled(f, 0.1)),
     "triple-transform": (_COUNTEREXAMPLE, spectral, "fourier_progression",
@@ -242,3 +242,34 @@ def test_every_exact_verdict_has_a_fire_test():
     for path in Path(decaylab.__file__).parent.glob("*.py"):
         found |= _exact_verdict_names(ast.parse(path.read_text()))
     assert found == set(FIRE_TESTS)
+
+
+# ---------------------------------------------------------------------------
+# the test session itself
+# ---------------------------------------------------------------------------
+
+_FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers(0, 10))
+def test_property_fails(x):
+    assert x < 0
+
+
+def test_plain_passes():
+    pass
+"""
+
+
+def test_failing_property_test_does_not_end_the_session(pytester):
+    # the inner session runs under this project's pytest settings; on a
+    # failure hypothesis's plugin imports libcst, whose DeprecationWarning
+    # must not become an INTERNALERROR that skips every later test
+    inner = pytester.makepyfile(test_inner=_FAILING_PROPERTY)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    result = pytester.runpytest_subprocess("-c", str(config), "--rootdir", str(pytester.path),
+                                           "-p", "no:cacheprovider", str(inner))
+    assert "INTERNALERROR" not in result.stdout.str() + result.stderr.str()
+    result.assert_outcomes(failed=1, passed=1)

@@ -2,14 +2,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from decaylab import (GridMeasure, convolve, decay_profile, fourier_at, fourier_many,
                       l2_at_scale, order_check, point_mass, product_fourier,
                       pushforward_affine, uniform_measure)
 from decaylab import spectral
-from decaylab.spectral import (fourier_progression, product_chain_fourier,
-                               profile_from_samples)
+from decaylab.spectral import (fourier_lattice, fourier_progression,
+                               product_chain_fourier, profile_from_samples)
 
 from conftest import random_cantor_measure, random_masses_measure
 
@@ -267,6 +267,78 @@ def test_product_transforms_keep_the_shape_of_xi():
     assert [a.shape for a in order_check(mu, nu, grid)] == [(2, 3), (2, 3)]
     assert product_fourier(mu, nu, np.array([])).shape == (0,)
     assert product_chain_fourier([mu, nu, mu], np.zeros((0, 2))).shape == (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# Taylor-table transforms at s * n for exact integers n
+# ---------------------------------------------------------------------------
+
+def _exact_phase_sum(mu, s, n):
+    """sum_j m_j exp(-2 pi i s n c_j) with c_j = odd_j h / 2, every phase
+    (s h / 2)(n odd_j) reduced by _turns."""
+    nz = np.nonzero(mu.masses)[0]
+    odd = 2 * (mu.origin_index + nz) + 1
+    turns = spectral._turns(s[:, None, None] * (mu.spacing / 2), np.multiply.outer(n, odd))
+    return np.exp(-2j * np.pi * turns) @ mu.masses[nz]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 13).flatmap(
+           lambda lv: _window_measures(lv, -(2 << lv), 2 << lv, min(2048, 2 << lv))),
+       st.lists(st.floats(-0.25, 0.25), min_size=1, max_size=4).map(np.array),
+       st.lists(st.integers(-(1 << 20), 1 << 20), min_size=1, max_size=12).map(np.array),
+       st.sampled_from([1, 3, 1 << 16]))
+@example(GridMeasure(9, -700, np.array([0.5])), np.array([0.25, -0.1]),
+         np.array([1 << 20, -3, 0]), 1)
+@example(GridMeasure(13, -9000, np.r_[1.0, np.zeros(2046), 2.0]), np.array([0.2499]),
+         np.array([(1 << 20) - 1, 12345]), 3)
+@example(GridMeasure(6, 0, np.zeros(8)), np.array([1.0, 2.0]), np.array([1, 3]), 1)
+def test_fourier_lattice_matches_exact_phase_sum(mu, s, n, batch):
+    # centers lie in [-2, 4], so |s n c| reaches 2**20 turns
+    got = fourier_lattice(mu, s, n)
+    assert got.shape == (s.size, n.size)
+    assert np.max(np.abs(got - _exact_phase_sum(mu, s, n))) <= 1e-12 * mu.total_mass
+    centered = fourier_lattice(mu, s, n, centered=True)
+    assert np.max(np.abs(np.abs(centered) - np.abs(got))) <= 1e-12 * mu.total_mass
+    with mock.patch.object(spectral, "_BATCH", batch):
+        assert _same_bits(fourier_lattice(mu, s, n), got)
+        assert _same_bits(fourier_lattice(mu, s[::-1], n)[::-1], got)
+        # a 2-d n is split along its first axis once a row passes _BATCH
+        assert _same_bits(fourier_lattice(mu, s, n[:, None]), got[:, :, None])
+        assert _same_bits(fourier_lattice(mu, s, n[:, None], lambda v: v.sum(axis=-1)), got)
+        assert _same_bits(fourier_lattice(mu, s, n, centered=True), centered)
+    for b, sb in enumerate(s):
+        assert _same_bits(fourier_lattice(mu, sb, n), got[b:b + 1])
+
+
+def test_fourier_lattice_refuses_inexact_phases():
+    mu = GridMeasure(40, 1 << 45, np.array([1.0]))      # odd* = 2**46 + 1
+    assert fourier_lattice(mu, 1.0, [1 << 5]).shape == (1, 1)
+    with pytest.raises(ValueError, match=r"2\*\*52"):
+        fourier_lattice(mu, 1.0, [1 << 6])
+    # without the phase only n itself is bounded
+    assert fourier_lattice(mu, 1.0, [1 << 6], centered=True).shape == (1, 1)
+    with pytest.raises(ValueError, match=r"2\*\*52"):
+        fourier_lattice(mu, 1.0, [1 << 52], centered=True)
+    # five factors at level 14 near 1.5: the tail's odd products pass 2**60
+    atoms = [point_mass(1.5, 14)] * 5
+    with pytest.raises(ValueError, match=r"2\*\*52"):
+        product_chain_fourier(atoms, 3.0)
+
+
+def test_fourier_lattice_refuses_wide_tables_and_dense_chains():
+    # two atoms 2**16 cells apart ask for a 12 x 2**19 table; the
+    # refusal comes before any table is allocated
+    wide = GridMeasure(20, 0, np.r_[1.0, np.zeros((1 << 16) - 2), 1.0])
+    with pytest.raises(ValueError, match="too wide"):
+        fourier_lattice(wide, 1.0, [1])
+    mu = random_cantor_measure(1, depth=3)
+    with mock.patch.object(spectral, "_TABLE_ENTRIES", 64):
+        with pytest.raises(ValueError, match="too wide"):
+            product_chain_fourier([mu, mu], 3.0)
+    with mock.patch.object(spectral, "_CHAIN_ATOMS", 63):
+        with pytest.raises(ValueError, match="too dense"):
+            product_chain_fourier([mu, mu, mu], 3.0)     # 8 x 8 atom products
 
 
 @settings(max_examples=40, deadline=None)
