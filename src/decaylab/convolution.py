@@ -24,7 +24,10 @@ for every pair, negative products included (the shift floors).  Grids whose
 largest such product reaches 2**62 are refused with ValueError rather than
 wrapped.  For measures supported in [-2, 2] the routed point sits within 4
 grid cells of every true product from the source cells, and no mass is
-rescaled: the check runs on the routed sum itself.
+rescaled: the check runs on the routed sum itself.  Pairs are routed in
+chunks of whole rows, one chunk per CPU at a time (dyadic._ordered_map),
+and the chunks' histograms are added in chunk order, so the output is
+bit-identical whatever the CPU count.
 
 mul routing is exactly odd.  A center numerator (2i+1)(2j+1) is odd, so it
 is never a multiple of 2**(L+2), and the flooring shift sends -n to cell
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dyadic import _MUL_PRODUCT_LIMIT
+from .dyadic import _MUL_PRODUCT_LIMIT, _ordered_map
 from .measures import GridMeasure, assert_mass_conserved, fftconvolve
 
 __all__ = [
@@ -51,10 +54,11 @@ __all__ = [
 
 VALID_OPS = ("add", "sub", "mul")
 
-# pairs routed per mul chunk: 8 MB int64 index and float64 weight blocks.
-# Routing the 8.0e7 pairs of flatten-l12's folded difference product took
-# 0.36-0.40 s at 2**18-2**20, 0.52-0.67 s at 2**21 and 0.68-0.72 s at 2**22
-# (2-CPU VM, three runs each).
+# pairs routed per mul chunk: each worker slot's 8 MB int64 index and
+# float64 weight blocks.  On 2 workers the flatten-l12 run (8.0e7 pairs in
+# its folded difference product) took 0.38-0.42 s at 2**20, 0.40-0.51 s at
+# 2**19, 0.46-0.49 s at 2**18 and 0.44-0.49 s at 2**21, where the process
+# peak RSS rose from 77 to 102 MB (2-CPU VM, three fresh processes each).
 _MUL_CHUNK = 1 << 20
 
 
@@ -119,14 +123,23 @@ def _conv_mul(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
     ka = 2 * (ia + a.origin_index) + 1
     kb = 2 * (ib + b.origin_index) + 1
     wa, wb = a.masses[ia], b.masses[ib]
-    rows = max(1, _MUL_CHUNK // kb.size)
-    for i0 in range(0, ka.size, rows):
-        i1 = min(i0 + rows, ka.size)
-        idx = np.multiply.outer(ka[i0:i1], kb)
+    rows = max(1, min(ka.size, _MUL_CHUNK // kb.size))
+    bufs = {}   # slot -> its (index, weight) blocks, reused chunk after chunk
+
+    def route(slot, i0):
+        if slot not in bufs:
+            bufs[slot] = (np.empty((rows, kb.size), dtype=np.int64),
+                          np.empty((rows, kb.size), dtype=np.float64))
+        n = min(rows, ka.size - i0)
+        idx, w = (buf[:n] for buf in bufs[slot])
+        np.multiply.outer(ka[i0:i0 + n], kb, out=idx)
         idx >>= shift
         idx -= base
-        w = np.multiply.outer(wa[i0:i1], wb)
-        out += np.bincount(idx.ravel(), weights=w.ravel(), minlength=out.size)
+        np.multiply.outer(wa[i0:i0 + n], wb, out=w)
+        return np.bincount(idx.ravel(), weights=w.ravel(), minlength=out.size)
+
+    # parts are added in chunk order, as a serial loop would
+    _ordered_map(route, range(0, ka.size, rows), lambda part: np.add(out, part, out=out))
     res = GridMeasure(level, base, out).trimmed()
     assert_mass_conserved(a.total_mass * b.total_mass, res.total_mass,
                           "multiplicative convolution")

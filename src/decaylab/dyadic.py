@@ -20,9 +20,16 @@ level L and Y at level Ly, pair (a, b) at direction cell u lands in the
 scanned in batches of at most _SCAN_PAIRS pairs (one row if a row is
 larger), and inputs whose extreme numerators reach 2**62 are refused with
 ValueError (_MUL_PRODUCT_LIMIT, which `mul` in convolution uses too).
+
+The chunked exact kernels (projection_scan's batches, convolution's mul
+chunks, flattening's FFTs) run through _ordered_map: up to _WORKERS threads,
+one per CPU of the process's affinity set, with results taken in chunk
+order, so every output is bit-identical whatever the CPU count.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,15 +44,95 @@ __all__ = [
     "additive_energy",
 ]
 
-# pairs per projection_scan batch (whole direction rows, at least one).
-# Scanning project-l12's 1.68e7 pairs took 0.19 s at 2**16, 0.21 s at 2**14
-# and 2**18, and 0.29 s at 2**22, where the process peak RSS rose from 39
-# to 107 MB (2-CPU VM).
+# pairs per projection_scan batch (whole direction rows, at least one), per
+# worker slot.  On 2 workers the project-l12 run (1.68e7 pairs) took
+# 0.14-0.21 s at 2**16, 0.14-0.16 s at 2**18 and 2**20, where the process
+# peak RSS rose from 39 to 42 and 56 MB, and 0.22-0.25 s at 2**14 (2-CPU
+# VM, three fresh processes each; 0.19-0.21 s at 2**16 on 1 worker).
 _SCAN_PAIRS = 1 << 16
 
 # projection_scan, and convolution's mul, refuse inputs whose largest odd-center
 # numerator reaches this (int64 room)
 _MUL_PRODUCT_LIMIT = 1 << 62
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity set, else the machine's."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# threads _ordered_map runs items on (W); not a setting: tests patch it
+_WORKERS = _cpu_count()
+
+
+def _ordered_map(fn, items, take):
+    """take(fn(slot, item)) for every item, take called in item order.
+
+    Up to W = _WORKERS threads run fn; numpy's ufuncs, sorts, bincount and
+    FFTs release the GIL, so they run on W CPUs at once.  Item i runs in
+    slot i % W, and only once item i - W has been taken: at most W results
+    are alive, and fn may return a view of buffers its slot owns.  take runs
+    in the calling thread, so a merge `out += part` adds the parts in the
+    order of the serial loop and the output is bit-identical for any W.
+    With W = 1, or a single item, this is that loop, with no thread.  An
+    exception in fn is raised here at its item's turn; the threads stop
+    after their current item.
+    """
+    items = list(items)
+    workers = min(_WORKERS, len(items))
+    if workers <= 1:
+        for item in items:
+            take(fn(0, item))
+        return
+    results = [None] * workers
+    ready = [threading.Semaphore(0) for _ in range(workers)]
+    free = [threading.Semaphore(0) for _ in range(workers)]
+    stop = False
+
+    def run(slot):
+        for i in range(slot, len(items), workers):
+            if i >= workers:
+                free[slot].acquire()
+            if stop:
+                return
+            try:
+                results[slot] = (True, fn(slot, items[i]))
+            except BaseException as exc:    # raised again in the caller
+                results[slot] = (False, exc)
+            ready[slot].release()
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(workers)]
+    for t in threads:
+        t.start()
+    try:
+        for i in range(len(items)):
+            slot = i % workers
+            ready[slot].acquire()
+            ok, value = results[slot]
+            results[slot] = None
+            if not ok:
+                raise value
+            take(value)
+            free[slot].release()
+    finally:
+        stop = True
+        for sem in free:
+            sem.release()
+        for t in threads:
+            t.join()
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a 1-d integer array, as np.unique(x) gives
+    them; plain np.unique imports numpy.ma on its first call."""
+    x = np.sort(x)
+    keep = np.empty(x.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
 
 
 @dataclass(frozen=True)
@@ -65,7 +152,7 @@ class DyadicGridSet:
         cells = np.asarray(self.cells, dtype=np.int64)
         if cells.ndim != 1:
             raise ValueError(f"cells must be 1-d, got shape {cells.shape}")
-        cells = np.unique(cells)
+        cells = _distinct(cells)
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
 
@@ -102,7 +189,7 @@ def covering_number(X: DyadicGridSet, r: float) -> int:
         raise ValueError(f"r={r} is finer than the set's grid 2**-{X.level}")
     if X.is_empty():
         return 0
-    return int(np.unique(X.cells >> (X.level - l)).size)
+    return int(_distinct(X.cells >> (X.level - l)).size)
 
 
 def _dyadic_exponent(r: float) -> int:
@@ -145,8 +232,8 @@ def set_check(X: DyadicGridSet, s: float, K: float, kind: str = "frostman-type")
         r = 2.0 ** -l
         bound = K * (r ** s) * total if kind == "frostman-type" else K * (r / delta) ** s
         # only r-cells within distance r of an occupied r-cell can violate
-        occ = np.unique(X.cells >> (X.level - l))
-        cand = np.unique(np.concatenate([occ - 1, occ, occ + 1]))
+        occ = _distinct(X.cells >> (X.level - l))
+        cand = _distinct(np.concatenate([occ - 1, occ, occ + 1]))
         for j in cand:
             x = (j + 0.5) * r
             cnt = ball_cell_count(X, x, r)
@@ -248,16 +335,26 @@ def projection_scan(A1: DyadicGridSet, A2: DyadicGridSet, Y: DyadicGridSet) -> n
     ka = (2 * A1.cells + 1) << (ylevel + 1)
     kb = 2 * A2.cells + 1
     ku = 2 * Y.cells + 1
-    counts = np.empty(ku.size, dtype=np.int64)
-    rows = max(1, _SCAN_PAIRS // (ka.size * kb.size))
-    for u0 in range(0, ku.size, rows):
-        u1 = min(u0 + rows, ku.size)
-        idx = ka[None, :, None] - np.multiply.outer(ku[u0:u1], kb)[:, None, :]
+    rows = max(1, min(ku.size, _SCAN_PAIRS // (ka.size * kb.size)))
+    bufs = {}   # slot -> its (products, bins, steps) blocks, reused batch after batch
+
+    def scan(slot, u0):
+        if slot not in bufs:
+            bufs[slot] = (np.empty((rows, kb.size), dtype=np.int64),
+                          np.empty((rows, ka.size * kb.size), dtype=np.int64),
+                          np.empty((rows, ka.size * kb.size - 1), dtype=bool))
+        n = min(rows, ku.size - u0)
+        prod, idx, step = (buf[:n] for buf in bufs[slot])
+        np.multiply.outer(ku[u0:u0 + n], kb, out=prod)
+        np.subtract(ka[:, None], prod[:, None, :], out=idx.reshape(n, ka.size, kb.size))
         idx >>= ylevel + 2
-        idx = idx.reshape(u1 - u0, -1)
         idx.sort(axis=1)
-        counts[u0:u1] = 1 + np.count_nonzero(idx[:, 1:] != idx[:, :-1], axis=1)
-    return counts
+        np.not_equal(idx[:, 1:], idx[:, :-1], out=step)
+        return 1 + np.count_nonzero(step, axis=1)
+
+    parts = []
+    _ordered_map(scan, range(0, ku.size, rows), parts.append)
+    return np.concatenate(parts)
 
 
 def additive_energy(A: DyadicGridSet, B: DyadicGridSet) -> int:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicGridSet, set_check
+from .dyadic import DyadicGridSet, _distinct, set_check
 from .measures import (GridMeasure, ball_mass_vector, fftconvolve, mask_measure,
                        regularize, uniform_measure)
 from .spectral import fourier_many, fourier_progression
@@ -222,8 +222,7 @@ def extract_nonconcentrated(nu: GridMeasure, s: float, rho: float,
     coarse = m_rho.coarsened(rho_level)
     # nu-mass and exceptional mask per rho-cell
     nu_coarse = nu.coarsened(rho_level)
-    exc_cells = np.unique(exc.exceptional.cells >> (nu.level - rho_level)) \
-        if not exc.exceptional.is_empty() else np.empty(0, dtype=np.int64)
+    exc_cells = _distinct(exc.exceptional.cells >> (nu.level - rho_level))
     idx = coarse.origin_index + np.arange(coarse.size)
     dens = coarse.masses / coarse.spacing
     good = ~np.isin(idx, exc_cells) & (dens > 0)

@@ -22,6 +22,7 @@ import numpy as np
 from numpy.fft import rfft
 
 from .convolution import convolve, difference_product, even_product, symmetry_defect
+from .dyadic import _distinct, _ordered_map
 from .energy import energy_spatial
 from .measures import (GridMeasure, kernel_weights, next_fast_len,
                        pushforward_affine, regularize)
@@ -152,17 +153,21 @@ def run_flattening(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
     r_values = np.array([2.0 ** -l for l in r_levels])
     max_len = powers[-1].size + int(2.0 / h) + 8
     nfft = next_fast_len(max_len)
-    kernels = {}
-    for r in r_values:
-        kernels[r] = rfft(kernel_weights(float(r), level), nfft)
+    # the kernel transforms, and then the power rows, are independent
+    kernels = []
+    _ordered_map(lambda _, r: rfft(kernel_weights(float(r), level), nfft),
+                 r_values, kernels.append)
 
-    J = np.empty((k_max + 1, r_values.size))
+    def j_row(_, pk):
+        spec_sq = np.abs(rfft(pk.masses, nfft)) ** 2
+        return [_parseval_l2_of_smoothed(spec_sq, kernel, nfft, h) for kernel in kernels]
+
+    j_rows = []
+    _ordered_map(j_row, powers, j_rows.append)
+    J = np.array(j_rows)
     energies = np.empty(k_max + 1)
     s_sum = s + t
     for k, pk in enumerate(powers):
-        spec_sq = np.abs(rfft(pk.masses, nfft)) ** 2
-        for j, r in enumerate(r_values):
-            J[k, j] = _parseval_l2_of_smoothed(spec_sq, kernels[r], nfft, h)
         if s_sum < 1.0 - 1e-12:
             energies[k] = energy_spatial(pk, s_sum, delta)
         else:
@@ -240,7 +245,7 @@ def run_level_sets(lam: GridMeasure, r: float):
     sup4 = sup4[base - base4:base - base4 + cls.size]
     lower = 0.0
     rows = []
-    for j in np.unique(cls[cls >= 0]):
+    for j in _distinct(cls[cls >= 0]):
         cells = np.nonzero(cls == j)[0]
         rows.append((int(j), int(cells.size)))
         if j >= 1:
@@ -502,7 +507,7 @@ def _indicator_diagnostic(mu: GridMeasure, rho: float) -> float:
     cls, sup, base = _level_set_classes(mu, rho)
     l = int(round(-np.log2(rho)))
     weights: dict[int, float] = {}
-    for j in np.unique(cls[cls >= 0]):
+    for j in _distinct(cls[cls >= 0]):
         weights[int(j)] = float(np.sum(sup[cls == j]) * rho)  # ~ class mass
     if not weights:
         return 0.0

@@ -3,12 +3,13 @@ import importlib.util
 import json
 import os
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decaylab import GridMeasure, cli, uniform_measure
+from decaylab import GridMeasure, cli, dyadic, uniform_measure
 from decaylab.cli import ConfigError, ExperimentConfig, dispatch, main, parse_config
 
 BASE_CASE = """
@@ -352,23 +353,58 @@ import sys
 import decaylab.cli
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not scipy, scipy[:5]
+assert "concurrent.futures" not in sys.modules
 before = set(sys.modules)
 assert decaylab.cli.main([sys.argv[1], "--output", sys.argv[2]]) == 0
-late = sorted(set(sys.modules) - before)
+late = sorted(set(sys.modules) - before - set(sys.argv[3].split()))
 assert not late, late
 """
 
+# the modules `import numpy.random` loads by itself, after decaylab.cli
+_RANDOM_PROBE = """
+import sys
+import decaylab.cli
+before = set(sys.modules)
+import numpy.random
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
 
-def test_import_loads_no_scipy_and_run_loads_nothing(tmp_path):
-    # a module first loaded by main() would be timed as part of the run
+
+@pytest.mark.parametrize("experiment", ["base-case", "project"])
+def test_import_loads_no_scipy_and_run_loads_nothing(tmp_path, experiment):
+    # a module first loaded by main() would be timed as part of the run; the
+    # project config's Cantor inputs draw from numpy.random, so it alone may
+    # load late there
     import subprocess
 
     cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text(BASE_CASE.replace("scale = 7", "scale = 5"))
+    cfg_path.write_text({"base-case": BASE_CASE.replace("scale = 7", "scale = 5"),
+                         "project": PROJECT}[experiment])
+    allowed = ""
+    if experiment == "project":
+        r = subprocess.run([sys.executable, "-c", _RANDOM_PROBE], capture_output=True,
+                           text=True, timeout=300, env=_child_env())
+        assert r.returncode == 0, r.stderr
+        allowed = r.stdout.strip()
     r = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(cfg_path),
-                        str(tmp_path / "out")],
+                        str(tmp_path / "out"), allowed],
                        capture_output=True, text=True, timeout=300, env=_child_env())
     assert r.returncode == 0, r.stderr
+
+
+def test_timing_records_stages_and_worker_count(tmp_path):
+    # the worker count goes to timing.json; report.json does not depend on it
+    cfg = parse_config(PROJECT)
+    for workers in (1, 3):
+        out = tmp_path / str(workers)
+        with mock.patch.object(dyadic, "_WORKERS", workers):
+            dispatch(cfg, out)
+        timing = json.loads((out / "timing.json").read_text())
+        assert sorted(timing) == ["stages", "workers"]
+        assert [name for name, _ in timing["stages"]] == ["experiment", "write"]
+        assert timing["workers"] == workers
+    for name in ("report.json", "projection.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "3" / name).read_bytes()
 
 
 def test_successive_mains_do_not_share_parsed_state(tmp_path):
