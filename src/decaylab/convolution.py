@@ -134,7 +134,8 @@ def _conv_mul(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
         idx, w = (buf[:n] for buf in bufs[slot])
         np.multiply.outer(ka[i0:i0 + n], kb, out=idx)
         idx >>= shift
-        idx -= base
+        if base:    # 0 whenever both factors sit on cells k >= 0 (even_product)
+            idx -= base
         np.multiply.outer(wa[i0:i0 + n], wb, out=w)
         return np.bincount(idx.ravel(), weights=w.ravel(), minlength=out.size)
 

@@ -26,8 +26,9 @@ from .dyadic import _distinct, _ordered_map
 from .energy import energy_spatial
 from .measures import (GridMeasure, kernel_weights, next_fast_len,
                        pushforward_affine, regularize)
-from .spectral import (decay_profile, fourier_lattice, l2_at_scale, odd_products,
-                       product_chain_fourier, product_fourier)
+from .spectral import (band_samples, decay_profile, fourier_lattice, l2_at_scale,
+                       odd_products, product_chain_fourier, product_fourier,
+                       profile_from_samples)
 
 __all__ = [
     "Verdict",
@@ -271,13 +272,6 @@ def run_level_sets(lam: GridMeasure, r: float):
 _CHAIN_CELLS = 64
 
 
-def _band_profile(product: GridMeasure, delta: float, n_samples: int):
-    """Decay profile of product over [16, 2/delta], capped at 1/(8 spacing)."""
-    # fit only where the x-routing slop (a few cells) keeps phases coherent
-    top = min(2.0 / delta, 1.0 / (8.0 * product.spacing))
-    return decay_profile(product, (16.0, top), n_samples)
-
-
 def _coarsen_to_cap(m: GridMeasure, cap: int) -> GridMeasure:
     """Coarsen until at most cap cells carry mass (keeps the measure exact)."""
     out = m
@@ -354,7 +348,9 @@ def run_induction_chain(measures, exponents, delta: float, k: int, n_samples: in
     full_product = measures[0]
     for m_ in measures[1:]:
         full_product = convolve(full_product, m_, "mul")
-    prof = _band_profile(full_product, delta, max(n_samples, 64))
+    # fit only where the x-routing slop (a few cells) keeps phases coherent
+    top = min(2.0 / delta, 1.0 / (8.0 * full_product.spacing))
+    prof = decay_profile(full_product, (16.0, top), max(n_samples, 64))
     verdicts = (
         Verdict("order-chain", "exact", bool(violation <= 1e-6), measured=violation,
                 detail="max over sampled xi of lhs - rhs"),
@@ -407,9 +403,9 @@ def run_quantitative_decay(measures, sigma: float, delta: float, c0: float,
     With ell = ceil(c0 / sigma), two disjoint chains of length ell are built
     from the inputs; each stage records the energy at the expected exponent
     sigma * (1 + (k-1)/c0) capped at 2/3.
-    The transform of (last of chain 1) x (last of chain 2) is profiled over
-    [16, 2/delta] and its fitted exponent compared against the theoretical
-    floor tau = 2^-(2 ell + 1).
+    The atom-exact transform (product_fourier) of (last of chain 1) x (last of
+    chain 2) is fitted over [16, 2/delta], uncapped, and the fitted exponent
+    compared against the theoretical floor tau = 2^-(2 ell + 1).
 
     Payload: n, sigma, delta, c0, ell, tau_theory, tau_measured (the fitted
     exponent); stages, one {stage, exponent, energy, l2_sq} per stage of
@@ -421,6 +417,7 @@ def run_quantitative_decay(measures, sigma: float, delta: float, c0: float,
     if n < 2 * ell:
         raise ValueError(f"need n >= 2*ell = {2 * ell} measures, got {n}")
     _require_support_in_1_2(measures)
+    xis = band_samples(16.0, 2.0 / delta, n_samples)
     input_energies = [float(energy_spatial(m_, sigma, max(delta, m_.spacing)))
                       for m_ in measures[:2 * ell]] if sigma < 1 else []
     chain1 = _multiply_subtract_chain(measures[:ell], ell)
@@ -431,13 +428,12 @@ def run_quantitative_decay(measures, sigma: float, delta: float, c0: float,
         s_k = min(sigma * (1.0 + (k - 1.0) / c0), 2.0 / 3.0)
         en = energy_spatial(pk, s_k, delta)
         rows.append((k, float(s_k), float(en), float(l2_at_scale(pk, delta) ** 2)))
-    prof = _band_profile(convolve(chain1[-1], chain2[-1], "mul"), delta, n_samples)
+    prof = profile_from_samples(xis, np.abs(product_fourier(chain1[-1], chain2[-1], xis)))
     verdicts = (
         Verdict("tau-vs-theory", "evidence",
                 bool(prof.tau_hat >= tau_theory), measured=prof.tau_hat,
                 detail=f"theory floor {tau_theory}"),
-        Verdict("stage-energies", "evidence", True,
-                measured=rows[-1][2]),
+        Verdict("stage-energies", "evidence", True, measured=rows[-1][2]),
         Verdict("input-energies", "evidence", True,
                 measured=float(max(input_energies)) if input_energies else None),
     )

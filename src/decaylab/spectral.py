@@ -442,15 +442,18 @@ def _fit_decay(xis: np.ndarray, mags: np.ndarray):
     return float(-coef[0]), rms, floor_hits, False
 
 
-def decay_profile(mu: GridMeasure, band: tuple[float, float],
-                  n_samples: int) -> DecayProfile:
-    """Log-uniform band sampling of |mu_hat| with a power-law fit."""
-    lo, hi = band
+def band_samples(lo: float, hi: float, n_samples: int) -> np.ndarray:
+    """n_samples log-uniform frequencies over [lo, hi], endpoints exactly lo and hi."""
     if n_samples < 3:
         raise ValueError("need at least 3 samples")
     if lo < 1 or hi <= lo:
         raise ValueError(f"band must satisfy 1 <= lo < hi, got lo={lo!r}, hi={hi!r}")
-    xis = np.geomspace(lo, hi, n_samples)    # endpoints exactly lo and hi
+    return np.geomspace(lo, hi, n_samples)
+
+
+def decay_profile(mu: GridMeasure, band: tuple[float, float], n_samples: int) -> DecayProfile:
+    """Log-uniform band sampling of |mu_hat| with a power-law fit."""
+    xis = band_samples(*band, n_samples)
     return profile_from_samples(xis, np.abs(fourier_many(mu, xis)))
 
 

@@ -228,7 +228,8 @@ def _shipped(name):
     # depth-1 Cantor inputs leave a level-4 product grid: 1/(8h) = 4 < 16
     (lambda: _shipped("induction.cfg").replace("depth = 5", "depth = 1"),
      "lo=16.0, hi=4.0"),
-    (lambda: QUANTITATIVE.replace("scale = 6", "scale = 3"), "lo=16.0, hi=8.0"),
+    # quantitative's exact fit is uncapped: [16, 2/delta] is [16, 16] at scale 3
+    (lambda: QUANTITATIVE.replace("scale = 6", "scale = 3"), "lo=16.0, hi=16.0"),
 ], ids=["induction-depth-1", "quantitative-scale-3"])
 def test_main_rejects_empty_wide_band(tmp_path, capsys, text, band):
     cfg_path = tmp_path / "band.cfg"
@@ -405,6 +406,17 @@ def test_timing_records_stages_and_worker_count(tmp_path):
         assert timing["workers"] == workers
     for name in ("report.json", "projection.csv"):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "3" / name).read_bytes()
+
+
+def test_quantitative_outputs_do_not_depend_on_worker_count(tmp_path):
+    # scale 8 gives the chains' muls several row chunks, so the pool runs
+    cfg = parse_config(_shipped("quantitative.cfg"))
+    for workers in (1, dyadic._WORKERS):
+        with mock.patch.object(dyadic, "_WORKERS", workers):
+            dispatch(cfg, tmp_path / str(workers))
+    for name in ("report.json", "stages.csv"):
+        assert ((tmp_path / "1" / name).read_bytes()
+                == (tmp_path / str(dyadic._WORKERS) / name).read_bytes())
 
 
 def test_successive_mains_do_not_share_parsed_state(tmp_path):
@@ -595,7 +607,7 @@ def _bench_workloads():
 def test_shipped_configs_parse():
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     paths = sorted(glob.glob(os.path.join(root, "configs", "*.cfg")))
-    assert len(paths) == 5
+    assert len(paths) == 6
     for path in paths:
         with open(path, encoding="utf-8") as fh:
             parse_config(fh.read())

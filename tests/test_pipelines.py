@@ -3,8 +3,10 @@ import pytest
 
 from decaylab import (GridMeasure, l2_at_scale, point_mass, product_fourier,
                       pushforward_affine, uniform_measure)
+from decaylab import pipelines
 from decaylab.constructions import make_comb
 from decaylab.convolution import convolve, difference_product
+from decaylab.spectral import profile_from_samples
 from decaylab.pipelines import (quantitative_parameters, run_base_case,
                                 run_flattening, run_induction_chain,
                                 run_keystep_scan, run_level_sets,
@@ -238,6 +240,29 @@ def test_quantitative_two_stages_cantor():
     assert [st["exponent"] for st in payload["stages"]] == pytest.approx([0.5, 2.0 / 3.0])
     assert payload["tau_measured"] >= payload["tau_theory"]
     assert verdicts[0].passed
+
+
+def test_quantitative_fits_the_exact_transform_of_the_chain_ends(monkeypatch):
+    # the chains make the only muls; the fit reads product_fourier, uncapped
+    mus = [pushforward_affine(random_cantor_measure(40 + i, depth=4), 1.0, 1.0)
+           for i in range(4)]
+    ops = []
+
+    def counting(a, b, op):
+        ops.append(op)
+        return convolve(a, b, op)
+
+    monkeypatch.setattr(pipelines, "convolve", counting)
+    delta, n = 2.0 ** -8, 24
+    payload, _, _ = run_quantitative_decay(mus, 0.5, delta, c0=1.0, n_samples=n)
+    assert ops.count("mul") == 2 * (payload["ell"] - 1) == 2
+    ends = []
+    for a, b in (mus[:2], mus[2:]):
+        prod = convolve(a, b, "mul")
+        ends.append(convolve(prod, prod, "sub").trimmed())
+    xis = np.geomspace(16.0, 2.0 / delta, n)
+    exact = profile_from_samples(xis, np.abs(product_fourier(*ends, xis)))
+    assert payload["tau_measured"] == exact.tau_hat
 
 
 def test_quantitative_requires_supports_in_1_2():
