@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicGridSet
+from .dyadic import DyadicGridSet, _dyadic_exponent
 from .energy import frostman_constant
-from .measures import (GridMeasure, OVERSAMPLE_BITS, pushforward_affine,
-                       uniform_measure)
+from .measures import (GridMeasure, OVERSAMPLE_BITS, _common_grid,
+                       pushforward_affine, uniform_measure)
 
 __all__ = [
     "CantorSpec",
@@ -148,9 +148,8 @@ def make_comb(r: float, c: float) -> GridMeasure:
     Guarantees: cos(2 pi x / r) >= 1/2 on the support (c <= 1/8), hence
     |rho_hat(1/r)| >= 1/2.
     """
-    l = int(round(-np.log2(r)))
-    if not np.isclose(r, 2.0 ** -l) or r > 0.25:
-        raise ValueError("r must be dyadic and <= 1/4")
+    if _dyadic_exponent(r) < 2:
+        raise ValueError(f"r={r} is above 1/4")
     if not 0 < c <= 0.125:
         raise ValueError("c must lie in (0, 1/8]")
     level = int(np.ceil(-np.log2(c * r))) + 2
@@ -219,11 +218,5 @@ def mix(mu: GridMeasure, nu: GridMeasure, weight: float) -> GridMeasure:
     """Convex combination weight*mu + (1-weight)*nu on a common grid."""
     if not 0 <= weight <= 1:
         raise ValueError("weight must lie in [0, 1]")
-    level = max(mu.level, nu.level)
-    a, b = mu.refined(level), nu.refined(level)
-    lo = min(a.origin_index, b.origin_index)
-    hi = max(a.origin_index + a.size, b.origin_index + b.size)
-    out = np.zeros(hi - lo, dtype=np.float64)
-    out[a.origin_index - lo:a.origin_index - lo + a.size] += weight * a.masses
-    out[b.origin_index - lo:b.origin_index - lo + b.size] += (1 - weight) * b.masses
-    return GridMeasure(level, lo, out)
+    level, lo, a, b = _common_grid(mu, nu)
+    return GridMeasure(level, lo, weight * a + (1 - weight) * b)

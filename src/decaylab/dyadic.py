@@ -187,14 +187,16 @@ def covering_number(X: DyadicGridSet, r: float) -> int:
     l = _dyadic_exponent(r)
     if l > X.level:
         raise ValueError(f"r={r} is finer than the set's grid 2**-{X.level}")
-    if X.is_empty():
-        return 0
-    return int(_distinct(X.cells >> (X.level - l)).size)
+    return X.coarsened(l).size
 
 
 def _dyadic_exponent(r: float) -> int:
-    l = int(round(-np.log2(r)))
-    if not np.isclose(r, 2.0 ** -l, rtol=1e-12):
+    """The level l with r = 2**-l: the one conversion of a radius or scale
+    to a grid level.  The check is relative only, so no r is dyadic for
+    being small."""
+    # an r outside (0, inf), or nan, takes l = 0 and fails the check
+    l = int(round(-np.log2(r))) if 0.0 < r < np.inf else 0
+    if not np.isclose(r, 2.0 ** -l, rtol=1e-12, atol=0.0):
         raise ValueError(f"r={r} is not a dyadic power 2**-l")
     return l
 
@@ -232,7 +234,7 @@ def set_check(X: DyadicGridSet, s: float, K: float, kind: str = "frostman-type")
         r = 2.0 ** -l
         bound = K * (r ** s) * total if kind == "frostman-type" else K * (r / delta) ** s
         # only r-cells within distance r of an occupied r-cell can violate
-        occ = _distinct(X.cells >> (X.level - l))
+        occ = X.coarsened(l).cells
         cand = _distinct(np.concatenate([occ - 1, occ, occ + 1]))
         for j in cand:
             x = (j + 0.5) * r
@@ -240,6 +242,16 @@ def set_check(X: DyadicGridSet, s: float, K: float, kind: str = "frostman-type")
             if cnt > bound + 1e-9:
                 return False, (float(x), float(r))
     return True, None
+
+
+def _child_counts(child: np.ndarray, D: int):
+    """(distinct cells of the nonempty child array, sorted; per occupied
+    parent cell, in increasing order, the number of them under it), where a
+    cell's parent is its index >> D."""
+    kids = _distinct(child)
+    parent = kids >> D
+    starts = np.flatnonzero(np.diff(parent, prepend=parent[0] - 1))
+    return kids, np.diff(starts, append=kids.size)
 
 
 def uniformize(X: DyadicGridSet, D: int, m: int) -> DyadicGridSet:
@@ -264,29 +276,17 @@ def uniformize(X: DyadicGridSet, D: int, m: int) -> DyadicGridSet:
         return X
     cells = X.cells
     for j in range(m, 0, -1):
-        shift = D * (m - j)
-        child = cells >> shift           # level D*j cell per cell
-        parent = cells >> (shift + D)    # level D*(j-1) cell per cell
-        # distinct (parent, child) pairs define the level-D*j occupancy
-        pairs = np.unique(np.stack([parent, child], axis=1), axis=0)
-        par_ids, counts = np.unique(pairs[:, 0], return_counts=True)
+        child = cells >> (D * (m - j))   # level D*j cell per cell
+        kids, counts = _child_counts(child, D)
         best_R, best_kept = 1, -1
         for R in range(1, int(counts.max()) + 1):
             kept = R * int(np.sum(counts >= R))
             if kept >= best_kept:   # ties -> larger R (larger class index)
                 best_kept, best_R = kept, R
-        keep_parents = par_ids[counts >= best_R]
-        # first best_R children (by child key) of each kept parent
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        sp = pairs[order]
-        mask_par = np.isin(sp[:, 0], keep_parents)
-        sp = sp[mask_par]
-        # rank of each pair within its parent run
-        _, starts = np.unique(sp[:, 0], return_index=True)
-        ranks = np.arange(sp.shape[0]) - np.repeat(starts, np.diff(np.append(starts, sp.shape[0])))
-        keep_children = sp[ranks < best_R, 1]
-        sel = np.isin(child, keep_children) & np.isin(parent, keep_parents)
-        cells = cells[sel]
+        # first best_R children (in index order) of each parent with >= best_R
+        rank = np.arange(kids.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        keep = (rank < best_R) & np.repeat(counts >= best_R, counts)
+        cells = cells[np.isin(child, kids[keep])]
     return DyadicGridSet(X.level, cells)
 
 
@@ -296,11 +296,7 @@ def uniformity_audit(X: DyadicGridSet, D: int, m: int):
         return True, []
     counts = []
     for j in range(1, m + 1):
-        shift = D * (m - j)
-        child = X.cells >> shift
-        parent = X.cells >> (shift + D)
-        pairs = np.unique(np.stack([parent, child], axis=1), axis=0)
-        _, cnt = np.unique(pairs[:, 0], return_counts=True)
+        _, cnt = _child_counts(X.cells >> (D * (m - j)), D)
         if cnt.min() != cnt.max():
             return False, j
         counts.append(int(cnt[0]))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicGridSet, _distinct, set_check
+from .dyadic import DyadicGridSet, _dyadic_exponent, set_check
 from .measures import (GridMeasure, ball_mass_vector, fftconvolve, mask_measure,
                        regularize, uniform_measure)
 from .spectral import fourier_many, fourier_progression
@@ -168,7 +168,7 @@ def exceptional_set(mu: GridMeasure, s: float, delta: float,
     precond = energy_spatial(mu, s, delta) <= delta ** -eps
     md = regularize(mu, delta)
     threshold = delta ** (-2.0 * eps)
-    u_max = int(np.floor(np.log2(1.0 / delta)))
+    u_max = _dyadic_exponent(delta)
     bad = np.zeros(md.size, dtype=bool)
     for u in range(0, u_max + 1):
         r = 2.0 ** -u
@@ -218,11 +218,11 @@ def extract_nonconcentrated(nu: GridMeasure, s: float, rho: float,
     """
     exc = exceptional_set(nu, s, rho, 2.0 * tau)
     m_rho = regularize(nu, rho)
-    rho_level = int(round(-np.log2(rho)))
+    rho_level = _dyadic_exponent(rho)
     coarse = m_rho.coarsened(rho_level)
     # nu-mass and exceptional mask per rho-cell
     nu_coarse = nu.coarsened(rho_level)
-    exc_cells = _distinct(exc.exceptional.cells >> (nu.level - rho_level))
+    exc_cells = exc.exceptional.coarsened(rho_level).cells
     idx = coarse.origin_index + np.arange(coarse.size)
     dens = coarse.masses / coarse.spacing
     good = ~np.isin(idx, exc_cells) & (dens > 0)
@@ -231,14 +231,13 @@ def extract_nonconcentrated(nu: GridMeasure, s: float, rho: float,
         return ExtractionResult(empty, 0.0, float(rho ** (2 * tau)), {}, False,
                                 False, exc.precondition_ok)
     dmax = dens[good].max()
-    k_max = int(np.floor(np.log2(1.0 / rho)))
     classes = np.full(idx.size, -1, dtype=np.int64)
     with np.errstate(divide="ignore"):
         raw = np.floor(np.log2(dmax / np.where(dens > 0, dens, 1.0))).astype(np.int64)
-    classes[good] = np.clip(raw[good], 0, k_max)
+    classes[good] = np.clip(raw[good], 0, rho_level)   # classes 0 .. log2(1/rho)
     hist: dict[int, float] = {}
     lo = nu_coarse.origin_index
-    for k in range(0, k_max + 1):
+    for k in range(0, rho_level + 1):
         cells = idx[classes == k]
         if cells.size == 0:
             continue

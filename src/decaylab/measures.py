@@ -434,12 +434,17 @@ def l1_distance(mu: GridMeasure, nu: GridMeasure) -> float:
     This is the natural metric at grid resolution: moving mass m by one cell
     changes the distance by m * spacing, so re-binning slop stays O(spacing).
     """
+    level, _, a, b = _common_grid(mu, nu)
+    return float(np.sum(np.abs(np.cumsum(a - b))) * 2.0 ** -level)
+
+
+def _common_grid(mu: GridMeasure, nu: GridMeasure):
+    """(level, origin index, mu's masses, nu's masses) on the finer of the two
+    levels and the smallest window holding both, zero-padded."""
     level = max(mu.level, nu.level)
     a, b = mu.refined(level), nu.refined(level)
     lo = min(a.origin_index, b.origin_index)
-    hi = max(a.origin_index + a.size, b.origin_index + b.size)
-    pa = np.zeros(hi - lo)
-    pb = np.zeros(hi - lo)
-    pa[a.origin_index - lo:a.origin_index - lo + a.size] = a.masses
-    pb[b.origin_index - lo:b.origin_index - lo + b.size] = b.masses
-    return float(np.sum(np.abs(np.cumsum(pa - pb))) * 2.0 ** -level)
+    out = np.zeros((2, max(a.origin_index + a.size, b.origin_index + b.size) - lo))
+    for row, m in zip(out, (a, b)):
+        row[m.origin_index - lo:m.origin_index - lo + m.size] = m.masses
+    return level, lo, out[0], out[1]

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.fft import rfft
 
 from .convolution import convolve, difference_product, even_product, symmetry_defect
-from .dyadic import _distinct, _ordered_map
+from .dyadic import _distinct, _dyadic_exponent, _ordered_map
 from .energy import energy_spatial
 from .measures import (GridMeasure, kernel_weights, next_fast_len,
                        pushforward_affine, regularize)
@@ -150,10 +150,10 @@ def run_flattening(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
     for _ in range(k_max):
         powers.append(convolve(powers[-1], powers[-1], "add"))
 
-    r_levels = list(range(int(round(-np.log2(delta))), -1, -1))  # delta .. 1
+    r_levels = list(range(_dyadic_exponent(delta), -1, -1))  # delta .. 1
     r_values = np.array([2.0 ** -l for l in r_levels])
     max_len = powers[-1].size + int(2.0 / h) + 8
-    nfft = next_fast_len(max_len)
+    nfft = next_fast_len(max_len, real=True)
     # the kernel transforms, and then the power rows, are independent
     kernels = []
     _ordered_map(lambda _, r: rfft(kernel_weights(float(r), level), nfft),
@@ -166,13 +166,11 @@ def run_flattening(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
     j_rows = []
     _ordered_map(j_row, powers, j_rows.append)
     J = np.array(j_rows)
-    energies = np.empty(k_max + 1)
-    s_sum = s + t
-    for k, pk in enumerate(powers):
-        if s_sum < 1.0 - 1e-12:
-            energies[k] = energy_spatial(pk, s_sum, delta)
-        else:
-            energies[k] = l2_at_scale(pk, delta) ** 2
+    # at s + t = 1 the energy is ||(Pi^{+2^k})_delta||_2^2 = J(k, delta)^2
+    if s + t < 1.0 - 1e-12:
+        energies = np.array([energy_spatial(pk, s + t, delta) for pk in powers])
+    else:
+        energies = J[:, 0] ** 2
 
     mono_gap = float(np.max(J[1:] - J[:-1])) if k_max >= 1 else 0.0
     target = delta ** (-kappa / 2.0) * r_values ** ((s + t - 1.0) / 2.0)
@@ -213,7 +211,7 @@ def _level_set_classes(m: GridMeasure, r: float):
     r-cell on the level-log2(1/r) grid); class -1 marks empty cells, 0 the
     cells with sup <= 1, and j >= 1 the band (2^(j-1), 2^j].
     """
-    sup, lo = _cell_sup(regularize(m, r), int(round(-np.log2(r))))
+    sup, lo = _cell_sup(regularize(m, r), _dyadic_exponent(r))
     cls = np.full(sup.size, -1, dtype=np.int64)
     pos = sup > 0
     big = sup > 1.0 + 1e-9          # tolerance keeps exact-1 plateaus in class 0
@@ -242,7 +240,7 @@ def run_level_sets(lam: GridMeasure, r: float):
     # sup of the 4r-density per r-cell, cut to the r-cells of cls: regularize
     # widens lam's window by the kernel's cell count, so the 4r window holds
     # the r window
-    sup4, base4 = _cell_sup(regularize(lam, min(4.0 * r, 0.5)), int(round(-np.log2(r))))
+    sup4, base4 = _cell_sup(regularize(lam, min(4.0 * r, 0.5)), _dyadic_exponent(r))
     sup4 = sup4[base - base4:base - base4 + cls.size]
     lower = 0.0
     rows = []
@@ -318,6 +316,9 @@ def run_induction_chain(measures, exponents, delta: float, k: int, n_samples: in
     n = len(measures)
     if n < 3:
         raise ValueError("need n >= 3 measures")
+    if len(exponents) != n:
+        raise ValueError(f"need one exponent per measure: {len(exponents)} "
+                         f"exponents for {n} measures")
     if np.sum(exponents) <= 1.0:
         raise ValueError("need sum of exponents > 1")
     input_energies = [
@@ -467,9 +468,9 @@ def run_keystep_scan(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
     l2_mu_sq, antecedent (0/1), l2_pi_sq, consequent (0/1), diag.
     """
     _require_support_in_1_2((mu, nu))
+    l_hi = _dyadic_exponent(delta)
     tau = t / big_c
     pi = _multiply_subtract_chain([mu, nu], 2)[-1]
-    l_hi = int(round(-np.log2(delta)))
     l_lo = max(1, int(np.floor(-np.log2(delta ** (eps / t)))))
     rows, table = [], []
     ok = True
@@ -501,7 +502,7 @@ def run_keystep_scan(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
 def _indicator_diagnostic(mu: GridMeasure, rho: float) -> float:
     """2^(i+j) ||1_Ai - 1_Aj||_2 for the two heaviest dyadic density classes."""
     cls, sup, base = _level_set_classes(mu, rho)
-    l = int(round(-np.log2(rho)))
+    l = _dyadic_exponent(rho)
     weights: dict[int, float] = {}
     for j in _distinct(cls[cls >= 0]):
         weights[int(j)] = float(np.sum(sup[cls == j]) * rho)  # ~ class mass
@@ -517,5 +518,4 @@ def _indicator_diagnostic(mu: GridMeasure, rho: float) -> float:
         masses[cells - cells.min()] = rho
         ind.append(GridMeasure(l, int(cells.min()), masses))
     d = convolve(ind[0], ind[1], "sub")
-    l2 = float(np.sqrt(np.sum(d.masses ** 2) / d.spacing))
-    return 2.0 ** (i_cls + j_cls) * l2
+    return 2.0 ** (i_cls + j_cls) * l2_at_scale(d, d.spacing)

@@ -266,6 +266,18 @@ def test_main_refuses_point_past_float_resolution(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+def test_main_refuses_tiny_non_dyadic_comb(tmp_path, capsys):
+    # an absolute tolerance would read r = 1e-9 as 2**-30: a 512 GiB grid
+    cfg_path = tmp_path / "comb.cfg"
+    cfg_path.write_text("experiment = decay\nscale = 4\nband_lo = 1\nband_hi = 8\n"
+                        "input1.kind = comb\ninput1.r = 1e-9\n")
+    out = tmp_path / "out"
+    assert main([str(cfg_path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "runtime error: ValueError" in err and "not a dyadic power" in err
+    assert not (out / "report.json").exists()
+
+
 def test_main_param_override(tmp_path, capsys):
     cfg_path = tmp_path / "ok.cfg"
     cfg_path.write_text(BASE_CASE)
@@ -604,16 +616,31 @@ def _bench_workloads():
     return mod.WORKLOADS.values()
 
 
+SHIPPED = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
+                                        "configs", "*.cfg")))
+
+
 def test_shipped_configs_parse():
-    root = os.path.join(os.path.dirname(__file__), os.pardir)
-    paths = sorted(glob.glob(os.path.join(root, "configs", "*.cfg")))
-    assert len(paths) == 6
-    for path in paths:
+    assert len(SHIPPED) == 10
+    for path in SHIPPED:
         with open(path, encoding="utf-8") as fh:
             parse_config(fh.read())
     for w in _bench_workloads():
         for seed in (w.default_seed, 0, 9):
             parse_config(w.render(seed))
+
+
+def test_every_experiment_has_a_shipped_config():
+    shipped = set()
+    for path in SHIPPED:
+        with open(path, encoding="utf-8") as fh:
+            shipped.add(parse_config(fh.read()).experiment)
+    assert shipped == set(cli.EXPERIMENTS)
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=os.path.basename)
+def test_shipped_config_runs(tmp_path, path):
+    assert main([path, "--output", str(tmp_path)]) == 0
 
 
 def test_reports_match_schema(tmp_path):

@@ -34,8 +34,10 @@ def test_comb_teeth_count():
 
 
 def test_comb_rejections():
-    with pytest.raises(ValueError):
-        make_comb(0.3, 1.0 / 16)       # not dyadic
+    # an absolute tolerance would read 3e-9 as 2**-28 and build a 128 GiB grid
+    for r in (0.3, 1e-9, 3e-9):
+        with pytest.raises(ValueError, match="not a dyadic power"):
+            make_comb(r, 1.0 / 16)
     with pytest.raises(ValueError):
         make_comb(2.0 ** -3, 0.3)      # c too large for the cosine floor
 

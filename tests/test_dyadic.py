@@ -77,6 +77,18 @@ def test_covering_cantor_generator_recursion():
         assert covering_number(X, 2.0 ** -(2 * j)) == 2 ** j
 
 
+@pytest.mark.parametrize("r", [1e-9, 3e-9, 0.3, 0.0, -0.25, math.inf, math.nan])
+def test_dyadic_exponent_refuses_non_dyadic_radii(r):
+    # the check is relative: no r is dyadic for being within 1e-8 of 0
+    with pytest.raises(ValueError, match="not a dyadic power"):
+        dyadic._dyadic_exponent(r)
+
+
+def test_dyadic_exponent_accepts_tiny_dyadic_radii():
+    assert dyadic._dyadic_exponent(2.0 ** -30) == 30
+    assert dyadic._dyadic_exponent(1.0) == 0
+
+
 def test_covering_monotone():
     rng = np.random.default_rng(3)
     X = DyadicGridSet(10, rng.choice(1 << 10, size=200, replace=False))

@@ -203,6 +203,13 @@ def test_induction_chain_validation():
         run_induction_chain(mus, [0.3, 0.3, 0.3], 2.0 ** -5, 1, n_samples=8)
 
 
+def test_induction_chain_needs_one_exponent_per_measure():
+    # a short exponent list would drop the last inputs' energies in zip
+    mus = [uniform_measure(1.0, 2.0, 8)] * 3
+    with pytest.raises(ValueError, match="2 exponents for 3 measures"):
+        run_induction_chain(mus, [0.6, 0.6], 2.0 ** -5, 1, n_samples=8)
+
+
 # ---------------------------------------------------------------------------
 # quantitative pipeline
 # ---------------------------------------------------------------------------
@@ -292,6 +299,13 @@ def test_keystep_concentrated_comb():
     assert any(r["antecedent"] for r in payload["rows"])
     assert payload["implication_ok"]
     assert all(r["diag_indicator_l2"] >= 0 for r in payload["rows"])
+
+
+def test_keystep_refuses_non_dyadic_delta():
+    # rounding delta would scan the nearest dyadic scales instead
+    mu = uniform_measure(1.0, 2.0, 12)
+    with pytest.raises(ValueError, match="not a dyadic power"):
+        run_keystep_scan(mu, mu, 0.5, 0.5, 0.003, big_c=2.0, eps=0.05)
 
 
 def test_keystep_battery_never_false():
