@@ -12,14 +12,18 @@ index c belongs to the closed ball B(x, r) iff the closed cell
 the test-suite share the same convention, so fast paths must match them
 exactly.
 
-projection_scan returns the count |pi_y(A1 x A2)|_δ per direction, exact in
+projection_scan returns the count |pi_y(A1 x A2)|_δ per direction, exact, as
 int64; the threshold it is compared with belongs to its caller.  With A at
 level L and Y at level Ly, pair (a, b) at direction cell u lands in the
 δ-cell ((2a+1) << (Ly+1) - (2u+1)(2b+1)) >> (Ly+2), the floor of
 (c_a - y_u c_b)/δ for cell centers c and y.  Whole direction rows are
 scanned in batches of at most _SCAN_PAIRS pairs (one row if a row is
 larger), and inputs whose extreme numerators reach 2**62 are refused with
-ValueError (_MUL_PRODUCT_LIMIT, which `mul` in convolution uses too).
+ValueError (_MUL_PRODUCT_LIMIT, which `mul` in convolution uses too).  The
+numerators are int32 when every extreme stays below 2**31, else int64, and
+the bins uint16, uint32 or int64, the narrowest type holding the number of
+bins the extremes allow: distinct bins within such a window stay distinct
+modulo 2**16 or 2**32, so the counts are the same.
 
 The chunked exact kernels (projection_scan's batches, convolution's mul
 chunks, flattening's FFTs) run through _ordered_map: up to _WORKERS threads,
@@ -45,11 +49,12 @@ __all__ = [
 ]
 
 # pairs per projection_scan batch (whole direction rows, at least one), per
-# worker slot.  On 2 workers the project-l12 run (1.68e7 pairs) took
-# 0.14-0.21 s at 2**16, 0.14-0.16 s at 2**18 and 2**20, where the process
-# peak RSS rose from 39 to 42 and 56 MB, and 0.22-0.25 s at 2**14 (2-CPU
-# VM, three fresh processes each; 0.19-0.21 s at 2**16 on 1 worker).
-_SCAN_PAIRS = 1 << 16
+# worker slot.  On project-l12 (1.68e7 pairs in int32 numerators and uint16
+# bins, 2 workers, 2-CPU VM) 2**18 beat 2**16, 2**17 and 2**20 in 10, 8 and
+# 10 of ten alternating pairs of runs (median run_s 0.082 vs 0.095, 0.099 vs
+# 0.103 and 0.096 vs 0.101 s); 2**14 and 2**15 took 0.12-0.24 s.  The CLI
+# process's peak RSS was 39, 41 and 51 MB at 2**16, 2**18 and 2**20.
+_SCAN_PAIRS = 1 << 18
 
 # projection_scan, and convolution's mul, refuse inputs whose largest odd-center
 # numerator reaches this (int64 room)
@@ -310,42 +315,61 @@ def projection_scan(A1: DyadicGridSet, A2: DyadicGridSet, Y: DyadicGridSet) -> n
     which for A at level L and Y at level Ly is the exact integer
     ((2a+1) << (Ly+1) - (2u+1)(2b+1)) >> (Ly+2).  Whole direction rows are
     scanned in batches of at most _SCAN_PAIRS pairs (or one larger row);
-    each row's indices are sorted and its distinct values counted.  Sets
-    whose extreme numerators reach 2**62 are refused with ValueError rather
-    than wrapped in int64.
+    each row's bins are sorted and its distinct values counted.  Sets whose
+    extreme numerators reach 2**62 are refused with ValueError rather than
+    wrapped in int64.
+
+    The extremes (the lead terms, the products and their differences, as
+    Python ints) bound every value the blocks hold, so the numerators are
+    int32 when all of them lie below 2**31 in absolute value, else int64.
+    The bins of every row lie in one window of `span` consecutive integers,
+    with span read off the extreme numerators.  The shift writes them as
+    uint16 when span <= 2**16, uint32 when span <= 2**32, else int64; the
+    cast to unsigned is modular, so distinct bins of the window, negative
+    ones included, stay distinct and the counts are exact.
     """
     if A1.is_empty() or A2.is_empty() or Y.is_empty():
         raise ValueError("projection_scan needs nonempty A1, A2, Y")
     if A1.level != A2.level:
         raise ValueError("A1 and A2 must share a level")
     level, ylevel = A1.level, Y.level
-    # extreme odd numerators and their two terms, as Python ints
+    shift = ylevel + 2
+    # extreme odd numerators and their two terms, as Python ints: they bound
+    # every value of the blocks below
     ends = [[2 * int(X.cells[k]) + 1 for k in (0, -1)] for X in (A1, A2, Y)]
     lead = [p << (ylevel + 1) for p in ends[0]]
     tail = [q * w for q in ends[1] for w in ends[2]]
-    extremes = lead + tail + [f - g for f in lead for g in tail]
-    if max(abs(x) for x in extremes) >= _MUL_PRODUCT_LIMIT:
+    nums = [f - g for f in lead for g in tail]
+    top = max(abs(x) for x in lead + tail + nums)
+    if top >= _MUL_PRODUCT_LIMIT:
         raise ValueError(
             f"projection scan at level {level} (A1, A2) and level {ylevel} (Y): "
             f"bin numerators reach 2**62 (sets too far from 0 for int64)")
-    ka = (2 * A1.cells + 1) << (ylevel + 1)
-    kb = 2 * A2.cells + 1
-    ku = 2 * Y.cells + 1
-    rows = max(1, min(ku.size, _SCAN_PAIRS // (ka.size * kb.size)))
-    bufs = {}   # slot -> its (products, bins, steps) blocks, reused batch after batch
+    num_t = np.int32 if top < 1 << 31 else np.int64
+    # bins of every row lie among `span` consecutive integers, distinct
+    # modulo 2**16 (2**32) when span fits: the unsigned casts wrap exactly
+    span = (max(nums) >> shift) - (min(nums) >> shift) + 1
+    bin_t = np.uint16 if span <= 1 << 16 else np.uint32 if span <= 1 << 32 else np.int64
+    ka = ((2 * A1.cells + 1) << (ylevel + 1)).astype(num_t)
+    kb = (2 * A2.cells + 1).astype(num_t)
+    ku = (2 * Y.cells + 1).astype(num_t)
+    pairs = ka.size * kb.size
+    rows = max(1, min(ku.size, _SCAN_PAIRS // pairs))
+    bufs = {}   # slot -> its (products, numerators, bins, steps) blocks, reused
 
     def scan(slot, u0):
         if slot not in bufs:
-            bufs[slot] = (np.empty((rows, kb.size), dtype=np.int64),
-                          np.empty((rows, ka.size * kb.size), dtype=np.int64),
-                          np.empty((rows, ka.size * kb.size - 1), dtype=bool))
+            bufs[slot] = (np.empty((rows, kb.size), dtype=num_t),
+                          np.empty((rows, pairs), dtype=num_t),
+                          np.empty((rows, pairs), dtype=bin_t),
+                          np.empty((rows, pairs - 1), dtype=bool))
         n = min(rows, ku.size - u0)
-        prod, idx, step = (buf[:n] for buf in bufs[slot])
+        prod, num, bins, step = (buf[:n] for buf in bufs[slot])
         np.multiply.outer(ku[u0:u0 + n], kb, out=prod)
-        np.subtract(ka[:, None], prod[:, None, :], out=idx.reshape(n, ka.size, kb.size))
-        idx >>= ylevel + 2
-        idx.sort(axis=1)
-        np.not_equal(idx[:, 1:], idx[:, :-1], out=step)
+        np.subtract(ka[:, None], prod[:, None, :], out=num.reshape(n, ka.size, kb.size))
+        np.right_shift(num, shift, out=bins, casting="unsafe")
+        bins.sort(axis=1)
+        np.not_equal(bins[:, 1:], bins[:, :-1], out=step)
         return 1 + np.count_nonzero(step, axis=1)
 
     parts = []

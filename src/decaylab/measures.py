@@ -107,6 +107,11 @@ class GridMeasure:
     def centers(self) -> np.ndarray:
         return (self.origin_index + np.arange(self.size) + 0.5) * self.spacing
 
+    def parent_cells(self, level: int) -> np.ndarray:
+        """Index of the level-`level` cell holding each cell of the window,
+        for a level no finer than the measure's."""
+        return (self.origin_index + np.arange(self.size)) >> (self.level - level)
+
     def occupied(self) -> tuple[np.ndarray, np.ndarray]:
         """(cell centers, masses) restricted to cells with positive mass."""
         nz = np.nonzero(self.masses)[0]
@@ -134,13 +139,9 @@ class GridMeasure:
             raise ValueError("coarsened() cannot refine")
         if level == self.level:
             return self
-        f = 1 << (self.level - level)
-        lo = self.origin_index // f
-        hi = (self.origin_index + self.size - 1) // f + 1
-        out = np.zeros(hi - lo, dtype=np.float64)
-        idx = (self.origin_index + np.arange(self.size)) // f - lo
-        np.add.at(out, idx, self.masses)
-        return GridMeasure(level, lo, out)
+        idx = self.parent_cells(level)
+        lo = int(idx[0])
+        return GridMeasure(level, lo, np.bincount(idx - lo, weights=self.masses))
 
     def trimmed(self) -> "GridMeasure":
         """Drop zero-mass cells at both ends of the window."""
@@ -404,11 +405,9 @@ def pushforward_affine(mu: GridMeasure, a: float, b: float,
 
 def mask_measure(mu: GridMeasure, A: DyadicGridSet) -> GridMeasure:
     """mu restricted to A as a sub-measure; `.normalized()` makes it a probability."""
-    shift = mu.level - A.level
-    if shift < 0:
+    if A.level > mu.level:
         raise ValueError("restriction set must live at a level <= the measure's")
-    coarse = (mu.origin_index + np.arange(mu.size)) >> shift
-    mask = np.isin(coarse, A.cells)
+    mask = np.isin(mu.parent_cells(A.level), A.cells)
     return GridMeasure(mu.level, mu.origin_index, np.where(mask, mu.masses, 0.0))
 
 

@@ -197,7 +197,7 @@ def run_flattening(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
 
 def _cell_sup(m: GridMeasure, l: int):
     """(sup density of m per level-l cell, index of the first such cell)."""
-    idx = (m.origin_index + np.arange(m.size)) >> (m.level - l)
+    idx = m.parent_cells(l)
     lo = idx[0]
     sup = np.zeros(idx[-1] - lo + 1)
     np.maximum.at(sup, idx - lo, m.density())

@@ -282,13 +282,18 @@ def test_projection_scan_matches_brute_force(a1, a2, ycells):
                                                       sorted(ycells), level, ylevel)
 
 
+def fraction_projection_bins(a1, a2, ycells, level, ylevel):
+    """Per direction, the set of bins floor((c_a - y c_b) / h) in exact rationals."""
+    h, hy = Fraction(1, 2 ** level), Fraction(1, 2 ** ylevel)
+    return [{math.floor(((a + Fraction(1, 2)) * h
+                         - (u + Fraction(1, 2)) * hy * (b + Fraction(1, 2)) * h) / h)
+             for a in a1 for b in a2}
+            for u in ycells]
+
+
 def fraction_projection_counts(a1, a2, ycells, level, ylevel):
     """Per-direction count of floor((c_a - y c_b) / h) in exact rationals."""
-    h, hy = Fraction(1, 2 ** level), Fraction(1, 2 ** ylevel)
-    return [len({math.floor(((a + Fraction(1, 2)) * h
-                             - (u + Fraction(1, 2)) * hy * (b + Fraction(1, 2)) * h) / h)
-                 for a in a1 for b in a2})
-            for u in ycells]
+    return [len(bins) for bins in fraction_projection_bins(a1, a2, ycells, level, ylevel)]
 
 
 @st.composite
@@ -313,6 +318,46 @@ def test_projection_scan_matches_fraction_oracle(inputs, pairs, workers):
                                  DyadicGridSet(ylevel, np.array(ycells)))
     assert counts.dtype == np.int64
     assert counts.tolist() == fraction_projection_counts(a1, a2, ycells, level, ylevel)
+
+
+# (level, ylevel, A1, A2, Y, window of all bins, largest |numerator|).  With
+# y < 1 and b in {-1, 0} every pair bins to its own a, so the spans are A1's;
+# each "+1" span puts two bins of one row 2**16 or 2**32 apart, which a
+# 16- or 32-bit bin type would merge.
+_BOUNDARY_SCANS = {
+    "span-2^16": (4, 3, [-3, (1 << 16) - 4], [-1, 0], [0, 1, 2, 3], 1 << 16, None),
+    "span-2^16+1": (4, 3, [-3, (1 << 16) - 3], [-1, 0], [0, 1, 2, 3], (1 << 16) + 1, None),
+    "negative-wrap": (4, 3, [-(1 << 16), -7, -1], [-1, 0], [0, 5], 1 << 16, None),
+    "span-2^32": (4, 3, [-3, (1 << 32) - 4], [-1, 0], [0, 1, 2, 3], 1 << 32, None),
+    "span-2^32+1": (4, 3, [-3, (1 << 32) - 3], [-1, 0], [0, 1, 2, 3], (1 << 32) + 1, None),
+    # y = 1/2: numerators 2(2a+1) - (2b+1) reach +-(2**31 - 1)
+    "num-2^31-1": (2, 0, [-(1 << 29), 0, (1 << 29) - 1], [-1, 0], [0], None, (1 << 31) - 1),
+    # y = 2**-31: the lead term (2a+1) << 31 is 2**31 at a = 0
+    "num-2^31": (2, 30, [0], [0, 1], [0, 1], None, 1 << 31),
+    # numerators 2**31 +- 1 bin together; wrapped to 32 bits they split
+    "num-2^31+1": (2, 30, [0], [-1, 0], [0], None, (1 << 31) + 1),
+}
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("pairs", (1, None), ids=("pairs-1", "pairs-default"))
+@pytest.mark.parametrize("case", _BOUNDARY_SCANS)
+def test_projection_scan_at_type_boundaries(case, pairs, workers):
+    level, ylevel, a1, a2, ycells, window, top = _BOUNDARY_SCANS[case]
+    bins = fraction_projection_bins(a1, a2, ycells, level, ylevel)
+    if window is not None:      # the case spans the window it is named for
+        assert max(map(max, bins)) - min(map(min, bins)) + 1 == window
+    if top is not None:         # and the largest lead, product or numerator
+        terms = [((2 * a + 1) << (ylevel + 1), (2 * u + 1) * (2 * b + 1))
+                 for a in a1 for b in a2 for u in ycells]
+        assert max(max(abs(p), abs(q), abs(p - q)) for p, q in terms) == top
+    with mock.patch.object(dyadic, "_SCAN_PAIRS", pairs or dyadic._SCAN_PAIRS), \
+            mock.patch.object(dyadic, "_WORKERS", workers):
+        counts = projection_scan(DyadicGridSet(level, np.array(a1)),
+                                 DyadicGridSet(level, np.array(a2)),
+                                 DyadicGridSet(ylevel, np.array(ycells)))
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [len(b) for b in bins]
 
 
 def _finishes(target, timeout=60.0):
