@@ -27,7 +27,7 @@ import numpy as np
 from .dyadic import DyadicGridSet, _dyadic_exponent, set_check
 from .measures import (GridMeasure, ball_mass_vector, fftconvolve, mask_measure,
                        regularize, uniform_measure)
-from .spectral import fourier_many, fourier_progression
+from .spectral import fourier_lattice
 
 __all__ = [
     "energy_spatial",
@@ -85,25 +85,25 @@ _LOW_POINTS = 129
 def _fourier_energy_raw(mu: GridMeasure, s: float, delta: float) -> float:
     """integral of |mu_hat_delta|^2 |xi|^(s-1) d xi over the line, uncalibrated.
 
-    [1, 8/delta] is covered by trapezoid at fixed spacing (the integrand's
-    oscillation scale is set by the support diameter, not by xi); the [0, 1]
-    block is tamed by the substitution xi = v^(1/s).  The mollified measure
-    is refined to spacing <= delta/32 first: the atom grid's alias spike at
-    xi = 1/spacing must stay far above the 8/delta cutoff or it leaks into
-    the integral.
+    [1, 8/delta] is covered by trapezoid at the fixed spacing 1/16 (the
+    integrand's oscillation scale is set by the support diameter, not by
+    xi), on the exact lattice frequencies n / 16, n = 16, 17, ..., which end
+    at 8/delta for every dyadic delta; the [0, 1] block is tamed by the
+    substitution xi = v^(1/s).  The mollified measure is refined to spacing
+    <= delta/32 first: the atom grid's alias spike at xi = 1/spacing must
+    stay far above the 8/delta cutoff or it leaks into the integral.
     """
     md = regularize(mu, delta)
     want = int(np.ceil(np.log2(32.0 / delta)))
     if md.level < want:
         md = md.refined(want)
     xi_max = 8.0 / delta
-    n = int(np.ceil((xi_max - 1.0) / _HIGH_SPACING)) + 1
-    xis = np.linspace(1.0, xi_max, n)
-    vals = np.abs(fourier_progression(md, 1.0, (xi_max - 1.0) / max(n - 1, 1),
-                                      np.arange(n))[0]) ** 2 * xis ** (s - 1.0)
+    nodes = np.arange(round(1.0 / _HIGH_SPACING), int(np.ceil(xi_max / _HIGH_SPACING)) + 1)
+    xis = nodes * _HIGH_SPACING
+    vals = np.abs(fourier_lattice(md, _HIGH_SPACING, nodes)[0]) ** 2 * xis ** (s - 1.0)
     high = np.trapezoid(vals, xis)
     v = np.linspace(0.0, 1.0, _LOW_POINTS)
-    low = np.trapezoid(np.abs(fourier_many(md, v ** (1.0 / s))) ** 2, v) / s
+    low = np.trapezoid(np.abs(fourier_lattice(md, v ** (1.0 / s), [1])[:, 0]) ** 2, v) / s
     return float(2.0 * (high + low))
 
 

@@ -1,28 +1,24 @@
-"""Fourier analysis of grid measures: transforms on frequency progressions,
-L2 norms at a scale, decay profiles with fitted exponents, and the
-Cauchy-Schwarz order exchange for multiplicative convolutions.
+"""Fourier analysis of grid measures: transforms at exact lattice
+frequencies, L2 norms at a scale, decay profiles with fitted exponents, and
+the Cauchy-Schwarz order exchange for multiplicative convolutions.
 
 Every transform is atom-exact: mu_hat(xi) = sum m_j exp(-2 pi i xi c_j) over
-the cell centers c_j = (o + j + 1/2) h.  Scattered frequencies (geomspace
-fits, single points) go through fourier_many, a direct sum costing
-O(occupied cells x frequencies).  Frequencies s * n with exact integers n
-(products of odd cell indices of other factors, lattice distances) go
-through fourier_lattice: P FFTs of length M tabulate the measure's moments
-about its middle cell once, and each value costs O(P) by Taylor expansion
-about the nearest table node (Anderson-Dahleh 1996), with phases reduced
-exactly; product_chain_fourier and the induction chain's Pi^ use it.  The
-other bulk frequencies are arithmetic progressions: xi times the centers
-of a second measure, linspace quadrature grids.  fourier_progression serves
-those, one row per progression, with a Bluestein chirp-z transform
-(Rabiner-Schafer-Rader 1969; Bluestein 1970) in O(L log L) per row, where L
-is the FFT length covering the window of mu plus the highest index wanted.
-It falls back to the direct sum whenever that sum is cheaper, counting only
-the frequencies actually asked for.  The chirp-z path reduces its phases
-to turns with exact partial products, so it stays at roundoff (~1e-15 of
-the mass) even where xi * c reaches millions of turns.  The product
-transforms and order_check take a scalar xi (giving complex or floats) or an
-array of any shape (giving that shape), one batch per band; each element
-equals the scalar call at its xi bit for bit, as no value depends on its batch.
+the cell centers c_j = odd_j h / 2, odd_j = 2 (o + j) + 1.  Every frequency
+the lab asks for is s * n, a float scale s times an exact integer n: n = 1
+at scattered frequencies, the odd indices of another measure's cells in
+product_fourier and order_check, products of such indices in chains, and
+16, 17, ... at s = 1/16 on the frequency-side energy grid.  fourier_lattice
+is the one entry point.  Its kernels reduce the phases (s h / 2)(n odd_j)
+to turns with exact integer products (_turns), so values stay at roundoff
+(~1e-15 of the mass) even at millions of turns.  _kernel picks, from mu
+and n alone and never from the number of scales, the kernel that costs
+least per scale: a direct sum over the occupied cells; Bluestein's chirp-z
+along the progression n0 + g k holding n (Bluestein 1970); or Taylor
+tables of mu's window, built once per call and read at O(P) per value
+(Anderson-Dahleh 1996).  The product transforms and order_check take a
+scalar xi (giving complex or floats) or an array of any shape (giving that
+shape), one batch per band; each element equals the scalar call at its xi
+bit for bit, as no value depends on its batch.
 """
 from __future__ import annotations
 
@@ -37,7 +33,6 @@ from .measures import GridMeasure, next_fast_len, regularize
 __all__ = [
     "fourier_at",
     "fourier_many",
-    "fourier_progression",
     "product_fourier",
     "product_chain_fourier",
     "fourier_lattice",
@@ -51,24 +46,21 @@ __all__ = [
 # magnitudes below this floor are ignored by the log-log exponent fit
 MAGNITUDE_FLOOR = 1e-12
 
-# complex exponentials per direct-sum chunk: batched bands fill whole chunks;
-# at 2**22 (~160 MB) `induction` peaked at 201.7 MiB RSS, at 2**18 at 104.5 MiB
-# (2-CPU x86-64 VM)
+# complex entries per chunk of a direct sum or of batched chirp-z rows:
+# batched bands fill whole chunks; at 2**22 (~160 MB) `induction` peaked at
+# 201.7 MiB RSS, at 2**18 at 104.5 MiB (2-CPU x86-64 VM)
 _CHUNK = 1 << 18
-# transform values held at once by _at_centers and fourier_lattice: at 2**20
-# the Pi^ batches took `induction`'s own VmHWM to 119.6 MB, at 2**16 to 52 MB
-# (2-CPU x86-64 VM)
+# transform values fourier_lattice holds at once: at 2**20 the Pi^ batches
+# took `induction`'s own VmHWM to 119.6 MB, at 2**16 to 52 MB (2-CPU x86-64 VM)
 _BATCH = 1 << 16
 _CHAIN_ATOMS = 1 << 20  # atom products enumerated by odd_products
 _TABLE_ENTRIES = 1 << 22  # P x M entries of one Taylor table (64 MiB)
-_FFT_CHUNK = 1 << 18   # complex entries per chunk of batched chirp-z rows
 _EXACT = 1 << 52       # integer factors of _turns must stay below this
-# One direct-sum term (a complex exp, a multiply-add and their memory
-# traffic) took 2-10x, median 4.4-4.8x over three sweeps, the time of one
-# unit of L log2(2L) in a chirp-z row (three FFTs plus chirp exps) over
-# windows of 64-16384 cells and 1-512 rows (numpy 2.4 numpy.fft, 2-CPU
-# x86-64 VM).
-_DIRECT_TERM_COST = 4
+# Measured ns per unit of kernel work: a direct-sum term, one of L log2(2L)
+# in a chirp-z row, one of P M log2(M) in building a Taylor table, one of P
+# Taylor terms in a table value; 28-62, 8.6-13.7, 1.3-1.8 and 8.5-22 ns over
+# windows of 40-32770 cells (numpy 2.4 numpy.fft, 2-CPU x86-64 VM).
+_UNIT_NS = {"direct": 40.0, "chirp-z": 10.0, "table": 1.6, "taylor term": 12.0}
 
 
 def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -79,28 +71,6 @@ def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return a @ v
 
 
-def fourier_many(mu: GridMeasure, xis: np.ndarray) -> np.ndarray:
-    """mu_hat at many frequencies by direct sum, chunked so memory stays bounded."""
-    xis = np.asarray(xis, dtype=np.float64)
-    c, w = mu.occupied()
-    out = np.empty(xis.shape, dtype=np.complex128)
-    flat = xis.reshape(-1)
-    res = out.reshape(-1)
-    if c.size == 0:
-        res[:] = 0.0
-        return out
-    rows = max(1, _CHUNK // c.size)
-    for i in range(0, flat.size, rows):
-        block = flat[i:i + rows, None] * c[None, :]
-        res[i:i + rows] = _matvec(np.exp(-2j * np.pi * block), w)
-    return out
-
-
-def fourier_at(mu: GridMeasure, xi: float) -> complex:
-    """mu_hat(xi); |result| <= total mass, and fourier_at(mu, -xi) is its conjugate."""
-    return complex(fourier_many(mu, np.array([xi]))[0])
-
-
 def _frac(p: np.ndarray) -> np.ndarray:
     """p minus its nearest integer, in place; exact for every double."""
     p -= np.rint(p)
@@ -108,12 +78,15 @@ def _frac(p: np.ndarray) -> np.ndarray:
 
 
 def _turns(x, n) -> np.ndarray:
-    """x * n modulo 1, in [-1/2, 1/2], for floats x and integers |n| < 2**52.
+    """x * n modulo 1, in [-1/2, 1/2], for floats x and integers n: an array
+    with |n| < 2**52, or one Python int of any size.
 
     x splits into two 26-bit halves (Veltkamp) and n into 26-bit limbs, so
     every partial product is exact and only the final sum rounds: the error
     is ~1e-15 turns, where fl(x * n) would be off by half an ulp of x * n.
     """
+    if isinstance(n, int) and abs(n) >= _EXACT:     # x * 2**26 is exact
+        return _frac(_turns(x * 67108864.0, n >> 26) + _turns(x, n & 0x3FFFFFF))
     x = np.asarray(x, dtype=np.float64)
     n = np.asarray(n, dtype=np.int64)
     t = x * 134217729.0                        # 2**27 + 1
@@ -128,89 +101,14 @@ def _turns(x, n) -> np.ndarray:
     return _frac(out)
 
 
-def _chirp_z_plan(mu: GridMeasure, count: int):
-    """(masses over the occupied window, its first center c_0 as odd * h / 2,
-    FFT length), or None when the integers of the phase reduction would
-    leave the exact range."""
-    nz = np.nonzero(mu.masses)[0]
-    m = mu.masses[nz[0]:nz[-1] + 1]
-    odd = 2 * (mu.origin_index + int(nz[0])) + 1
-    span = max(m.size, count)
-    if max(abs(odd), span) * span >= _EXACT:
-        return None
-    return m, odd, next_fast_len(m.size + count - 1)
+def fourier_many(mu: GridMeasure, xis: np.ndarray) -> np.ndarray:
+    """mu_hat at an array of frequencies, in its shape: fourier_lattice at n = 1."""
+    return fourier_lattice(mu, xis, [1]).reshape(np.shape(xis))
 
 
-def _chirp_z(mu: GridMeasure, start: np.ndarray, step: np.ndarray,
-             ks: np.ndarray) -> np.ndarray:
-    """mu_hat(start[b] + step[b] * k) for k in ks by Bluestein's chirp-z.
-
-    With c_j = c_0 + j h over the occupied window and xi_k = a + b k,
-    xi_k c_j = xi_k c_0 + a h j + alpha k j with alpha = b h, and
-    k j = (k^2 + j^2 - (k - j)^2) / 2 turns the sum over j into a linear
-    convolution against the chirp w_m = exp(i pi alpha m^2).  The chirp is
-    built once per row and serves the pre-phase (j), the kernel (k - j) and
-    the post-phase (k).  mu must carry mass; returns shape (rows, len(ks)).
-    """
-    count = int(ks.max()) + 1
-    plan = _chirp_z_plan(mu, count)
-    if plan is None:
-        raise ValueError("progression too long for exact phase reduction")
-    m, odd, length = plan
-    n = m.size
-    h = mu.spacing
-    half = h / 2
-    sq = np.arange(max(n, count), dtype=np.int64) ** 2
-    j = np.arange(n, dtype=np.int64)
-    odd_k = odd * ks
-    out = np.empty((start.size, ks.size), dtype=np.complex128)
-    rows = max(1, _FFT_CHUNK // length)
-    for i in range(0, start.size, rows):
-        a = start[i:i + rows, None]
-        b = step[i:i + rows, None]
-        w = np.exp(2j * np.pi * _turns(b * half, sq))
-        pre = m * np.conj(w[:, :n]) * np.exp(-2j * np.pi * _turns(a * h, j))
-        kern = np.zeros((a.shape[0], length), dtype=np.complex128)
-        kern[:, :count] = w[:, :count]
-        kern[:, length - n + 1:] = w[:, n - 1:0:-1]    # m = -(n-1) .. -1
-        z = ifft(fft(pre, length, axis=-1) * fft(kern, axis=-1), axis=-1)
-        post = _turns(a * half, odd) + _turns(b * half, odd_k)
-        out[i:i + rows] = np.conj(w[:, ks]) * np.exp(-2j * np.pi * post) * z[:, ks]
-    return out
-
-
-def _use_direct(mu: GridMeasure, ks: np.ndarray) -> bool:
-    """Cost model: a direct sum of occupied cells x wanted frequencies, at
-    _DIRECT_TERM_COST each, against one chirp-z row of L log2(2L), both per
-    progression."""
-    plan = _chirp_z_plan(mu, int(ks.max()) + 1)
-    if plan is None:
-        return True
-    m, _, length = plan
-    return (_DIRECT_TERM_COST * np.count_nonzero(m) * ks.size
-            <= length * math.log2(2 * length))
-
-
-def fourier_progression(mu: GridMeasure, start, step, ks) -> np.ndarray:
-    """mu_hat(start[b] + step[b] * k) for every k in ks, one row per progression.
-
-    start and step broadcast to one 1-d array of rows, so many progressions
-    go through one call; ks holds nonnegative integer indices (any order).
-    Returns shape (rows, len(ks)).  Each call runs as a direct sum when that
-    costs less than the chirp-z transform up to max(ks), else as chirp-z.
-    """
-    start, step = np.broadcast_arrays(np.atleast_1d(np.asarray(start, dtype=np.float64)),
-                                      np.atleast_1d(np.asarray(step, dtype=np.float64)))
-    if start.ndim != 1:
-        raise ValueError("start and step must be scalars or 1-d arrays")
-    ks = np.asarray(ks, dtype=np.int64).reshape(-1)
-    if ks.size and ks.min() < 0:
-        raise ValueError("progression indices must be nonnegative")
-    if ks.size == 0 or not np.any(mu.masses):
-        return np.zeros((start.size, ks.size), dtype=np.complex128)
-    if _use_direct(mu, ks):
-        return fourier_many(mu, start[:, None] + step[:, None] * ks)
-    return _chirp_z(mu, start, step, ks)
+def fourier_at(mu: GridMeasure, xi: float) -> complex:
+    """mu_hat(xi); |result| <= total mass, and fourier_at(mu, -xi) is its conjugate."""
+    return complex(fourier_lattice(mu, xi, [1])[0, 0])
 
 
 def _shaped(values: np.ndarray, xi):
@@ -225,18 +123,6 @@ def _batches(scales, per_scale: int) -> list:
     scales = np.asarray(scales, dtype=np.float64).reshape(-1)
     rows = max(1, _BATCH // max(per_scale, 1))
     return np.array_split(scales, -(-scales.size // rows) or 1)
-
-
-def _at_centers(mu: GridMeasure, nu: GridMeasure, scales, reduce) -> np.ndarray:
-    """reduce(vals, q) per batch of scales, concatenated, with vals[b, j] =
-    mu_hat(s_b * y_j) over the occupied centers y of nu and q nu's masses
-    at those centers."""
-    nz = np.nonzero(nu.masses)[0]
-    first = int(nz[0]) if nz.size else 0
-    c0 = (nu.origin_index + first + 0.5) * nu.spacing
-    ks = nz - first
-    return np.concatenate([reduce(fourier_progression(mu, s * c0, s * nu.spacing, ks),
-                                  nu.masses[nz]) for s in _batches(scales, ks.size)])
 
 
 def odd_products(measures):
@@ -262,29 +148,147 @@ def odd_products(measures):
     return n, w, e
 
 
-def _lattice_table(mu: GridMeasure):
-    """Taylor tables of Q(theta) = sum_j m_j exp(-2 pi i theta (j - j*)) over
-    mu's occupied window, j* its middle cell and `half` the larger distance
-    from j* to the window's ends.
-
-    Row p of the complex table is (-i)^p times the length-M FFT of
-    m_j ((j - j*) / half)^p / p!, so that Q((k + u) / M) = sum_p row_p[k] t^p
-    with t = 2 pi u half / M and |u| <= 1/2.  M is the power of two at
-    least 8x the window and P the least order with
-    (pi half / M)^P / P! <= 1e-16, which bounds the dropped terms by
-    ~1e-16 of the mass.  Returns (real rows, imaginary rows, odd, half),
-    with the center of j* at odd * h / 2; a measure without mass gets a
-    zero table of its first cell.
-    """
+def _window(mu: GridMeasure) -> tuple[int, int, int]:
+    """(first, last, odd*): mu's first and last occupied cells and the odd
+    index of the middle one, (first + last) // 2; cell 0 without mass."""
     nz = np.nonzero(mu.masses)[0]
     first, last = (int(nz[0]), int(nz[-1])) if nz.size else (0, 0)
-    mid = (first + last) // 2
-    half = max(last - mid, 1)
-    size = 1 << (8 * (last - first + 1) - 1).bit_length()
-    r = math.pi * half / size
+    return first, last, 2 * (int(mu.origin_index) + (first + last) // 2) + 1
+
+
+def _progression(n: np.ndarray) -> tuple[int, int, int]:
+    """(n0, g, count): every n is n0 + g k with 0 <= k < count, n0 the least
+    n and g the gcd of the gaps (1 when n holds at most one value)."""
+    if not n.size:
+        return 0, 1, 1
+    n0 = int(n.min())
+    g = int(np.gcd.reduce(n.reshape(-1) - n0)) or 1
+    return n0, g, (int(n.max()) - n0) // g + 1
+
+
+def _table_shape(cells: int) -> tuple[int, int]:
+    """(P, M) of the Taylor table of a window of `cells` cells: M the power
+    of two at least 8x the window and P the least order with
+    (pi half / M)^P / P! <= 1e-16, half = cells // 2 or 1."""
+    size = 1 << (8 * cells - 1).bit_length()
+    r = math.pi * max(cells // 2, 1) / size
     order = 1
     while r ** order / math.factorial(order) > 1e-16:
         order += 1
+    return order, size
+
+
+def _kernel(mu: GridMeasure, n: np.ndarray, ref: int = 0) -> str:
+    """The kernel for mu_hat(s n) with phases about the odd index ref,
+    "direct", "chirp-z" or "table": of those whose integers stay below 2**52
+    (and tables within _TABLE_ENTRIES), the one that costs least for one
+    scale at _UNIT_NS, so no value depends on how many scales a call holds:
+    occupied cells x values terms, one chirp-z row of length L (n holding at
+    least two values), or P FFTs of length M plus P Taylor terms per value.
+    Refuses n reaching 2**52, and n that no kernel keeps exact.
+    """
+    top = int(np.abs(n).max(initial=0))
+    first, last, mid = _window(mu)
+    cells = last - first + 1
+    odd = 2 * (int(mu.origin_index) + first) + 1 - ref   # first window cell, about ref
+    costs = {}
+    if top * max(abs(odd), abs(odd + 2 * cells - 2)) < _EXACT:
+        costs["direct"] = _UNIT_NS["direct"] * np.count_nonzero(mu.masses) * n.size
+    if n.size > 1:
+        n0, g, count = _progression(n)
+        if count > 1 and max(2 * abs(n0) * cells, g * abs(odd) * count,
+                             g * max(cells, count) ** 2) < _EXACT:
+            length = next_fast_len(cells + count - 1)
+            costs["chirp-z"] = _UNIT_NS["chirp-z"] * length * math.log2(2 * length)
+    order, size = _table_shape(cells)
+    if order * size <= _TABLE_ENTRIES and top * abs(mid - ref) < _EXACT:
+        costs["table"] = order * (_UNIT_NS["table"] * size * math.log2(size)
+                                  + _UNIT_NS["taylor term"] * n.size)
+    if not costs or top >= _EXACT:
+        raise ValueError("lattice integers reach 2**52: phases would lose exactness")
+    return min(costs, key=costs.get)
+
+
+def _direct(mu: GridMeasure, n: np.ndarray, ref: int):
+    """values(b, m) = sum_j m_j exp(-2 pi i (b h / 2) m (odd_j - ref)) over
+    the occupied cells, shape b x m for scales b and entries m of n; terms
+    go in chunks of _CHUNK, each phase reduced by _turns."""
+    nz = np.nonzero(mu.masses)[0]
+    w = mu.masses[nz]
+    odd = 2 * (mu.origin_index + nz) + 1 - ref
+    half = mu.spacing / 2
+
+    def values(b, m):
+        x = np.repeat(b * half, m.size)[:, None]
+        k = np.tile(m.reshape(-1), b.size)[:, None]
+        out = np.zeros(x.size, dtype=np.complex128)
+        rows = max(1, _CHUNK // max(w.size, 1))
+        for i in range(0, out.size if w.size else 0, rows):
+            turns = _turns(x[i:i + rows], k[i:i + rows] * odd)
+            out[i:i + rows] = _matvec(np.exp(-2j * np.pi * turns), w)
+        return out.reshape(b.shape + m.shape)
+    return values
+
+
+def _chirp_z(mu: GridMeasure, n: np.ndarray, ref: int):
+    """values(b, m) as _direct gives them, by Bluestein's chirp-z along the
+    progression n0 + g k holding n (_progression).
+
+    With x = b h / 2 and the window's odd indices a + 2 j (a = odd_0 - ref),
+    x (n0 + g k)(a + 2 j) = x n0 a + x g a k + 2 x n0 j + 2 x g k j, and
+    2 k j = k^2 + j^2 - (k - j)^2 turns the sum over j into a linear
+    convolution against the chirp w_t = exp(2 pi i x g t^2).  The chirp is
+    built once per row and serves the pre-phase (j), the kernel (k - j) and
+    the post-phase (k).  The row's constant n0 a is a Python int, which may
+    pass 2**52; _turns reduces it limb by limb.
+    """
+    first, last, _ = _window(mu)
+    mass = mu.masses[first:last + 1]
+    cells = mass.size
+    a = 2 * (int(mu.origin_index) + first) + 1 - ref
+    n0, g, count = _progression(n)
+    length = next_fast_len(cells + count - 1)
+    half = mu.spacing / 2
+    sq = g * np.arange(max(cells, count), dtype=np.int64) ** 2
+    pre_n = 2 * n0 * np.arange(cells, dtype=np.int64)
+
+    def values(b, m):
+        ks = (m.reshape(-1) - n0) // g
+        out = np.empty((b.size, ks.size), dtype=np.complex128)
+        rows = max(1, _CHUNK // length)
+        for i in range(0, b.size, rows):
+            x = b[i:i + rows, None] * half
+            w = np.exp(2j * np.pi * _turns(x, sq))
+            pre = mass * np.conj(w[:, :cells]) * np.exp(-2j * np.pi * _turns(x, pre_n))
+            kern = np.zeros((x.shape[0], length), dtype=np.complex128)
+            kern[:, :count] = w[:, :count]
+            kern[:, length - cells + 1:] = w[:, cells - 1:0:-1]    # t = -(cells-1) .. -1
+            z = ifft(fft(pre, length, axis=-1) * fft(kern, axis=-1), axis=-1)
+            post = _turns(x, g * a * ks) + _turns(x, n0 * a)
+            out[i:i + rows] = np.conj(w[:, ks]) * np.exp(-2j * np.pi * post) * z[:, ks]
+        return out.reshape(b.shape + m.shape)
+    return values
+
+
+def _table(mu: GridMeasure, n: np.ndarray, ref: int):
+    """values(b, m) as _direct gives them, read at O(P) each from Taylor
+    tables of Q(theta) = sum_j m_j exp(-2 pi i theta (j - j*)) over mu's
+    occupied window, j* its middle cell and `half` the larger distance from
+    j* to the window's ends (after Anderson-Dahleh 1996).
+
+    Row p of the complex table is (-i)^p times the length-M FFT of
+    m_j ((j - j*) / half)^p / p!, so that Q((k + u) / M) = sum_p row_p[k] t^p
+    with t = 2 pi u half / M and |u| <= 1/2; _table_shape's (P, M) bound the
+    dropped terms by ~1e-16 of the mass.  mu_hat(nu) = exp(-2 pi i nu c*)
+    Q(frac(nu h)), c* = odd* h / 2: at nu = b m, frac(nu h) = _turns(b h, m),
+    its offset from the nearest node _turns(b h M, m), and the rotation
+    about ref _turns(b h / 2, m (odd* - ref)), none when ref = odd*.
+    Refuses tables of more than _TABLE_ENTRIES entries before building them.
+    """
+    first, last, odd = _window(mu)
+    mid = (first + last) // 2
+    half = max(last - mid, 1)
+    order, size = _table_shape(last - first + 1)
     if order * size > _TABLE_ENTRIES:
         raise ValueError(f"window of {last - first + 1} cells too wide for a "
                          f"Fourier table ({order} x {size} entries)")
@@ -295,34 +299,7 @@ def _lattice_table(mu: GridMeasure):
         rows[p, offsets % size] = term
         term = term * (offsets / half) / (p + 1)
     table = fft(rows, axis=-1) * np.array([1, -1j, -1, 1j])[np.arange(order) % 4, None]
-    return table.real.copy(), table.imag.copy(), 2 * (mu.origin_index + mid) + 1, half
-
-
-def fourier_lattice(mu: GridMeasure, s, n, reduce=None, centered: bool = False):
-    """mu_hat(s_b * n) for every float scale s_b and an array n of exact
-    integers, one row per scale; with reduce, reduce(rows) per batch,
-    concatenated.  A batch holds about _BATCH values: several scales, or
-    one scale and a slice of n's first axis when n has more than one axis
-    (reduce must then keep that axis as its axis 1).
-
-    mu_hat(nu) = exp(-2 pi i nu c*) Q(frac(nu h)), with c* the center of
-    the window's middle cell and Q its 1-periodic trigonometric polynomial,
-    read from the Taylor tables of _lattice_table at O(P) per value.  With
-    nu = s n the phases reduce exactly: frac(nu h) = _turns(s h, n), its
-    offset from the nearest table node _turns(s h M, n), and nu c* =
-    _turns(s h / 2, n odd*).  centered=True returns Q(frac(nu h)), the
-    transform of mu moved by -c*, which has the same modulus.  Refuses
-    integers n, or n odd* when the phase is kept, that reach 2**52, and
-    windows whose table would pass _TABLE_ENTRIES entries.
-    """
-    n = np.asarray(n, dtype=np.int64)
-    if reduce is None:
-        reduce = np.asarray
-    re, im, odd, half = _lattice_table(mu)
-    size = re.shape[1]
-    top = int(np.abs(n).max(initial=0)) * (1 if centered else abs(odd))
-    if top >= _EXACT:
-        raise ValueError("lattice integers reach 2**52: phases would lose exactness")
+    re, im = table.real.copy(), table.imag.copy()
     h = mu.spacing
     step = 2 * math.pi * half / size
 
@@ -332,21 +309,41 @@ def fourier_lattice(mu: GridMeasure, s, n, reduce=None, centered: bool = False):
         k = np.rint(_turns(b * h, m) * size - u).astype(np.int64) & (size - 1)
         t = u * step
         vr, vi = re[-1][k], im[-1][k]
-        for p in range(re.shape[0] - 2, -1, -1):
+        for p in range(order - 2, -1, -1):
             vr *= t
             vr += re[p][k]
             vi *= t
             vi += im[p][k]
         vals = np.empty(vr.shape, dtype=np.complex128)
-        if centered:
+        if odd == ref:
             vals.real, vals.imag = vr, vi
         else:       # rotated in real arithmetic: numpy's complex multiply
             # rounds differently with the length of the array
-            rot = np.exp(-2j * np.pi * _turns(b * (h / 2), m * odd))
+            rot = np.exp(-2j * np.pi * _turns(b * (h / 2), m * (odd - ref)))
             vals.real = vr * rot.real - vi * rot.imag
             vals.imag = vr * rot.imag + vi * rot.real
         return vals
+    return values
 
+
+def fourier_lattice(mu: GridMeasure, s, n, reduce=None, centered: bool = False):
+    """mu_hat(s_b * n) for every float scale s_b and an array n of exact
+    integers, one row per scale; with reduce, reduce(rows) per batch,
+    concatenated.  A batch holds about _BATCH values: several scales, or
+    one scale and a slice of n's first axis when n has more than one axis
+    (reduce must then keep that axis as its axis 1).
+
+    _kernel picks the kernel from mu and n.  centered=True returns the
+    transform of mu moved by -c*, c* the center of the middle cell of mu's
+    occupied window, which has the same modulus.  Refuses integers n that
+    reach 2**52, and n whose phases no kernel keeps below 2**52.
+    """
+    n = np.asarray(n, dtype=np.int64)
+    if reduce is None:
+        reduce = np.asarray
+    ref = _window(mu)[2] if centered else 0
+    kernel = {"direct": _direct, "chirp-z": _chirp_z, "table": _table}[_kernel(mu, n, ref)]
+    values = kernel(mu, n, ref)
     heads = [slice(None)]
     if n.ndim > 1 and n.size > _BATCH:
         rows = max(1, _BATCH // max(n[0].size, 1))
@@ -365,17 +362,16 @@ def product_fourier(mu: GridMeasure, nu: GridMeasure, xi):
     Atom-exact: equals the double sum over cell-center pairs, so it serves as
     the routing-error oracle for the gridded multiplicative convolution.
     """
-    return _shaped(_at_centers(mu, nu, xi, lambda vals, q: np.sum(q * vals, axis=-1)), xi)
+    return product_chain_fourier([mu, nu], xi)
 
 
 def product_chain_fourier(measures, xi):
     """Transform of mu_1 x ... x mu_n (multiplicative) at xi, atom-exactly.
 
     A weighted sum of mu_1_hat(xi a) over every product a = n 2**-e of
-    occupied centers of mu_2..mu_n, read from one Taylor table of mu_1
-    (fourier_lattice) with exact odd integers n.  Cost: one table of
-    mu_1's window, then O(P) per atom product of mu_2..mu_n and per xi;
-    refuses products that reach 2**52 (see odd_products).
+    occupied centers of mu_2..mu_n, with exact odd integers n
+    (odd_products), through fourier_lattice; refuses products that reach
+    2**52 (see odd_products).
     """
     n, w, e = odd_products(measures[1:])
     scales = np.ravel(xi) * 2.0 ** -e
@@ -454,7 +450,7 @@ def band_samples(lo: float, hi: float, n_samples: int) -> np.ndarray:
 def decay_profile(mu: GridMeasure, band: tuple[float, float], n_samples: int) -> DecayProfile:
     """Log-uniform band sampling of |mu_hat| with a power-law fit."""
     xis = band_samples(*band, n_samples)
-    return profile_from_samples(xis, np.abs(fourier_many(mu, xis)))
+    return profile_from_samples(xis, np.abs(fourier_lattice(mu, xis, [1])[:, 0]))
 
 
 def profile_from_samples(xis: np.ndarray, mags: np.ndarray) -> DecayProfile:
@@ -474,10 +470,12 @@ def order_check(mu: GridMeasure, nu: GridMeasure, xi):
     rhs is real and nonnegative, and lhs <= rhs holds with at most summation
     roundoff (it is the Cauchy-Schwarz inequality at the atomic level).
     """
-    def sides(vals, q):
+    n, q, e = odd_products([nu])
+
+    def sides(vals):
         total = np.sum(q * vals, axis=-1)   # hypot: Python's abs rounding, unlike np.abs
         return np.stack([np.hypot(total.real, total.imag) ** 2,
                          np.sum(q * np.abs(vals) ** 2, axis=-1)], axis=-1)
 
-    both = _at_centers(mu, nu, xi, sides)
+    both = fourier_lattice(mu, np.ravel(xi) * 2.0 ** -e, n, sides)
     return _shaped(both[:, 0], xi), _shaped(both[:, 1], xi)

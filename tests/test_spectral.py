@@ -8,8 +8,8 @@ from decaylab import (GridMeasure, convolve, decay_profile, fourier_at, fourier_
                       l2_at_scale, order_check, point_mass, product_fourier,
                       pushforward_affine, uniform_measure)
 from decaylab import spectral
-from decaylab.spectral import (fourier_lattice, fourier_progression,
-                               product_chain_fourier, profile_from_samples)
+from decaylab.spectral import (fourier_lattice, odd_products, product_chain_fourier,
+                               profile_from_samples)
 
 from conftest import random_cantor_measure, random_masses_measure
 
@@ -99,7 +99,8 @@ def test_routed_product_agrees_at_moderate_frequency():
 
 
 # ---------------------------------------------------------------------------
-# transforms on a progression: chirp-z against the explicit double sum
+# the kernels behind fourier_lattice: chirp-z and the exact-phase direct sum
+# against explicit double sums, and the kernel choice
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -120,40 +121,46 @@ def _double_sum(mu, xis):
     return np.exp(-2j * np.pi * np.multiply.outer(xis, c)) @ w
 
 
+def _forced(kernel):
+    """fourier_lattice running `kernel` whatever _kernel would choose."""
+    return mock.patch.object(spectral, "_kernel", lambda mu, n, ref=0: kernel)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 13).flatmap(
            lambda lv: _window_measures(lv, -(2 << lv), 2 << lv,
                                        min(2048, 2 << lv))),
-       st.integers(1, 2000),
-       st.lists(st.tuples(st.floats(-2048.0, 2048.0), st.floats(0.0, 2.0)),
-                min_size=1, max_size=3))
-def test_chirp_z_matches_double_sum(mu, count, rows):
-    # frequencies up to 2/delta = 2048 at level 13, centers in [-2, 4]
-    start = np.array([a for a, _ in rows])
-    step = np.array([b for _, b in rows])
-    ks = np.arange(count)
-    got = spectral._chirp_z(mu, start, step, ks)
-    oracle = _double_sum(mu, start[:, None] + step[:, None] * ks)
+       st.integers(1, 2000), st.integers(-2048, 2048), st.integers(1, 4),
+       st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3).map(np.array))
+def test_chirp_z_matches_double_sum(mu, count, n0, g, s):
+    # frequencies s (n0 + g k) up to ~1e4 at level 13, centers in [-2, 4]
+    n = n0 + g * np.arange(count)
+    with _forced("chirp-z"):
+        got = fourier_lattice(mu, s, n)
+    oracle = _double_sum(mu, s[:, None] * n)
     assert np.max(np.abs(got - oracle)) <= 1e-9 * mu.total_mass
 
 
 @settings(max_examples=30, deadline=None)
 @given(_window_measures(26, 1 << 26, (1 << 26) + (1 << 14)),
-       st.integers(1, 2000),
+       st.integers(2, 2000),
        st.lists(st.integers(1 << 26, (1 << 26) + (1 << 14)),
                 min_size=1, max_size=3))
 def test_chirp_z_counterexample_shape(mu, count, nu_origins):
     # counterexample scale: level 26 near x = 1, xi = 2**20 times the
-    # centers of a second level-26 window.  All phases are integers times
+    # centers of a second level-26 window, so s = xi h / 2 and n runs over
+    # its odd indices.  n odd_j reaches ~2**54, past the direct sum's and
+    # the table's 2**52, so only chirp-z serves it, reducing its one
+    # constant n0 odd_0 exactly.  All phases are integers times
     # 2**-34, so the oracle reduces them exactly in int64.  Phases reach
     # 2**21 turns here: reducing fl(xi * c) instead of the exact product
     # leaves errors up to ~3e-10, so the bound is set well below that.
     xi, h = 2.0 ** 20, 2.0 ** -26
     odd_nu = 2 * np.array(nu_origins, dtype=np.int64) + 1
-    start = xi * odd_nu * (h / 2)
-    step = np.full(odd_nu.size, xi * h)
     ks = np.arange(count)
-    got = spectral._chirp_z(mu, start, step, ks)
+    n = odd_nu[:, None] + 2 * ks
+    assert spectral._kernel(mu, n) == "chirp-z"
+    got = fourier_lattice(mu, xi * h / 2, n)[0]
     nz = np.nonzero(mu.masses)[0]
     odd_mu = 2 * (mu.origin_index + nz) + 1
     for row, o in enumerate(odd_nu):
@@ -162,31 +169,79 @@ def test_chirp_z_counterexample_shape(mu, count, nu_origins):
         assert np.max(np.abs(got[row] - oracle)) <= 1e-12 * mu.total_mass
 
 
-def test_progression_dispatch_matches_direct_sum_across_threshold():
+def test_kernel_choice_matches_direct_sum_across_threshold():
     rng = np.random.default_rng(7)
     mu = GridMeasure(10, 1024, rng.random(300))
-    start, step = np.array([3.5, -700.25]), np.array([0.75, 1.5])
+    s = np.array([0.25, -0.5])              # 3.5 + 0.75 k and -7 - 1.5 k
     paths = set()
     for count in range(1, 12):
-        ks = np.arange(count)
-        paths.add(spectral._use_direct(mu, ks))
-        got = fourier_progression(mu, start, step, ks)
-        oracle = fourier_many(mu, start[:, None] + step[:, None] * ks)
+        n = 14 + 3 * np.arange(count)
+        paths.add(spectral._kernel(mu, n))
+        got = fourier_lattice(mu, s, n)
+        oracle = fourier_many(mu, s[:, None] * n)
         assert np.max(np.abs(got - oracle)) <= 1e-12 * mu.total_mass
-    assert paths == {True, False}
+    assert paths == {"direct", "chirp-z"}
 
 
-def test_progression_sparse_indices_and_empty_cases():
+@pytest.mark.parametrize("kernel", ["direct", "chirp-z", "table"])
+def test_kernels_serve_sparse_negative_and_empty_cases(kernel):
     mu = random_cantor_measure(3)
     ks = np.array([5000, 0, 17, 17])
-    got = fourier_progression(mu, 12.5, 0.125, ks)
+    with _forced(kernel):
+        got = fourier_lattice(mu, 0.125, 100 + ks)       # 12.5 + 0.125 k
+        neg = fourier_lattice(mu, 0.125, -100 - ks)
+        assert fourier_lattice(mu, [1.0, 2.0], np.array([], dtype=np.int64)).shape == (2, 0)
+        empty = GridMeasure(6, 0, np.zeros(8))
+        assert not np.any(fourier_lattice(empty, 1.0, [0, 3]))
     assert got.shape == (1, 4)
     assert np.allclose(got[0], fourier_many(mu, 12.5 + 0.125 * ks), atol=1e-12)
-    assert fourier_progression(mu, [1.0, 2.0], 1.0, []).shape == (2, 0)
-    empty = GridMeasure(6, 0, np.zeros(8))
-    assert not np.any(fourier_progression(empty, 1.0, 1.0, [0, 3]))
-    with pytest.raises(ValueError):
-        fourier_progression(mu, 1.0, 1.0, [-1, 2])
+    assert np.allclose(neg[0], fourier_many(mu, -12.5 - 0.125 * ks), atol=1e-12)
+
+
+def _integer_phase_sum(mu, xi, num, e):
+    """sum_j m_j exp(-2 pi i xi c_j) for xi = num * 2**-e with num an exact
+    integer: xi c_j = num odd_j 2**-(e + level + 1), reduced in Python ints."""
+    nz = np.nonzero(mu.masses)[0]
+    bits = e + mu.level + 1
+    turns = [(num * (2 * (mu.origin_index + int(j)) + 1)) % (1 << bits) / 2.0 ** bits
+             for j in nz]
+    return complex(np.exp(-2j * np.pi * np.array(turns)) @ mu.masses[nz])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 23).flatmap(
+           lambda lv: _window_measures(lv, -(2 << lv), 2 << lv, 4096)),
+       st.lists(st.integers(-(1 << 30), 1 << 30), min_size=1, max_size=4),
+       st.integers(0, 12))
+@example(GridMeasure(23, 1 << 23, np.random.default_rng(5).random(4096)),
+         [(1 << 30) - 3, (1 << 30) - 12345, 987654321], 10)
+def test_direct_kernel_matches_integer_phase_oracle(mu, nums, e):
+    # xi = num 2**-e up to 2**30, centers in [-2, 4]; at level 23 with
+    # xi ~ 2**20 the phases reach 2**22 turns, where a rounded fl(xi c)
+    # was off by ~1e-11 of the mass
+    xis = np.array(nums) * 2.0 ** -e
+    got = fourier_many(mu, xis)
+    for xi, num, value in zip(xis, nums, got):
+        assert abs(value - _integer_phase_sum(mu, xi, num, e)) <= 1e-12 * mu.total_mass
+
+
+def test_kernel_choice_on_traffic_shapes():
+    # the kernel each shape of the shipped experiments ran before the one
+    # entry point: chirp-z on a product transform's dense progression of odd
+    # indices, the direct sum at n = 1 (decay fits), the table on a chain's
+    # odd products of two 64-cell measures (induction's inputs at level 11);
+    # one scale or many alike
+    dense = uniform_measure(1.0, 2.0, 10)
+    cantor = [random_cantor_measure(seed).coarsened(11) for seed in (8, 17, 27)]
+    shapes = [(dense, odd_products([dense])[0], "chirp-z"),
+              (cantor[0], np.array([1]), "direct"),
+              (cantor[0], odd_products(cantor[1:])[0], "table")]
+    choose, seen = spectral._kernel, []
+    with mock.patch.object(spectral, "_kernel", lambda *a: seen.append(choose(*a)) or seen[-1]):
+        for mu, n, _ in shapes:
+            for scales in (3.0, np.geomspace(16.0, 1024.0, 64)):
+                fourier_lattice(mu, scales * 2.0 ** -(mu.level + 1), n)
+    assert seen == [kind for _, _, kind in shapes for _ in range(2)]
 
 
 # ---------------------------------------------------------------------------
@@ -327,15 +382,19 @@ def test_fourier_lattice_refuses_inexact_phases():
 
 
 def test_fourier_lattice_refuses_wide_tables_and_dense_chains():
-    # two atoms 2**16 cells apart ask for a 12 x 2**19 table; the
-    # refusal comes before any table is allocated
+    # two atoms 2**16 cells apart ask for a 12 x 2**19 table; the table
+    # refuses before allocating it, and the kernel choice passes over a
+    # table of more than _TABLE_ENTRIES entries to the next cheapest kernel
     wide = GridMeasure(20, 0, np.r_[1.0, np.zeros((1 << 16) - 2), 1.0])
     with pytest.raises(ValueError, match="too wide"):
-        fourier_lattice(wide, 1.0, [1])
-    mu = random_cantor_measure(1, depth=3)
+        spectral._table(wide, np.array([1]), 0)
+    ms = [random_cantor_measure(seed).coarsened(11) for seed in (8, 17, 27)]   # 64 cells each
+    n = odd_products(ms[1:])[0]
+    want = product_chain_fourier(ms, 3.0)
     with mock.patch.object(spectral, "_TABLE_ENTRIES", 64):
-        with pytest.raises(ValueError, match="too wide"):
-            product_chain_fourier([mu, mu], 3.0)
+        assert spectral._kernel(ms[0], n) == "direct"
+        assert abs(product_chain_fourier(ms, 3.0) - want) <= 1e-12
+    mu = random_cantor_measure(1, depth=3)
     with mock.patch.object(spectral, "_CHAIN_ATOMS", 63):
         with pytest.raises(ValueError, match="too dense"):
             product_chain_fourier([mu, mu, mu], 3.0)     # 8 x 8 atom products
