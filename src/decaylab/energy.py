@@ -27,7 +27,7 @@ import numpy as np
 from .dyadic import DyadicGridSet, _dyadic_exponent, set_check
 from .measures import (GridMeasure, ball_mass_vector, fftconvolve, mask_measure,
                        regularize, uniform_measure)
-from .spectral import fourier_lattice
+from .spectral import fourier_lattice, fourier_many
 
 __all__ = [
     "energy_spatial",
@@ -103,7 +103,7 @@ def _fourier_energy_raw(mu: GridMeasure, s: float, delta: float) -> float:
     vals = np.abs(fourier_lattice(md, _HIGH_SPACING, nodes)[0]) ** 2 * xis ** (s - 1.0)
     high = np.trapezoid(vals, xis)
     v = np.linspace(0.0, 1.0, _LOW_POINTS)
-    low = np.trapezoid(np.abs(fourier_lattice(md, v ** (1.0 / s), [1])[:, 0]) ** 2, v) / s
+    low = np.trapezoid(np.abs(fourier_many(md, v ** (1.0 / s))) ** 2, v) / s
     return float(2.0 * (high + low))
 
 

@@ -22,6 +22,7 @@ bit for bit, as no value depends on its batch.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -178,44 +179,32 @@ def _table_shape(cells: int) -> tuple[int, int]:
     return order, size
 
 
-def _kernel(mu: GridMeasure, n: np.ndarray, ref: int = 0) -> str:
-    """The kernel for mu_hat(s n) with phases about the odd index ref,
-    "direct", "chirp-z" or "table": of those whose integers stay below 2**52
-    (and tables within _TABLE_ENTRIES), the one that costs least for one
-    scale at _UNIT_NS, so no value depends on how many scales a call holds:
-    occupied cells x values terms, one chirp-z row of length L (n holding at
-    least two values), or P FFTs of length M plus P Taylor terms per value.
-    Refuses n reaching 2**52, and n that no kernel keeps exact.
-    """
-    top = int(np.abs(n).max(initial=0))
-    first, last, mid = _window(mu)
-    cells = last - first + 1
-    odd = 2 * (int(mu.origin_index) + first) + 1 - ref   # first window cell, about ref
-    costs = {}
-    if top * max(abs(odd), abs(odd + 2 * cells - 2)) < _EXACT:
-        costs["direct"] = _UNIT_NS["direct"] * np.count_nonzero(mu.masses) * n.size
-    if n.size > 1:
-        n0, g, count = _progression(n)
-        if count > 1 and max(2 * abs(n0) * cells, g * abs(odd) * count,
-                             g * max(cells, count) ** 2) < _EXACT:
-            length = next_fast_len(cells + count - 1)
-            costs["chirp-z"] = _UNIT_NS["chirp-z"] * length * math.log2(2 * length)
-    order, size = _table_shape(cells)
-    if order * size <= _TABLE_ENTRIES and top * abs(mid - ref) < _EXACT:
-        costs["table"] = order * (_UNIT_NS["table"] * size * math.log2(size)
-                                  + _UNIT_NS["taylor term"] * n.size)
-    if not costs or top >= _EXACT:
+def _kernel(mu: GridMeasure, n: np.ndarray, ref: int = 0):
+    """(name, values) of the cheapest plan for mu_hat(s n), phases about
+    the odd index ref, among the kernels whose integers stay below 2**52;
+    priced for one scale, so no value depends on how many scales a call
+    holds.  Refuses n reaching 2**52, and n that no kernel keeps exact."""
+    plans = {}
+    if int(np.abs(n).max(initial=0)) < _EXACT:
+        plans = {name: plan for name, kernel in
+                 (("direct", _direct), ("chirp-z", _chirp_z), ("table", _table))
+                 if (plan := kernel(mu, n, ref))}
+    if not plans:
         raise ValueError("lattice integers reach 2**52: phases would lose exactness")
-    return min(costs, key=costs.get)
+    name = min(plans, key=lambda name: plans[name][0])
+    return name, plans[name][1]
 
 
 def _direct(mu: GridMeasure, n: np.ndarray, ref: int):
-    """values(b, m) = sum_j m_j exp(-2 pi i (b h / 2) m (odd_j - ref)) over
-    the occupied cells, shape b x m for scales b and entries m of n; terms
-    go in chunks of _CHUNK, each phase reduced by _turns."""
+    """(cost, values) of the direct sum, None when m (odd_j - ref) reaches
+    2**52: values(b, m) = sum_j m_j exp(-2 pi i (b h / 2) m (odd_j - ref))
+    over the occupied cells, shape b x m for scales b and entries m of n, in
+    chunks of _CHUNK terms, each phase reduced by _turns."""
     nz = np.nonzero(mu.masses)[0]
     w = mu.masses[nz]
     odd = 2 * (mu.origin_index + nz) + 1 - ref
+    if int(np.abs(n).max(initial=0)) * int(np.abs(odd).max(initial=0)) >= _EXACT:
+        return None
     half = mu.spacing / 2
 
     def values(b, m):
@@ -227,12 +216,13 @@ def _direct(mu: GridMeasure, n: np.ndarray, ref: int):
             turns = _turns(x[i:i + rows], k[i:i + rows] * odd)
             out[i:i + rows] = _matvec(np.exp(-2j * np.pi * turns), w)
         return out.reshape(b.shape + m.shape)
-    return values
+    return _UNIT_NS["direct"] * w.size * n.size, values
 
 
 def _chirp_z(mu: GridMeasure, n: np.ndarray, ref: int):
-    """values(b, m) as _direct gives them, by Bluestein's chirp-z along the
-    progression n0 + g k holding n (_progression).
+    """(cost, values) of Bluestein's chirp-z along the progression n0 + g k
+    holding n (_progression), or None when its integers reach 2**52;
+    values(b, m) as _direct gives them.
 
     With x = b h / 2 and the window's odd indices a + 2 j (a = odd_0 - ref),
     x (n0 + g k)(a + 2 j) = x n0 a + x g a k + 2 x n0 j + 2 x g k j, and
@@ -240,19 +230,24 @@ def _chirp_z(mu: GridMeasure, n: np.ndarray, ref: int):
     convolution against the chirp w_t = exp(2 pi i x g t^2).  The chirp is
     built once per row and serves the pre-phase (j), the kernel (k - j) and
     the post-phase (k).  The row's constant n0 a is a Python int, which may
-    pass 2**52; _turns reduces it limb by limb.
+    pass 2**52; _turns reduces it limb by limb.  A row of length L costs
+    L log2(2 L); one value (count 1), a direct sum over the window by three
+    FFTs, serves only where no other kernel is exact.  Arrays of length
+    count are built per batch: count may reach millions where it loses.
     """
     first, last, _ = _window(mu)
     mass = mu.masses[first:last + 1]
     cells = mass.size
     a = 2 * (int(mu.origin_index) + first) + 1 - ref
     n0, g, count = _progression(n)
+    if max(2 * abs(n0) * cells, g * abs(a) * count, g * max(cells, count) ** 2) >= _EXACT:
+        return None
     length = next_fast_len(cells + count - 1)
     half = mu.spacing / 2
-    sq = g * np.arange(max(cells, count), dtype=np.int64) ** 2
-    pre_n = 2 * n0 * np.arange(cells, dtype=np.int64)
 
     def values(b, m):
+        sq = g * np.arange(max(cells, count), dtype=np.int64) ** 2
+        pre_n = 2 * n0 * np.arange(cells, dtype=np.int64)
         ks = (m.reshape(-1) - n0) // g
         out = np.empty((b.size, ks.size), dtype=np.complex128)
         rows = max(1, _CHUNK // length)
@@ -267,14 +262,17 @@ def _chirp_z(mu: GridMeasure, n: np.ndarray, ref: int):
             post = _turns(x, g * a * ks) + _turns(x, n0 * a)
             out[i:i + rows] = np.conj(w[:, ks]) * np.exp(-2j * np.pi * post) * z[:, ks]
         return out.reshape(b.shape + m.shape)
-    return values
+    cost = _UNIT_NS["chirp-z"] * length * math.log2(2 * length) if count > 1 else math.inf
+    return cost, values
 
 
 def _table(mu: GridMeasure, n: np.ndarray, ref: int):
-    """values(b, m) as _direct gives them, read at O(P) each from Taylor
-    tables of Q(theta) = sum_j m_j exp(-2 pi i theta (j - j*)) over mu's
-    occupied window, j* its middle cell and `half` the larger distance from
-    j* to the window's ends (after Anderson-Dahleh 1996).
+    """(cost, values) of Taylor tables of Q(theta) = sum_j m_j exp(-2 pi i
+    theta (j - j*)) over mu's occupied window, j* its middle cell and `half`
+    the larger distance from j* to the window's ends (after Anderson-Dahleh
+    1996); None for tables of more than _TABLE_ENTRIES entries or when
+    m (odd* - ref) reaches 2**52.  values(b, m) as _direct gives them,
+    read at O(P) each from tables built at the first call.
 
     Row p of the complex table is (-i)^p times the length-M FFT of
     m_j ((j - j*) / half)^p / p!, so that Q((k + u) / M) = sum_p row_p[k] t^p
@@ -283,27 +281,31 @@ def _table(mu: GridMeasure, n: np.ndarray, ref: int):
     Q(frac(nu h)), c* = odd* h / 2: at nu = b m, frac(nu h) = _turns(b h, m),
     its offset from the nearest node _turns(b h M, m), and the rotation
     about ref _turns(b h / 2, m (odd* - ref)), none when ref = odd*.
-    Refuses tables of more than _TABLE_ENTRIES entries before building them.
+    P FFTs of length M cost P M log2(M), and each value P Taylor terms.
     """
     first, last, odd = _window(mu)
     mid = (first + last) // 2
     half = max(last - mid, 1)
     order, size = _table_shape(last - first + 1)
-    if order * size > _TABLE_ENTRIES:
-        raise ValueError(f"window of {last - first + 1} cells too wide for a "
-                         f"Fourier table ({order} x {size} entries)")
-    offsets = np.arange(first - mid, last - mid + 1)
-    term = mu.masses[first:last + 1].copy()
-    rows = np.zeros((order, size))
-    for p in range(order):
-        rows[p, offsets % size] = term
-        term = term * (offsets / half) / (p + 1)
-    table = fft(rows, axis=-1) * np.array([1, -1j, -1, 1j])[np.arange(order) % 4, None]
-    re, im = table.real.copy(), table.imag.copy()
+    top = int(np.abs(n).max(initial=0))
+    if order * size > _TABLE_ENTRIES or top * abs(odd - ref) >= _EXACT:
+        return None
     h = mu.spacing
     step = 2 * math.pi * half / size
 
+    @functools.cache
+    def tabulate():
+        offsets = np.arange(first - mid, last - mid + 1)
+        term = mu.masses[first:last + 1].copy()
+        rows = np.zeros((order, size))
+        for p in range(order):
+            rows[p, offsets % size] = term
+            term = term * (offsets / half) / (p + 1)
+        table = fft(rows, axis=-1) * np.array([1, -1j, -1, 1j])[np.arange(order) % 4, None]
+        return table.real.copy(), table.imag.copy()
+
     def values(b, m):
+        re, im = tabulate()
         b = b.reshape(b.shape + (1,) * m.ndim)
         u = _turns(b * (h * size), m)            # offset from the table node, in nodes
         k = np.rint(_turns(b * h, m) * size - u).astype(np.int64) & (size - 1)
@@ -323,7 +325,8 @@ def _table(mu: GridMeasure, n: np.ndarray, ref: int):
             vals.real = vr * rot.real - vi * rot.imag
             vals.imag = vr * rot.imag + vi * rot.real
         return vals
-    return values
+    cost = order * (_UNIT_NS["table"] * size * math.log2(size) + _UNIT_NS["taylor term"] * n.size)
+    return cost, values
 
 
 def fourier_lattice(mu: GridMeasure, s, n, reduce=None, centered: bool = False):
@@ -341,9 +344,7 @@ def fourier_lattice(mu: GridMeasure, s, n, reduce=None, centered: bool = False):
     n = np.asarray(n, dtype=np.int64)
     if reduce is None:
         reduce = np.asarray
-    ref = _window(mu)[2] if centered else 0
-    kernel = {"direct": _direct, "chirp-z": _chirp_z, "table": _table}[_kernel(mu, n, ref)]
-    values = kernel(mu, n, ref)
+    values = _kernel(mu, n, _window(mu)[2] if centered else 0)[1]
     heads = [slice(None)]
     if n.ndim > 1 and n.size > _BATCH:
         rows = max(1, _BATCH // max(n[0].size, 1))
@@ -450,7 +451,7 @@ def band_samples(lo: float, hi: float, n_samples: int) -> np.ndarray:
 def decay_profile(mu: GridMeasure, band: tuple[float, float], n_samples: int) -> DecayProfile:
     """Log-uniform band sampling of |mu_hat| with a power-law fit."""
     xis = band_samples(*band, n_samples)
-    return profile_from_samples(xis, np.abs(fourier_lattice(mu, xis, [1])[:, 0]))
+    return profile_from_samples(xis, np.abs(fourier_many(mu, xis)))
 
 
 def profile_from_samples(xis: np.ndarray, mags: np.ndarray) -> DecayProfile:

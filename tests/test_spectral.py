@@ -123,7 +123,10 @@ def _double_sum(mu, xis):
 
 def _forced(kernel):
     """fourier_lattice running `kernel` whatever _kernel would choose."""
-    return mock.patch.object(spectral, "_kernel", lambda mu, n, ref=0: kernel)
+    plan = {"direct": spectral._direct, "chirp-z": spectral._chirp_z,
+            "table": spectral._table}[kernel]
+    return mock.patch.object(spectral, "_kernel",
+                             lambda mu, n, ref=0: (kernel, plan(mu, n, ref)[1]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -143,23 +146,25 @@ def test_chirp_z_matches_double_sum(mu, count, n0, g, s):
 
 @settings(max_examples=30, deadline=None)
 @given(_window_measures(26, 1 << 26, (1 << 26) + (1 << 14)),
-       st.integers(2, 2000),
+       st.integers(1, 2000),
        st.lists(st.integers(1 << 26, (1 << 26) + (1 << 14)),
                 min_size=1, max_size=3))
+@example(GridMeasure(26, (1 << 26) + 7, np.random.default_rng(2).random(1 << 14)),
+         1, [(1 << 26) + 99])                  # a point mass as second factor
 def test_chirp_z_counterexample_shape(mu, count, nu_origins):
     # counterexample scale: level 26 near x = 1, xi = 2**20 times the
     # centers of a second level-26 window, so s = xi h / 2 and n runs over
     # its odd indices.  n odd_j reaches ~2**54, past the direct sum's and
-    # the table's 2**52, so only chirp-z serves it, reducing its one
-    # constant n0 odd_0 exactly.  All phases are integers times
-    # 2**-34, so the oracle reduces them exactly in int64.  Phases reach
+    # the table's 2**52, so only chirp-z serves it, a single value too,
+    # reducing its one constant n0 odd_0 exactly.  All phases are integers
+    # times 2**-34, so the oracle reduces them exactly in int64.  Phases reach
     # 2**21 turns here: reducing fl(xi * c) instead of the exact product
     # leaves errors up to ~3e-10, so the bound is set well below that.
     xi, h = 2.0 ** 20, 2.0 ** -26
     odd_nu = 2 * np.array(nu_origins, dtype=np.int64) + 1
     ks = np.arange(count)
     n = odd_nu[:, None] + 2 * ks
-    assert spectral._kernel(mu, n) == "chirp-z"
+    assert spectral._kernel(mu, n)[0] == "chirp-z"
     got = fourier_lattice(mu, xi * h / 2, n)[0]
     nz = np.nonzero(mu.masses)[0]
     odd_mu = 2 * (mu.origin_index + nz) + 1
@@ -176,7 +181,7 @@ def test_kernel_choice_matches_direct_sum_across_threshold():
     paths = set()
     for count in range(1, 12):
         n = 14 + 3 * np.arange(count)
-        paths.add(spectral._kernel(mu, n))
+        paths.add(spectral._kernel(mu, n)[0])
         got = fourier_lattice(mu, s, n)
         oracle = fourier_many(mu, s[:, None] * n)
         assert np.max(np.abs(got - oracle)) <= 1e-12 * mu.total_mass
@@ -241,7 +246,7 @@ def test_kernel_choice_on_traffic_shapes():
         for mu, n, _ in shapes:
             for scales in (3.0, np.geomspace(16.0, 1024.0, 64)):
                 fourier_lattice(mu, scales * 2.0 ** -(mu.level + 1), n)
-    assert seen == [kind for _, _, kind in shapes for _ in range(2)]
+    assert [name for name, _ in seen] == [kind for _, _, kind in shapes for _ in range(2)]
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +342,7 @@ def _exact_phase_sum(mu, s, n):
     return np.exp(-2j * np.pi * turns) @ mu.masses[nz]
 
 
+@pytest.mark.parametrize("kernel", ["direct", "table"])
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 13).flatmap(
            lambda lv: _window_measures(lv, -(2 << lv), 2 << lv, min(2048, 2 << lv))),
@@ -348,29 +354,33 @@ def _exact_phase_sum(mu, s, n):
 @example(GridMeasure(13, -9000, np.r_[1.0, np.zeros(2046), 2.0]), np.array([0.2499]),
          np.array([(1 << 20) - 1, 12345]), 3)
 @example(GridMeasure(6, 0, np.zeros(8)), np.array([1.0, 2.0]), np.array([1, 3]), 1)
-def test_fourier_lattice_matches_exact_phase_sum(mu, s, n, batch):
+def test_fourier_lattice_matches_exact_phase_sum(kernel, mu, s, n, batch):
     # centers lie in [-2, 4], so |s n c| reaches 2**20 turns
-    got = fourier_lattice(mu, s, n)
-    assert got.shape == (s.size, n.size)
-    assert np.max(np.abs(got - _exact_phase_sum(mu, s, n))) <= 1e-12 * mu.total_mass
-    centered = fourier_lattice(mu, s, n, centered=True)
-    assert np.max(np.abs(np.abs(centered) - np.abs(got))) <= 1e-12 * mu.total_mass
-    with mock.patch.object(spectral, "_BATCH", batch):
-        assert _same_bits(fourier_lattice(mu, s, n), got)
-        assert _same_bits(fourier_lattice(mu, s[::-1], n)[::-1], got)
-        # a 2-d n is split along its first axis once a row passes _BATCH
-        assert _same_bits(fourier_lattice(mu, s, n[:, None]), got[:, :, None])
-        assert _same_bits(fourier_lattice(mu, s, n[:, None], lambda v: v.sum(axis=-1)), got)
-        assert _same_bits(fourier_lattice(mu, s, n, centered=True), centered)
-    for b, sb in enumerate(s):
-        assert _same_bits(fourier_lattice(mu, sb, n), got[b:b + 1])
+    with _forced(kernel):
+        got = fourier_lattice(mu, s, n)
+        assert got.shape == (s.size, n.size)
+        assert np.max(np.abs(got - _exact_phase_sum(mu, s, n))) <= 1e-12 * mu.total_mass
+        centered = fourier_lattice(mu, s, n, centered=True)
+        assert np.max(np.abs(np.abs(centered) - np.abs(got))) <= 1e-12 * mu.total_mass
+        with mock.patch.object(spectral, "_BATCH", batch):
+            assert _same_bits(fourier_lattice(mu, s, n), got)
+            assert _same_bits(fourier_lattice(mu, s[::-1], n)[::-1], got)
+            # a 2-d n is split along its first axis once a row passes _BATCH
+            assert _same_bits(fourier_lattice(mu, s, n[:, None]), got[:, :, None])
+            assert _same_bits(fourier_lattice(mu, s, n[:, None], lambda v: v.sum(axis=-1)), got)
+            assert _same_bits(fourier_lattice(mu, s, n, centered=True), centered)
+        for b, sb in enumerate(s):
+            assert _same_bits(fourier_lattice(mu, sb, n), got[b:b + 1])
 
 
 def test_fourier_lattice_refuses_inexact_phases():
     mu = GridMeasure(40, 1 << 45, np.array([1.0]))      # odd* = 2**46 + 1
     assert fourier_lattice(mu, 1.0, [1 << 5]).shape == (1, 1)
-    with pytest.raises(ValueError, match=r"2\*\*52"):
-        fourier_lattice(mu, 1.0, [1 << 6])
+    # n odd* passes 2**52: chirp-z serves the single value, its phase
+    # (2**-41)(2**6)(2**46 + 1) = 2**11 + 2**-35 turns reduced exactly
+    got = fourier_lattice(mu, 1.0, [1 << 6])
+    assert spectral._kernel(mu, np.array([1 << 6]))[0] == "chirp-z"
+    assert abs(got[0, 0] - np.exp(-2j * np.pi * 2.0 ** -35)) <= 1e-15
     # without the phase only n itself is bounded
     assert fourier_lattice(mu, 1.0, [1 << 6], centered=True).shape == (1, 1)
     with pytest.raises(ValueError, match=r"2\*\*52"):
@@ -383,16 +393,15 @@ def test_fourier_lattice_refuses_inexact_phases():
 
 def test_fourier_lattice_refuses_wide_tables_and_dense_chains():
     # two atoms 2**16 cells apart ask for a 12 x 2**19 table; the table
-    # refuses before allocating it, and the kernel choice passes over a
+    # declines before allocating it, and the kernel choice passes over a
     # table of more than _TABLE_ENTRIES entries to the next cheapest kernel
     wide = GridMeasure(20, 0, np.r_[1.0, np.zeros((1 << 16) - 2), 1.0])
-    with pytest.raises(ValueError, match="too wide"):
-        spectral._table(wide, np.array([1]), 0)
+    assert spectral._table(wide, np.array([1]), 0) is None
     ms = [random_cantor_measure(seed).coarsened(11) for seed in (8, 17, 27)]   # 64 cells each
     n = odd_products(ms[1:])[0]
     want = product_chain_fourier(ms, 3.0)
     with mock.patch.object(spectral, "_TABLE_ENTRIES", 64):
-        assert spectral._kernel(ms[0], n) == "direct"
+        assert spectral._kernel(ms[0], n)[0] == "direct"
         assert abs(product_chain_fourier(ms, 3.0) - want) <= 1e-12
     mu = random_cantor_measure(1, depth=3)
     with mock.patch.object(spectral, "_CHAIN_ATOMS", 63):
