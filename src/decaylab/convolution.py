@@ -13,8 +13,9 @@ split equally between the two straddling cells; that split is exact for the
 cell-uniform reading of a grid measure (uniform * uniform = triangle).  The
 true support comes from a second FFT convolution of the 0/1 occupancy
 vectors (its counts are exact integers up to roundoff far below 1/2); FFT
-roundoff outside it is zeroed before the split.  Mass is checked on the
-unscaled sum and only then rescaled to the exact product of the masses.
+roundoff outside it is zeroed before the split; a doubling mu + mu
+transforms each vector once.  Mass is checked on the unscaled sum and only
+then rescaled to the exact product of the masses.
 
 mul routes each pair mass to the cell containing the product of the two
 cell centers (single-cell routing, floor binning).  Cell k at level L has
@@ -87,7 +88,8 @@ def _conv_add(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
     a, b, level = _common_level(mu, nu)
     raw = fftconvolve(a.masses, b.masses)
     # pair counts per output index; roundoff is far below 1/2 at any size
-    hit = fftconvolve(a.masses > 0, b.masses > 0) > 0.5
+    occupied = a.masses > 0
+    hit = fftconvolve(occupied, occupied if b is a else b.masses > 0) > 0.5
     raw = np.where(hit, np.maximum(raw, 0.0), 0.0)
     # pair (i, j) has center-sum on the edge between output cells i+j and i+j+1
     out = np.empty(raw.size + 1, dtype=np.float64)

@@ -225,10 +225,12 @@ def next_fast_len(n: int, real: bool = False) -> int:
 
 def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution of two real 1-d vectors by real FFTs at the
-    next fast length (bool operands count as 0/1)."""
+    next fast length (bool operands count as 0/1); a self-convolution
+    (b is a) transforms its operand once."""
     n = a.size + b.size - 1
     length = next_fast_len(n, real=True)
-    return irfft(rfft(a, length) * rfft(b, length), length)[:n]
+    fa = rfft(a, length)
+    return irfft(fa * (fa if b is a else rfft(b, length)), length)[:n]
 
 
 # ---------------------------------------------------------------------------------

@@ -336,7 +336,8 @@ def run_induction_chain(measures, exponents, delta: float, k: int, n_samples: in
     tail_n, tail_w, e = odd_products(work[2:])
     pi_hat = fourier_lattice(work[0], xis * 2.0 ** -(e + work[1].level),
                              np.multiply.outer(tail_n, dists2),
-                             lambda q: (q.real ** 2 + q.imag ** 2) @ w2, centered=True)
+                             lambda q: np.sum((q.real ** 2 + q.imag ** 2) * w2, axis=-1),
+                             centered=True)
     rhs = pi_hat ** (2 ** k) @ tail_w
     violation = float(np.max(lhs - rhs))
     # rescaling step on the grid power (evidence; grid ops re-bin)

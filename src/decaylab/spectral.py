@@ -15,20 +15,24 @@ and n alone and never from the number of scales, the kernel that costs
 least per scale: a direct sum over the occupied cells; Bluestein's chirp-z
 along the progression n0 + g k holding n (Bluestein 1970); or Taylor
 tables of mu's window, built once per call and read at O(P) per value
-(Anderson-Dahleh 1996).  The product transforms and order_check take a
-scalar xi (giving complex or floats) or an array of any shape (giving that
-shape), one batch per band; each element equals the scalar call at its xi
-bit for bit, as no value depends on its batch.
+(Anderson-Dahleh 1996).  fourier_lattice's batches run on the ordered pool
+(dyadic._ordered_map), so it must not be called from inside an _ordered_map
+item, and every reduction inside a batch is a row-wise np.sum, not BLAS,
+whose own threads would fight the pool's.  The product transforms and
+order_check take a scalar xi (giving complex or floats) or an array of any
+shape (giving that shape), one batch per band; each element equals the
+scalar call at its xi bit for bit, as no value depends on its batch or on
+the number of workers.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import fft, ifft
 
+from .dyadic import _ordered_map
 from .measures import GridMeasure, next_fast_len, regularize
 
 __all__ = [
@@ -62,14 +66,6 @@ _EXACT = 1 << 52       # integer factors of _turns must stay below this
 # Taylor terms in a table value; 28-62, 8.6-13.7, 1.3-1.8 and 8.5-22 ns over
 # windows of 40-32770 cells (numpy 2.4 numpy.fft, 2-CPU x86-64 VM).
 _UNIT_NS = {"direct": 40.0, "chirp-z": 10.0, "table": 1.6, "taylor term": 12.0}
-
-
-def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a @ v with every row summed in the multi-row (gemv) order: a one-row
-    product would go to a dot kernel, so a lone row is paired with a copy."""
-    if a.shape[0] == 1:
-        return (np.concatenate([a, a]) @ v)[:1]
-    return a @ v
 
 
 def _frac(p: np.ndarray) -> np.ndarray:
@@ -183,7 +179,8 @@ def _kernel(mu: GridMeasure, n: np.ndarray, ref: int = 0):
     """(name, values) of the cheapest plan for mu_hat(s n), phases about
     the odd index ref, among the kernels whose integers stay below 2**52;
     priced for one scale, so no value depends on how many scales a call
-    holds.  Refuses n reaching 2**52, and n that no kernel keeps exact."""
+    holds.  Only the chosen plan is prepared.  Refuses n reaching 2**52, and
+    n that no kernel keeps exact."""
     plans = {}
     if int(np.abs(n).max(initial=0)) < _EXACT:
         plans = {name: plan for name, kernel in
@@ -192,14 +189,15 @@ def _kernel(mu: GridMeasure, n: np.ndarray, ref: int = 0):
     if not plans:
         raise ValueError("lattice integers reach 2**52: phases would lose exactness")
     name = min(plans, key=lambda name: plans[name][0])
-    return name, plans[name][1]
+    return name, plans[name][1]()
 
 
 def _direct(mu: GridMeasure, n: np.ndarray, ref: int):
-    """(cost, values) of the direct sum, None when m (odd_j - ref) reaches
-    2**52: values(b, m) = sum_j m_j exp(-2 pi i (b h / 2) m (odd_j - ref))
-    over the occupied cells, shape b x m for scales b and entries m of n, in
-    chunks of _CHUNK terms, each phase reduced by _turns."""
+    """(cost, prepare) of the direct sum, None when m (odd_j - ref) reaches
+    2**52; prepare() gives values(b, m) = sum_j m_j exp(-2 pi i (b h / 2)
+    m (odd_j - ref)) over the occupied cells, shape b x m for scales b and
+    entries m of n, in chunks of _CHUNK terms, each phase reduced by
+    _turns."""
     nz = np.nonzero(mu.masses)[0]
     w = mu.masses[nz]
     odd = 2 * (mu.origin_index + nz) + 1 - ref
@@ -214,15 +212,15 @@ def _direct(mu: GridMeasure, n: np.ndarray, ref: int):
         rows = max(1, _CHUNK // max(w.size, 1))
         for i in range(0, out.size if w.size else 0, rows):
             turns = _turns(x[i:i + rows], k[i:i + rows] * odd)
-            out[i:i + rows] = _matvec(np.exp(-2j * np.pi * turns), w)
+            out[i:i + rows] = np.sum(np.exp(-2j * np.pi * turns) * w, axis=-1)
         return out.reshape(b.shape + m.shape)
-    return _UNIT_NS["direct"] * w.size * n.size, values
+    return _UNIT_NS["direct"] * w.size * n.size, lambda: values
 
 
 def _chirp_z(mu: GridMeasure, n: np.ndarray, ref: int):
-    """(cost, values) of Bluestein's chirp-z along the progression n0 + g k
+    """(cost, prepare) of Bluestein's chirp-z along the progression n0 + g k
     holding n (_progression), or None when its integers reach 2**52;
-    values(b, m) as _direct gives them.
+    prepare() gives values(b, m) as _direct's does.
 
     With x = b h / 2 and the window's odd indices a + 2 j (a = odd_0 - ref),
     x (n0 + g k)(a + 2 j) = x n0 a + x g a k + 2 x n0 j + 2 x g k j, and
@@ -233,7 +231,7 @@ def _chirp_z(mu: GridMeasure, n: np.ndarray, ref: int):
     pass 2**52; _turns reduces it limb by limb.  A row of length L costs
     L log2(2 L); one value (count 1), a direct sum over the window by three
     FFTs, serves only where no other kernel is exact.  Arrays of length
-    count are built per batch: count may reach millions where it loses.
+    count are built by prepare: count may reach millions where it loses.
     """
     first, last, _ = _window(mu)
     mass = mu.masses[first:last + 1]
@@ -245,34 +243,37 @@ def _chirp_z(mu: GridMeasure, n: np.ndarray, ref: int):
     length = next_fast_len(cells + count - 1)
     half = mu.spacing / 2
 
-    def values(b, m):
+    def prepare():
         sq = g * np.arange(max(cells, count), dtype=np.int64) ** 2
         pre_n = 2 * n0 * np.arange(cells, dtype=np.int64)
-        ks = (m.reshape(-1) - n0) // g
-        out = np.empty((b.size, ks.size), dtype=np.complex128)
-        rows = max(1, _CHUNK // length)
-        for i in range(0, b.size, rows):
-            x = b[i:i + rows, None] * half
-            w = np.exp(2j * np.pi * _turns(x, sq))
-            pre = mass * np.conj(w[:, :cells]) * np.exp(-2j * np.pi * _turns(x, pre_n))
-            kern = np.zeros((x.shape[0], length), dtype=np.complex128)
-            kern[:, :count] = w[:, :count]
-            kern[:, length - cells + 1:] = w[:, cells - 1:0:-1]    # t = -(cells-1) .. -1
-            z = ifft(fft(pre, length, axis=-1) * fft(kern, axis=-1), axis=-1)
-            post = _turns(x, g * a * ks) + _turns(x, n0 * a)
-            out[i:i + rows] = np.conj(w[:, ks]) * np.exp(-2j * np.pi * post) * z[:, ks]
-        return out.reshape(b.shape + m.shape)
+
+        def values(b, m):
+            ks = (m.reshape(-1) - n0) // g
+            out = np.empty((b.size, ks.size), dtype=np.complex128)
+            rows = max(1, _CHUNK // length)
+            for i in range(0, b.size, rows):
+                x = b[i:i + rows, None] * half
+                w = np.exp(2j * np.pi * _turns(x, sq))
+                pre = mass * np.conj(w[:, :cells]) * np.exp(-2j * np.pi * _turns(x, pre_n))
+                kern = np.zeros((x.shape[0], length), dtype=np.complex128)
+                kern[:, :count] = w[:, :count]
+                kern[:, length - cells + 1:] = w[:, cells - 1:0:-1]    # t = -(cells-1) .. -1
+                z = ifft(fft(pre, length, axis=-1) * fft(kern, axis=-1), axis=-1)
+                post = _turns(x, g * a * ks) + _turns(x, n0 * a)
+                out[i:i + rows] = np.conj(w[:, ks]) * np.exp(-2j * np.pi * post) * z[:, ks]
+            return out.reshape(b.shape + m.shape)
+        return values
     cost = _UNIT_NS["chirp-z"] * length * math.log2(2 * length) if count > 1 else math.inf
-    return cost, values
+    return cost, prepare
 
 
 def _table(mu: GridMeasure, n: np.ndarray, ref: int):
-    """(cost, values) of Taylor tables of Q(theta) = sum_j m_j exp(-2 pi i
+    """(cost, prepare) of Taylor tables of Q(theta) = sum_j m_j exp(-2 pi i
     theta (j - j*)) over mu's occupied window, j* its middle cell and `half`
     the larger distance from j* to the window's ends (after Anderson-Dahleh
     1996); None for tables of more than _TABLE_ENTRIES entries or when
-    m (odd* - ref) reaches 2**52.  values(b, m) as _direct gives them,
-    read at O(P) each from tables built at the first call.
+    m (odd* - ref) reaches 2**52.  prepare() builds the tables, once per
+    call, and gives values(b, m) as _direct's does, read at O(P) each.
 
     Row p of the complex table is (-i)^p times the length-M FFT of
     m_j ((j - j*) / half)^p / p!, so that Q((k + u) / M) = sum_p row_p[k] t^p
@@ -293,8 +294,7 @@ def _table(mu: GridMeasure, n: np.ndarray, ref: int):
     h = mu.spacing
     step = 2 * math.pi * half / size
 
-    @functools.cache
-    def tabulate():
+    def prepare():
         offsets = np.arange(first - mid, last - mid + 1)
         term = mu.masses[first:last + 1].copy()
         rows = np.zeros((order, size))
@@ -302,31 +302,31 @@ def _table(mu: GridMeasure, n: np.ndarray, ref: int):
             rows[p, offsets % size] = term
             term = term * (offsets / half) / (p + 1)
         table = fft(rows, axis=-1) * np.array([1, -1j, -1, 1j])[np.arange(order) % 4, None]
-        return table.real.copy(), table.imag.copy()
+        re, im = table.real.copy(), table.imag.copy()
 
-    def values(b, m):
-        re, im = tabulate()
-        b = b.reshape(b.shape + (1,) * m.ndim)
-        u = _turns(b * (h * size), m)            # offset from the table node, in nodes
-        k = np.rint(_turns(b * h, m) * size - u).astype(np.int64) & (size - 1)
-        t = u * step
-        vr, vi = re[-1][k], im[-1][k]
-        for p in range(order - 2, -1, -1):
-            vr *= t
-            vr += re[p][k]
-            vi *= t
-            vi += im[p][k]
-        vals = np.empty(vr.shape, dtype=np.complex128)
-        if odd == ref:
-            vals.real, vals.imag = vr, vi
-        else:       # rotated in real arithmetic: numpy's complex multiply
-            # rounds differently with the length of the array
-            rot = np.exp(-2j * np.pi * _turns(b * (h / 2), m * (odd - ref)))
-            vals.real = vr * rot.real - vi * rot.imag
-            vals.imag = vr * rot.imag + vi * rot.real
-        return vals
+        def values(b, m):
+            b = b.reshape(b.shape + (1,) * m.ndim)
+            u = _turns(b * (h * size), m)            # offset from the table node, in nodes
+            k = np.rint(_turns(b * h, m) * size - u).astype(np.int64) & (size - 1)
+            t = u * step
+            vr, vi = re[-1][k], im[-1][k]
+            for p in range(order - 2, -1, -1):
+                vr *= t
+                vr += re[p][k]
+                vi *= t
+                vi += im[p][k]
+            vals = np.empty(vr.shape, dtype=np.complex128)
+            if odd == ref:
+                vals.real, vals.imag = vr, vi
+            else:       # rotated in real arithmetic: numpy's complex multiply
+                # rounds differently with the length of the array
+                rot = np.exp(-2j * np.pi * _turns(b * (h / 2), m * (odd - ref)))
+                vals.real = vr * rot.real - vi * rot.imag
+                vals.imag = vr * rot.imag + vi * rot.real
+            return vals
+        return values
     cost = order * (_UNIT_NS["table"] * size * math.log2(size) + _UNIT_NS["taylor term"] * n.size)
-    return cost, values
+    return cost, prepare
 
 
 def fourier_lattice(mu: GridMeasure, s, n, reduce=None, centered: bool = False):
@@ -336,10 +336,18 @@ def fourier_lattice(mu: GridMeasure, s, n, reduce=None, centered: bool = False):
     one scale and a slice of n's first axis when n has more than one axis
     (reduce must then keep that axis as its axis 1).
 
-    _kernel picks the kernel from mu and n.  centered=True returns the
-    transform of mu moved by -c*, c* the center of the middle cell of mu's
-    occupied window, which has the same modulus.  Refuses integers n that
-    reach 2**52, and n whose phases no kernel keeps below 2**52.
+    _kernel picks the kernel from mu and n and prepares it (a Taylor table
+    is built here, once).  The batches, each reduced, then run on the
+    ordered pool (dyadic._ordered_map) and are joined in batch order, so the
+    result is bit-identical for any worker count; one batch runs inline.
+    reduce therefore runs on worker threads and must sum rows without BLAS
+    (np.sum(rows * w, axis=-1), say), and fourier_lattice must not be
+    called from inside an _ordered_map item, where pools would nest.
+
+    centered=True returns the transform of mu moved by -c*, c* the center
+    of the middle cell of mu's occupied window, which has the same modulus.
+    Refuses integers n that reach 2**52, and n whose phases no kernel keeps
+    below 2**52.
     """
     n = np.asarray(n, dtype=np.int64)
     if reduce is None:
@@ -349,11 +357,13 @@ def fourier_lattice(mu: GridMeasure, s, n, reduce=None, centered: bool = False):
     if n.ndim > 1 and n.size > _BATCH:
         rows = max(1, _BATCH // max(n[0].size, 1))
         heads = [slice(i, i + rows) for i in range(0, n.shape[0], rows)]
-    out = []
-    for b in _batches(s, n.size):
-        parts = [reduce(values(b, n[head])) for head in heads]
-        out.append(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1))
-    return np.concatenate(out)
+    items = [(b, head) for b in _batches(s, n.size) for head in heads]
+    parts = []
+    _ordered_map(lambda _, item: reduce(values(item[0], n[item[1]])), items, parts.append)
+    if len(heads) > 1:
+        parts = [np.concatenate(parts[i:i + len(heads)], axis=1)
+                 for i in range(0, len(parts), len(heads))]
+    return np.concatenate(parts)
 
 
 def product_fourier(mu: GridMeasure, nu: GridMeasure, xi):
@@ -376,7 +386,8 @@ def product_chain_fourier(measures, xi):
     """
     n, w, e = odd_products(measures[1:])
     scales = np.ravel(xi) * 2.0 ** -e
-    return _shaped(fourier_lattice(measures[0], scales, n, lambda vals: _matvec(vals, w)), xi)
+    return _shaped(fourier_lattice(measures[0], scales, n,
+                                   lambda vals: np.sum(vals * w, axis=-1)), xi)
 
 
 def l2_at_scale(mu: GridMeasure, delta: float) -> float:

@@ -420,13 +420,18 @@ def test_timing_records_stages_and_worker_count(tmp_path):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "3" / name).read_bytes()
 
 
-def test_quantitative_outputs_do_not_depend_on_worker_count(tmp_path):
+@pytest.mark.parametrize("config, files", [
     # scale 8 gives the chains' muls several row chunks, so the pool runs
-    cfg = parse_config(_shipped("quantitative.cfg"))
+    ("quantitative.cfg", ("report.json", "stages.csv")),
+    # Pi^'s 16 and the chain's 2 fourier_lattice batches run on the pool
+    ("induction.cfg", ("report.json", "chain.csv")),
+], ids=["quantitative", "induction"])
+def test_quantitative_outputs_do_not_depend_on_worker_count(config, files, tmp_path):
+    cfg = parse_config(_shipped(config))
     for workers in (1, dyadic._WORKERS):
         with mock.patch.object(dyadic, "_WORKERS", workers):
             dispatch(cfg, tmp_path / str(workers))
-    for name in ("report.json", "stages.csv"):
+    for name in files:
         assert ((tmp_path / "1" / name).read_bytes()
                 == (tmp_path / str(dyadic._WORKERS) / name).read_bytes())
 

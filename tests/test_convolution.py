@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from decaylab import (GridMeasure, convolve, difference_product, l1_distance,
                       point_mass, uniform_measure)
-from decaylab import convolution, dyadic
+from decaylab import convolution, dyadic, measures
 from decaylab.convolution import symmetry_defect
 
 from conftest import lossy, random_cantor_measure, random_masses_measure
@@ -135,6 +135,22 @@ def test_power_doubling_vs_sequential():
     via_doubling = convolve(twice, twice, "add")
     seq = convolve(convolve(convolve(mu, mu, "add"), mu, "add"), mu, "add")
     assert l1_distance(via_doubling, seq) <= 1e-6
+
+
+def test_doubling_add_transforms_each_vector_once():
+    # mu + mu: one rfft of the masses and one of the occupancy, and the
+    # same bits as the sum with an equal copy (two rffts each)
+    mu = random_cantor_measure(4)
+    copy = GridMeasure(mu.level, mu.origin_index, mu.masses.copy())
+    calls = []
+    with mock.patch.object(measures, "rfft",
+                           lambda *args: calls.append(1) or np.fft.rfft(*args)):
+        two = convolve(mu, copy, "add")
+        assert len(calls) == 4
+        one = convolve(mu, mu, "add")
+        assert len(calls) == 6
+    assert one.origin_index == two.origin_index
+    assert one.masses.tobytes() == two.masses.tobytes()
 
 
 def test_difference_product_point_mass():

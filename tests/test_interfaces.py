@@ -182,10 +182,10 @@ def _class_too_high(fn):
 
 
 def _lossy_plan(kernel, factor: float):
-    """A kernel of spectral whose plan's values function loses a factor."""
+    """A kernel of spectral whose prepared values function loses a factor."""
     def faulty(*args):
         plan = kernel(*args)
-        return plan and (plan[0], lossy(plan[1], factor))
+        return plan and (plan[0], lambda: lossy(plan[1](), factor))
     return faulty
 
 

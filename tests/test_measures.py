@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -332,6 +334,22 @@ def test_fftconvolve_matches_direct(n_a, n_b, boolean, seed):
     want = np.convolve(a.astype(np.float64), b.astype(np.float64))
     assert got.shape == want.shape and got.dtype == np.float64
     assert np.max(np.abs(got - want)) <= 1e-12 * float(np.sum(a)) * float(np.sum(b))
+
+
+@pytest.mark.parametrize("boolean", [False, True])
+def test_fftconvolve_transforms_a_self_convolution_once(boolean):
+    # b is a: one rfft, the same bits as transforming an equal copy
+    a = np.random.default_rng(3).random(257)
+    if boolean:
+        a = a < 0.5
+    calls = []
+    with mock.patch.object(measures, "rfft",
+                           lambda *args: calls.append(1) or np.fft.rfft(*args)):
+        two = fftconvolve(a, a.copy())
+        assert len(calls) == 2
+        one = fftconvolve(a, a)
+        assert len(calls) == 3
+    assert one.tobytes() == two.tobytes()
 
 
 def _smooth(m: int, largest: int) -> bool:

@@ -1,3 +1,4 @@
+import time
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from decaylab import (GridMeasure, convolve, decay_profile, fourier_at, fourier_many,
                       l2_at_scale, order_check, point_mass, product_fourier,
                       pushforward_affine, uniform_measure)
-from decaylab import spectral
+from decaylab import dyadic, spectral
 from decaylab.spectral import (fourier_lattice, odd_products, product_chain_fourier,
                                profile_from_samples)
 
@@ -126,7 +127,7 @@ def _forced(kernel):
     plan = {"direct": spectral._direct, "chirp-z": spectral._chirp_z,
             "table": spectral._table}[kernel]
     return mock.patch.object(spectral, "_kernel",
-                             lambda mu, n, ref=0: (kernel, plan(mu, n, ref)[1]))
+                             lambda mu, n, ref=0: (kernel, plan(mu, n, ref)[1]()))
 
 
 @settings(max_examples=60, deadline=None)
@@ -371,6 +372,53 @@ def test_fourier_lattice_matches_exact_phase_sum(kernel, mu, s, n, batch):
             assert _same_bits(fourier_lattice(mu, s, n, centered=True), centered)
         for b, sb in enumerate(s):
             assert _same_bits(fourier_lattice(mu, sb, n), got[b:b + 1])
+
+
+@pytest.mark.parametrize("kernel", ["direct", "chirp-z", "table"])
+def test_fourier_lattice_does_not_depend_on_worker_count(kernel):
+    # 5 scale batches x 4 heads of a 2-d n go through the pool; the parts
+    # are joined in item order, so every worker count gives the same bits
+    mu = random_cantor_measure(1).coarsened(11)
+    n = (2 * np.arange(96) + 1).reshape(8, 12)
+    w = np.linspace(0.5, 1.5, 12)
+    s = np.geomspace(0.5, 300.0, 5)
+    items, outs = [], []
+    pool = spectral._ordered_map
+    for workers in (1, 2, 3):
+        with _forced(kernel), mock.patch.object(spectral, "_BATCH", 24), \
+                mock.patch.object(dyadic, "_WORKERS", workers), \
+                mock.patch.object(spectral, "_ordered_map",
+                                  lambda fn, it, take: items.append(len(it)) or pool(fn, it, take)):
+            outs.append([fourier_lattice(mu, s, n),
+                         fourier_lattice(mu, s, n, lambda v: np.sum(v * w, axis=-1)),
+                         fourier_lattice(mu, s, n, centered=True)])
+    assert items == [20] * 9
+    assert [a.shape for a in outs[0]] == [(5, 8, 12), (5, 8), (5, 8, 12)]
+    for out in outs[1:]:
+        assert all(_same_bits(a, b) for a, b in zip(out, outs[0]))
+
+
+def test_taylor_table_is_built_once_per_call():
+    # the chosen kernel is prepared before the batches go to the pool: one
+    # table FFT per call for 6 batches on 2 workers; the slow FFT would let
+    # two workers both build a table that each built on first use
+    cantor = [random_cantor_measure(seed).coarsened(11) for seed in (8, 17, 27)]
+    mu, n = cantor[0], odd_products(cantor[1:])[0]
+    assert spectral._kernel(mu, n)[0] == "table"
+    calls = []
+
+    def slow_fft(*args, **kwargs):
+        calls.append(1)
+        time.sleep(0.02)
+        return np.fft.fft(*args, **kwargs)
+
+    with mock.patch.object(spectral, "fft", slow_fft), \
+            mock.patch.object(spectral, "_BATCH", n.size), \
+            mock.patch.object(dyadic, "_WORKERS", 2):
+        for centered in (False, True):
+            fourier_lattice(mu, np.geomspace(1.0, 100.0, 6), n, centered=centered)
+            assert len(calls) == 1
+            calls.clear()
 
 
 def test_fourier_lattice_refuses_inexact_phases():
