@@ -7,15 +7,13 @@ carries mass only if some pair of occupied input cells routes mass to it,
 and every such cell does (add/sub: unless its true mass is below FFT
 roundoff), so support(), occupied() and occupied_set() of an output are true.
 
-add/sub run as one fast linear convolution of the mass vectors.  Sums of
-cell centers land midway between output cell centers, so each pair mass is
-split equally between the two straddling cells; that split is exact for the
-cell-uniform reading of a grid measure (uniform * uniform = triangle).  The
-true support comes from a second FFT convolution of the 0/1 occupancy
-vectors (its counts are exact integers up to roundoff far below 1/2); FFT
-roundoff outside it is zeroed before the split; a doubling mu + mu
-transforms each vector once.  Mass is checked on the unscaled sum and only
-then rescaled to the exact product of the masses.
+add/sub run as one linear convolution of the mass vectors,
+measures.fftconvolve: its support is exact, and a doubling mu + mu
+transforms each vector once.  Sums of cell centers land midway between
+output cell centers, so each pair mass is split equally between the two
+straddling cells; that split is exact for the cell-uniform reading of a grid
+measure (uniform * uniform = triangle).  Mass is checked on the unscaled sum
+and only then rescaled to the exact product of the masses.
 
 mul routes each pair mass to the cell containing the product of the two
 cell centers (single-cell routing, floor binning).  Cell k at level L has
@@ -87,10 +85,6 @@ def _reflected(nu: GridMeasure) -> GridMeasure:
 def _conv_add(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
     a, b, level = _common_level(mu, nu)
     raw = fftconvolve(a.masses, b.masses)
-    # pair counts per output index; roundoff is far below 1/2 at any size
-    occupied = a.masses > 0
-    hit = fftconvolve(occupied, occupied if b is a else b.masses > 0) > 0.5
-    raw = np.where(hit, np.maximum(raw, 0.0), 0.0)
     # pair (i, j) has center-sum on the edge between output cells i+j and i+j+1
     out = np.empty(raw.size + 1, dtype=np.float64)
     out[0] = raw[0]

@@ -10,8 +10,9 @@ Spatial energy of the mollified measure mu_delta:
 where the diagonal uses the exact Riesz integral of a uniform cell pair,
 2 h^{-s} / ((1-s)(2-s)) per unit mass squared.  Since the kernel depends
 only on i - j, the double sum collapses to an autocorrelation, computed by
-FFT (identical arithmetic, O(N log N)); a direct method is kept for oracle
-comparisons.
+measures.fftconvolve in O(N log N): the same sum up to roundoff, and exactly
+0 at every distance no pair of occupied cells spans.  A direct method is kept
+for oracle comparisons.
 
 Frequency-side energy integrates |mu_hat_delta|^2 |xi|^(s-1).  The weight
 |xi|^(s-1) (not |xi|^(-s)) is the one that makes the two sides agree in
@@ -21,6 +22,7 @@ value on the uniform-[0,1] reference, which also absorbs quadrature bias.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,8 +40,6 @@ __all__ = [
     "ExtractionResult",
     "extract_nonconcentrated",
 ]
-
-_cs_cache: dict[tuple[float, int], float] = {}
 
 
 def _diagonal_coeff(s: float, h: float) -> float:
@@ -66,7 +66,6 @@ def energy_spatial(mu: GridMeasure, s: float, delta: float,
     if method == "fft":
         corr = fftconvolve(m, m[::-1])          # corr[n-1+d] = sum_i m_i m_{i+d}
         acf = corr[n:]                           # d = 1 .. n-1
-        acf = np.maximum(acf, 0.0)
     elif method == "direct":
         acf = np.array([np.dot(m[:n - d], m[d:]) for d in range(1, n)])
     else:
@@ -112,21 +111,17 @@ _CAL_LEVEL = 9
 _CAL_DELTA = 2.0 ** -6
 
 
+@lru_cache(maxsize=None)
 def _calibration_constant(s: float) -> float:
-    key = (round(s, 12), _CAL_LEVEL)
-    if key not in _cs_cache:
-        ref = uniform_measure(0.0, 1.0, _CAL_LEVEL)
-        spatial = energy_spatial(ref, s, _CAL_DELTA)
-        raw = _fourier_energy_raw(ref, s, _CAL_DELTA)
-        _cs_cache[key] = spatial / raw
-    return _cs_cache[key]
+    ref = uniform_measure(0.0, 1.0, _CAL_LEVEL)
+    return energy_spatial(ref, s, _CAL_DELTA) / _fourier_energy_raw(ref, s, _CAL_DELTA)
 
 
 def energy_fourier(mu: GridMeasure, s: float, delta: float) -> float:
     """Frequency-side s-energy, aligned to the spatial side by the calibrated c_s."""
     if not 0.0 < s < 1.0:
         raise ValueError("energy_fourier needs 0 < s < 1")
-    return _calibration_constant(s) * _fourier_energy_raw(mu, s, delta)
+    return _calibration_constant(round(s, 12)) * _fourier_energy_raw(mu, s, delta)
 
 
 def frostman_constant(mu: GridMeasure, s: float,

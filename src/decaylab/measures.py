@@ -224,13 +224,21 @@ def next_fast_len(n: int, real: bool = False) -> int:
 
 
 def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two real 1-d vectors by real FFTs at the
-    next fast length (bool operands count as 0/1); a self-convolution
-    (b is a) transforms its operand once."""
+    """Full linear convolution of two nonnegative 1-d vectors by real FFTs at
+    the next fast length (bool operands count as 0/1).
+
+    The support is exact: an entry is nonzero only where some pair of nonzero
+    entries lands.  The pair counts come from a second convolution, of the
+    0/1 occupancy vectors, whose roundoff stays far below 1/2 at any size;
+    FFT roundoff elsewhere is zeroed, and negative roundoff is clipped to 0.
+    A self-convolution (b is a) transforms each vector once.
+    """
     n = a.size + b.size - 1
     length = next_fast_len(n, real=True)
-    fa = rfft(a, length)
-    return irfft(fa * (fa if b is a else rfft(b, length)), length)[:n]
+    fa, occ_a = rfft(a, length), rfft(a > 0, length)
+    fb, occ_b = (fa, occ_a) if b is a else (rfft(b, length), rfft(b > 0, length))
+    hit = irfft(occ_a * occ_b, length)[:n] > 0.5
+    return np.where(hit, np.maximum(irfft(fa * fb, length)[:n], 0.0), 0.0)
 
 
 # ---------------------------------------------------------------------------------
@@ -333,7 +341,9 @@ def regularize(mu: GridMeasure, delta: float) -> GridMeasure:
     """Mollify at scale delta: mass-preserving convolution with the bump.
 
     delta must be a dyadic multiple of the grid spacing; the support grows by
-    at most delta on each side.
+    at most delta on each side.  The bump's two end taps are 0, so a cell
+    carries mass exactly when an occupied cell lies within delta - spacing
+    of it (fftconvolve's exact support).
     """
     h = mu.spacing
     ratio = delta / h
@@ -344,17 +354,7 @@ def regularize(mu: GridMeasure, delta: float) -> GridMeasure:
         raise ValueError(f"delta={delta} is not a dyadic multiple of spacing {h}")
     if K == 1:
         return mu
-    w = kernel_weights(delta, mu.level)
-    if mu.masses.size * w.size <= 1 << 24:
-        out = np.convolve(mu.masses, w)       # exact zeros stay zero
-    else:
-        out = fftconvolve(mu.masses, w)
-        # w > 0 exactly on its inner 2K-1 taps, so out[j] carries mass iff an
-        # occupied cell lies in [j-2K+1, j-1]: zero the FFT noise elsewhere
-        occ = np.concatenate([[0], np.cumsum(mu.masses > 0)])
-        j = np.arange(out.size)
-        out[occ[np.minimum(j, mu.size)] == occ[np.clip(j - 2 * K + 1, 0, mu.size)]] = 0.0
-    out = np.maximum(out, 0.0)
+    out = fftconvolve(mu.masses, kernel_weights(delta, mu.level))
     # the kernel has weight 1, so only roundoff may move the unscaled mass
     tot = float(out.sum())
     assert_mass_conserved(mu.total_mass, tot, "regularize")

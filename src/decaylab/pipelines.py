@@ -270,10 +270,10 @@ def run_level_sets(lam: GridMeasure, r: float):
 _CHAIN_CELLS = 64
 
 
-def _coarsen_to_cap(m: GridMeasure, cap: int) -> GridMeasure:
-    """Coarsen until at most cap cells carry mass (keeps the measure exact)."""
+def _coarsen_to_cap(m: GridMeasure) -> GridMeasure:
+    """Coarsen until at most _CHAIN_CELLS cells carry mass (keeps it exact)."""
     out = m
-    while np.count_nonzero(out.masses) > cap and out.level > 1:
+    while np.count_nonzero(out.masses) > _CHAIN_CELLS and out.level > 1:
         out = out.coarsened(out.level - 1)
     return out.trimmed()
 
@@ -324,7 +324,7 @@ def run_induction_chain(measures, exponents, delta: float, k: int, n_samples: in
     input_energies = [
         float(energy_spatial(m_, min(float(e), 0.999), max(delta, m_.spacing)))
         for m_, e in zip(measures, exponents)]
-    work = [_coarsen_to_cap(m, _CHAIN_CELLS) for m in measures]
+    work = [_coarsen_to_cap(m) for m in measures]
     xis = np.geomspace(1.0 / delta, 2.0 / delta, n_samples)
     chain = product_chain_fourier(work, xis)
     lhs = np.hypot(chain.real, chain.imag) ** (2 ** (k + 2))
@@ -387,12 +387,12 @@ def _require_support_in_1_2(measures):
             raise ValueError("all inputs must be supported in [1, 2]")
 
 
-def _multiply_subtract_chain(measures, ell: int):
+def _multiply_subtract_chain(measures):
     """Pi_1 = m_1;  Pi_k = (Pi_{k-1} x m_k) - (Pi_{k-1} x m_k)."""
     pi = measures[0]
     out = [pi]
-    for k in range(1, ell):
-        prod = convolve(pi, measures[k], "mul")
+    for m_ in measures[1:]:
+        prod = convolve(pi, m_, "mul")
         pi = convolve(prod, prod, "sub").trimmed()
         out.append(pi)
     return out
@@ -422,8 +422,8 @@ def run_quantitative_decay(measures, sigma: float, delta: float, c0: float,
     xis = band_samples(16.0, 2.0 / delta, n_samples)
     input_energies = [float(energy_spatial(m_, sigma, max(delta, m_.spacing)))
                       for m_ in measures[:2 * ell]] if sigma < 1 else []
-    chain1 = _multiply_subtract_chain(measures[:ell], ell)
-    chain2 = _multiply_subtract_chain(measures[ell:2 * ell], ell)
+    chain1 = _multiply_subtract_chain(measures[:ell])
+    chain2 = _multiply_subtract_chain(measures[ell:2 * ell])
     header = ("stage", "exponent", "energy", "l2_sq")
     rows = []
     for k, pk in enumerate(chain1, start=1):
@@ -471,7 +471,7 @@ def run_keystep_scan(mu: GridMeasure, nu: GridMeasure, s: float, t: float,
     _require_support_in_1_2((mu, nu))
     l_hi = _dyadic_exponent(delta)
     tau = t / big_c
-    pi = _multiply_subtract_chain([mu, nu], 2)[-1]
+    pi = _multiply_subtract_chain([mu, nu])[-1]
     l_lo = max(1, int(np.floor(-np.log2(delta ** (eps / t)))))
     rows, table = [], []
     ok = True

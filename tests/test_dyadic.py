@@ -522,8 +522,8 @@ def test_additive_energy_singleton():
 
 
 def test_additive_energy_fft_branch_matches_exact_histogram():
-    # 4100 x 4100 pairs exceed the 16e6 limit of the outer-difference path,
-    # so the count goes through the FFT histogram
+    # 4100 x 4100 = 16.8e6 pairs: FFT roundoff in the histogram counts must
+    # still round away
     rng = np.random.default_rng(12)
     A = DyadicGridSet(14, rng.choice(1 << 14, size=4100, replace=False))
     B = DyadicGridSet(14, rng.choice(1 << 14, size=4100, replace=False))

@@ -122,7 +122,7 @@ def test_regularize_point_mass_plateau():
 
 
 def test_regularize_uniform_interior_unchanged():
-    # oracle:直接 convolution with the same weights via np.convolve
+    # oracle: direct convolution with the same weights via np.convolve
     mu = uniform_measure(0.0, 1.0, 9)
     delta = 1.0 / 8
     md = regularize(mu, delta)
@@ -166,35 +166,31 @@ def test_regularize_matches_quadrature_on_atoms():
     assert np.max(np.abs(md.masses - oracle)) <= 1e-8
 
 
-def test_regularize_mass_check_fires_direct_path(monkeypatch):
-    # 512 cells x 33 weights: the direct np.convolve path
-    monkeypatch.setattr(np, "convolve", lossy(np.convolve))
-    with pytest.raises(AssertionError, match="regularize lost mass"):
-        regularize(uniform_measure(0.0, 1.0, 9), 2.0 ** -5)
-
-
-def test_regularize_mass_check_fires_fft_path(monkeypatch):
-    # 16384 cells x 1025 weights passes 2**24 products: the FFT path
+@pytest.mark.parametrize("level", [9, 14])
+def test_regularize_mass_check_fires(level, monkeypatch):
+    # 512 cells x 33 weights and 16384 cells x 1025 weights
     monkeypatch.setattr(measures, "fftconvolve", lossy(measures.fftconvolve))
     with pytest.raises(AssertionError, match="regularize lost mass"):
-        regularize(uniform_measure(0.0, 1.0, 14), 2.0 ** -5)
+        regularize(uniform_measure(0.0, 1.0, level), 2.0 ** -5)
 
 
 @pytest.mark.parametrize("seed, delta", [(0, 2.0 ** -5), (1, 2.0 ** -4), (2, 2.0 ** -3)])
 def test_regularize_fft_path_support_is_exact(seed, delta, monkeypatch):
-    # oracle: the direct convolution, whose zeros are exact
-    _, mu = make_random_frostman(CantorSpec(2, 2, 6, seed))
-    mu = mu.refined(15)
-    w = kernel_weights(delta, mu.level)
-    assert mu.size * w.size > 1 << 24          # the FFT path
-    out = regularize(mu, delta)
-    assert np.array_equal(np.nonzero(out.masses)[0],
-                          np.nonzero(np.convolve(mu.masses, w))[0])
-    classes, _, base = _level_set_classes(mu, delta)
+    # oracle: the direct convolution, whose zeros are exact; on a Cantor
+    # measure at its level 15 (10520-28088 cells) and coarsened to level 11
+    # (658-1756 cells), small and large inputs taking the one path
+    _, cantor = make_random_frostman(CantorSpec(2, 2, 6, seed))
+    cases = [cantor.coarsened(11), cantor]
+    for mu in cases:
+        out = regularize(mu, delta)
+        direct = np.convolve(mu.masses, kernel_weights(delta, mu.level))
+        assert np.array_equal(np.nonzero(out.masses)[0], np.nonzero(direct)[0])
+    classes = [_level_set_classes(mu, delta) for mu in cases]
     monkeypatch.setattr(measures, "fftconvolve", np.convolve)
-    direct_classes, _, direct_base = _level_set_classes(mu, delta)
-    assert np.array_equal(classes, direct_classes)
-    assert base == direct_base
+    for mu, (cls, _, base) in zip(cases, classes):
+        direct_cls, _, direct_base = _level_set_classes(mu, delta)
+        assert np.array_equal(cls, direct_cls)
+        assert base == direct_base
 
 
 def test_regularize_rejects_subgrid_scale():
@@ -324,21 +320,26 @@ def test_l1_distance_one_cell_shift():
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 300), st.integers(1, 300), st.booleans(),
-       st.integers(0, 2 ** 32 - 1))
-def test_fftconvolve_matches_direct(n_a, n_b, boolean, seed):
+       st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_fftconvolve_matches_direct(n_a, n_b, boolean, zeros, seed):
+    # operands with a share `zeros` of zero entries, all zero included
     rng = np.random.default_rng(seed)
-    a, b = rng.random(n_a), rng.random(n_b)
+    a, b = (np.where(rng.random(n) < zeros, 0.0, rng.random(n)) for n in (n_a, n_b))
     if boolean:
-        a, b = a < 0.5, b < 0.5
+        a, b = a > 0, b > 0
     got = fftconvolve(a, b)
     want = np.convolve(a.astype(np.float64), b.astype(np.float64))
     assert got.shape == want.shape and got.dtype == np.float64
     assert np.max(np.abs(got - want)) <= 1e-12 * float(np.sum(a)) * float(np.sum(b))
+    # exact support: nonzero just where a pair of nonzero entries lands
+    pairs = np.convolve((a > 0).astype(np.int64), (b > 0).astype(np.int64))
+    assert np.array_equal(np.nonzero(got)[0], np.nonzero(pairs)[0])
 
 
 @pytest.mark.parametrize("boolean", [False, True])
 def test_fftconvolve_transforms_a_self_convolution_once(boolean):
-    # b is a: one rfft, the same bits as transforming an equal copy
+    # one rfft per operand and one per occupancy vector; b is a: one of each,
+    # the same bits as transforming an equal copy
     a = np.random.default_rng(3).random(257)
     if boolean:
         a = a < 0.5
@@ -346,9 +347,9 @@ def test_fftconvolve_transforms_a_self_convolution_once(boolean):
     with mock.patch.object(measures, "rfft",
                            lambda *args: calls.append(1) or np.fft.rfft(*args)):
         two = fftconvolve(a, a.copy())
-        assert len(calls) == 2
+        assert len(calls) == 4
         one = fftconvolve(a, a)
-        assert len(calls) == 3
+        assert len(calls) == 6
     assert one.tobytes() == two.tobytes()
 
 
