@@ -10,9 +10,9 @@ Spatial energy of the mollified measure mu_delta:
 where the diagonal uses the exact Riesz integral of a uniform cell pair,
 2 h^{-s} / ((1-s)(2-s)) per unit mass squared.  Since the kernel depends
 only on i - j, the double sum collapses to an autocorrelation, computed by
-measures.fftconvolve in O(N log N): the same sum up to roundoff, and exactly
-0 at every distance no pair of occupied cells spans.  A direct method is kept
-for oracle comparisons.
+measures.autocorrelation in O(N log N): the same sum up to roundoff, which
+a distance no pair of occupied cells spans also carries (instead of 0).  A
+direct method is kept for oracle comparisons.
 
 Frequency-side energy integrates |mu_hat_delta|^2 |xi|^(s-1).  The weight
 |xi|^(s-1) (not |xi|^(-s)) is the one that makes the two sides agree in
@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dyadic import DyadicGridSet, _dyadic_exponent, set_check
-from .measures import (GridMeasure, ball_mass_vector, fftconvolve, mask_measure,
+from .measures import (GridMeasure, autocorrelation, ball_mass_vector, mask_measure,
                        regularize, uniform_measure)
 from .spectral import fourier_lattice, fourier_many
 
@@ -64,8 +64,7 @@ def energy_spatial(mu: GridMeasure, s: float, delta: float,
     if n == 1:
         return diag
     if method == "fft":
-        corr = fftconvolve(m, m[::-1])          # corr[n-1+d] = sum_i m_i m_{i+d}
-        acf = corr[n:]                           # d = 1 .. n-1
+        acf = autocorrelation(m)[1:]             # d = 1 .. n-1
     elif method == "direct":
         acf = np.array([np.dot(m[:n - d], m[d:]) for d in range(1, n)])
     else:

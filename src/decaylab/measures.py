@@ -41,6 +41,7 @@ __all__ = [
     "l1_distance",
     "next_fast_len",
     "fftconvolve",
+    "autocorrelation",
 ]
 
 # experiments at nominal scale 2**-m use an internal grid at 2**-(m+3)
@@ -231,7 +232,8 @@ def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     entries lands.  The pair counts come from a second convolution, of the
     0/1 occupancy vectors, whose roundoff stays far below 1/2 at any size;
     FFT roundoff elsewhere is zeroed, and negative roundoff is clipped to 0.
-    A self-convolution (b is a) transforms each vector once.
+    A self-convolution (b is a) transforms each vector once.  Callers:
+    add/sub, regularize and additive_energy (autocorrelations do not need it).
     """
     n = a.size + b.size - 1
     length = next_fast_len(n, real=True)
@@ -239,6 +241,15 @@ def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     fb, occ_b = (fa, occ_a) if b is a else (rfft(b, length), rfft(b > 0, length))
     hit = irfft(occ_a * occ_b, length)[:n] > 0.5
     return np.where(hit, np.maximum(irfft(fa * fb, length)[:n], 0.0), 0.0)
+
+
+def autocorrelation(x: np.ndarray) -> np.ndarray:
+    """A(d) = sum_i x_i x_{i+d} at the lags d = 0 .. x.size - 1: irfft(|rfft(x)|^2)
+    at a length no lag wraps past, two transforms.  The support is not exact:
+    a lag no pair of nonzero entries spans holds roundoff (~1e-16 of A(0))."""
+    length = next_fast_len(2 * x.size - 1, real=True)
+    f = rfft(x, length)
+    return irfft(f.real ** 2 + f.imag ** 2, length)[:x.size]
 
 
 # ---------------------------------------------------------------------------------
@@ -324,14 +335,18 @@ def bump_profile(u) -> np.ndarray:
 def kernel_weights(delta: float, level: int) -> np.ndarray:
     """Discretized bump at cell resolution, normalized to total weight 1.
 
-    Sampled at cell centers k*2**-level for |k| <= delta * 2**level; the
-    sandwich (1 inside [-delta/2, delta/2], 0 outside [-delta, delta]) holds
-    cell-exactly before normalization.
+    delta must be a dyadic multiple K = 2^j >= 1 of the spacing h = 2**-level
+    (the one copy of that check).  Sampled at cell centers k*h for |k| <= K;
+    the sandwich (1 inside [-delta/2, delta/2], 0 outside [-delta, delta])
+    holds cell-exactly before normalization, so the end taps are 0.
     """
     h = 2.0 ** -level
-    K = int(round(delta / h))
+    ratio = delta / h
+    K = int(round(ratio))
     if K < 1:
-        raise ValueError(f"delta={delta} is below grid resolution {h}")
+        raise ValueError(f"cannot resolve kernel: delta={delta} < spacing {h}")
+    if abs(ratio - K) > 1e-9 or (K & (K - 1)) != 0:
+        raise ValueError(f"delta={delta} is not a dyadic multiple of spacing {h}")
     k = np.arange(-K, K + 1)
     w = bump_profile(k * h / delta)
     return w / w.sum()
@@ -340,21 +355,16 @@ def kernel_weights(delta: float, level: int) -> np.ndarray:
 def regularize(mu: GridMeasure, delta: float) -> GridMeasure:
     """Mollify at scale delta: mass-preserving convolution with the bump.
 
-    delta must be a dyadic multiple of the grid spacing; the support grows by
-    at most delta on each side.  The bump's two end taps are 0, so a cell
-    carries mass exactly when an occupied cell lies within delta - spacing
-    of it (fftconvolve's exact support).
+    delta must be a dyadic multiple of the grid spacing (kernel_weights); the
+    support grows by at most delta on each side.  The bump's two end taps are
+    0, so a cell carries mass exactly when an occupied cell lies within
+    delta - spacing of it (fftconvolve's exact support).
     """
-    h = mu.spacing
-    ratio = delta / h
-    K = int(round(ratio))
-    if K < 1:
-        raise ValueError(f"cannot resolve kernel: delta={delta} < spacing {h}")
-    if abs(ratio - K) > 1e-9 or (K & (K - 1)) != 0:
-        raise ValueError(f"delta={delta} is not a dyadic multiple of spacing {h}")
+    w = kernel_weights(delta, mu.level)
+    K = w.size // 2
     if K == 1:
         return mu
-    out = fftconvolve(mu.masses, kernel_weights(delta, mu.level))
+    out = fftconvolve(mu.masses, w)
     # the kernel has weight 1, so only roundoff may move the unscaled mass
     tot = float(out.sum())
     assert_mass_conserved(mu.total_mass, tot, "regularize")

@@ -33,7 +33,7 @@ import numpy as np
 from numpy.fft import fft, ifft
 
 from .dyadic import _ordered_map
-from .measures import GridMeasure, next_fast_len, regularize
+from .measures import GridMeasure, autocorrelation, kernel_weights, next_fast_len
 
 __all__ = [
     "fourier_at",
@@ -390,10 +390,27 @@ def product_chain_fourier(measures, xi):
                                    lambda vals: np.sum(vals * w, axis=-1)), xi)
 
 
-def l2_at_scale(mu: GridMeasure, delta: float) -> float:
-    """L2 norm of the density of mu mollified at scale delta."""
-    md = regularize(mu, delta)
-    return float(np.sqrt(np.sum(md.masses ** 2) / md.spacing))
+def l2_at_scale(mu: GridMeasure, delta):
+    """L2 norm of the density of mu mollified at scale delta (a float), or at
+    each of an array of scales (an array of that shape).
+
+    ||m * w||_2^2 = sum over lags d of A_m(d) A_w(d), with A the
+    autocorrelations of mu's masses (taken once per call) and of the bump
+    (kernel_weights, which refuses bad scales); over the spacing, that is the
+    density's.  Equals regularize's norm to roundoff; an array element equals
+    the scalar call bit for bit.
+    """
+    am = autocorrelation(mu.masses)
+
+    def one(d):
+        aw = autocorrelation(kernel_weights(float(d), mu.level))[:am.size]
+        # lags -d and d add the same term
+        return float(np.sqrt((2.0 * np.sum(am[:aw.size] * aw) - am[0] * aw[0])
+                             / mu.spacing))
+
+    if np.ndim(delta) == 0:
+        return one(delta)
+    return np.array([one(d) for d in np.ravel(delta)]).reshape(np.shape(delta))
 
 
 @dataclass(frozen=True)

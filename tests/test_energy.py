@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from decaylab import (energy_fourier, energy_spatial, exceptional_set,
                       extract_nonconcentrated, frostman_constant, point_mass,
@@ -31,6 +32,22 @@ def test_energy_fft_equals_direct():
     mu = random_cantor_measure(4, depth=4)
     a = energy_spatial(mu, 0.4, 2.0 ** -8, method="fft")
     b = energy_spatial(mu, 0.4, 2.0 ** -8, method="direct")
+    assert a == pytest.approx(b, rel=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 600), st.integers(1, 6), st.integers(0, 2),
+       st.floats(0.05, 0.95), st.integers(0, 2 ** 32 - 1))
+def test_energy_fft_equals_direct_on_sparse_measures(n, atoms, k, s, seed):
+    # a few atoms in a wide window, mollified by at most 4 cells, leave most
+    # distances spanned by no pair: the autocorrelation holds roundoff there
+    rng = np.random.default_rng(seed)
+    masses = np.zeros(n)
+    masses[rng.integers(0, n, size=atoms)] = rng.random(atoms) + 0.1
+    mu = GridMeasure(10, 0, masses)
+    delta = mu.spacing * 2 ** k
+    a = energy_spatial(mu, s, delta, method="fft")
+    b = energy_spatial(mu, s, delta, method="direct")
     assert a == pytest.approx(b, rel=1e-10)
 
 

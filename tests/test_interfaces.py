@@ -58,6 +58,37 @@ def test_no_unused_imports():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
+def _fft_uses(tree: ast.Module) -> list:
+    """Lines importing numpy.fft (in any form) or reading np.fft / numpy.fft."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name.startswith("numpy.fft") for a in node.names):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").startswith("numpy.fft") or (
+                    node.module == "numpy" and any(a.name == "fft" for a in node.names)):
+                lines.add(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr == "fft"
+              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_fft_scan_flags_every_form():
+    src = ("import numpy.fft\nfrom numpy.fft import rfft\nfrom numpy import fft\n"
+           "x = np.fft.rfft\nfrom numpy import sum\ny = fft\n")
+    assert _fft_uses(ast.parse(src)) == [1, 2, 3, 4]
+
+
+def test_numpy_fft_lives_in_measures_and_spectral():
+    # one FFT home per layer: convolutions and autocorrelations in measures,
+    # transforms in spectral; every other module calls those
+    found = {path.stem for path in Path(decaylab.__file__).parent.glob("*.py")
+             if _fft_uses(ast.parse(path.read_text()))}
+    assert found == {"measures", "spectral"}
+
+
 def _is_dataclass(node: ast.ClassDef) -> bool:
     return "dataclass" in {ast.unparse(d.func if isinstance(d, ast.Call) else d)
                            for d in node.decorator_list}
@@ -206,7 +237,7 @@ FIRE_TESTS = {
     "pi-symmetry": (_FLATTEN, convolution, "_reflected", _shifted),
     "order-chain": (_POINT_CHAIN, pipelines, "fourier_lattice", lambda f: lossy(f, 1e-3)),
     "lower-sandwich": (_POINT_LEVELS, pipelines, "_level_set_classes", _class_too_high),
-    "l2-size": (_COUNTEREXAMPLE, spectral, "regularize", lambda f: _rescaled(f, 0.1)),
+    "l2-size": (_COUNTEREXAMPLE, spectral, "kernel_weights", lambda f: lossy(f, 0.9)),
     "triple-transform": (_COUNTEREXAMPLE, spectral, "_chirp_z", lambda f: _lossy_plan(f, 0.9)),
 }
 

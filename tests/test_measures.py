@@ -10,8 +10,8 @@ from decaylab import (GridMeasure, ball_mass_vector, from_atoms, from_density,
 from decaylab import measures
 from decaylab.constructions import CantorSpec, make_random_frostman
 from decaylab.dyadic import DyadicGridSet
-from decaylab.measures import (bump_profile, fftconvolve, kernel_weights,
-                               next_fast_len)
+from decaylab.measures import (autocorrelation, bump_profile, fftconvolve,
+                               kernel_weights, next_fast_len)
 from decaylab.pipelines import _level_set_classes
 
 from conftest import lossy, random_masses_measure
@@ -197,6 +197,8 @@ def test_regularize_rejects_subgrid_scale():
     mu = uniform_measure(0.0, 1.0, 4)
     with pytest.raises(ValueError, match="resolve"):
         regularize(mu, 2.0 ** -6)
+    with pytest.raises(ValueError, match="not a dyadic multiple"):
+        regularize(mu, 3 * mu.spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +336,19 @@ def test_fftconvolve_matches_direct(n_a, n_b, boolean, zeros, seed):
     # exact support: nonzero just where a pair of nonzero entries lands
     pairs = np.convolve((a > 0).astype(np.int64), (b > 0).astype(np.int64))
     assert np.array_equal(np.nonzero(got)[0], np.nonzero(pairs)[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_autocorrelation_matches_direct(n, zeros, seed):
+    # oracle: np.correlate at the lags 0 .. n-1; lags no pair spans may hold
+    # roundoff, not 0
+    rng = np.random.default_rng(seed)
+    x = np.where(rng.random(n) < zeros, 0.0, rng.random(n))
+    got = autocorrelation(x)
+    want = np.correlate(x, x, "full")[n - 1:]
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * float(np.sum(x)) ** 2
 
 
 @pytest.mark.parametrize("boolean", [False, True])

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from decaylab import (GridMeasure, l2_at_scale, point_mass, product_fourier,
-                      pushforward_affine, uniform_measure)
+from decaylab import (GridMeasure, point_mass, product_fourier,
+                      pushforward_affine, regularize, uniform_measure)
 from decaylab import pipelines
 from decaylab.constructions import make_comb
 from decaylab.convolution import convolve, difference_product
@@ -86,7 +86,8 @@ def test_flattening_cantor_trace():
 
 @pytest.mark.parametrize("pair", ["cantor", "comb"])
 def test_flattening_l2_matches_mollified_powers(pair):
-    # oracle: J(k, r) is the L2 norm of the mollified 2^k-fold additive power
+    # oracle: J(k, r) is the L2 norm of the density of the 2^k-fold additive
+    # power mollified by regularize, summed over its cells
     if pair == "cantor":
         mu, nu = random_cantor_measure(2, depth=4), random_cantor_measure(3, depth=4)
     else:
@@ -98,7 +99,8 @@ def test_flattening_l2_matches_mollified_powers(pair):
         if k:
             pk = convolve(pk, pk, "add")
         at_k = cols["k"] == k
-        want = [l2_at_scale(pk, float(r)) for r in cols["r"][at_k]]
+        want = [np.sqrt(np.sum(regularize(pk, float(r)).masses ** 2) / pk.spacing)
+                for r in cols["r"][at_k]]
         np.testing.assert_allclose(cols["J"][at_k], want, rtol=1e-12, atol=0)
 
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from decaylab import (GridMeasure, convolve, decay_profile, fourier_at, fourier_many,
                       l2_at_scale, order_check, point_mass, product_fourier,
-                      pushforward_affine, uniform_measure)
+                      pushforward_affine, regularize, uniform_measure)
 from decaylab import dyadic, spectral
 from decaylab.spectral import (fourier_lattice, odd_products, product_chain_fourier,
                                profile_from_samples)
@@ -486,6 +486,35 @@ def test_l2_uniform():
         assert 0.9 <= v <= 1.3
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 400), st.integers(1, 64), st.floats(0.0, 1.0),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_l2_at_scale_matches_mollified_masses(n, run, zeros, seed, data):
+    # oracle: the L2 norm of the density of regularize's output, summed over
+    # its cells; masses with runs of `run` zero cells (all zero included), at
+    # K = delta / spacing from 1 up to kernels wider than the window (2K >= n)
+    rng = np.random.default_rng(seed)
+    off = np.repeat(rng.random(-(-n // run)) < zeros, run)[:n]
+    mu = GridMeasure(data.draw(st.integers(1, 12)), data.draw(st.integers(-n, n)),
+                     np.where(off, 0.0, rng.random(n)))
+    h = mu.spacing
+    ks = data.draw(st.lists(st.integers(0, n.bit_length()), min_size=1, max_size=6))
+    deltas = np.array([h * 2 ** k for k in ks])
+    got = l2_at_scale(mu, deltas)
+    assert got.shape == deltas.shape
+    for v, delta in zip(got, deltas):
+        assert _same_bits(v, l2_at_scale(mu, delta))
+        oracle = np.sqrt(np.sum(regularize(mu, delta).masses ** 2) / h)
+        assert v == pytest.approx(oracle, rel=1e-12, abs=0)
+    assert _same_bits(l2_at_scale(mu, deltas[None, :]), got[None, :])
+    assert l2_at_scale(mu, h) == pytest.approx(np.sqrt(np.sum(mu.masses ** 2) / h),
+                                               rel=1e-12, abs=0)
+    with pytest.raises(ValueError, match="cannot resolve kernel"):
+        l2_at_scale(mu, h / 2)
+    with pytest.raises(ValueError, match="not a dyadic multiple"):
+        l2_at_scale(mu, np.array([h, 3 * h]))
+
+
 def test_l2_point_mass_scaling():
     delta = 2.0 ** -5
     pm = point_mass(0.5, 10)
@@ -496,7 +525,6 @@ def test_l2_point_mass_scaling():
 def test_plancherel_consistency():
     mu = uniform_measure(0.0, 1.0, 9)
     delta = 2.0 ** -5
-    from decaylab import regularize
     md = regularize(mu, delta)
     spatial = np.sum(md.masses ** 2) / md.spacing
     xis = np.arange(0.0, 8.0 / delta, 1.0 / 16)
