@@ -26,11 +26,12 @@ bins the extremes allow: distinct bins within such a window stay distinct
 modulo 2**16 or 2**32, so the counts are the same.
 
 The chunked exact kernels (projection_scan's batches, convolution's mul
-chunks, spectral.fourier_lattice's transform batches) run through
-_ordered_map: up to _WORKERS threads, one per CPU of the process's affinity
-set, with results taken in chunk order, so every output is bit-identical
-whatever the CPU count.  An item must not call _ordered_map
-again, and sums inside an item stay off BLAS, whose own threads would
+chunks, spectral.fourier_lattice's transform batches and
+spectral.l2_at_scale's rows, one per measure) run through _ordered_map: up
+to _WORKERS threads, one per CPU of the process's affinity set, with
+results taken in chunk order, so every output is bit-identical whatever
+the CPU count.  An item must not call _ordered_map again, nor any of these
+kernels, and sums inside an item stay off BLAS, whose own threads would
 compete with the pool's.
 """
 from __future__ import annotations

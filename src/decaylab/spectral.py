@@ -390,27 +390,43 @@ def product_chain_fourier(measures, xi):
                                    lambda vals: np.sum(vals * w, axis=-1)), xi)
 
 
-def l2_at_scale(mu: GridMeasure, delta):
+def l2_at_scale(mu, delta):
     """L2 norm of the density of mu mollified at scale delta (a float), or at
-    each of an array of scales (an array of that shape).
+    each of an array of scales (an array of that shape); for a sequence of
+    measures on one grid level, one row per measure, of shape
+    (len(mu),) + shape(delta).
 
     ||m * w||_2^2 = sum over lags d of A_m(d) A_w(d), with A the
-    autocorrelations of mu's masses (taken once per call) and of the bump
-    (kernel_weights, which refuses bad scales); over the spacing, that is the
-    density's.  Equals regularize's norm to roundoff; an array element equals
-    the scalar call bit for bit.
+    autocorrelations of a measure's masses and of the bump (kernel_weights,
+    which refuses bad scales); over the spacing, that is the density's.  Each
+    bump is autocorrelated once per call, before any row runs.  The rows, one
+    per measure, then run on the ordered pool (dyadic._ordered_map) and are
+    joined in measure order; one measure runs inline.  So l2_at_scale must
+    not be called from inside an _ordered_map item.  Equals regularize's norm
+    to roundoff; every element equals the call on its one measure at its one
+    scale bit for bit, for any worker count.
     """
-    am = autocorrelation(mu.masses)
+    single = isinstance(mu, GridMeasure)
+    measures = [mu] if single else list(mu)
+    if not measures:
+        raise ValueError("l2_at_scale needs at least one measure")
+    level = measures[0].level
+    if any(m.level != level for m in measures):
+        raise ValueError("l2_at_scale needs measures on one grid level")
+    bumps = [autocorrelation(kernel_weights(float(d), level)) for d in np.ravel(delta)]
+    h = measures[0].spacing
 
-    def one(d):
-        aw = autocorrelation(kernel_weights(float(d), mu.level))[:am.size]
+    def row(_, m):
+        am = autocorrelation(m.masses)
         # lags -d and d add the same term
-        return float(np.sqrt((2.0 * np.sum(am[:aw.size] * aw) - am[0] * aw[0])
-                             / mu.spacing))
+        return np.array([np.sqrt((2.0 * np.sum(am[:aw.size] * aw) - am[0] * aw[0]) / h)
+                         for aw in (bump[:am.size] for bump in bumps)])
 
-    if np.ndim(delta) == 0:
-        return one(delta)
-    return np.array([one(d) for d in np.ravel(delta)]).reshape(np.shape(delta))
+    rows = []
+    _ordered_map(row, measures, rows.append)
+    if single:
+        return _shaped(rows[0], delta)
+    return np.array(rows).reshape((len(measures),) + np.shape(delta))
 
 
 @dataclass(frozen=True)

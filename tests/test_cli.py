@@ -425,7 +425,9 @@ def test_timing_records_stages_and_worker_count(tmp_path):
     ("quantitative.cfg", ("report.json", "stages.csv")),
     # Pi^'s 16 and the chain's 2 fourier_lattice batches run on the pool
     ("induction.cfg", ("report.json", "chain.csv")),
-], ids=["quantitative", "induction"])
+    # the J table's 4 power rows run on the pool, one item per power
+    ("flatten.cfg", ("report.json", "flatten.csv")),
+], ids=["quantitative", "induction", "flatten"])
 def test_quantitative_outputs_do_not_depend_on_worker_count(config, files, tmp_path):
     cfg = parse_config(_shipped(config))
     for workers in (1, dyadic._WORKERS):

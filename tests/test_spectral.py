@@ -515,6 +515,74 @@ def test_l2_at_scale_matches_mollified_masses(n, run, zeros, seed, data):
         l2_at_scale(mu, np.array([h, 3 * h]))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.lists(st.integers(0, 9), min_size=1, max_size=5),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_l2_at_scale_rows_equal_single_measure_calls(level, ks, seed, data):
+    # 1-4 measures on one level, each on its own window; the first is at most
+    # 2K cells wide for the widest bump (2K + 1 taps), so its row cuts the
+    # bump's autocorrelation to its own lags
+    rng = np.random.default_rng(seed)
+    sizes = [data.draw(st.integers(1, 2 ** (max(ks) + 1)))]
+    sizes += data.draw(st.lists(st.integers(1, 1500), max_size=3))
+    measures = [GridMeasure(level, data.draw(st.integers(-n, n)), rng.random(n))
+                for n in sizes]
+    deltas = np.array([2.0 ** (k - level) for k in ks])
+    grid = np.stack([deltas, deltas[::-1]])
+    for scales in (deltas, grid, deltas[0]):
+        got = l2_at_scale(measures, scales)
+        assert got.shape == (len(measures),) + np.shape(scales)
+        for m, row in zip(measures, got):
+            assert _same_bits(row, l2_at_scale(m, scales))
+
+
+def test_l2_at_scale_refuses_no_measures_and_mixed_levels():
+    mu = random_masses_measure(3)
+    with pytest.raises(ValueError, match="at least one measure"):
+        l2_at_scale([], mu.spacing)
+    with pytest.raises(ValueError, match="one grid level"):
+        l2_at_scale([mu, mu.coarsened(mu.level - 1)], 2 * mu.spacing)
+
+
+def test_l2_at_scale_builds_each_bump_once_per_call():
+    # 3 measures x 4 scales: one bump and one bump autocorrelation per scale,
+    # plus one autocorrelation per measure, on 2 workers
+    measures = [random_masses_measure(seed) for seed in (4, 5, 6)]
+    deltas = measures[0].spacing * np.array([1.0, 2.0, 8.0, 32.0])
+    bumps, autocorrelations = [], []
+
+    def counted(fn, calls):
+        return lambda *args: calls.append(args) or fn(*args)
+
+    with mock.patch.object(spectral, "kernel_weights",
+                           counted(spectral.kernel_weights, bumps)), \
+            mock.patch.object(spectral, "autocorrelation",
+                              counted(spectral.autocorrelation, autocorrelations)), \
+            mock.patch.object(dyadic, "_WORKERS", 2):
+        l2_at_scale(measures, deltas)
+    assert [float(d) for d, _ in bumps] == list(deltas)
+    assert len(autocorrelations) == deltas.size + len(measures)
+
+
+def test_l2_at_scale_does_not_depend_on_worker_count():
+    # one pool item per measure, joined in measure order; one measure is one
+    # item, which runs inline
+    measures = [random_cantor_measure(seed).coarsened(11) for seed in (1, 2, 3, 4, 5)]
+    deltas = measures[0].spacing * 2.0 ** np.arange(12)
+    items, outs = [], []
+    pool = spectral._ordered_map
+    for workers in (1, 2, 3):
+        with mock.patch.object(dyadic, "_WORKERS", workers), \
+                mock.patch.object(spectral, "_ordered_map",
+                                  lambda fn, it, take: items.append(len(it)) or pool(fn, it, take)):
+            outs.append(l2_at_scale(measures, deltas))
+            singles = [l2_at_scale(m, deltas) for m in measures]
+    assert items == [5, 1, 1, 1, 1, 1] * 3
+    for out in outs:
+        assert _same_bits(out, outs[0])
+    assert _same_bits(np.array(singles), outs[0])
+
+
 def test_l2_point_mass_scaling():
     delta = 2.0 ** -5
     pm = point_mass(0.5, 10)
