@@ -262,6 +262,19 @@ def _self_difference_atoms(m: GridMeasure):
     return uniq, acc
 
 
+def _autocorrelation_measure(m: GridMeasure) -> GridMeasure:
+    """m's autocorrelation on m's grid: cells -D..D, D m's largest distance,
+    with mass w[0] at 0 and w[d] / 2 at +-d (_self_difference_atoms), so the
+    masses mirror about cell 0 bit for bit.  Its centered transform (about
+    cell 0) is |m^|^2."""
+    dists, w = _self_difference_atoms(m)
+    top = int(dists[-1])
+    masses = np.zeros(2 * top + 1)
+    masses[top + dists] = masses[top - dists] = w / 2
+    masses[top] = w[0]
+    return GridMeasure(m.level, -top, masses)
+
+
 def run_induction_chain(measures, exponents, delta: float, k: int, n_samples: int):
     """Verify the order-exchange chain at sampled frequencies, atom-exactly.
 
@@ -273,11 +286,11 @@ def run_induction_chain(measures, exponents, delta: float, k: int, n_samples: in
     Cauchy-Schwarz.  Both sides are evaluated on atomized copies of the
     inputs (coarsened until each carries at most _CHAIN_CELLS cells, which
     leaves the inequality exact while bounding the cost): the right side
-    uses Pi^ = integral |mu_1^|^2 >= 0 and the power identity for additive
-    convolutions, so violations beyond roundoff would be implementation
-    bugs.  Also reports the energy of the rescaled grid power (support
-    shrunk by 2^-(k+2)) and a wide-band decay fit of the full-resolution
-    product.
+    uses Pi^ = integral |mu_1^|^2 >= 0, read off mu_1's autocorrelation,
+    and the power identity for additive convolutions, so violations beyond
+    roundoff would be implementation bugs.  Also reports the energy of the
+    rescaled grid power (support shrunk by 2^-(k+2)) and a wide-band decay
+    fit of the full-resolution product.
 
     Payload: exponents, delta, k; max_violation, the max over xi of
     lhs - rhs; input_energies, I^delta_{s_j}(mu_j) re-derived per input;
@@ -299,16 +312,19 @@ def run_induction_chain(measures, exponents, delta: float, k: int, n_samples: in
     xis = np.geomspace(1.0 / delta, 2.0 / delta, n_samples)
     chain = product_chain_fourier(work, xis)
     lhs = np.hypot(chain.real, chain.imag) ** (2 ** (k + 2))
-    # Pi^(eta) = integral of |mu_1^(eta w)|^2 >= 0 over the difference atoms
+    # Pi^(eta) = integral of |mu_1^(eta w)|^2 over the difference atoms
     # w = +-d h_2 of mu_2 (both signs share one value), at eta = xi times a
-    # product n_t 2^-e of occupied centers of mu_3..mu_n: mu_1^ at xi 2^-e h_2
-    # times the integers n_t d, whose phase-free table values keep |.|^2 exact
+    # product n_t 2^-e of occupied centers of mu_3..mu_n: at xi 2^-e h_2
+    # times the integers n_t d.  |mu_1^|^2 is the centered transform of
+    # mu_1's autocorrelation, whose mirrored window the Taylor table reads in
+    # real arithmetic: each value is |mu_1^|^2 to roundoff, so
+    # Pi^ >= w2[0] mass^2 - roundoff, and rhs takes its even power 2^k
     dists2, w2 = _self_difference_atoms(work[1])
     tail_n, tail_w, e = odd_products(work[2:])
-    pi_hat = fourier_lattice(work[0], xis * 2.0 ** -(e + work[1].level),
+    pi_hat = fourier_lattice(_autocorrelation_measure(work[0]),
+                             xis * 2.0 ** -(e + work[1].level),
                              np.multiply.outer(tail_n, dists2),
-                             lambda q: np.sum((q.real ** 2 + q.imag ** 2) * w2, axis=-1),
-                             centered=True)
+                             lambda q: np.sum(q.real * w2, axis=-1), centered=True)
     rhs = pi_hat ** (2 ** k) @ tail_w
     violation = float(np.max(lhs - rhs))
     # rescaling step on the grid power (evidence; grid ops re-bin)

@@ -15,10 +15,13 @@ and n alone and never from the number of scales, the kernel that costs
 least per scale: a direct sum over the occupied cells; Bluestein's chirp-z
 along the progression n0 + g k holding n (Bluestein 1970); or Taylor
 tables of mu's window, built once per call and read at O(P) per value
-(Anderson-Dahleh 1996).  fourier_lattice's batches run on the ordered pool
-(dyadic._ordered_map), so it must not be called from inside an _ordered_map
-item, and every reduction inside a batch is a row-wise np.sum, not BLAS,
-whose own threads would fight the pool's.  The product transforms and
+(Anderson-Dahleh 1996).  A centered read of an odd window that mirrors
+about its middle cell, such as an autocorrelation's, is real: the table
+then keeps its real rows only and reads each value with one real
+recurrence, imaginary part exactly 0.  fourier_lattice's batches run on
+the ordered pool (dyadic._ordered_map), so it must not be called from
+inside an _ordered_map item, and every reduction inside a batch is a
+row-wise np.sum, not BLAS, whose own threads would fight the pool's.  The product transforms and
 order_check take a scalar xi (giving complex or floats) or an array of any
 shape (giving that shape), one batch per band; each element equals the
 scalar call at its xi bit for bit, as no value depends on its batch or on
@@ -267,6 +270,15 @@ def _chirp_z(mu: GridMeasure, n: np.ndarray, ref: int):
     return cost, prepare
 
 
+def _horner(rows: np.ndarray, k: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_p rows[p][k] t^p by Horner's rule, highest p first."""
+    v = rows[-1][k]
+    for p in range(rows.shape[0] - 2, -1, -1):
+        v *= t
+        v += rows[p][k]
+    return v
+
+
 def _table(mu: GridMeasure, n: np.ndarray, ref: int):
     """(cost, prepare) of Taylor tables of Q(theta) = sum_j m_j exp(-2 pi i
     theta (j - j*)) over mu's occupied window, j* its middle cell and `half`
@@ -283,6 +295,13 @@ def _table(mu: GridMeasure, n: np.ndarray, ref: int):
     its offset from the nearest node _turns(b h M, m), and the rotation
     about ref _turns(b h / 2, m (odd* - ref)), none when ref = odd*.
     P FFTs of length M cost P M log2(M), and each value P Taylor terms.
+
+    The read is real when the window has an odd number of cells, its masses
+    equal their mirror image about j*, and ref = odd*: Q(theta) = sum_j m_j
+    cos(2 pi theta (j - j*)) is then real, so only the real rows are kept and
+    each value is one real Horner recurrence, with imaginary part exactly 0;
+    the real parts are those the complex recurrence gives.  An even window
+    mirrored about its middle is not real about j*, and stays complex.
     """
     first, last, odd = _window(mu)
     mid = (first + last) // 2
@@ -293,28 +312,29 @@ def _table(mu: GridMeasure, n: np.ndarray, ref: int):
         return None
     h = mu.spacing
     step = 2 * math.pi * half / size
+    window = mu.masses[first:last + 1]
+    real = odd == ref and window.size % 2 == 1 and np.array_equal(window, window[::-1])
 
     def prepare():
         offsets = np.arange(first - mid, last - mid + 1)
-        term = mu.masses[first:last + 1].copy()
+        term = window
         rows = np.zeros((order, size))
         for p in range(order):
             rows[p, offsets % size] = term
             term = term * (offsets / half) / (p + 1)
         table = fft(rows, axis=-1) * np.array([1, -1j, -1, 1j])[np.arange(order) % 4, None]
-        re, im = table.real.copy(), table.imag.copy()
+        re = table.real.copy()
+        im = None if real else table.imag.copy()
 
         def values(b, m):
             b = b.reshape(b.shape + (1,) * m.ndim)
             u = _turns(b * (h * size), m)            # offset from the table node, in nodes
             k = np.rint(_turns(b * h, m) * size - u).astype(np.int64) & (size - 1)
             t = u * step
-            vr, vi = re[-1][k], im[-1][k]
-            for p in range(order - 2, -1, -1):
-                vr *= t
-                vr += re[p][k]
-                vi *= t
-                vi += im[p][k]
+            vr = _horner(re, k, t)
+            if real:
+                return vr.astype(np.complex128)
+            vi = _horner(im, k, t)
             vals = np.empty(vr.shape, dtype=np.complex128)
             if odd == ref:
                 vals.real, vals.imag = vr, vi

@@ -6,7 +6,7 @@ from decaylab import (GridMeasure, point_mass, product_fourier,
 from decaylab import pipelines
 from decaylab.constructions import make_comb
 from decaylab.convolution import convolve, difference_product
-from decaylab.spectral import profile_from_samples
+from decaylab.spectral import fourier_lattice, odd_products, profile_from_samples
 from decaylab.pipelines import (quantitative_parameters, run_base_case,
                                 run_flattening, run_induction_chain,
                                 run_keystep_scan, run_level_sets,
@@ -181,6 +181,27 @@ def test_induction_chain_cantor_instance():
     assert payload["max_violation"] <= 1e-6
     assert payload["tau_hat"] > 0
     assert payload["rescaled_energy"] > 0
+
+
+@pytest.mark.parametrize("inputs", ["cantor", "uniform", "point"])
+def test_induction_chain_rhs_matches_squared_moduli(inputs):
+    # rhs reads Pi^ off mu_1's autocorrelation; summing w2 |mu_1^|^2 read
+    # from mu_1's own table gives the same rhs to roundoff
+    mus = {"cantor": [random_cantor_measure(i, depth=5) for i in range(3)],
+           "uniform": [uniform_measure(1.0, 2.0, 13) for _ in range(3)],
+           "point": [point_mass(1.0 + i / 8, 8) for i in range(3)]}[inputs]
+    delta, k, n_samples = 2.0 ** -10, 2, 32
+    chain = _columns(run_induction_chain(mus, [0.5, 0.5, 0.5], delta, k, n_samples))
+    work = [pipelines._coarsen_to_cap(m) for m in mus]
+    dists2, w2 = pipelines._self_difference_atoms(work[1])
+    tail_n, tail_w, e = odd_products(work[2:])
+    xis = np.geomspace(1.0 / delta, 2.0 / delta, n_samples)
+    pi_hat = fourier_lattice(work[0], xis * 2.0 ** -(e + work[1].level),
+                             np.multiply.outer(tail_n, dists2),
+                             lambda q: np.sum((q.real ** 2 + q.imag ** 2) * w2, axis=-1),
+                             centered=True)
+    rhs = pi_hat ** (2 ** k) @ tail_w
+    assert np.max(np.abs(chain["rhs"] - rhs) / rhs) <= 1e-13
 
 
 def test_induction_chain_tau_quarter_comparison():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from decaylab import (GridMeasure, convolve, decay_profile, fourier_at, fourier_many,
                       l2_at_scale, order_check, point_mass, product_fourier,
                       pushforward_affine, regularize, uniform_measure)
-from decaylab import dyadic, spectral
+from decaylab import dyadic, pipelines, spectral
 from decaylab.spectral import (fourier_lattice, odd_products, product_chain_fourier,
                                profile_from_samples)
 
@@ -236,18 +236,24 @@ def test_kernel_choice_on_traffic_shapes():
     # entry point: chirp-z on a product transform's dense progression of odd
     # indices, the direct sum at n = 1 (decay fits), the table on a chain's
     # odd products of two 64-cell measures (induction's inputs at level 11);
-    # one scale or many alike
+    # and the table on Pi^'s read, centered, of the first input's
+    # autocorrelation (2 D + 1 lags) at the tail's odd products times the
+    # second input's distances; one scale or many alike
     dense = uniform_measure(1.0, 2.0, 10)
     cantor = [random_cantor_measure(seed).coarsened(11) for seed in (8, 17, 27)]
-    shapes = [(dense, odd_products([dense])[0], "chirp-z"),
-              (cantor[0], np.array([1]), "direct"),
-              (cantor[0], odd_products(cantor[1:])[0], "table")]
+    dists = pipelines._self_difference_atoms(cantor[1])[0]
+    auto = pipelines._autocorrelation_measure(cantor[0])
+    assert auto.size > 2000
+    shapes = [(dense, odd_products([dense])[0], False, "chirp-z"),
+              (cantor[0], np.array([1]), False, "direct"),
+              (cantor[0], odd_products(cantor[1:])[0], False, "table"),
+              (auto, np.multiply.outer(odd_products(cantor[2:])[0], dists), True, "table")]
     choose, seen = spectral._kernel, []
     with mock.patch.object(spectral, "_kernel", lambda *a: seen.append(choose(*a)) or seen[-1]):
-        for mu, n, _ in shapes:
+        for mu, n, centered, _ in shapes:
             for scales in (3.0, np.geomspace(16.0, 1024.0, 64)):
-                fourier_lattice(mu, scales * 2.0 ** -(mu.level + 1), n)
-    assert [name for name, _ in seen] == [kind for _, _, kind in shapes for _ in range(2)]
+                fourier_lattice(mu, scales * 2.0 ** -(mu.level + 1), n, centered=centered)
+    assert [name for name, _ in seen] == [kind for *_, kind in shapes for _ in range(2)]
 
 
 # ---------------------------------------------------------------------------
@@ -343,26 +349,53 @@ def _exact_phase_sum(mu, s, n):
     return np.exp(-2j * np.pi * turns) @ mu.masses[nz]
 
 
+def _mirrored(mu):
+    """mu's masses followed by themselves reversed, sharing the last cell:
+    an odd window that mirrors about its middle cell bit for bit."""
+    return GridMeasure(mu.level, mu.origin_index, np.r_[mu.masses, mu.masses[-2::-1]])
+
+
+def _odd_mirror(mu) -> bool:
+    """Whether mu's occupied window has an odd number of cells and mirrors
+    about its middle one, so its transform about that cell is real."""
+    nz = np.nonzero(mu.masses)[0]
+    window = mu.masses[nz[0]:nz[-1] + 1] if nz.size else mu.masses[:1]
+    return window.size % 2 == 1 and np.array_equal(window, window[::-1])
+
+
 @pytest.mark.parametrize("kernel", ["direct", "table"])
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 13).flatmap(
            lambda lv: _window_measures(lv, -(2 << lv), 2 << lv, min(2048, 2 << lv))),
        st.lists(st.floats(-0.25, 0.25), min_size=1, max_size=4).map(np.array),
        st.lists(st.integers(-(1 << 20), 1 << 20), min_size=1, max_size=12).map(np.array),
-       st.sampled_from([1, 3, 1 << 16]))
+       st.sampled_from([1, 3, 1 << 16]), st.booleans())
 @example(GridMeasure(9, -700, np.array([0.5])), np.array([0.25, -0.1]),
-         np.array([1 << 20, -3, 0]), 1)
+         np.array([1 << 20, -3, 0]), 1, False)
 @example(GridMeasure(13, -9000, np.r_[1.0, np.zeros(2046), 2.0]), np.array([0.2499]),
-         np.array([(1 << 20) - 1, 12345]), 3)
-@example(GridMeasure(6, 0, np.zeros(8)), np.array([1.0, 2.0]), np.array([1, 3]), 1)
-def test_fourier_lattice_matches_exact_phase_sum(kernel, mu, s, n, batch):
-    # centers lie in [-2, 4], so |s n c| reaches 2**20 turns
+         np.array([(1 << 20) - 1, 12345]), 3, False)
+@example(GridMeasure(6, 0, np.zeros(8)), np.array([1.0, 2.0]), np.array([1, 3]), 1, False)
+# mirrored windows read centered: a point mass and three equal cells are real
+# about their middle cell, two equal cells are not
+@example(GridMeasure(11, 37, np.array([0.0, 0.75, 0.0])), np.array([0.2499, -0.1]),
+         np.array([(1 << 20) - 1, -3, 0]), 1, False)
+@example(GridMeasure(10, -333, np.full(3, 0.25)), np.array([0.25, -0.1, 0.01]),
+         np.array([1 << 20, -3, 12345, 0]), 3, False)
+@example(GridMeasure(10, -333, np.full(2, 0.25)), np.array([0.25, -0.1, 0.01]),
+         np.array([1 << 20, -3, 12345, 0]), 3, False)
+def test_fourier_lattice_matches_exact_phase_sum(kernel, mu, s, n, batch, mirror):
+    # centers lie in [-2, 6], so |s n c| passes 2**20 turns
+    if mirror:
+        mu = _mirrored(mu)
     with _forced(kernel):
         got = fourier_lattice(mu, s, n)
         assert got.shape == (s.size, n.size)
         assert np.max(np.abs(got - _exact_phase_sum(mu, s, n))) <= 1e-12 * mu.total_mass
         centered = fourier_lattice(mu, s, n, centered=True)
         assert np.max(np.abs(np.abs(centered) - np.abs(got))) <= 1e-12 * mu.total_mass
+        if kernel == "table" and _odd_mirror(mu):
+            # the real read: one Horner recurrence per value, imag exactly 0
+            assert np.all(centered.imag == 0)
         with mock.patch.object(spectral, "_BATCH", batch):
             assert _same_bits(fourier_lattice(mu, s, n), got)
             assert _same_bits(fourier_lattice(mu, s[::-1], n)[::-1], got)
@@ -372,6 +405,28 @@ def test_fourier_lattice_matches_exact_phase_sum(kernel, mu, s, n, batch):
             assert _same_bits(fourier_lattice(mu, s, n, centered=True), centered)
         for b, sb in enumerate(s):
             assert _same_bits(fourier_lattice(mu, sb, n), got[b:b + 1])
+
+
+@pytest.mark.parametrize("kernel", ["direct", "table"])
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 13).flatmap(
+           lambda lv: _window_measures(lv, -(2 << lv), 2 << lv, min(256, 2 << lv))),
+       st.lists(st.floats(-0.25, 0.25), min_size=1, max_size=4).map(np.array),
+       st.lists(st.integers(-(1 << 20), 1 << 20), min_size=1, max_size=12).map(np.array))
+@example(point_mass(1.3, 9), np.array([0.25, -0.1]), np.array([1 << 20, -3, 0]))
+@example(uniform_measure(1.0, 2.0, 8), np.array([0.2499, 0.01]),
+         np.array([(1 << 20) - 1, 12345, 1]))
+def test_autocorrelation_measure_reads_squared_modulus(kernel, mu, s, n):
+    # Pi^'s identity: the centered transform of mu's autocorrelation is
+    # |mu^|^2, and the table reads it real
+    auto = pipelines._autocorrelation_measure(mu)
+    assert auto.level == mu.level and auto.total_mass == pytest.approx(mu.total_mass ** 2)
+    with _forced(kernel):
+        q = fourier_lattice(mu, s, n, centered=True)
+        got = fourier_lattice(auto, s, n, centered=True)
+    assert np.max(np.abs(got - np.abs(q) ** 2)) <= 1e-14 * mu.total_mass ** 2
+    if kernel == "table":
+        assert np.all(got.imag == 0)
 
 
 @pytest.mark.parametrize("kernel", ["direct", "chirp-z", "table"])
