@@ -89,6 +89,48 @@ def test_numpy_fft_lives_in_measures_and_spectral():
     assert found == {"measures", "spectral"}
 
 
+def _cached_functions(tree: ast.Module) -> list:
+    """Functions decorated with functools.lru_cache or functools.cache, in any
+    import form, with or without a call, in source order."""
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "functools"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names |= {a.asname or a.name for a in node.names
+                      if a.name in ("lru_cache", "cache")}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            dec = dec.func if isinstance(dec, ast.Call) else dec
+            if ((isinstance(dec, ast.Name) and dec.id in names)
+                    or (isinstance(dec, ast.Attribute) and dec.attr in ("lru_cache", "cache")
+                        and isinstance(dec.value, ast.Name) and dec.value.id in modules)):
+                found.append((node.lineno, node.name))
+    return [name for _, name in sorted(found)]
+
+
+def test_cache_scan_flags_every_form():
+    src = ("import functools\nfrom functools import cache, lru_cache as memo\n"
+           "@functools.lru_cache(maxsize=8)\ndef a(): pass\n"
+           "@cache\ndef b(): pass\n"
+           "class C:\n    @memo(maxsize=None)\n    def c(self): pass\n"
+           "@functools.cache\nasync def d(): pass\n"
+           "@other.cache\ndef e(): pass\n@functools.wraps(f)\ndef g(): pass\n")
+    assert _cached_functions(ast.parse(src)) == ["a", "b", "c", "d"]
+
+
+def test_only_next_fast_len_keeps_per_argument_state():
+    # a cache keyed on a call's arguments is module state that outlives the
+    # call; the one allowed is the pure FFT-length lookup
+    found = [f"{path.stem}.{name}"
+             for path in sorted(Path(decaylab.__file__).parent.glob("*.py"))
+             for name in _cached_functions(ast.parse(path.read_text()))]
+    assert found == ["measures.next_fast_len"]
+
+
 def _pool_calls(tree: ast.Module) -> list:
     """The innermost enclosing function of every call of _ordered_map, by name
     or as an attribute, in source order; "<module>" outside any function."""
