@@ -26,7 +26,11 @@ grid cells of every true product from the source cells, and no mass is
 rescaled: the check runs on the routed sum itself.  Pairs are routed in
 chunks of whole rows, one chunk per CPU at a time (dyadic._ordered_map),
 and the chunks' histograms are added in chunk order, so the output is
-bit-identical whatever the CPU count.
+bit-identical whatever the CPU count.  Each row walks nu's occupied cells in
+stride order (every _MUL_STRIDE-th cell, then the next offset), not in
+ascending order: for a small factor, neighbouring cells route to one output
+cell, and a histogram fed long runs of one cell waits on each add before
+the next.  Only the summation order within an output cell depends on this.
 
 mul routing is exactly odd.  A center numerator (2i+1)(2j+1) is odd, so it
 is never a multiple of 2**(L+2), and the flooring shift sends -n to cell
@@ -54,11 +58,16 @@ __all__ = [
 VALID_OPS = ("add", "sub", "mul")
 
 # pairs routed per mul chunk: each worker slot's 8 MB int64 index and
-# float64 weight blocks.  On 2 workers the flatten-l12 run (8.0e7 pairs in
-# its folded difference product) took 0.38-0.42 s at 2**20, 0.40-0.51 s at
-# 2**19, 0.46-0.49 s at 2**18 and 0.44-0.49 s at 2**21, where the process
-# peak RSS rose from 77 to 102 MB (2-CPU VM, three fresh processes each).
+# float64 weight blocks.  On 2 workers flatten-l12's folded difference
+# product (79,710,848 pairs) took 99-104 ms at 2**20, 100-108 ms at 2**19,
+# 110-112 ms at 2**18 and 100-102 ms at 2**21 (in-process _conv_mul with
+# stride-ordered rows, medians of 7, three runs each, 2-CPU VM).
 _MUL_CHUNK = 1 << 20
+# stride S of the order each mul row walks b's occupied cells in (0, S, 2S,
+# ..., then 1, S+1, ...; see the module docstring).  On 2 workers the same
+# product took 118-124 ms in ascending order and 94-106 ms for any S from 16
+# to 2048.
+_MUL_STRIDE = 128
 
 
 def _common_level(mu: GridMeasure, nu: GridMeasure):
@@ -116,6 +125,8 @@ def _conv_mul(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
             f"reach 2**62 (supports too far from 0 for int64 routing)")
     base = min(corners) >> shift
     out = np.zeros((max(corners) >> shift) - base + 1, dtype=np.float64)
+    # the ends above read the sorted ib; from here on b's cells are permuted
+    ib = ib[np.argsort(np.arange(ib.size) % _MUL_STRIDE, kind="stable")]
     ka = 2 * (ia + a.origin_index) + 1
     kb = 2 * (ib + b.origin_index) + 1
     wa, wb = a.masses[ia], b.masses[ib]

@@ -252,13 +252,15 @@ def _dyadic_measures(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(_dyadic_measures(), _dyadic_measures(), st.integers(1, 64))
-def test_mul_matches_pair_loop_oracle(mu, nu, chunk):
+@given(_dyadic_measures(), _dyadic_measures(), st.integers(1, 64), st.integers(1, 7))
+def test_mul_matches_pair_loop_oracle(mu, nu, chunk, stride):
     # nu / 3 has inexact masses, so the chunk parts' rounding depends on the
-    # order they are added in: bit-identical for every worker count
+    # order they are added in: bit-identical for every worker count.  A
+    # stride below nu's cell count permutes the order each row walks them in.
     nu = GridMeasure(nu.level, nu.origin_index, nu.masses / 3.0)
     outs = []
-    with mock.patch.object(convolution, "_MUL_CHUNK", chunk):
+    with mock.patch.object(convolution, "_MUL_CHUNK", chunk), \
+            mock.patch.object(convolution, "_MUL_STRIDE", stride):
         for workers in (1, 2, 3):
             with mock.patch.object(dyadic, "_WORKERS", workers):
                 outs.append(convolve(mu, nu, "mul"))
@@ -268,6 +270,9 @@ def test_mul_matches_pair_loop_oracle(mu, nu, chunk):
     want = _mul_pair_loop_oracle(mu, nu)
     got = _occupied_cells(outs[0])
     assert set(got) == set(want)
+    # the window spans exactly the oracle's extreme cells
+    assert outs[0].origin_index == min(want)
+    assert outs[0].size == max(want) - min(want) + 1
     mass = mu.total_mass * nu.total_mass
     assert max(abs(got[k] - want[k]) for k in want) <= 1e-15 * mass
 
@@ -352,9 +357,16 @@ def test_mul_refuses_int64_overflow():
     # three cells far from 0: (2i+1)(2j+1) ~ +-2**82 would wrap in int64
     far = GridMeasure(3, 1 << 40, np.array([0.5, 0.25, 0.25]))
     mirrored = GridMeasure(3, -(1 << 40), far.masses)
-    for other in (far, mirrored):
-        with pytest.raises(ValueError, match=r"2\*\*62"):
-            convolve(far, other, "mul")
+    # one cell at 2**39 against centers 2**22 - 3, 2**22 - 1, 2**22 + 1:
+    # only the last product reaches 2**62, and a stride of 2 walks that
+    # cell in the middle, so the check must read the sorted ends
+    lone = GridMeasure(3, 1 << 39, np.array([1.0]))
+    edge = GridMeasure(3, (1 << 21) - 2, np.array([0.5, 0.25, 0.25]))
+    for stride in (128, 2):
+        with mock.patch.object(convolution, "_MUL_STRIDE", stride):
+            for x, y in ((far, far), (far, mirrored), (lone, edge)):
+                with pytest.raises(ValueError, match=r"2\*\*62"):
+                    convolve(x, y, "mul")
 
 
 def _indicator_support(mu, nu, op):
