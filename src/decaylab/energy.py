@@ -11,8 +11,7 @@ where the diagonal uses the exact Riesz integral of a uniform cell pair,
 2 h^{-s} / ((1-s)(2-s)) per unit mass squared.  Since the kernel depends
 only on i - j, the double sum collapses to an autocorrelation, computed by
 measures.autocorrelation in O(N log N): the same sum up to roundoff, which
-a distance no pair of occupied cells spans also carries (instead of 0).  A
-direct method is kept for oracle comparisons.
+a distance no pair of occupied cells spans also carries (instead of 0).
 
 Frequency-side energy is the Fourier form of the same quantity in
 dimension 1 (Mattila, Fourier Analysis and Hausdorff Dimension, CUP 2015,
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicGridSet, _dyadic_exponent, set_check
-from .measures import GridMeasure, autocorrelation, ball_mass_vector, mask_measure, regularize
+from .measures import GridMeasure, autocorrelation, ball_mass_vector, regularize
 from .spectral import fourier_lattice
 
 __all__ = [
@@ -58,8 +57,7 @@ def _riesz_gamma(s: float) -> float:
     return math.pi ** (s - 0.5) * math.gamma((1.0 - s) / 2.0) / math.gamma(s / 2.0)
 
 
-def energy_spatial(mu: GridMeasure, s: float, delta: float,
-                   method: str = "fft") -> float:
+def energy_spatial(mu: GridMeasure, s: float, delta: float) -> float:
     """s-energy of mu mollified at scale delta (see module notes).
 
     0 < s < 1 required: at s >= 1 the kernel is not integrable across the
@@ -74,12 +72,7 @@ def energy_spatial(mu: GridMeasure, s: float, delta: float,
     diag = _diagonal_coeff(s, h) * float(np.sum(m * m))
     if n == 1:
         return diag
-    if method == "fft":
-        acf = autocorrelation(m)[1:]             # d = 1 .. n-1
-    elif method == "direct":
-        acf = np.array([np.dot(m[:n - d], m[d:]) for d in range(1, n)])
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    acf = autocorrelation(m)[1:]             # d = 1 .. n-1
     dist = np.arange(1, n) * h
     offdiag = 2.0 * float(np.sum(acf * dist ** -s))
     return offdiag + diag
@@ -176,10 +169,10 @@ def exceptional_set(mu: GridMeasure, s: float, delta: float,
     eset = DyadicGridSet(mu.level, idx)
     mass = float(np.sum(mu.masses[idx - own_lo])) if idx.size else 0.0
     bound = np.log2(1.0 / delta) * delta ** eps
-    keep = np.setdiff1d(own_lo + np.nonzero(mu.masses)[0], idx)
-    if keep.size:
-        rest = mask_measure(mu, DyadicGridSet(mu.level, keep))
-        comp = frostman_constant(rest, s, (delta, 1.0))
+    rest = mu.masses.copy()
+    rest[idx - own_lo] = 0.0
+    if np.any(rest):
+        comp = frostman_constant(GridMeasure(mu.level, own_lo, rest), s, (delta, 1.0))
     else:
         comp = float("inf")
     return ExceptionalSetReport(

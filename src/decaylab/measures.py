@@ -9,7 +9,10 @@ Conventions baked in here and relied on everywhere else:
   * quadrature of densities uses the midpoint rule per cell;
   * atoms bin to the half-open cell containing them (boundary ties go right);
   * Fourier sums and energy kernels treat each cell as an atom at its center;
-  * windows are closed on the left, open on the right.
+  * windows are closed on the left, open on the right;
+  * masses are nonnegative: producers only add or multiply nonnegative
+    masses, fftconvolve clips its roundoff where it arises, and GridMeasure
+    refuses any negative mass.
 
 Experiments at a nominal scale delta = 2**-m run their grids 8x finer
 (OVERSAMPLE_BITS = 3) so that phases at |xi| <= 2/delta stay resolved.
@@ -69,13 +72,8 @@ class GridMeasure:
             raise ValueError("masses must be a nonempty 1-d array")
         if not np.all(np.isfinite(m)):
             raise ValueError("masses must be finite")
-        neg = m < 0
-        if np.any(neg):
-            worst = float(m[neg].min())
-            if worst < -1e-15 * max(1.0, float(np.abs(m).max())):
-                raise ValueError(f"negative mass {worst}")
-            m = m.copy()
-            m[neg] = 0.0
+        if np.any(m < 0):
+            raise ValueError(f"negative mass {float(m.min())}")
         m.setflags(write=False)
         object.__setattr__(self, "masses", m)
         object.__setattr__(self, "_total", float(np.sum(m)))

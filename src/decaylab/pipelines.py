@@ -254,12 +254,10 @@ def _self_difference_atoms(m: GridMeasure):
     (atom at +-k * spacing) with accumulated weights."""
     nz = np.nonzero(m.masses)[0]
     w = m.masses[nz]
-    d = np.abs(np.subtract.outer(nz, nz)).ravel()
-    ww = np.multiply.outer(w, w).ravel()
-    uniq, inv = np.unique(d, return_inverse=True)
-    acc = np.zeros(uniq.size)
-    np.add.at(acc, inv, ww)
-    return uniq, acc
+    acc = np.bincount(np.abs(np.subtract.outer(nz, nz)).ravel(),
+                      weights=np.multiply.outer(w, w).ravel())
+    dists = np.nonzero(acc)[0]
+    return dists, acc[dists]
 
 
 def _autocorrelation_measure(m: GridMeasure) -> GridMeasure:

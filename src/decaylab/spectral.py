@@ -293,7 +293,7 @@ def _table(mu: GridMeasure, n: np.ndarray, ref: int):
     dropped terms by ~1e-16 of the mass.  mu_hat(nu) = exp(-2 pi i nu c*)
     Q(frac(nu h)), c* = odd* h / 2: at nu = b m, frac(nu h) = _turns(b h, m),
     its offset from the nearest node _turns(b h M, m), and the rotation
-    about ref _turns(b h / 2, m (odd* - ref)), none when ref = odd*.
+    about ref _turns(b h / 2, m (odd* - ref)), exp(0) = 1 when ref = odd*.
     P FFTs of length M cost P M log2(M), and each value P Taylor terms.
 
     The read is real when the window has an odd number of cells, its masses
@@ -335,14 +335,12 @@ def _table(mu: GridMeasure, n: np.ndarray, ref: int):
             if real:
                 return vr.astype(np.complex128)
             vi = _horner(im, k, t)
+            # rotated in real arithmetic: numpy's complex multiply rounds
+            # differently with the length of the array
+            rot = np.exp(-2j * np.pi * _turns(b * (h / 2), m * (odd - ref)))
             vals = np.empty(vr.shape, dtype=np.complex128)
-            if odd == ref:
-                vals.real, vals.imag = vr, vi
-            else:       # rotated in real arithmetic: numpy's complex multiply
-                # rounds differently with the length of the array
-                rot = np.exp(-2j * np.pi * _turns(b * (h / 2), m * (odd - ref)))
-                vals.real = vr * rot.real - vi * rot.imag
-                vals.imag = vr * rot.imag + vi * rot.real
+            vals.real = vr * rot.real - vi * rot.imag
+            vals.imag = vr * rot.imag + vi * rot.real
             return vals
         return values
     cost = order * (_UNIT_NS["table"] * size * math.log2(size) + _UNIT_NS["taylor term"] * n.size)

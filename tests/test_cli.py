@@ -201,6 +201,20 @@ def test_main_rejects_file_input_of_mass_two(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+def test_main_refuses_negative_mass_in_file_input(tmp_path, capsys):
+    # no roundoff clip: a mass below 0, however small, is a bad input
+    mpath = tmp_path / "measure.txt"
+    mpath.write_text("level 9\norigin 1.0\ncount 4\n0.5\n-1e-20\n0.0\n0.5\n")
+    cfg_path = tmp_path / "file.cfg"
+    cfg_path.write_text("experiment = decay\nscale = 6\nseed = 0\n"
+                        "band_lo = 16\nband_hi = 128\nn_samples = 12\n"
+                        f"input1.kind = file\ninput1.path = {mpath}\n")
+    out = tmp_path / "out"
+    assert main([str(cfg_path), "--output", str(out)]) == 2
+    assert "runtime error: ValueError: negative mass -1e-20" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_main_refuses_level_sets_at_grid_spacing(tmp_path, capsys):
     # at r = spacing the density is not mollified, and lower-sandwich would read 12 > 8
     masses = np.zeros(64)
@@ -383,28 +397,6 @@ print(" ".join(sorted(set(sys.modules) - before)))
 """
 
 
-@pytest.mark.parametrize("experiment", ["base-case", "project"])
-def test_import_loads_no_scipy_and_run_loads_nothing(tmp_path, experiment):
-    # a module first loaded by main() would be timed as part of the run; the
-    # project config's Cantor inputs draw from numpy.random, so it alone may
-    # load late there
-    import subprocess
-
-    cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text({"base-case": BASE_CASE.replace("scale = 7", "scale = 5"),
-                         "project": PROJECT}[experiment])
-    allowed = ""
-    if experiment == "project":
-        r = subprocess.run([sys.executable, "-c", _RANDOM_PROBE], capture_output=True,
-                           text=True, timeout=300, env=_child_env())
-        assert r.returncode == 0, r.stderr
-        allowed = r.stdout.strip()
-    r = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(cfg_path),
-                        str(tmp_path / "out"), allowed],
-                       capture_output=True, text=True, timeout=300, env=_child_env())
-    assert r.returncode == 0, r.stderr
-
-
 def test_timing_records_stages_and_worker_count(tmp_path):
     # the worker count goes to timing.json; report.json does not depend on it
     cfg = parse_config(PROJECT)
@@ -526,6 +518,29 @@ SMALL = {
     "counterexample": "experiment = counterexample\nscale = 20\nseed = 1\ns = 0.4\n",
     "lattice-set": LATTICE,
 }
+
+
+@pytest.mark.parametrize("experiment", SMALL)
+def test_import_loads_no_scipy_and_run_loads_nothing(tmp_path, experiment):
+    # a module first loaded by main() would be timed as part of the run;
+    # configs with Cantor inputs draw from numpy.random, so it alone may load
+    # late there
+    import subprocess
+
+    cfg_path = tmp_path / "exp.cfg"
+    text = SMALL[experiment]
+    cfg_path.write_text(text.replace("scale = 7", "scale = 5") if experiment == "base-case"
+                        else text)
+    allowed = ""
+    if "kind = cantor" in text:
+        r = subprocess.run([sys.executable, "-c", _RANDOM_PROBE], capture_output=True,
+                           text=True, timeout=300, env=_child_env())
+        assert r.returncode == 0, r.stderr
+        allowed = r.stdout.strip()
+    r = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(cfg_path),
+                        str(tmp_path / "out"), allowed],
+                       capture_output=True, text=True, timeout=300, env=_child_env())
+    assert r.returncode == 0, r.stderr
 
 
 @pytest.mark.parametrize("base, key, value", [

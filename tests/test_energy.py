@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from decaylab import (energy_fourier, energy_spatial, exceptional_set,
                       extract_nonconcentrated, frostman_constant, point_mass,
-                      pushforward_affine, set_check, uniform_measure)
+                      pushforward_affine, regularize, set_check, uniform_measure)
 from decaylab.constructions import mix
 from decaylab.energy import _riesz_gamma
 from decaylab.measures import GridMeasure
@@ -31,10 +31,22 @@ def test_energy_uniform_half_closed_form():
     assert v == pytest.approx(8.0 / 3.0, rel=0.02)
 
 
+def _cell_pair_energy(mu, s, delta):
+    """The module notes' sum over the mollified cells: m_i m_j |c_i - c_j|^-s
+    off the diagonal, 2 h^-s / ((1-s)(2-s)) per unit mass^2 on it."""
+    md = regularize(mu, delta)
+    h = md.spacing
+    d = np.abs(np.subtract.outer(md.centers(), md.centers()))
+    kern = np.full_like(d, 2.0 * h ** -s / ((1.0 - s) * (2.0 - s)))
+    off = d > 0
+    kern[off] = d[off] ** -s
+    return float(md.masses @ kern @ md.masses)
+
+
 def test_energy_fft_equals_direct():
     mu = random_cantor_measure(4, depth=4)
-    a = energy_spatial(mu, 0.4, 2.0 ** -8, method="fft")
-    b = energy_spatial(mu, 0.4, 2.0 ** -8, method="direct")
+    a = energy_spatial(mu, 0.4, 2.0 ** -8)
+    b = _cell_pair_energy(mu, 0.4, 2.0 ** -8)
     assert a == pytest.approx(b, rel=1e-10)
 
 
@@ -49,8 +61,8 @@ def test_energy_fft_equals_direct_on_sparse_measures(n, atoms, k, s, seed):
     masses[rng.integers(0, n, size=atoms)] = rng.random(atoms) + 0.1
     mu = GridMeasure(10, 0, masses)
     delta = mu.spacing * 2 ** k
-    a = energy_spatial(mu, s, delta, method="fft")
-    b = energy_spatial(mu, s, delta, method="direct")
+    a = energy_spatial(mu, s, delta)
+    b = _cell_pair_energy(mu, s, delta)
     assert a == pytest.approx(b, rel=1e-10)
 
 
@@ -225,6 +237,16 @@ def test_exceptional_catches_atom():
     # the atom's cell is inside E
     assert int(0.5 / mu.spacing) in rep.exceptional.cells
     assert rep.complement_ok
+
+
+def test_exceptional_flags_every_occupied_cell():
+    # nothing is left off E: the complement's Frostman constant is inf
+    delta = 2.0 ** -10
+    mu = point_mass(0.5, 10)
+    rep = exceptional_set(mu, 0.5, delta, 0.1)
+    assert np.all(np.isin(mu.occupied_set().cells, rep.exceptional.cells))
+    assert rep.mass == 1.0
+    assert not rep.complement_ok
 
 
 def test_exceptional_frostman_measure_clean():

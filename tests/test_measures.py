@@ -39,6 +39,14 @@ def test_level_bounded_by_normal_spacing():
         GridMeasure.from_text("level 1100\norigin 0.0\ncount 2\n0.5\n0.5\n")
 
 
+def test_grid_measure_refuses_any_negative_mass():
+    # producers keep masses nonnegative, so even a subnormal-scale negative is refused
+    for masses in ([0.5, -1e-300, 0.5], [-1e-300], [1.0, 0.0, -1e-20]):
+        with pytest.raises(ValueError, match="negative mass"):
+            GridMeasure(4, 0, masses)
+    assert GridMeasure(4, 0, [0.5, -0.0, 0.5]).total_mass == 1.0
+
+
 def test_single_atom_covers_endpoint():
     mu = from_atoms([1.0], (0.0, 1.0), 7)
     nz = np.nonzero(mu.masses)[0]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from decaylab import (GridMeasure, point_mass, product_fourier,
                       pushforward_affine, regularize, uniform_measure)
@@ -202,6 +203,36 @@ def test_induction_chain_rhs_matches_squared_moduli(inputs):
                              centered=True)
     rhs = pi_hat ** (2 ** k) @ tail_w
     assert np.max(np.abs(chain["rhs"] - rhs) / rhs) <= 1e-13
+
+
+# windows of up to 64 occupied cells (the chain's cap), with zero runs between them
+_RUN_WINDOWS = st.lists(st.tuples(st.integers(0, 12), st.floats(1e-6, 1.0)),
+                        min_size=1, max_size=64).map(
+    lambda runs: np.concatenate([np.r_[np.zeros(gap), mass] for gap, mass in runs]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_RUN_WINDOWS, st.integers(-100, 100))
+def test_self_difference_atoms_match_pair_loop(masses, origin):
+    # oracle: every ordered pair (i, j) of occupied cells adds m_i m_j at
+    # |i - j|, in (i, j) order, as the helper's bincount does
+    m = GridMeasure(10, origin, masses)
+    acc = {}
+    occupied = [i for i, v in enumerate(masses) if v]
+    for i in occupied:
+        for j in occupied:
+            acc[abs(i - j)] = acc.get(abs(i - j), 0.0) + masses[i] * masses[j]
+    dists, w = pipelines._self_difference_atoms(m)
+    assert dists.tolist() == sorted(acc)
+    assert w.tobytes() == np.array([acc[d] for d in sorted(acc)]).tobytes()
+    # the autocorrelation: w[0] at cell 0 and w[d] / 2 at +-d, mirrored bit for bit
+    am = pipelines._autocorrelation_measure(m)
+    top = int(dists[-1])
+    assert am.level == m.level and am.origin_index == -top and am.size == 2 * top + 1
+    assert am.masses.tobytes() == am.masses[::-1].tobytes()
+    assert am.masses[top] == w[0]
+    assert am.masses[top + dists[1:]].tobytes() == (w[1:] / 2).tobytes()
+    assert np.count_nonzero(am.masses) == 2 * dists.size - 1
 
 
 def test_induction_chain_tau_quarter_comparison():

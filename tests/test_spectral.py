@@ -340,11 +340,14 @@ def test_product_transforms_keep_the_shape_of_xi():
 # Taylor-table transforms at s * n for exact integers n
 # ---------------------------------------------------------------------------
 
-def _exact_phase_sum(mu, s, n):
+def _exact_phase_sum(mu, s, n, centered=False):
     """sum_j m_j exp(-2 pi i s n c_j) with c_j = odd_j h / 2, every phase
-    (s h / 2)(n odd_j) reduced by _turns."""
+    (s h / 2)(n odd_j) reduced by _turns; centered, with c_j - c* in place
+    of c_j, c* = odd* h / 2 the center of the occupied window's middle cell."""
     nz = np.nonzero(mu.masses)[0]
     odd = 2 * (mu.origin_index + nz) + 1
+    if centered and nz.size:
+        odd -= 2 * (mu.origin_index + (nz[0] + nz[-1]) // 2) + 1
     turns = spectral._turns(s[:, None, None] * (mu.spacing / 2), np.multiply.outer(n, odd))
     return np.exp(-2j * np.pi * turns) @ mu.masses[nz]
 
@@ -392,7 +395,8 @@ def test_fourier_lattice_matches_exact_phase_sum(kernel, mu, s, n, batch, mirror
         assert got.shape == (s.size, n.size)
         assert np.max(np.abs(got - _exact_phase_sum(mu, s, n))) <= 1e-12 * mu.total_mass
         centered = fourier_lattice(mu, s, n, centered=True)
-        assert np.max(np.abs(np.abs(centered) - np.abs(got))) <= 1e-12 * mu.total_mass
+        assert np.max(np.abs(centered - _exact_phase_sum(mu, s, n, centered=True))) \
+            <= 1e-12 * mu.total_mass
         if kernel == "table" and _odd_mirror(mu):
             # the real read: one Horner recurrence per value, imag exactly 0
             assert np.all(centered.imag == 0)
