@@ -17,7 +17,7 @@ import numpy as np
 
 from .dyadic import DyadicGridSet, _dyadic_exponent
 from .energy import frostman_constant
-from .measures import (GridMeasure, OVERSAMPLE_BITS, _common_grid,
+from .measures import (GridMeasure, OVERSAMPLE_BITS, _common_grid, _uniform_on,
                        pushforward_affine, uniform_measure)
 
 __all__ = [
@@ -86,25 +86,14 @@ def make_random_frostman(spec: CantorSpec):
             cells = (cells[:, None] * nfold + offsets).reshape(-1)
         cells.sort()
         X = DyadicGridSet(spec.level, cells)
-        mu = _equal_mass_measure(X)
+        f = 1 << OVERSAMPLE_BITS
+        mu = _uniform_on(spec.level + OVERSAMPLE_BITS,
+                         (X.cells[:, None] * f + np.arange(f)).reshape(-1))
         if frostman_constant(mu, spec.dimension,
                              (2.0 ** -spec.level, 0.5)) <= _FROSTMAN_CAP:
             return X, mu
     raise RuntimeError(
         f"no draw of {spec} met the Frostman cap {_FROSTMAN_CAP} in 8 attempts")
-
-
-def _equal_mass_measure(X: DyadicGridSet) -> GridMeasure:
-    """Uniform probability measure on a dyadic set, oversampled 8x."""
-    level = X.level + OVERSAMPLE_BITS
-    f = 1 << OVERSAMPLE_BITS
-    lo = int(X.cells[0]) * f
-    hi = (int(X.cells[-1]) + 1) * f
-    masses = np.zeros(hi - lo, dtype=np.float64)
-    per_cell = 1.0 / (X.size * f)
-    fine = (X.cells[:, None] * f + np.arange(f)[None, :]).reshape(-1)
-    masses[fine - lo] = per_cell
-    return GridMeasure(level, lo, masses)
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +145,7 @@ def make_comb(r: float, c: float) -> GridMeasure:
     h = 2.0 ** -level
     centers = (np.arange(1 << level) + 0.5) * h
     dist = np.abs(centers - np.round(centers / r) * r)
-    keep = dist <= c * r / 2.0
-    masses = keep / np.count_nonzero(keep)
-    return GridMeasure(level, 0, masses).trimmed()
+    return _uniform_on(level, np.flatnonzero(dist <= c * r / 2.0))
 
 
 def make_shifted_comb(s: float, delta: float, c: float = 1.0 / 16) -> GridMeasure:

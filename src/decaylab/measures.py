@@ -6,8 +6,11 @@ itself a multiple of the cell width, tracked as an integer index.  All
 operations are pure: they return new measures and never mutate inputs.
 
 Conventions baked in here and relied on everywhere else:
-  * quadrature of densities uses the midpoint rule per cell;
-  * atoms bin to the half-open cell containing them (boundary ties go right);
+  * uniform, point, comb and Cantor inputs are uniform on a set of cells:
+    exactly 1/N on each of their N cells, in the window from the first cell
+    to the last; uniform_measure(a, b) takes the cells whose centers lie in
+    [a, b);
+  * a point mass sits on the half-open cell containing it (a tie goes right);
   * Fourier sums and energy kernels treat each cell as an atom at its center;
   * windows are closed on the left, open on the right;
   * masses are nonnegative: producers only add or multiply nonnegative
@@ -33,13 +36,10 @@ __all__ = [
     "GridMeasure",
     "bump_profile",
     "kernel_weights",
-    "from_density",
-    "from_atoms",
     "uniform_measure",
     "point_mass",
     "regularize",
     "pushforward_affine",
-    "mask_measure",
     "ball_mass_vector",
     "l1_distance",
     "next_fast_len",
@@ -67,7 +67,7 @@ class GridMeasure:
     def __post_init__(self):
         if not 1 <= self.level <= 1022:     # 2**-1023 is no longer a normal double
             raise ValueError(f"level must lie in [1, 1022], got {self.level}")
-        m = np.ascontiguousarray(np.asarray(self.masses, dtype=np.float64))
+        m = np.array(self.masses, dtype=np.float64)   # a copy: the caller keeps its array
         if m.ndim != 1 or m.size == 0:
             raise ValueError("masses must be a nonempty 1-d array")
         if not np.all(np.isfinite(m)):
@@ -117,11 +117,6 @@ class GridMeasure:
         return ((self.origin_index + nz + 0.5) * self.spacing, self.masses[nz])
 
     # -- basic transforms ---------------------------------------------------------
-    def normalized(self) -> "GridMeasure":
-        if self.total_mass <= 0:
-            raise ValueError("cannot normalize a zero measure")
-        return GridMeasure(self.level, self.origin_index, self.masses / self.total_mass)
-
     def refined(self, level: int) -> "GridMeasure":
         """Same measure on a finer grid; each cell splits into equal-mass children."""
         if level < self.level:
@@ -251,68 +246,39 @@ def autocorrelation(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------------
-# construction
+# uniform inputs
 # ---------------------------------------------------------------------------------
 
-def _window_indices(window: tuple[float, float], level: int) -> tuple[int, int]:
-    a, b = window
-    if not (np.isfinite(a) and np.isfinite(b)) or not b > a:
-        raise ValueError(f"bad window {window}")
-    h = 2.0 ** -level
-    lo = int(np.floor(a / h + 1e-9))
-    hi = int(np.ceil(b / h - 1e-9))
-    return lo, max(hi, lo + 1)
-
-
-def from_density(fn, window: tuple[float, float], level: int) -> GridMeasure:
-    """Probability measure binned from a density by the midpoint rule and
-    normalized to mass 1; rejects negative samples.
-
-    Cells whose centers fall outside [a, b) carry no mass, so non-dyadic
-    window endpoints do not leak density into the rounded-out cells.
-    """
-    lo, hi = _window_indices(window, level)
-    h = 2.0 ** -level
-    centers = (np.arange(lo, hi) + 0.5) * h
-    inside = (centers >= window[0]) & (centers < window[1])
-    vals = np.where(inside, np.asarray(fn(centers), dtype=np.float64), 0.0)
-    if np.any(vals < 0):
-        bad = centers[np.argmin(vals)]
-        raise ValueError(f"density is negative at x={bad}")
-    return GridMeasure(level, lo, vals * h).normalized()
-
-
-def from_atoms(atoms, window: tuple[float, float], level: int) -> GridMeasure:
-    """Probability measure giving each atom equal mass, binned to half-open
-    cells (boundary ties go right)."""
-    atoms = np.asarray(atoms, dtype=np.float64)
-    a, b = window
-    if atoms.size == 0:
-        raise ValueError("need at least one atom")
-    out_of_window = (atoms < a) | (atoms > b)
-    if np.any(out_of_window):
-        raise ValueError(f"atom outside window: x={atoms[out_of_window][0]}")
-    lo, hi = _window_indices(window, level)
-    h = 2.0 ** -level
-    idx = np.floor(atoms / h).astype(np.int64)
-    idx = np.clip(idx, lo, hi - 1)          # right-endpoint atoms fold into the window
-    masses = np.zeros(hi - lo, dtype=np.float64)
-    np.add.at(masses, idx - lo, 1.0 / atoms.size)
-    return GridMeasure(level, lo, masses).normalized()
+def _uniform_on(level: int, cells: np.ndarray) -> GridMeasure:
+    """Uniform probability measure on nonempty, sorted, distinct level-`level`
+    cells: mass exactly 1.0 / cells.size on each, in the window from the first
+    cell to the last.  The one place that writes uniform masses."""
+    lo = int(cells[0])
+    masses = np.zeros(int(cells[-1]) - lo + 1)
+    masses[cells - lo] = 1.0 / cells.size
+    return GridMeasure(level, lo, masses)
 
 
 def uniform_measure(a: float, b: float, level: int) -> GridMeasure:
-    """Uniform probability measure on [a, b] at the given grid level."""
-    return from_density(lambda x: np.ones_like(x), (a, b), level)
+    """Uniform probability measure on the cells whose centers lie in [a, b)."""
+    if not (np.isfinite(a) and np.isfinite(b)) or not b > a:
+        raise ValueError(f"bad window {(a, b)}")
+    h = 2.0 ** -level
+    cells = np.arange(int(np.floor(a / h)), int(np.ceil(b / h)))
+    centers = (cells + 0.5) * h
+    cells = cells[(centers >= a) & (centers < b)]
+    if cells.size == 0:
+        raise ValueError(f"no level-{level} cell center lies in [{a}, {b})")
+    return _uniform_on(level, cells)
 
 
 def point_mass(x: float, level: int) -> GridMeasure:
-    """Unit atom at x in a window of one cell either side of it."""
+    """Unit atom on the one cell containing x (a tie goes right)."""
     h = 2.0 ** -level
     if not x - h < x < x + h:
         raise ValueError(f"point x={x!r} is too far from 0 for a level-{level} "
                          f"grid: x +- 2**-{level} rounds to x in float64")
-    return from_atoms([x], (x - h, x + h), level)
+    return _uniform_on(level, np.array([int(np.floor(x / h))]))
 
 
 # ---------------------------------------------------------------------------------
@@ -331,7 +297,7 @@ def bump_profile(u) -> np.ndarray:
 
 
 def kernel_weights(delta: float, level: int) -> np.ndarray:
-    """Discretized bump at cell resolution, normalized to total weight 1.
+    """Discretized bump at cell resolution, scaled to total weight 1.
 
     delta must be a dyadic multiple K = 2^j >= 1 of the spacing h = 2**-level
     (the one copy of that check).  Sampled at cell centers k*h for |k| <= K;
@@ -372,7 +338,7 @@ def regularize(mu: GridMeasure, delta: float) -> GridMeasure:
 
 
 # ---------------------------------------------------------------------------------
-# pushforward, restriction, ball mass
+# pushforward, ball mass
 # ---------------------------------------------------------------------------------
 
 def pushforward_affine(mu: GridMeasure, a: float, b: float,
@@ -411,14 +377,6 @@ def pushforward_affine(mu: GridMeasure, a: float, b: float,
     res = GridMeasure(out_level, base, out)
     assert_mass_conserved(mu.total_mass, res.total_mass, "pushforward_affine")
     return res
-
-
-def mask_measure(mu: GridMeasure, A: DyadicGridSet) -> GridMeasure:
-    """mu restricted to A as a sub-measure; `.normalized()` makes it a probability."""
-    if A.level > mu.level:
-        raise ValueError("restriction set must live at a level <= the measure's")
-    mask = np.isin(mu.parent_cells(A.level), A.cells)
-    return GridMeasure(mu.level, mu.origin_index, np.where(mask, mu.masses, 0.0))
 
 
 def ball_mass_vector(mu: GridMeasure, r: float) -> np.ndarray:

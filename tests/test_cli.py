@@ -280,6 +280,24 @@ def test_main_refuses_point_past_float_resolution(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("a, b", [
+    ("2.0", "1.0"), ("1.0", "1.0"),
+    # at scale 8 (level 11) the centers nearest are 204.5 h < 0.1 and 205.5 h > 0.1001
+    ("0.1", "0.1001"),
+], ids=["inverted", "empty", "no-center"])
+def test_main_rejects_bad_uniform_window(tmp_path, capsys, a, b):
+    cfg_path = tmp_path / "window.cfg"
+    cfg_path.write_text(BASE_CASE.replace("scale = 7", "scale = 8")
+                        .replace("input1.a = 1.0", f"input1.a = {a}")
+                        .replace("input1.b = 2.0", f"input1.b = {b}"))
+    out = tmp_path / "out"
+    assert main([str(cfg_path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ValueError: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
 def test_main_refuses_tiny_non_dyadic_comb(tmp_path, capsys):
     # an absolute tolerance would read r = 1e-9 as 2**-30: a 512 GiB grid
     cfg_path = tmp_path / "comb.cfg"

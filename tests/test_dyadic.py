@@ -203,7 +203,7 @@ def test_uniformize_random_inputs():
 
 
 def test_uniformize_keeps_covering_profile():
-    # log covering numbers of the uniform subset stay within 1/m (normalized
+    # log covering numbers of the uniform subset stay within 1/m (scaled
     # by D*m*log 2) of the raw set's at every block scale 2**-(D*j)
     rng = np.random.default_rng(31)
     D, m = 2, 6

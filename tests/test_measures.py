@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decaylab import (GridMeasure, ball_mass_vector, from_atoms, from_density,
-                      l1_distance, mask_measure, point_mass, pushforward_affine,
-                      regularize, uniform_measure)
+from decaylab import (GridMeasure, ball_mass_vector, l1_distance, point_mass,
+                      pushforward_affine, regularize, uniform_measure)
 from decaylab import measures
-from decaylab.constructions import CantorSpec, make_random_frostman
+from decaylab.constructions import CantorSpec, make_comb, make_random_frostman
 from decaylab.dyadic import DyadicGridSet
 from decaylab.measures import (autocorrelation, bump_profile, fftconvolve,
                                kernel_weights, next_fast_len)
@@ -24,8 +23,52 @@ from conftest import lossy, random_masses_measure
 def test_uniform_16_cells():
     mu = uniform_measure(0.0, 1.0, 4)
     assert mu.size == 16
-    assert np.allclose(mu.masses, 1.0 / 16, rtol=0, atol=1e-15)
-    assert abs(mu.total_mass - 1.0) <= 1e-12
+    assert np.all(mu.masses == 1.0 / 16)
+    assert mu.total_mass == 1.0
+
+
+def _assert_uniform_on_window(mu):
+    # every occupied cell carries exactly 1/N, and the window ends on occupied cells
+    nz = np.flatnonzero(mu.masses)
+    assert np.all(mu.masses[nz] == 1.0 / nz.size)
+    assert nz[0] == 0 and nz[-1] == mu.size - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(lo=st.integers(-600, 600), width=st.integers(0, 600),
+       frac=st.tuples(st.floats(0, 1), st.floats(0, 1)), level=st.integers(1, 12),
+       comb=st.tuples(st.integers(2, 5), st.sampled_from([1.0 / 8, 1.0 / 16])),
+       seed=st.integers(0, 2 ** 16))
+def test_uniform_inputs_carry_exactly_one_over_n(lo, width, frac, level, comb, seed):
+    # windows on and off the level-9 grid, read at coarser and finer levels
+    a, b = (lo + frac[0]) / 512, (lo + width + frac[1]) / 512
+    if not b > a:
+        with pytest.raises(ValueError, match="bad window"):
+            uniform_measure(a, b, level)
+        return
+    h = 2.0 ** -level
+    centers = (np.arange(int(a / h) - 2, int(b / h) + 2) + 0.5) * h
+    inside = centers[(centers >= a) & (centers < b)]
+    if inside.size == 0:
+        with pytest.raises(ValueError, match=f"no level-{level} cell center"):
+            uniform_measure(a, b, level)
+    else:
+        mu = uniform_measure(a, b, level)
+        _assert_uniform_on_window(mu)
+        assert np.array_equal(mu.occupied()[0], inside)
+    _assert_uniform_on_window(make_comb(2.0 ** -comb[0], comb[1]))
+    X, mu = make_random_frostman(CantorSpec(block=2, keep=2, depth=4, seed=seed))
+    _assert_uniform_on_window(mu)
+    assert np.array_equal(mu.occupied_set(X.level).cells, X.cells)
+    assert np.count_nonzero(mu.masses) == X.size << measures.OVERSAMPLE_BITS
+
+
+def test_grid_measure_leaves_the_callers_array_alone():
+    a = np.array([0.5, 0.5])
+    mu = GridMeasure(3, 0, a)
+    assert a.flags.writeable and not mu.masses.flags.writeable
+    a[0] = 7.0
+    assert mu.masses.tolist() == [0.5, 0.5] and mu.total_mass == 1.0
 
 
 def test_level_bounded_by_normal_spacing():
@@ -48,12 +91,10 @@ def test_grid_measure_refuses_any_negative_mass():
 
 
 def test_single_atom_covers_endpoint():
-    mu = from_atoms([1.0], (0.0, 1.0), 7)
-    nz = np.nonzero(mu.masses)[0]
-    assert nz.size == 1
-    assert mu.masses[nz[0]] == 1.0
-    left = mu.origin + nz[0] * mu.spacing
-    assert left <= 1.0 <= left + mu.spacing
+    # the atom at a cell boundary lands in the cell to its right, [1, 1 + h)
+    mu = point_mass(1.0, 7)
+    assert mu.size == 1 and mu.masses[0] == 1.0
+    assert mu.support() == (1.0, 1.0 + mu.spacing)
 
 
 def test_point_mass_refuses_points_past_float_resolution():
@@ -64,35 +105,6 @@ def test_point_mass_refuses_points_past_float_resolution():
     for x in (1024.0, -1024.0, 131072.0):
         with pytest.raises(ValueError, match=rf"point x={x!r} .* level-43 grid"):
             point_mass(x, 43)
-
-
-def test_linear_density_midpoint_rule():
-    # oracle: masses from the midpoint rule directly
-    m = 10
-    h = 2.0 ** -m
-    centers = (np.arange(1 << m) + 0.5) * h
-    expected = 2.0 * centers * h
-    expected /= expected.sum()
-    mu = from_density(lambda x: 2.0 * x, (0.0, 1.0), m)
-    assert np.allclose(mu.masses, expected, rtol=0, atol=1e-15)
-    assert np.all(np.diff(mu.masses) > 0)
-    assert abs(mu.total_mass - 1.0) <= 1e-9
-
-
-def test_construct_rejections():
-    with pytest.raises(ValueError, match="negative"):
-        from_density(lambda x: x - 0.5, (0.0, 1.0), 4)
-    with pytest.raises(ValueError, match="outside window"):
-        from_atoms([1.5], (0.0, 1.0), 4)
-
-
-def test_mass_conservation_construct():
-    # oracle: midpoint-rule masses, normalized to a probability
-    mu = from_density(lambda x: np.exp(x), (0.0, 1.0), 9)
-    direct = np.exp((np.arange(512) + 0.5) / 512) / 512
-    direct /= direct.sum()
-    assert np.allclose(mu.masses, direct, rtol=1e-12, atol=0)
-    assert abs(mu.total_mass - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +124,14 @@ def test_bump_sandwich_cell_exact():
 
 
 def test_non_dyadic_window_does_not_leak():
-    mu = from_density(lambda x: np.ones_like(x), (0.3, 0.7), 8)
+    mu = uniform_measure(0.3, 0.7, 8)
     lo, hi = mu.support()
     h = mu.spacing
     assert lo >= 0.3 - h and hi <= 0.7 + h
     assert np.count_nonzero(mu.masses) * h == pytest.approx(0.4, abs=2 * h)
+    # the window is trimmed to the cells whose centers lie in [0.3, 0.7)
+    assert (mu.origin_index, mu.size) == (77, 102)
+    assert np.all(mu.masses == 1.0 / 102)
 
 
 def test_regularize_point_mass_plateau():
@@ -241,34 +256,8 @@ def test_pushforward_mass_conservation():
 
 
 # ---------------------------------------------------------------------------
-# restriction and ball mass
+# ball mass
 # ---------------------------------------------------------------------------
-
-def test_restrict_full_window():
-    mu = uniform_measure(0.0, 1.0, 6)
-    A = DyadicGridSet(6, np.arange(64))
-    part = mask_measure(mu, A)
-    assert part.total_mass == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(part.normalized().masses, mu.masses, atol=1e-15)
-
-
-def test_restrict_half_window():
-    mu = uniform_measure(0.0, 1.0, 6)
-    A = DyadicGridSet(5, np.arange(16))   # [0, 1/2] at a coarser level
-    part = mask_measure(mu, A)
-    assert part.total_mass == pytest.approx(0.5, abs=1e-12)
-    out = part.normalized()
-    assert out.total_mass == pytest.approx(1.0, abs=1e-12)
-    lo, hi = out.support()
-    assert (lo, hi) == (0.0, 0.5)
-
-
-def test_restrict_empty_rejected():
-    mu = uniform_measure(0.0, 1.0, 6)
-    A = DyadicGridSet(6, np.array([4000]))
-    with pytest.raises(ValueError, match="zero measure"):
-        mask_measure(mu, A).normalized()
-
 
 def test_sup_ball_mass_point_and_uniform():
     pm = point_mass(0.3, 8)
