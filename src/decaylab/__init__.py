@@ -12,8 +12,7 @@ from .dyadic import (DyadicGridSet, additive_energy, covering_number,
 from .energy import (energy_fourier, energy_spatial, exceptional_set,
                      extract_nonconcentrated, frostman_constant)
 from .measures import (GridMeasure, OVERSAMPLE_BITS, ball_mass_vector,
-                       l1_distance, point_mass, pushforward_affine, regularize,
-                       uniform_measure)
+                       l1_distance, point_mass, regularize, uniform_measure)
 from .spectral import (DecayProfile, decay_profile, fourier_at, fourier_many,
                        l2_at_scale, order_check, product_chain_fourier,
                        product_fourier)
@@ -22,7 +21,7 @@ __all__ = [
     "__version__",
     "GridMeasure", "OVERSAMPLE_BITS",
     "uniform_measure", "point_mass",
-    "regularize", "pushforward_affine", "ball_mass_vector",
+    "regularize", "ball_mass_vector",
     "l1_distance",
     "convolve", "difference_product",
     "fourier_at", "fourier_many", "product_fourier", "product_chain_fourier",

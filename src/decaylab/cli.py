@@ -348,9 +348,6 @@ EXPERIMENTS = {
 
 def _parse_scalar(raw: str):
     raw = raw.strip()
-    low = raw.lower()
-    if low in ("true", "false"):
-        return low == "true"
     try:
         return int(raw)
     except ValueError:

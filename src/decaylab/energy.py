@@ -70,8 +70,6 @@ def energy_spatial(mu: GridMeasure, s: float, delta: float) -> float:
     h = md.spacing
     n = m.size
     diag = _diagonal_coeff(s, h) * float(np.sum(m * m))
-    if n == 1:
-        return diag
     acf = autocorrelation(m)[1:]             # d = 1 .. n-1
     dist = np.arange(1, n) * h
     offdiag = 2.0 * float(np.sum(acf * dist ** -s))

@@ -6,10 +6,10 @@ itself a multiple of the cell width, tracked as an integer index.  All
 operations are pure: they return new measures and never mutate inputs.
 
 Conventions baked in here and relied on everywhere else:
-  * uniform, point, comb and Cantor inputs are uniform on a set of cells:
-    exactly 1/N on each of their N cells, in the window from the first cell
-    to the last; uniform_measure(a, b) takes the cells whose centers lie in
-    [a, b);
+  * uniform, point, comb, shifted-comb and Cantor inputs are uniform on a
+    set of cells: exactly 1/N on each of their N cells, in the window from
+    the first cell to the last; uniform_measure(a, b) takes the cells whose
+    centers lie in [a, b);
   * a point mass sits on the half-open cell containing it (a tie goes right);
   * Fourier sums and energy kernels treat each cell as an atom at its center;
   * windows are closed on the left, open on the right;
@@ -39,7 +39,6 @@ __all__ = [
     "uniform_measure",
     "point_mass",
     "regularize",
-    "pushforward_affine",
     "ball_mass_vector",
     "l1_distance",
     "next_fast_len",
@@ -338,46 +337,8 @@ def regularize(mu: GridMeasure, delta: float) -> GridMeasure:
 
 
 # ---------------------------------------------------------------------------------
-# pushforward, ball mass
+# ball mass
 # ---------------------------------------------------------------------------------
-
-def pushforward_affine(mu: GridMeasure, a: float, b: float,
-                       level: int | None = None) -> GridMeasure:
-    """Image of mu under x -> a*x + b, re-binned at the requested level.
-
-    Each source cell is treated as carrying uniform mass, so its image
-    interval is split across target cells proportionally to overlap; the map
-    is exactly mass-preserving.  a = 0 is rejected (use point_mass instead).
-    """
-    if a == 0:
-        raise ValueError("degenerate map a=0; use an explicit point mass")
-    out_level = mu.level if level is None else level
-    h_in, h_out = mu.spacing, 2.0 ** -out_level
-    edges = (mu.origin_index + np.arange(mu.size + 1)) * h_in
-    img = a * edges + b
-    left = np.minimum(img[:-1], img[1:])
-    right = np.maximum(img[:-1], img[1:])
-    lo_idx = np.floor(left / h_out).astype(np.int64)
-    hi_idx = np.ceil(right / h_out).astype(np.int64) - 1   # [left, right) never touches a cell starting at right
-    hi_idx = np.maximum(hi_idx, lo_idx)
-    base = int(lo_idx.min())
-    nspan = int(hi_idx.max()) - base + 1
-    out = np.zeros(nspan, dtype=np.float64)
-    width = right - left
-    max_span = int((hi_idx - lo_idx).max()) + 1
-    for k in range(max_span):
-        idx = lo_idx + k
-        active = idx <= hi_idx
-        if not np.any(active):
-            break
-        cell_lo = idx * h_out
-        ov = np.minimum(right, cell_lo + h_out) - np.maximum(left, cell_lo)
-        frac = np.where(active, np.maximum(ov, 0.0) / width, 0.0)
-        np.add.at(out, idx - base, frac * mu.masses)
-    res = GridMeasure(out_level, base, out)
-    assert_mass_conserved(mu.total_mass, res.total_mass, "pushforward_affine")
-    return res
-
 
 def ball_mass_vector(mu: GridMeasure, r: float) -> np.ndarray:
     """mu(B(c_i, r)) for every grid center c_i, cells counted by center.

@@ -23,7 +23,7 @@ import numpy as np
 from .convolution import convolve, difference_product, even_product, symmetry_defect
 from .dyadic import _distinct, _dyadic_exponent
 from .energy import energy_spatial
-from .measures import GridMeasure, pushforward_affine, regularize
+from .measures import GridMeasure, regularize
 from .spectral import (band_samples, decay_profile, fourier_lattice, l2_at_scale,
                        odd_products, product_chain_fourier, product_fourier,
                        profile_from_samples)
@@ -329,7 +329,9 @@ def run_induction_chain(measures, exponents, delta: float, k: int, n_samples: in
     a_grid = difference_product(work[0], work[1])
     for _ in range(k):
         a_grid = convolve(a_grid, a_grid, "add")
-    scaled = pushforward_affine(a_grid, 2.0 ** -(k + 2), 0.0)
+    # x -> 2^-(k+2) x relabels each cell onto a 2^(k+2)-times finer grid
+    L = a_grid.level
+    scaled = GridMeasure(L + k + 2, a_grid.origin_index, a_grid.masses).coarsened(L)
     s12 = min(float(exponents[0] + exponents[1]), 0.999)
     resc_energy = energy_spatial(scaled, s12, max(delta, scaled.spacing))
     full_product = measures[0]

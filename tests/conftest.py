@@ -26,6 +26,14 @@ def random_masses_measure(seed: int, level: int = 8, n: int = 40) -> GridMeasure
     return GridMeasure(level, 0, masses)
 
 
+def translated(mu: GridMeasure, b: float) -> GridMeasure:
+    """mu moved by x -> x + b, where b is a whole number of mu's cells: the
+    same masses on relabelled cells."""
+    cells = b / mu.spacing
+    assert cells == int(cells), f"shift {b} is not a whole number of level-{mu.level} cells"
+    return GridMeasure(mu.level, mu.origin_index + int(cells), mu.masses)
+
+
 def lossy(fn, loss: float = 1e-6):
     """fn with its result scaled by 1 - loss: an injected mass leak."""
     return lambda *args, **kwargs: fn(*args, **kwargs) * (1.0 - loss)

@@ -335,6 +335,39 @@ def test_main_runs_counterexample_quickly(tmp_path):
     assert doc["payload"]["triple_magnitude"] >= 1.0 / 8
 
 
+def test_main_runs_counterexample_off_the_integer_exponents(tmp_path, capsys):
+    # s * scale = 5.1 and 6.6: the comb spacing is the dyadic one nearest delta**s
+    cfg_path = tmp_path / "ce.cfg"
+    for scale, s in ((17, 0.3), (20, 0.33)):
+        cfg_path.write_text(f"experiment = counterexample\nscale = {scale}\ns = {s}\n")
+        assert main([str(cfg_path), "--output", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        assert "[PASS] l2-size" in out and "[PASS] triple-transform" in out
+
+
+def test_main_refuses_counterexample_spacing_above_a_quarter(tmp_path, capsys):
+    # round(0.1 * 8) = 1: the dyadic spacing nearest delta**s is 1/2
+    cfg_path = tmp_path / "ce.cfg"
+    cfg_path.write_text("experiment = counterexample\nscale = 8\ns = 0.1\n")
+    out = tmp_path / "out"
+    assert main([str(cfg_path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ValueError: delta=0.00390625 and s=0.1 give "
+                          "the comb spacing 2**-1, above 1/4")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
+def test_main_reads_a_file_input_named_true(tmp_path, monkeypatch):
+    # "true" is a string like any other: no config value parses as a bool
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "true").write_text(uniform_measure(0.0, 1.0, 9).to_text())
+    cfg_path = tmp_path / "file.cfg"
+    cfg_path.write_text("experiment = decay\nscale = 6\nband_lo = 16\nband_hi = 128\n"
+                        "n_samples = 12\ninput1.kind = file\ninput1.path = true\n")
+    assert main([str(cfg_path), "--output", str(tmp_path / "out")]) == 0
+
+
 def _child_env() -> dict:
     """Environment under which a child interpreter imports decaylab from
     the same tree as this process."""

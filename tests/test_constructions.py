@@ -125,6 +125,23 @@ def test_shifted_comb_rejects_bad_budget():
         make_shifted_comb(0.45, 2.0 ** -6)
 
 
+@pytest.mark.parametrize("s, m, c", [
+    (0.33, 20, 1.0 / 16), (0.3, 17, 1.0 / 16), (0.25, 13, 1.0 / 16), (0.37, 22, 0.1)])
+def test_shifted_comb_guarantees_off_the_integer_exponents(s, m, c):
+    # s*m is not an integer: the spacing r = 2**-round(s*m) is only near delta**s,
+    # and the teeth still sit exactly delta apart
+    delta, r = 2.0 ** -m, 2.0 ** -round(s * m)
+    mu = make_shifted_comb(s, delta, c)
+    lo, hi = mu.support()
+    assert 1.0 <= lo and hi <= 1.0 + delta / r
+    x = mu.occupied()[0] - 1.0
+    assert np.all(np.abs(x - np.round(x / delta) * delta) <= c * delta / 2)
+    l2sq = l2_at_scale(mu, delta) ** 2
+    ref = delta ** (s - 1.0)
+    assert ref / 16 <= l2sq <= 16 * ref
+    assert abs(product_fourier(convolve(mu, mu, "mul"), mu, 1.0 / delta)) >= 1.0 / 8
+
+
 # ---------------------------------------------------------------------------
 # thin interval
 # ---------------------------------------------------------------------------

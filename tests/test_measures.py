@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decaylab import (GridMeasure, ball_mass_vector, l1_distance, point_mass,
-                      pushforward_affine, regularize, uniform_measure)
+                      regularize, uniform_measure)
 from decaylab import measures
-from decaylab.constructions import CantorSpec, make_comb, make_random_frostman
+from decaylab.constructions import (CantorSpec, make_comb, make_random_frostman,
+                                    make_shifted_comb)
 from decaylab.dyadic import DyadicGridSet
 from decaylab.measures import (autocorrelation, bump_profile, fftconvolve,
                                kernel_weights, next_fast_len)
@@ -38,8 +39,11 @@ def _assert_uniform_on_window(mu):
 @given(lo=st.integers(-600, 600), width=st.integers(0, 600),
        frac=st.tuples(st.floats(0, 1), st.floats(0, 1)), level=st.integers(1, 12),
        comb=st.tuples(st.integers(2, 5), st.sampled_from([1.0 / 8, 1.0 / 16])),
-       seed=st.integers(0, 2 ** 16))
-def test_uniform_inputs_carry_exactly_one_over_n(lo, width, frac, level, comb, seed):
+       seed=st.integers(0, 2 ** 16),
+       # every scale 8..20 has both phase budgets and a spacing <= 1/4 here
+       shifted=st.tuples(st.integers(8, 20), st.floats(0.2, 0.23)))
+def test_uniform_inputs_carry_exactly_one_over_n(lo, width, frac, level, comb, seed,
+                                                 shifted):
     # windows on and off the level-9 grid, read at coarser and finer levels
     a, b = (lo + frac[0]) / 512, (lo + width + frac[1]) / 512
     if not b > a:
@@ -57,6 +61,7 @@ def test_uniform_inputs_carry_exactly_one_over_n(lo, width, frac, level, comb, s
         _assert_uniform_on_window(mu)
         assert np.array_equal(mu.occupied()[0], inside)
     _assert_uniform_on_window(make_comb(2.0 ** -comb[0], comb[1]))
+    _assert_uniform_on_window(make_shifted_comb(shifted[1], 2.0 ** -shifted[0], comb[1]))
     X, mu = make_random_frostman(CantorSpec(block=2, keep=2, depth=4, seed=seed))
     _assert_uniform_on_window(mu)
     assert np.array_equal(mu.occupied_set(X.level).cells, X.cells)
@@ -222,37 +227,6 @@ def test_regularize_rejects_subgrid_scale():
         regularize(mu, 2.0 ** -6)
     with pytest.raises(ValueError, match="not a dyadic multiple"):
         regularize(mu, 3 * mu.spacing)
-
-
-# ---------------------------------------------------------------------------
-# pushforward
-# ---------------------------------------------------------------------------
-
-def test_pushforward_identity():
-    mu = random_masses_measure(11)
-    out = pushforward_affine(mu, 1.0, 0.0)
-    assert out.level == mu.level and out.origin_index == mu.origin_index
-    assert np.allclose(out.masses, mu.masses, atol=1e-15)
-
-
-def test_pushforward_scale_two():
-    mu = uniform_measure(0.0, 1.0, 6)
-    out = pushforward_affine(mu, 2.0, 0.0)
-    lo, hi = out.support()
-    assert (lo, hi) == (0.0, 2.0)
-    occ = out.masses[out.masses > 0]
-    assert occ.size == 128
-    assert np.allclose(occ, mu.masses[0] / 2.0, atol=1e-15)  # cell masses halved at the same level
-    assert abs(out.total_mass - 1.0) <= 1e-12
-
-
-def test_pushforward_mass_conservation():
-    mu = random_masses_measure(5, level=9)
-    for a, b in [(0.5, 0.0), (-1.0, 0.3), (3.0, -2.0), (2.0 ** -5, 1.0)]:
-        out = pushforward_affine(mu, a, b)
-        assert abs(out.total_mass - mu.total_mass) <= 1e-12
-    with pytest.raises(ValueError, match="degenerate"):
-        pushforward_affine(mu, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decaylab import (GridMeasure, point_mass, product_fourier,
-                      pushforward_affine, regularize, uniform_measure)
+from decaylab import (GridMeasure, point_mass, product_fourier, regularize,
+                      uniform_measure)
 from decaylab import pipelines
 from decaylab.constructions import make_comb
 from decaylab.convolution import convolve, difference_product
@@ -13,7 +13,7 @@ from decaylab.pipelines import (quantitative_parameters, run_base_case,
                                 run_keystep_scan, run_level_sets,
                                 run_quantitative_decay)
 
-from conftest import random_cantor_measure
+from conftest import random_cantor_measure, translated
 
 
 def _verdict(run, name):
@@ -284,7 +284,7 @@ def test_quantitative_rejects_short_chain():
 def test_quantitative_single_stage():
     # rough inputs: smooth ones decay below the grid noise floor, which makes
     # the fitted exponent meaningless rather than large
-    mus = [pushforward_affine(random_cantor_measure(60 + i, depth=4), 1.0, 1.0)
+    mus = [translated(random_cantor_measure(60 + i, depth=4), 1.0)
            for i in range(2)]
     payload, _, _ = run_quantitative_decay(mus, 1.0, 2.0 ** -8, c0=1.0, n_samples=24)
     assert payload["ell"] == 1
@@ -293,7 +293,7 @@ def test_quantitative_single_stage():
 
 
 def test_quantitative_two_stages_cantor():
-    mus = [pushforward_affine(random_cantor_measure(40 + i, depth=4), 1.0, 1.0)
+    mus = [translated(random_cantor_measure(40 + i, depth=4), 1.0)
            for i in range(4)]
     payload, verdicts, _ = run_quantitative_decay(mus, 0.5, 2.0 ** -8, c0=1.0,
                                                   n_samples=24)
@@ -305,7 +305,7 @@ def test_quantitative_two_stages_cantor():
 
 def test_quantitative_fits_the_exact_transform_of_the_chain_ends(monkeypatch):
     # the chains make the only muls; the fit reads product_fourier, uncapped
-    mus = [pushforward_affine(random_cantor_measure(40 + i, depth=4), 1.0, 1.0)
+    mus = [translated(random_cantor_measure(40 + i, depth=4), 1.0)
            for i in range(4)]
     ops = []
 
@@ -347,7 +347,7 @@ def test_keystep_concentrated_comb():
     # a comb shifted into [1, 2] concentrates at the tooth scale, so the
     # antecedent fires at coarse rho; the consequent is then measured
     rho_comb = make_comb(2.0 ** -4, 1.0 / 16)
-    mu = pushforward_affine(rho_comb, 1.0, 1.0)
+    mu = translated(rho_comb, 1.0)
     nu = uniform_measure(1.0, 2.0, mu.level)
     payload, _, _ = run_keystep_scan(mu, nu, 0.5, 0.5, 2.0 ** -8, big_c=2.0, eps=0.05)
     assert any(r["antecedent"] for r in payload["rows"])
@@ -364,8 +364,8 @@ def test_keystep_refuses_non_dyadic_delta():
 
 def test_keystep_battery_never_false():
     for seed in range(4):
-        mu = pushforward_affine(random_cantor_measure(seed, depth=4), 1.0, 1.0)
-        nu = pushforward_affine(random_cantor_measure(seed + 9, depth=4), 1.0, 1.0)
+        mu = translated(random_cantor_measure(seed, depth=4), 1.0)
+        nu = translated(random_cantor_measure(seed + 9, depth=4), 1.0)
         payload, _, _ = run_keystep_scan(mu, nu, 0.45, 0.45, 2.0 ** -8, big_c=2.0,
                                          eps=0.05)
         assert payload["implication_ok"]

@@ -7,12 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from decaylab import (GridMeasure, convolve, decay_profile, fourier_at, fourier_many,
                       l2_at_scale, order_check, point_mass, product_fourier,
-                      pushforward_affine, regularize, uniform_measure)
+                      regularize, uniform_measure)
 from decaylab import dyadic, pipelines, spectral
 from decaylab.spectral import (fourier_lattice, odd_products, product_chain_fourier,
                                profile_from_samples)
 
-from conftest import random_cantor_measure, random_masses_measure
+from conftest import random_cantor_measure, random_masses_measure, translated
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +694,7 @@ def test_decay_profile_floor_sentinel():
 
 def test_decay_profile_translation_invariant():
     mu = random_masses_measure(5, level=10)
-    shifted = pushforward_affine(mu, 1.0, 0.25)
+    shifted = translated(mu, 0.25)
     p1 = decay_profile(mu, (4.0, 100.0), 25)
     p2 = decay_profile(shifted, (4.0, 100.0), 25)
     assert abs(p1.tau_hat - p2.tau_hat) <= 1e-9
