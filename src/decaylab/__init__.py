@@ -12,19 +12,17 @@ from .dyadic import (DyadicGridSet, additive_energy, covering_number,
 from .energy import (energy_fourier, energy_spatial, exceptional_set,
                      extract_nonconcentrated, frostman_constant)
 from .measures import (GridMeasure, OVERSAMPLE_BITS, ball_mass_vector,
-                       l1_distance, point_mass, regularize, uniform_measure)
-from .spectral import (DecayProfile, decay_profile, fourier_at, fourier_many,
-                       l2_at_scale, order_check, product_chain_fourier,
-                       product_fourier)
+                       point_mass, regularize, uniform_measure)
+from .spectral import (DecayProfile, decay_profile, fourier_many, l2_at_scale,
+                       order_check, product_chain_fourier, product_fourier)
 
 __all__ = [
     "__version__",
     "GridMeasure", "OVERSAMPLE_BITS",
     "uniform_measure", "point_mass",
     "regularize", "ball_mass_vector",
-    "l1_distance",
     "convolve", "difference_product",
-    "fourier_at", "fourier_many", "product_fourier", "product_chain_fourier",
+    "fourier_many", "product_fourier", "product_chain_fourier",
     "l2_at_scale", "DecayProfile", "decay_profile", "order_check",
     "energy_spatial", "energy_fourier",
     "frostman_constant", "exceptional_set",

@@ -137,15 +137,18 @@ def make_comb(r: float, c: float) -> GridMeasure:
     Guarantees: cos(2 pi x / r) >= 1/2 on the support (c <= 1/8), hence
     |rho_hat(1/r)| >= 1/2.
     """
-    if _dyadic_exponent(r) < 2:
+    l = _dyadic_exponent(r)
+    if l < 2:
         raise ValueError(f"r={r} is above 1/4")
     if not 0 < c <= 0.125:
         raise ValueError("c must lie in (0, 1/8]")
     level = int(np.ceil(-np.log2(c * r))) + 2
-    h = 2.0 ** -level
-    centers = (np.arange(1 << level) + 0.5) * h
-    dist = np.abs(centers - np.round(centers / r) * r)
-    return _uniform_on(level, np.flatnonzero(dist <= c * r / 2.0))
+    period = 1 << (level - l)           # cells from one tooth to the next
+    # one tooth's cells: offsets j from the tooth at 0, center (j + 1/2) h
+    j = np.arange(-period // 2, period // 2)
+    tooth = j[np.abs((j + 0.5) * 2.0 ** -level) <= c * r / 2.0]
+    cells = (np.arange((1 << l) + 1)[:, None] * period + tooth).ravel()
+    return _uniform_on(level, cells[(cells >= 0) & (cells < 1 << level)])
 
 
 def make_shifted_comb(s: float, delta: float, c: float = 1.0 / 16) -> GridMeasure:

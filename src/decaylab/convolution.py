@@ -5,7 +5,7 @@ x*y.  Grids at different levels are refined to the finer one first, and
 output windows grow as needed.  Every output's support is exact: a cell
 carries mass only if some pair of occupied input cells routes mass to it,
 and every such cell does (add/sub: unless its true mass is below FFT
-roundoff), so support(), occupied() and occupied_set() of an output are true.
+roundoff), so support(), atoms() and occupied_set() of an output are true.
 
 add/sub run as one linear convolution of the mass vectors,
 measures.fftconvolve: its support is exact, and a doubling mu + mu
@@ -17,8 +17,8 @@ and only then rescaled to the exact product of the masses.
 
 mul routes each pair mass to the cell containing the product of the two
 cell centers (single-cell routing, floor binning).  Cell k at level L has
-center (2k+1) 2**-(L+1), so pair (i, j) goes to cell
-((2i+1)(2j+1)) >> (L+2), computed in int64 on absolute cell indices: exact
+center (2k+1) 2**-(L+1), 2k+1 its numerator from GridMeasure.atoms, so pair
+(i, j) goes to cell ((2i+1)(2j+1)) >> (L+2), computed in int64: exact
 for every pair, negative products included (the shift floors).  Grids whose
 largest such product reaches 2**62 are refused with ValueError rather than
 wrapped.  For measures supported in [-2, 2] the routed point sits within 4
@@ -110,26 +110,22 @@ def _conv_add(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
 
 def _conv_mul(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
     a, b, level = _common_level(mu, nu)
-    ia = np.nonzero(a.masses)[0]
-    ib = np.nonzero(b.masses)[0]
-    if ia.size == 0 or ib.size == 0:
+    ka, wa = a.atoms()
+    kb, wb = b.atoms()
+    if ka.size == 0 or kb.size == 0:
         raise ValueError("multiplicative convolution of a zero measure")
     shift = level + 2
-    # odd center numerators 2k+1 of the extreme cells, as Python ints
-    ends_a = [2 * (int(a.origin_index) + int(i)) + 1 for i in (ia[0], ia[-1])]
-    ends_b = [2 * (int(b.origin_index) + int(j)) + 1 for j in (ib[0], ib[-1])]
-    corners = [p * q for p in ends_a for q in ends_b]
+    # products of the extreme numerators, as Python ints
+    corners = [int(p) * int(q) for p in (ka[0], ka[-1]) for q in (kb[0], kb[-1])]
     if max(abs(c) for c in corners) >= _MUL_PRODUCT_LIMIT:
         raise ValueError(
             f"multiplicative convolution at level {level}: center products "
             f"reach 2**62 (supports too far from 0 for int64 routing)")
     base = min(corners) >> shift
     out = np.zeros((max(corners) >> shift) - base + 1, dtype=np.float64)
-    # the ends above read the sorted ib; from here on b's cells are permuted
-    ib = ib[np.argsort(np.arange(ib.size) % _MUL_STRIDE, kind="stable")]
-    ka = 2 * (ia + a.origin_index) + 1
-    kb = 2 * (ib + b.origin_index) + 1
-    wa, wb = a.masses[ia], b.masses[ib]
+    # the corners above read the sorted kb; from here on b's cells are permuted
+    order = np.argsort(np.arange(kb.size) % _MUL_STRIDE, kind="stable")
+    kb, wb = kb[order], wb[order]
     rows = max(1, min(ka.size, _MUL_CHUNK // kb.size))
     bufs = {}   # slot -> its (index, weight) blocks, reused chunk after chunk
 

@@ -61,7 +61,8 @@ __all__ = [
 _SCAN_PAIRS = 1 << 18
 
 # projection_scan, and convolution's mul, refuse inputs whose largest odd-center
-# numerator reaches this (int64 room)
+# numerator reaches this (int64 room); GridMeasure refuses a window whose cell
+# indices reach it
 _MUL_PRODUCT_LIMIT = 1 << 62
 
 

@@ -11,7 +11,10 @@ Conventions baked in here and relied on everywhere else:
     the first cell to the last; uniform_measure(a, b) takes the cells whose
     centers lie in [a, b);
   * a point mass sits on the half-open cell containing it (a tie goes right);
-  * Fourier sums and energy kernels treat each cell as an atom at its center;
+  * Fourier sums and energy kernels treat each cell as an atom at its center,
+    (2 k + 1) 2**-(level + 1) for cell index k; GridMeasure.atoms gives the
+    exact odd numerators 2 k + 1, and every cell index k of a window has
+    |k| < 2**62, so those numerators never wrap int64;
   * windows are closed on the left, open on the right;
   * masses are nonnegative: producers only add or multiply nonnegative
     masses, fftconvolve clips its roundoff where it arises, and GridMeasure
@@ -29,7 +32,7 @@ from operator import index
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .dyadic import DyadicGridSet
+from .dyadic import _MUL_PRODUCT_LIMIT, DyadicGridSet
 
 __all__ = [
     "OVERSAMPLE_BITS",
@@ -40,7 +43,6 @@ __all__ = [
     "point_mass",
     "regularize",
     "ball_mass_vector",
-    "l1_distance",
     "next_fast_len",
     "fftconvolve",
     "autocorrelation",
@@ -73,6 +75,10 @@ class GridMeasure:
             raise ValueError("masses must be finite")
         if np.any(m < 0):
             raise ValueError(f"negative mass {float(m.min())}")
+        ends = (index(self.origin_index), index(self.origin_index) + m.size - 1)
+        if max(abs(k) for k in ends) >= _MUL_PRODUCT_LIMIT:
+            raise ValueError(f"level-{self.level} window of cells {ends[0]} .. {ends[1]}: "
+                             f"cell indices reach 2**62 (too far from 0 for int64 atoms)")
         m.setflags(write=False)
         object.__setattr__(self, "masses", m)
         object.__setattr__(self, "_total", float(np.sum(m)))
@@ -102,18 +108,20 @@ class GridMeasure:
         return (self.origin + nz[0] * self.spacing,
                 self.origin + (nz[-1] + 1) * self.spacing)
 
-    def centers(self) -> np.ndarray:
-        return (self.origin_index + np.arange(self.size) + 0.5) * self.spacing
-
     def parent_cells(self, level: int) -> np.ndarray:
         """Index of the level-`level` cell holding each cell of the window,
         for a level no finer than the measure's."""
         return (self.origin_index + np.arange(self.size)) >> (self.level - level)
 
-    def occupied(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cell centers, masses) restricted to cells with positive mass."""
+    def atoms(self, ref: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """(odd, masses) over the cells k carrying mass, in order: odd is
+        the int64 numerator 2 (origin_index + k) + 1 - ref of cell k's
+        center (2 (origin_index + k) + 1) 2**-(level + 1), taken about the
+        odd index ref.  The one place that writes this encoding.  It never
+        wraps for ref 0, as |origin_index + k| < 2**62, nor for ref the odd
+        index of a cell of the window."""
         nz = np.nonzero(self.masses)[0]
-        return ((self.origin_index + nz + 0.5) * self.spacing, self.masses[nz])
+        return 2 * (self.origin_index + nz) + 1 - ref, self.masses[nz]
 
     # -- basic transforms ---------------------------------------------------------
     def refined(self, level: int) -> "GridMeasure":
@@ -354,16 +362,6 @@ def ball_mass_vector(mu: GridMeasure, r: float) -> np.ndarray:
     lo = np.maximum(i - k, 0)
     hi = np.minimum(i + k + 1, n)
     return csum[hi] - csum[lo]
-
-
-def l1_distance(mu: GridMeasure, nu: GridMeasure) -> float:
-    """Transport (L^1-of-CDF) distance between two grid measures.
-
-    This is the natural metric at grid resolution: moving mass m by one cell
-    changes the distance by m * spacing, so re-binning slop stays O(spacing).
-    """
-    level, _, a, b = _common_grid(mu, nu)
-    return float(np.sum(np.abs(np.cumsum(a - b))) * 2.0 ** -level)
 
 
 def _common_grid(mu: GridMeasure, nu: GridMeasure):

@@ -252,9 +252,8 @@ def _coarsen_to_cap(m: GridMeasure) -> GridMeasure:
 def _self_difference_atoms(m: GridMeasure):
     """Atoms of m - m folded onto |x|: sorted cell-index distances k >= 0
     (atom at +-k * spacing) with accumulated weights."""
-    nz = np.nonzero(m.masses)[0]
-    w = m.masses[nz]
-    acc = np.bincount(np.abs(np.subtract.outer(nz, nz)).ravel(),
+    odd, w = m.atoms()
+    acc = np.bincount((np.abs(np.subtract.outer(odd, odd)) // 2).ravel(),
                       weights=np.multiply.outer(w, w).ravel())
     dists = np.nonzero(acc)[0]
     return dists, acc[dists]

@@ -3,11 +3,12 @@ frequencies, L2 norms at a scale, decay profiles with fitted exponents, and
 the Cauchy-Schwarz order exchange for multiplicative convolutions.
 
 Every transform is atom-exact: mu_hat(xi) = sum m_j exp(-2 pi i xi c_j) over
-the cell centers c_j = odd_j h / 2, odd_j = 2 (o + j) + 1.  Every frequency
-the lab asks for is s * n, a float scale s times an exact integer n: n = 1
-at scattered frequencies, the odd indices of another measure's cells in
-product_fourier and order_check, products of such indices in chains, and
-16, 17, ... at s = 1/16 on the frequency-side energy grid.  fourier_lattice
+the cell centers c_j = odd_j h / 2, odd_j = 2 (o + j) + 1 the exact int64
+numerators of GridMeasure.atoms.  Every frequency the lab asks for is
+s * n, a float scale s times an exact integer n: n = 1 at scattered
+frequencies, the odd indices of another measure's cells in product_fourier
+and order_check, products of such indices in chains, and 16, 17, ... at
+s = 1/16 on the frequency-side energy grid.  fourier_lattice
 is the one entry point.  Its kernels reduce the phases (s h / 2)(n odd_j)
 to turns with exact integer products (_turns), so values stay at roundoff
 (~1e-15 of the mass) even at millions of turns.  _kernel picks, from mu
@@ -21,11 +22,11 @@ then keeps its real rows only and reads each value with one real
 recurrence, imaginary part exactly 0.  fourier_lattice's batches run on
 the ordered pool (dyadic._ordered_map), so it must not be called from
 inside an _ordered_map item, and every reduction inside a batch is a
-row-wise np.sum, not BLAS, whose own threads would fight the pool's.  The product transforms and
-order_check take a scalar xi (giving complex or floats) or an array of any
-shape (giving that shape), one batch per band; each element equals the
-scalar call at its xi bit for bit, as no value depends on its batch or on
-the number of workers.
+row-wise np.sum, not BLAS, whose own threads would fight the pool's.  The
+product transforms and order_check take a scalar xi (giving complex or
+floats) or an array of any shape (giving that shape), one batch per band;
+each element equals the scalar call at its xi bit for bit, as no value
+depends on its batch or on the number of workers.
 """
 from __future__ import annotations
 
@@ -39,7 +40,6 @@ from .dyadic import _ordered_map
 from .measures import GridMeasure, autocorrelation, kernel_weights, next_fast_len
 
 __all__ = [
-    "fourier_at",
     "fourier_many",
     "product_fourier",
     "product_chain_fourier",
@@ -106,11 +106,6 @@ def fourier_many(mu: GridMeasure, xis: np.ndarray) -> np.ndarray:
     return fourier_lattice(mu, xis, [1]).reshape(np.shape(xis))
 
 
-def fourier_at(mu: GridMeasure, xi: float) -> complex:
-    """mu_hat(xi); |result| <= total mass, and fourier_at(mu, -xi) is its conjugate."""
-    return complex(fourier_lattice(mu, xi, [1])[0, 0])
-
-
 def _shaped(values: np.ndarray, xi):
     """Flat values in the shape of xi; a Python scalar for a scalar xi."""
     values = values.reshape(np.shape(xi))
@@ -130,20 +125,20 @@ def odd_products(measures):
     an exact odd integer (last measure fastest), the products of their
     masses, and e; no measures give n = 1 of mass 1 and e = 0.
 
-    Each center is (2 i + 1) 2**-(level + 1), so n multiplies the odd
-    integers.  Refuses more than _CHAIN_ATOMS products, or n reaching 2**52.
+    Each center is odd 2**-(level + 1), odd its numerator from
+    GridMeasure.atoms, so n multiplies those.  Refuses more than
+    _CHAIN_ATOMS products, or n reaching 2**52.
     """
     n, w, e = np.ones(1, dtype=np.int64), np.ones(1), 0
-    atoms = [np.nonzero(m.masses)[0] for m in measures]
-    if math.prod(a.size for a in atoms) > _CHAIN_ATOMS:
+    atoms = [m.atoms() for m in measures]
+    if math.prod(o.size for o, _ in atoms) > _CHAIN_ATOMS:
         raise ValueError("product chain too dense for atom-exact evaluation")
-    odds = [2 * (m.origin_index + a) + 1 for m, a in zip(measures, atoms)]
-    if math.prod(int(np.abs(o).max(initial=1)) for o in odds) >= _EXACT:
+    if math.prod(int(np.abs(o).max(initial=1)) for o, _ in atoms) >= _EXACT:
         raise ValueError("atom products reach 2**52: too many or too fine "
                          "factors for exact phase reduction")
-    for m, a, o in zip(measures, atoms, odds):
+    for m, (o, q) in zip(measures, atoms):
         n = np.multiply.outer(n, o).ravel()
-        w = np.multiply.outer(w, m.masses[a]).ravel()
+        w = np.multiply.outer(w, q).ravel()
         e += m.level + 1
     return n, w, e
 
@@ -201,9 +196,7 @@ def _direct(mu: GridMeasure, n: np.ndarray, ref: int):
     m (odd_j - ref)) over the occupied cells, shape b x m for scales b and
     entries m of n, in chunks of _CHUNK terms, each phase reduced by
     _turns."""
-    nz = np.nonzero(mu.masses)[0]
-    w = mu.masses[nz]
-    odd = 2 * (mu.origin_index + nz) + 1 - ref
+    odd, w = mu.atoms(ref)
     if int(np.abs(n).max(initial=0)) * int(np.abs(odd).max(initial=0)) >= _EXACT:
         return None
     half = mu.spacing / 2

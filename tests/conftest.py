@@ -3,6 +3,8 @@ import pytest
 
 from decaylab import GridMeasure
 from decaylab.constructions import CantorSpec, make_random_frostman
+from decaylab.measures import _common_grid
+from decaylab.spectral import fourier_lattice
 
 pytest_plugins = ["pytester"]
 
@@ -32,6 +34,33 @@ def translated(mu: GridMeasure, b: float) -> GridMeasure:
     cells = b / mu.spacing
     assert cells == int(cells), f"shift {b} is not a whole number of level-{mu.level} cells"
     return GridMeasure(mu.level, mu.origin_index + int(cells), mu.masses)
+
+
+def centers(mu: GridMeasure) -> np.ndarray:
+    """Float center of every cell of mu's window, from the index arithmetic
+    alone (an oracle independent of GridMeasure.atoms)."""
+    return (mu.origin_index + np.arange(mu.size) + 0.5) * mu.spacing
+
+
+def occupied(mu: GridMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """(float cell centers, masses) of the cells carrying mass."""
+    nz = np.nonzero(mu.masses)[0]
+    return (mu.origin_index + nz + 0.5) * mu.spacing, mu.masses[nz]
+
+
+def fourier_at(mu: GridMeasure, xi: float) -> complex:
+    """mu_hat(xi); |result| <= total mass, and fourier_at(mu, -xi) is its conjugate."""
+    return complex(fourier_lattice(mu, xi, [1])[0, 0])
+
+
+def l1_distance(mu: GridMeasure, nu: GridMeasure) -> float:
+    """Transport (L^1-of-CDF) distance between two grid measures.
+
+    This is the natural metric at grid resolution: moving mass m by one cell
+    changes the distance by m * spacing, so re-binning slop stays O(spacing).
+    """
+    level, _, a, b = _common_grid(mu, nu)
+    return float(np.sum(np.abs(np.cumsum(a - b))) * 2.0 ** -level)
 
 
 def lossy(fn, loss: float = 1e-6):

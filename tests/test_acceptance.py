@@ -31,7 +31,7 @@ from decaylab.pipelines import (run_base_case, run_flattening,
                                 run_induction_chain)
 from decaylab.spectral import profile_from_samples
 
-from conftest import random_masses_measure
+from conftest import fourier_at, random_masses_measure
 
 
 def _announce(tag, ok, detail):
@@ -199,7 +199,6 @@ def test_c06_interval_example():
     mu = make_thin_interval(s, delta, c)
     t3 = convolve(convolve(mu, mu, "mul"), mu, "mul").trimmed()
     lo, hi = t3.support()
-    from decaylab import fourier_at
     mag = abs(fourier_at(t3, 1.0 / delta))
     elapsed = time.perf_counter() - t0
     support_ok = lo >= -1e-15 and hi <= c * delta + 2 * t3.spacing

@@ -201,6 +201,26 @@ def test_main_rejects_file_input_of_mass_two(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+def test_main_refuses_file_input_past_int64_cells(tmp_path, capsys):
+    # cells 2**63 - 1024 and 2**63 - 1023 at level 45: their odd numerators
+    # would wrap int64, and the band read 0.99734 where the exact value is 0.04094
+    paths = []
+    for i, origin in enumerate(("262143.99999999997", "0.015625")):
+        paths.append(tmp_path / f"m{i}.txt")
+        paths[-1].write_text(f"level 45\norigin {origin}\ncount 2\n0.5\n0.5\n")
+    cfg_path = tmp_path / "far.cfg"
+    cfg_path.write_text("experiment = base-case\nscale = 45\ns = 1.0\nt = 1.0\n"
+                        "n_samples = 8\n"
+                        f"input1.kind = file\ninput1.path = {paths[0]}\n"
+                        f"input2.kind = file\ninput2.path = {paths[1]}\n")
+    out = tmp_path / "out"
+    assert main([str(cfg_path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ValueError: level-45 window")
+    assert "2**62" in err and len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
 def test_main_refuses_negative_mass_in_file_input(tmp_path, capsys):
     # no roundoff clip: a mass below 0, however small, is a bad input
     mpath = tmp_path / "measure.txt"
@@ -256,14 +276,28 @@ def test_main_rejects_empty_wide_band(tmp_path, capsys, text, band):
 
 
 def test_main_refuses_projection_past_int64(tmp_path, capsys):
-    # one level-60 direction cell near y = 1/2: (2a+1) << 61 leaves int64
+    # one level-58 direction cell near y = 1/2: (2a+1) << 59 leaves int64
+    cfg_path = tmp_path / "deep.cfg"
+    cfg_path.write_text(_shipped("project.cfg") + "directions.kind = cantor\n"
+                        "directions.keep = 1\ndirections.depth = 29\n")
+    out = tmp_path / "out"
+    assert main([str(cfg_path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "runtime error: ValueError" in err and "level 10 (A1, A2) and level 58 (Y)" in err
+    assert not (out / "report.json").exists()
+
+
+def test_main_refuses_direction_measure_past_int64_cells(tmp_path, capsys):
+    # depth 30 lays the direction measure out at level 63, where a cell near
+    # y = 1/2 has index ~2**62: refused when the measure is built
     cfg_path = tmp_path / "deep.cfg"
     cfg_path.write_text(_shipped("project.cfg") + "directions.kind = cantor\n"
                         "directions.keep = 1\ndirections.depth = 30\n")
     out = tmp_path / "out"
     assert main([str(cfg_path), "--output", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "runtime error: ValueError" in err and "level 10 (A1, A2) and level 60 (Y)" in err
+    assert err.startswith("runtime error: ValueError: level-63 window")
+    assert "2**62" in err and len(err.splitlines()) == 1
     assert not (out / "report.json").exists()
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from decaylab.constructions import (CantorSpec, make_comb,
                                     make_random_frostman, make_shifted_comb,
                                     make_thin_interval)
 from decaylab.convolution import convolve
-from decaylab.spectral import fourier_at, l2_at_scale, product_fourier
+from decaylab.spectral import l2_at_scale, product_fourier
+
+from conftest import fourier_at, occupied
 
 
 # ---------------------------------------------------------------------------
@@ -21,6 +25,20 @@ def test_comb_cosine_floor_and_transform():
     assert np.cos(2 * np.pi * X.centers() / r).min() >= 0.5
     assert abs(fourier_at(rho, 1.0 / r)) >= 0.5
     assert rho.total_mass == pytest.approx(1.0, abs=1e-12)
+
+
+def test_comb_builds_from_its_teeth():
+    # 2**16 - 1 teeth of 4 level-22 cells and two half-teeth at 0 and 1:
+    # only the 32 MiB window the measure keeps (and its copy) is dense, with
+    # no scan of every cell's center beside it
+    tracemalloc.start()
+    try:
+        rho = make_comb(2.0 ** -16, 1.0 / 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2 ** 20
+    assert np.count_nonzero(rho.masses) == 4 << 16
 
 
 def test_comb_teeth_count():
@@ -134,7 +152,7 @@ def test_shifted_comb_guarantees_off_the_integer_exponents(s, m, c):
     mu = make_shifted_comb(s, delta, c)
     lo, hi = mu.support()
     assert 1.0 <= lo and hi <= 1.0 + delta / r
-    x = mu.occupied()[0] - 1.0
+    x = occupied(mu)[0] - 1.0
     assert np.all(np.abs(x - np.round(x / delta) * delta) <= c * delta / 2)
     l2sq = l2_at_scale(mu, delta) ** 2
     ref = delta ** (s - 1.0)

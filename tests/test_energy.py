@@ -11,7 +11,7 @@ from decaylab.constructions import mix
 from decaylab.energy import _riesz_gamma
 from decaylab.measures import GridMeasure
 
-from conftest import random_cantor_measure
+from conftest import centers, random_cantor_measure
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +36,7 @@ def _cell_pair_energy(mu, s, delta):
     off the diagonal, 2 h^-s / ((1-s)(2-s)) per unit mass^2 on it."""
     md = regularize(mu, delta)
     h = md.spacing
-    d = np.abs(np.subtract.outer(md.centers(), md.centers()))
+    d = np.abs(np.subtract.outer(centers(md), centers(md)))
     kern = np.full_like(d, 2.0 * h ** -s / ((1.0 - s) * (2.0 - s)))
     off = d > 0
     kern[off] = d[off] ** -s

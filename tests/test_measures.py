@@ -2,10 +2,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from decaylab import (GridMeasure, ball_mass_vector, l1_distance, point_mass,
-                      regularize, uniform_measure)
+from decaylab import (GridMeasure, ball_mass_vector, point_mass, regularize,
+                      uniform_measure)
 from decaylab import measures
 from decaylab.constructions import (CantorSpec, make_comb, make_random_frostman,
                                     make_shifted_comb)
@@ -14,7 +14,7 @@ from decaylab.measures import (autocorrelation, bump_profile, fftconvolve,
                                kernel_weights, next_fast_len)
 from decaylab.pipelines import _level_set_classes
 
-from conftest import lossy, random_masses_measure
+from conftest import centers, l1_distance, lossy, occupied, random_masses_measure
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +59,7 @@ def test_uniform_inputs_carry_exactly_one_over_n(lo, width, frac, level, comb, s
     else:
         mu = uniform_measure(a, b, level)
         _assert_uniform_on_window(mu)
-        assert np.array_equal(mu.occupied()[0], inside)
+        assert np.array_equal(occupied(mu)[0], inside)
     _assert_uniform_on_window(make_comb(2.0 ** -comb[0], comb[1]))
     _assert_uniform_on_window(make_shifted_comb(shifted[1], 2.0 ** -shifted[0], comb[1]))
     X, mu = make_random_frostman(CantorSpec(block=2, keep=2, depth=4, seed=seed))
@@ -79,7 +79,7 @@ def test_grid_measure_leaves_the_callers_array_alone():
 def test_level_bounded_by_normal_spacing():
     # 2**-1022 is the smallest normal double; one level finer is subnormal
     mu = GridMeasure(1022, 0, [0.5, 0.5])
-    assert mu.spacing == 2.0 ** -1022 and mu.centers()[1] > mu.centers()[0]
+    assert mu.spacing == 2.0 ** -1022 and centers(mu)[1] > centers(mu)[0]
     for level in (0, 1023, 1100):
         with pytest.raises(ValueError, match=f"got {level}"):
             GridMeasure(level, 0, [0.5, 0.5])
@@ -93,6 +93,65 @@ def test_grid_measure_refuses_any_negative_mass():
         with pytest.raises(ValueError, match="negative mass"):
             GridMeasure(4, 0, masses)
     assert GridMeasure(4, 0, [0.5, -0.0, 0.5]).total_mass == 1.0
+
+
+@pytest.mark.parametrize("first, last, ok", [
+    (2 ** 62 - 2, 2 ** 62 - 1, True), (2 ** 62 - 1, 2 ** 62, False),
+    (-(2 ** 62 - 1), -(2 ** 62 - 2), True), (-2 ** 62, -(2 ** 62 - 1), False),
+])
+def test_grid_measure_bounds_cell_indices_below_2_62(first, last, ok):
+    # |k| < 2**62 keeps every odd numerator 2 k + 1 inside int64
+    masses = np.full(last - first + 1, 0.5)
+    if ok:
+        assert GridMeasure(62, first, masses).atoms()[0].tolist() == [2 * first + 1, 2 * last + 1]
+    else:
+        with pytest.raises(ValueError, match=r"level-62 window.*2\*\*62"):
+            GridMeasure(62, first, masses)
+
+
+@pytest.mark.parametrize("first, count, ok", [
+    (2 ** 62 - 1024, 1024, True), (2 ** 62 - 1024, 1025, False),
+    (-(2 ** 62 - 1024), 2, True), (-2 ** 62, 2, False),
+])
+def test_from_text_bounds_cell_indices_below_2_62(first, count, ok):
+    # origins a float can hold: last cells 2**62 - 1 and 2**62, first cells
+    # -(2**62 - 1024) and -2**62
+    text = (f"level 62\norigin {first * 2.0 ** -62!r}\ncount {count}\n"
+            + "0.0\n" * (count - 1) + "1.0\n")
+    if ok:
+        mu = GridMeasure.from_text(text)
+        assert (mu.origin_index, mu.size) == (first, count)
+    else:
+        with pytest.raises(ValueError, match=r"level-62 window.*2\*\*62"):
+            GridMeasure.from_text(text)
+
+
+@st.composite
+def _windows(draw):
+    """(level, first cell, masses): end cells anywhere within +-(2**62 - 1),
+    masses with zero runs, all-zero windows included."""
+    size = draw(st.integers(1, 40))
+    first = draw(st.integers(-(2 ** 62 - 1), 2 ** 62 - size))
+    masses = draw(st.lists(st.sampled_from([0.0, 0.0, 0.0, 1e-300, 0.25, 3.5]),
+                           min_size=size, max_size=size))
+    return draw(st.integers(1, 1022)), first, masses
+
+
+@settings(max_examples=300, deadline=None)
+@given(window=_windows(), ref_cell=st.one_of(st.none(), st.integers(0, 39)))
+@example(window=(62, 2 ** 62 - 3, [0.0, 0.0, 0.0]), ref_cell=None)
+@example(window=(62, 2 ** 62 - 3, [0.25, 0.75]), ref_cell=1)
+@example(window=(5, -(2 ** 62 - 1), [1.0, 0.0, 2.0]), ref_cell=0)
+def test_atoms_match_python_int_oracle(window, ref_cell):
+    # ref is 0 or the odd index of a window cell, as fourier_lattice passes it
+    level, first, masses = window
+    mu = GridMeasure(level, first, masses)
+    ref = 0 if ref_cell is None else 2 * (first + ref_cell % len(masses)) + 1
+    odd, w = mu.atoms(ref)
+    occupied_cells = [k for k, m in enumerate(masses) if m > 0]
+    assert odd.dtype == np.int64
+    assert odd.tolist() == [2 * (first + k) + 1 - ref for k in occupied_cells]
+    assert w.tolist() == [masses[k] for k in occupied_cells]
 
 
 def test_single_atom_covers_endpoint():
@@ -184,11 +243,11 @@ def test_regularize_matches_quadrature_on_atoms():
     md = regularize(mu, delta)
     wk = kernel_weights(delta, level)
     kk = (wk.size - 1) // 2
-    centers = md.centers()
-    binned = mu.occupied()
-    oracle = np.zeros_like(centers)
+    x = centers(md)
+    binned = occupied(mu)
+    oracle = np.zeros_like(x)
     for a, w in zip(*binned):
-        d = np.rint((centers - a) / md.spacing).astype(int) + kk
+        d = np.rint((x - a) / md.spacing).astype(int) + kk
         ok = (d >= 0) & (d < wk.size)
         oracle[ok] += w * wk[d[ok]]
     assert np.max(np.abs(md.masses - oracle)) <= 1e-8
@@ -254,9 +313,8 @@ def test_sup_ball_mass_comb_tooth():
     rho = make_comb(r_comb, 1.0 / 16)
     r = r_comb / 2
     val = ball_mass_vector(rho, r).max()
-    c, w = rho.occupied()
-    centers = rho.centers()
-    oracle = max(float(np.sum(w[np.abs(c - x) <= r])) for x in centers)
+    c, w = occupied(rho)
+    oracle = max(float(np.sum(w[np.abs(c - x) <= r])) for x in centers(rho))
     assert val == pytest.approx(oracle, abs=1e-15)
     tooth = 1.0 / 16   # 16 tooth positions (two half-teeth) share the mass
     assert tooth * 0.9 <= val <= tooth * 1.6

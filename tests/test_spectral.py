@@ -1,18 +1,22 @@
+import cmath
+import math
 import time
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from decaylab import (GridMeasure, convolve, decay_profile, fourier_at, fourier_many,
-                      l2_at_scale, order_check, point_mass, product_fourier,
-                      regularize, uniform_measure)
+from decaylab import (GridMeasure, convolve, decay_profile, fourier_many, l2_at_scale,
+                      order_check, point_mass, product_fourier, regularize,
+                      uniform_measure)
 from decaylab import dyadic, pipelines, spectral
 from decaylab.spectral import (fourier_lattice, odd_products, product_chain_fourier,
                                profile_from_samples)
 
-from conftest import random_cantor_measure, random_masses_measure, translated
+from conftest import (fourier_at, occupied, random_cantor_measure, random_masses_measure,
+                      translated)
 
 
 # ---------------------------------------------------------------------------
@@ -49,8 +53,8 @@ def test_product_fourier_against_double_sum():
     mu = uniform_measure(1.0, 2.0, 10)
     nu = uniform_measure(1.0, 2.0, 10)
     xi = 64.0
-    c, w = mu.occupied()
-    d, q = nu.occupied()
+    c, w = occupied(mu)
+    d, q = occupied(nu)
     phases = np.exp(-2j * np.pi * xi * np.multiply.outer(c, d))
     oracle = complex(w @ phases @ q)
     val = product_fourier(mu, nu, xi)
@@ -60,7 +64,7 @@ def test_product_fourier_against_double_sum():
 def test_product_fourier_identities():
     mu = random_masses_measure(3)
     one_atom = point_mass(1.0, mu.level)
-    c1 = one_atom.occupied()[0][0]
+    c1 = occupied(one_atom)[0][0]
     assert product_fourier(mu, one_atom, 5.0) == pytest.approx(
         fourier_at(mu, 5.0 * c1), abs=1e-12)
     nu = random_masses_measure(4)
@@ -81,7 +85,7 @@ def test_product_chain_three_cantor_factors_match_nested_sum():
     # oracle: the nested direct formula, last factor's transform at xi times
     # every product of occupied centers of the first n - 1 factors
     ms = [random_cantor_measure(seed, depth=4) for seed in (11, 12, 13)]
-    (c1, w1), (c2, w2) = ms[0].occupied(), ms[1].occupied()
+    (c1, w1), (c2, w2) = occupied(ms[0]), occupied(ms[1])
     prod_c = np.multiply.outer(c1, c2).ravel()
     prod_w = np.multiply.outer(w1, w2).ravel()
     for xi in (3.0, 257.5, 2048.0):
@@ -118,7 +122,7 @@ def _window_measures(draw, level, origin_lo, origin_hi, max_size=2048):
 
 
 def _double_sum(mu, xis):
-    c, w = mu.occupied()
+    c, w = occupied(mu)
     return np.exp(-2j * np.pi * np.multiply.outer(xis, c)) @ w
 
 
@@ -295,7 +299,7 @@ def test_product_fourier_array_matches_scalar_calls_and_double_sum(mu, nu, xis, 
         assert _same_bits(got[i], product_fourier(mu, nu, xi))
         one_lhs, one_rhs = order_check(mu, nu, xi)
         assert _same_bits(lhs[i], one_lhs) and _same_bits(rhs[i], one_rhs)
-    (c, w), (d, q) = mu.occupied(), nu.occupied()
+    (c, w), (d, q) = occupied(mu), occupied(nu)
     phases = np.exp(-2j * np.pi * np.multiply.outer(xis, np.multiply.outer(d, c)))
     inner = phases @ w                                       # mu_hat(xi d)
     assert np.max(np.abs(got - inner @ q)) <= 1e-12
@@ -314,7 +318,7 @@ def test_product_chain_array_matches_scalar_calls_and_nested_sum(ms, xis, batch)
         assert _same_bits(got[i], product_chain_fourier(ms, xi))
     prod_c, prod_w = np.array([1.0]), np.array([1.0])
     for m in ms:
-        c, w = m.occupied()
+        c, w = occupied(m)
         prod_c = np.multiply.outer(prod_c, c).ravel()
         prod_w = np.multiply.outer(prod_w, w).ravel()
     oracle = np.exp(-2j * np.pi * np.multiply.outer(xis, prod_c)) @ prod_w
@@ -496,6 +500,29 @@ def test_fourier_lattice_refuses_inexact_phases():
     atoms = [point_mass(1.5, 14)] * 5
     with pytest.raises(ValueError, match=r"2\*\*52"):
         product_chain_fourier(atoms, 3.0)
+
+
+def test_transforms_at_the_cell_index_bound_refuse_or_stay_exact():
+    # cells 2**62 - 3 and 2**62 - 2 at level 62: odd numerators 2**63 - 5 and
+    # 2**63 - 3 still fit int64, but phases and products past 2**52 are refused
+    mu = GridMeasure(62, 2 ** 62 - 3, np.array([0.25, 0.75]))
+    assert mu.atoms()[0].tolist() == [2 ** 63 - 5, 2 ** 63 - 3]
+    with pytest.raises(ValueError, match=r"atom products reach 2\*\*52"):
+        odd_products([mu])
+    with pytest.raises(ValueError, match="phases would lose exactness"):
+        fourier_lattice(mu, 3e17, [1])
+    # centered about cell 0, the phases are s 2**-63 (odd_j - odd_0): oracle in Fractions
+    exact = sum(m * cmath.exp(-2j * math.pi * float(Fraction(3e17) * Fraction(2 * j, 2 ** 63) % 1))
+                for j, m in enumerate((0.25, 0.75)))
+    assert abs(exact - (0.93822 - 0.29809j)) <= 1e-5
+    assert abs(fourier_lattice(mu, 3e17, [1], centered=True)[0, 0] - exact) <= 1e-15
+    # so does every product transform with mu as a factor
+    nu = uniform_measure(1.0, 2.0, 6)
+    xi = np.array([3.0, 10.0, 37.0])
+    for call in (product_fourier, order_check):
+        for pair in ((nu, mu), (mu, nu)):
+            with pytest.raises(ValueError, match=r"2\*\*52"):
+                call(*pair, xi)
 
 
 def test_fourier_lattice_refuses_wide_tables_and_dense_chains():
@@ -724,7 +751,7 @@ def test_order_check_single_atom_nu_collapses():
     nu = point_mass(1.0, 9)
     xi = 19.0
     lhs, rhs = order_check(mu, nu, xi)
-    c1 = nu.occupied()[0][0]
+    c1 = occupied(nu)[0][0]
     expect = abs(fourier_at(mu, xi * c1)) ** 2
     assert lhs == pytest.approx(expect, abs=1e-12)
     assert rhs == pytest.approx(expect, abs=1e-12)
