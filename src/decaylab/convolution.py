@@ -5,6 +5,7 @@ x*y.  Grids at different levels are refined to the finer one first, and
 output windows grow as needed.  Every output's support is exact: a cell
 carries mass only if some pair of occupied input cells routes mass to it,
 and every such cell does (add/sub: unless its true mass is below FFT
+roundoff; mul's cumulative route: unless it is below the prefix sums'
 roundoff), so support(), atoms() and occupied_set() of an output are true.
 
 add/sub run as one linear convolution of the mass vectors,
@@ -18,19 +19,47 @@ and only then rescaled to the exact product of the masses.
 mul routes each pair mass to the cell containing the product of the two
 cell centers (single-cell routing, floor binning).  Cell k at level L has
 center (2k+1) 2**-(L+1), 2k+1 its numerator from GridMeasure.atoms, so pair
-(i, j) goes to cell ((2i+1)(2j+1)) >> (L+2), computed in int64: exact
-for every pair, negative products included (the shift floors).  Grids whose
-largest such product reaches 2**62 are refused with ValueError rather than
-wrapped.  For measures supported in [-2, 2] the routed point sits within 4
-grid cells of every true product from the source cells, and no mass is
-rescaled: the check runs on the routed sum itself.  Pairs are routed in
-chunks of whole rows, one chunk per CPU at a time (dyadic._ordered_map),
-and the chunks' histograms are added in chunk order, so the output is
-bit-identical whatever the CPU count.  Each row walks nu's occupied cells in
-stride order (every _MUL_STRIDE-th cell, then the next offset), not in
-ascending order: for a small factor, neighbouring cells route to one output
-cell, and a histogram fed long runs of one cell waits on each add before
-the next.  Only the summation order within an output cell depends on this.
+(i, j) goes to cell ((2i+1)(2j+1)) >> (L+2).  Grids whose largest such
+product reaches 2**62 are refused with ValueError rather than wrapped.  For
+measures supported in [-2, 2] the routed point sits within 4 grid cells of
+every true product from the source cells, and no mass is rescaled: the
+check runs on the routed sum itself.  Two routes compute this histogram,
+each in chunks of whole rows of one factor, one chunk per CPU at a time
+(dyadic._ordered_map), with the chunks' parts added in chunk order, so the
+output is bit-identical whatever the CPU count.
+
+The direct route computes each pair's cell in int64: exact for every pair,
+negative products included (the shift floors), at one histogram add per
+pair.  Each row walks nu's occupied cells in stride order (every
+_MUL_STRIDE-th cell, then the next offset), not in ascending order: for a
+small factor, neighbouring cells route to one output cell, and a histogram
+fed long runs of one cell waits on each add before the next.  Only the
+summation order within an output cell depends on this.
+
+The cumulative route computes one value per output cell a row reaches, not
+one per pair.  Row n (an occupied numerator of one factor, the rows) sends
+the other factor's window cells j, numerators m0 + 2j from its first
+occupied cell m0 to its last m1, below cell k exactly when
+j < q(k) = (k 2**(L+2) - n m0) / (2n).  With CB the prefix sums of those
+cells' masses (CB[0] = 0) and t = ceil(q) clipped to the window, row n puts
+w_n (CB[t(k+1)] - CB[t(k)]) on cell k, for k from (n m0) >> (L+2) to
+(n m1) >> (L+2): about x_n times the window's cell count, x_n the row's
+center.  Exactness: q's numerator is odd and its denominator even, so q
+lies at least 1/(2n) from every integer.  When every numerator is an
+integer below 2**52 (_PREFIX_LIMIT; the route requires the upper edge of
+the top output cell below it), q times the rounded reciprocal of 2n is
+within |q| 2**-52 (1 + 2**-53) < 1/(2n) of q, so its ceiling is exact.  A
+row adds exactly 0 to a cell none of its pairs reaches, and to one whose
+pairs meet only empty cells, since its two CB reads are then the same
+float; differences of the nondecreasing CB are never negative.  A cell
+whose true mass is below CB's roundoff can read 0.
+
+mul takes the cumulative route only where it is exact and cheaper: both
+factors sit on cells k >= 0 (so every row is increasing in k), the 2**52
+bound above holds, and _MUL_CELL_COST times the block cells
+sum_n ((n m1) >> (L+2)) - ((n m0) >> (L+2)) + 2, with the rows taken from
+whichever factor gives fewer, is below the pair count.  Otherwise it takes
+the direct route.
 
 mul routing is exactly odd.  A center numerator (2i+1)(2j+1) is odd, so it
 is never a multiple of 2**(L+2), and the flooring shift sends -n to cell
@@ -57,17 +86,31 @@ __all__ = [
 
 VALID_OPS = ("add", "sub", "mul")
 
-# pairs routed per mul chunk: each worker slot's 8 MB int64 index and
-# float64 weight blocks.  On 2 workers flatten-l12's folded difference
-# product (79,710,848 pairs) took 99-104 ms at 2**20, 100-108 ms at 2**19,
-# 110-112 ms at 2**18 and 100-102 ms at 2**21 (in-process _conv_mul with
-# stride-ordered rows, medians of 7, three runs each, 2-CPU VM).
+# pairs routed per chunk of mul's direct route: each worker slot's 8 MB
+# int64 index and float64 weight blocks.  On quantitative's [1, 2] products
+# (4,194,304 pairs, the direct route's largest shipped shape) 2 workers took
+# 18-19 ms at 2**19 and 2**20, 23 ms at 2**18 and 33 ms at 2**21 (in-process
+# _conv_mul, medians of 11, 2-CPU VM).
 _MUL_CHUNK = 1 << 20
-# stride S of the order each mul row walks b's occupied cells in (0, S, 2S,
-# ..., then 1, S+1, ...; see the module docstring).  On 2 workers the same
-# product took 118-124 ms in ascending order and 94-106 ms for any S from 16
-# to 2048.
+# stride S of the order each direct-route row walks b's occupied cells in
+# (0, S, 2S, ..., then 1, S+1, ...; see the module docstring).  On 2 workers
+# flatten-l12's folded difference product took 118-124 ms in ascending order
+# and 94-106 ms for any S from 16 to 2048 on the direct route, which that
+# product no longer takes; on quantitative's products ascending order took
+# 19.8 ms and S = 128 17.2 ms (medians of 11, within each other's quartiles).
 _MUL_STRIDE = 128
+# block cells per chunk of mul's cumulative route: each worker slot holds
+# three 8-byte blocks of this many cells (3 MiB), or of one wider row.  On 2
+# workers flatten-l12's folded product took 85 ms at 2**17, 81 ms at 2**18,
+# 91 ms at 2**16 and 118 ms at 2**15, and flatten's 13.0 ms at 2**17 against
+# 13.7 and 23.8 ms at 2**18 and 2**19 (medians of 15, 2-CPU VM).
+_MUL_CELLS = 1 << 17
+# time of one cumulative-route block cell over one direct-route pair.  On 2
+# workers the ratio read 0.8-1.8 across the shipped products; 2 keeps a mul
+# direct unless the cumulative route does under half the element work.
+_MUL_CELL_COST = 2.0
+# the cumulative route's float64 numerators are integers below this
+_PREFIX_LIMIT = 1 << 52
 
 
 def _common_level(mu: GridMeasure, nu: GridMeasure):
@@ -123,7 +166,26 @@ def _conv_mul(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
             f"reach 2**62 (supports too far from 0 for int64 routing)")
     base = min(corners) >> shift
     out = np.zeros((max(corners) >> shift) - base + 1, dtype=np.float64)
-    # the corners above read the sorted kb; from here on b's cells are permuted
+    route, items = (_cumulative_route(ka, wa, kb, wb, shift, base)
+                    or _direct_route(ka, wa, kb, wb, shift, base, out.size))
+
+    def take(part):
+        # parts are added in chunk order, as a serial loop would
+        lo, masses = part
+        seg = out[lo:lo + masses.size]
+        np.add(seg, masses, out=seg)
+
+    _ordered_map(route, items, take)
+    res = GridMeasure(level, base, out).trimmed()
+    assert_mass_conserved(a.total_mass * b.total_mass, res.total_mass,
+                          "multiplicative convolution")
+    return res
+
+
+def _direct_route(ka, wa, kb, wb, shift, base, size):
+    """(route, items) routing every pair: route(slot, i0) is the histogram of
+    the output cells [0, size) over the rows of ka from i0 on."""
+    # the caller read the corners off the sorted kb; b's cells are permuted here
     order = np.argsort(np.arange(kb.size) % _MUL_STRIDE, kind="stable")
     kb, wb = kb[order], wb[order]
     rows = max(1, min(ka.size, _MUL_CHUNK // kb.size))
@@ -137,17 +199,76 @@ def _conv_mul(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
         idx, w = (buf[:n] for buf in bufs[slot])
         np.multiply.outer(ka[i0:i0 + n], kb, out=idx)
         idx >>= shift
-        if base:    # 0 whenever both factors sit on cells k >= 0 (even_product)
+        if base:    # 0 when the least center product falls in cell 0
             idx -= base
         np.multiply.outer(wa[i0:i0 + n], wb, out=w)
-        return np.bincount(idx.ravel(), weights=w.ravel(), minlength=out.size)
+        return 0, np.bincount(idx.ravel(), weights=w.ravel(), minlength=size)
 
-    # parts are added in chunk order, as a serial loop would
-    _ordered_map(route, range(0, ka.size, rows), lambda part: np.add(out, part, out=out))
-    res = GridMeasure(level, base, out).trimmed()
-    assert_mass_conserved(a.total_mass * b.total_mass, res.total_mass,
-                          "multiplicative convolution")
-    return res
+    return route, range(0, ka.size, rows)
+
+
+def _cumulative_route(ka, wa, kb, wb, shift, base):
+    """(route, items) reading each row's output cells off the other factor's
+    prefix sums, or None where that is inexact or dearer than _direct_route
+    (see the module docstring).  route(slot, (i0, i1)) gives the first output
+    cell of rows i0..i1-1 and their summed masses from it on."""
+    top = int(ka[-1]) * int(kb[-1])
+    if ka[0] < 1 or kb[0] < 1 or ((top >> shift) + 1) << shift >= _PREFIX_LIMIT:
+        return None
+    # block cells with a's cells as rows, then with b's
+    blocks = [int(np.sum(((kr * kc[-1]) >> shift) - ((kr * kc[0]) >> shift) + 2))
+              for kr, kc in ((ka, kb), (kb, ka))]
+    if _MUL_CELL_COST * min(blocks) >= ka.size * kb.size:
+        return None
+    if blocks[1] < blocks[0]:
+        ka, wa, kb, wb = kb, wb, ka, wa
+    # prefix sums of b's masses over its cells from the first occupied to the last
+    window = np.zeros((kb[-1] - kb[0]) // 2 + 1)
+    window[(kb - kb[0]) // 2] = wb
+    cb = np.concatenate(([0.0], np.cumsum(window)))
+    lo = (ka * kb[0]) >> shift      # each row's first and last output cell
+    hi = (ka * kb[-1]) >> shift
+    chunks = _row_chunks(lo, hi, _MUL_CELLS)
+    size = max((i1 - i0) * int(hi[i1 - 1] + 2 - lo[i0]) for i0, i1 in chunks)
+    bufs = {}   # slot -> its flat (value, index, difference) blocks
+
+    def route(slot, chunk):
+        i0, i1 = chunk
+        if slot not in bufs:
+            bufs[slot] = (np.empty(size), np.empty(size, dtype=np.int64), np.empty(size))
+        r, span = i1 - i0, int(hi[i1 - 1] + 2 - lo[i0])
+        # contiguous blocks: np.take is slow into strided views
+        f, idx = (buf[:r * span].reshape(r, span) for buf in bufs[slot][:2])
+        d = bufs[slot][2][:r * (span - 1)].reshape(r, span - 1)
+        n = ka[i0:i1, None]
+        # row n routes b's window cells j < (k 2**shift - n kb[0]) / (2n)
+        # below cell k = lo[i0] + c (see the module docstring for exactness);
+        # float64 operands, since an int64 add into f is slower
+        np.add(np.arange(span) * 2.0 ** shift,
+               ((lo[i0] << shift) - n * kb[0]).astype(np.float64), out=f)
+        np.multiply(f, 1.0 / (2 * n), out=f)
+        np.ceil(f, out=idx, casting="unsafe")
+        np.take(cb, idx, out=f, mode="clip")
+        np.subtract(f[:, 1:], f[:, :-1], out=d)
+        d *= wa[i0:i1, None]
+        return int(lo[i0] - base), np.add.reduce(d, axis=0)
+
+    return route, chunks
+
+
+def _row_chunks(lo, hi, budget):
+    """Consecutive row chunks (i0, i1), each holding at most budget block
+    cells, (i1 - i0) x (hi[i1 - 1] + 2 - lo[i0]), or one row; lo and hi
+    ascend."""
+    chunks, i0 = [], 0
+    while i0 < lo.size:
+        # the chunk's block is at least as wide as its first row's
+        end = min(lo.size, i0 + max(1, budget // int(hi[i0] + 2 - lo[i0])))
+        cells = np.arange(1, end - i0 + 1) * (hi[i0:end] + 2 - lo[i0])
+        i1 = i0 + max(1, int(np.searchsorted(cells, budget, side="right")))
+        chunks.append((i0, i1))
+        i0 = i1
+    return chunks
 
 
 def _mirror_window(m: GridMeasure):

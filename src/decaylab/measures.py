@@ -17,7 +17,8 @@ Conventions baked in here and relied on everywhere else:
     |k| < 2**62, so those numerators never wrap int64;
   * windows are closed on the left, open on the right;
   * masses are nonnegative: producers only add or multiply nonnegative
-    masses, fftconvolve clips its roundoff where it arises, and GridMeasure
+    masses or take differences of a nondecreasing prefix sum (convolution's
+    mul), fftconvolve clips its roundoff where it arises, and GridMeasure
     refuses any negative mass.
 
 Experiments at a nominal scale delta = 2**-m run their grids 8x finer

@@ -1,14 +1,16 @@
+import contextlib
 import math
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from decaylab import (GridMeasure, convolve, difference_product, point_mass,
                       uniform_measure)
-from decaylab import convolution, dyadic, measures
+from decaylab import cli, convolution, dyadic, measures
 from decaylab.convolution import symmetry_defect
 
 from conftest import (centers, l1_distance, lossy, occupied, random_cantor_measure,
@@ -241,10 +243,11 @@ def _occupied_cells(out):
 
 
 @st.composite
-def _dyadic_measures(draw):
-    """Few cells, mixed-sign window, dyadic masses (exact float products)."""
+def _dyadic_measures(draw, origins=st.integers(-40, 40)):
+    """Few cells, mixed-sign window (or origins' windows), dyadic masses
+    (exact float products)."""
     level = draw(st.integers(1, 7))
-    origin = draw(st.integers(-40, 40))
+    origin = draw(origins)
     size = draw(st.integers(1, 24))
     masses = draw(st.lists(st.integers(0, 15), min_size=size, max_size=size))
     if not any(masses):
@@ -258,13 +261,19 @@ def test_mul_matches_pair_loop_oracle(mu, nu, chunk, stride):
     # nu / 3 has inexact masses, so the chunk parts' rounding depends on the
     # order they are added in: bit-identical for every worker count.  A
     # stride below nu's cell count permutes the order each row walks them in.
-    nu = GridMeasure(nu.level, nu.origin_index, nu.masses / 3.0)
-    outs = []
     with mock.patch.object(convolution, "_MUL_CHUNK", chunk), \
             mock.patch.object(convolution, "_MUL_STRIDE", stride):
-        for workers in (1, 2, 3):
-            with mock.patch.object(dyadic, "_WORKERS", workers):
-                outs.append(convolve(mu, nu, "mul"))
+        _assert_mul_matches_oracle(mu, GridMeasure(nu.level, nu.origin_index,
+                                                   nu.masses / 3.0))
+
+
+def _assert_mul_matches_oracle(mu, nu):
+    """mu x nu on 1, 2 and 3 workers: bit-identical, and equal to the pair
+    loop's cells and window, each cell within 1e-15 x mass."""
+    outs = []
+    for workers in (1, 2, 3):
+        with mock.patch.object(dyadic, "_WORKERS", workers):
+            outs.append(convolve(mu, nu, "mul"))
     for out in outs[1:]:
         assert out.origin_index == outs[0].origin_index
         assert out.masses.tobytes() == outs[0].masses.tobytes()
@@ -276,6 +285,26 @@ def test_mul_matches_pair_loop_oracle(mu, nu, chunk, stride):
     assert outs[0].size == max(want) - min(want) + 1
     mass = mu.total_mass * nu.total_mass
     assert max(abs(got[k] - want[k]) for k in want) <= 1e-15 * mass
+
+
+_nonneg = _dyadic_measures(origins=st.integers(0, 40))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_nonneg, _nonneg, st.integers(1, 64))
+@example(GridMeasure(2, 0, np.array([1.0, 2.0, 3.0]) / 16.0),
+         GridMeasure(5, 0, np.arange(1.0, 25.0) / 16.0), 1)
+def test_cumulative_mul_matches_pair_loop_oracle(mu, nu, cells):
+    # windows on cells k >= 0 at mixed levels, nu / 3 inexact, and chunks of
+    # at most `cells` block cells.  Rows n = 1, 3, 5 (cells 0, 1, 2, as in
+    # the example) put q = k 2**(L+1) / n - m0 / 2 a half-integer whenever n
+    # divides k: q's numerator is odd, so it is never an integer itself.
+    with mock.patch.object(convolution, "_MUL_CELL_COST", 0.0), \
+            mock.patch.object(convolution, "_direct_route",
+                              side_effect=AssertionError("took the direct route")), \
+            mock.patch.object(convolution, "_MUL_CELLS", cells):
+        _assert_mul_matches_oracle(mu, GridMeasure(nu.level, nu.origin_index,
+                                                   nu.masses / 3.0))
 
 
 def _near_two():
@@ -354,6 +383,92 @@ def test_difference_product_routes_a_quarter_of_the_pairs(monkeypatch):
     assert 4 * pairs[0] == cells[0].size * cells[1].size
 
 
+@contextlib.contextmanager
+def _recorded_mul_routes():
+    """A list that gets the route ("direct" or "cumulative") of each mul."""
+    routes = []
+    real = convolution._cumulative_route
+
+    def spy(*args):
+        plan = real(*args)
+        routes.append("direct" if plan is None else "cumulative")
+        return plan
+
+    with mock.patch.object(convolution, "_cumulative_route", spy):
+        yield routes
+
+
+def _mul_route(mu, nu):
+    """(route mul took, its output) for mu x nu."""
+    with _recorded_mul_routes() as routes:
+        out = convolve(mu, nu, "mul")
+    return routes[0], out
+
+
+# bench/workloads.py's flatten-l12 at its default seed
+_FLATTEN_L12 = """\
+experiment = flatten
+scale = 12
+seed = 0
+s = 0.5
+t = 0.5
+k_max = 4
+kappa = 0.1
+input1.kind = cantor
+input1.d = 2
+input1.keep = 2
+input1.depth = 6
+input1.seed = 0
+input2.kind = cantor
+input2.d = 2
+input2.keep = 2
+input2.depth = 6
+input2.seed = 100
+"""
+
+
+@pytest.mark.parametrize("config, want", [
+    # 5.8M pairs against 2.1M block cells; 79.7M against 16.4M
+    ("flatten.cfg", ["cumulative"]),
+    (_FLATTEN_L12, ["cumulative"]),
+    # a sparse comb whose center products pass 2**52
+    ("counterexample.cfg", ["direct"]),
+    # [1, 2] grids: 4.2M pairs against 6.3M block cells
+    ("keystep.cfg", ["direct"]),
+    ("quantitative.cfg", ["direct", "direct"]),
+    # 0.3M pairs against 0.25M block cells, then block cells outnumber pairs
+    ("induction.cfg", ["direct", "direct", "direct"]),
+], ids=["flatten", "flatten-l12", "counterexample", "keystep", "quantitative",
+        "induction"])
+def test_mul_route_of_each_shipped_product(config, want, tmp_path):
+    if config.endswith(".cfg"):
+        path = Path(__file__).parent.parent / "configs" / config
+        config = path.read_text(encoding="utf-8")
+    with _recorded_mul_routes() as routes:
+        cli.dispatch(cli.parse_config(config), tmp_path)
+    assert routes == want
+
+
+def test_cumulative_mul_needs_cells_k_ge_0_and_numerators_below_2_52():
+    third = np.array([1.0, 2.0, 1.0]) / 4.0
+    below_four = GridMeasure(23, (1 << 25) - 3, third)
+    below_four_finer = GridMeasure(24, (1 << 26) - 3, third)
+    near_two, near_minus_two = _near_two()
+    with mock.patch.object(convolution, "_MUL_CELL_COST", 0.0):
+        # level 23 just below x = 4: center products up to (2**26 - 1)**2, the
+        # top cell's upper edge 2**52 - 3 * 2**25; one level finer, 2**54
+        cases = [(below_four, below_four, "cumulative"),
+                 (below_four_finer, below_four_finer, "direct"),
+                 # _near_two moved onto cells k >= 0: products near 2**60
+                 (near_two, convolution._reflected(near_minus_two), "direct"),
+                 (GridMeasure(4, -1, third), GridMeasure(4, 0, third), "direct"),
+                 (GridMeasure(4, 0, third), GridMeasure(4, -1, third), "direct")]
+        for x, y, want in cases:
+            route, out = _mul_route(x, y)
+            assert route == want
+            assert _occupied_cells(out) == _mul_pair_loop_oracle(x, y)
+
+
 def test_mul_refuses_int64_overflow():
     # three cells far from 0: (2i+1)(2j+1) ~ +-2**82 would wrap in int64
     far = GridMeasure(3, 1 << 40, np.array([0.5, 0.25, 0.25]))
@@ -412,7 +527,12 @@ def test_add_mass_check_fires(monkeypatch):
 
 
 def test_mul_mass_check_fires(monkeypatch):
-    monkeypatch.setattr(np, "bincount", lossy(np.bincount))
     mu = random_masses_measure(5, level=8, n=30)
-    with pytest.raises(AssertionError, match="multiplicative convolution lost mass"):
-        convolve(mu, mu, "mul")
+    # the direct route's histogram, then the cumulative route's prefix sums
+    for leak, cost in (("bincount", math.inf), ("cumsum", 0.0)):
+        with monkeypatch.context() as patch:
+            patch.setattr(np, leak, lossy(getattr(np, leak)))
+            patch.setattr(convolution, "_MUL_CELL_COST", cost)
+            with pytest.raises(AssertionError,
+                               match="multiplicative convolution lost mass"):
+                convolve(mu, mu, "mul")
