@@ -6,7 +6,8 @@ output windows grow as needed.  Every output's support is exact: a cell
 carries mass only if some pair of occupied input cells routes mass to it,
 and every such cell does (add/sub: unless its true mass is below FFT
 roundoff; mul's cumulative route: unless it is below the prefix sums'
-roundoff), so support(), atoms() and occupied_set() of an output are true.
+roundoff), so support(), atoms() and occupied_set() of an output are true,
+and its window is the hull of its occupied cells, as every GridMeasure's.
 
 add/sub run as one linear convolution of the mass vectors,
 measures.fftconvolve: its support is exact, and a doubling mu + mu
@@ -153,21 +154,20 @@ def _conv_add(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
 
 def _conv_mul(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
     a, b, level = _common_level(mu, nu)
-    ka, wa = a.atoms()
-    kb, wb = b.atoms()
-    if ka.size == 0 or kb.size == 0:
+    if not (a.masses[0] and b.masses[0]):
         raise ValueError("multiplicative convolution of a zero measure")
     shift = level + 2
-    # products of the extreme numerators, as Python ints
-    corners = [int(p) * int(q) for p in (ka[0], ka[-1]) for q in (kb[0], kb[-1])]
+    # products of the extreme numerators, those of the windows' end cells
+    ends = [(2 * m.origin_index + 1, 2 * (m.origin_index + m.size) - 1) for m in (a, b)]
+    corners = [p * q for p in ends[0] for q in ends[1]]
     if max(abs(c) for c in corners) >= _MUL_PRODUCT_LIMIT:
         raise ValueError(
             f"multiplicative convolution at level {level}: center products "
             f"reach 2**62 (supports too far from 0 for int64 routing)")
     base = min(corners) >> shift
     out = np.zeros((max(corners) >> shift) - base + 1, dtype=np.float64)
-    route, items = (_cumulative_route(ka, wa, kb, wb, shift, base)
-                    or _direct_route(ka, wa, kb, wb, shift, base, out.size))
+    route, items = (_cumulative_route(a, b, shift, base)
+                    or _direct_route(a, b, shift, base, out.size))
 
     def take(part):
         # parts are added in chunk order, as a serial loop would
@@ -176,16 +176,17 @@ def _conv_mul(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
         np.add(seg, masses, out=seg)
 
     _ordered_map(route, items, take)
-    res = GridMeasure(level, base, out).trimmed()
+    res = GridMeasure(level, base, out)
     assert_mass_conserved(a.total_mass * b.total_mass, res.total_mass,
                           "multiplicative convolution")
     return res
 
 
-def _direct_route(ka, wa, kb, wb, shift, base, size):
+def _direct_route(a, b, shift, base, size):
     """(route, items) routing every pair: route(slot, i0) is the histogram of
-    the output cells [0, size) over the rows of ka from i0 on."""
-    # the caller read the corners off the sorted kb; b's cells are permuted here
+    the output cells [0, size) over a's occupied cells from the i0-th on."""
+    ka, wa = a.atoms()
+    kb, wb = b.atoms()
     order = np.argsort(np.arange(kb.size) % _MUL_STRIDE, kind="stable")
     kb, wb = kb[order], wb[order]
     rows = max(1, min(ka.size, _MUL_CHUNK // kb.size))
@@ -207,11 +208,13 @@ def _direct_route(ka, wa, kb, wb, shift, base, size):
     return route, range(0, ka.size, rows)
 
 
-def _cumulative_route(ka, wa, kb, wb, shift, base):
+def _cumulative_route(a, b, shift, base):
     """(route, items) reading each row's output cells off the other factor's
     prefix sums, or None where that is inexact or dearer than _direct_route
     (see the module docstring).  route(slot, (i0, i1)) gives the first output
     cell of rows i0..i1-1 and their summed masses from it on."""
+    ka, wa = a.atoms()
+    kb, wb = b.atoms()
     top = int(ka[-1]) * int(kb[-1])
     if ka[0] < 1 or kb[0] < 1 or ((top >> shift) + 1) << shift >= _PREFIX_LIMIT:
         return None
@@ -221,11 +224,9 @@ def _cumulative_route(ka, wa, kb, wb, shift, base):
     if _MUL_CELL_COST * min(blocks) >= ka.size * kb.size:
         return None
     if blocks[1] < blocks[0]:
-        ka, wa, kb, wb = kb, wb, ka, wa
-    # prefix sums of b's masses over its cells from the first occupied to the last
-    window = np.zeros((kb[-1] - kb[0]) // 2 + 1)
-    window[(kb - kb[0]) // 2] = wb
-    cb = np.concatenate(([0.0], np.cumsum(window)))
+        ka, wa, kb, b = kb, wb, ka, a
+    # prefix sums over b's window, from its first occupied cell to its last
+    cb = np.concatenate(([0.0], np.cumsum(b.masses)))
     lo = (ka * kb[0]) >> shift      # each row's first and last output cell
     hi = (ka * kb[-1]) >> shift
     chunks = _row_chunks(lo, hi, _MUL_CELLS)
@@ -292,9 +293,9 @@ def even_product(d1: GridMeasure, d2: GridMeasure) -> GridMeasure:
     """d1 x d2 (mul) of two measures meant to be even, from a quarter of the
     pairs: 2 (B + R(B)) with B = d1+ x d2+ (see the module docstring).
 
-    Each factor is symmetrised first, so the output is exactly even and its
-    window is trimmed; how far the factors were from even is theirs to
-    check (symmetry_defect) before they come here.
+    Each factor is symmetrised first, so the output and its window (the
+    occupied hull) are exactly even; how far the factors were from even is
+    theirs to check (symmetry_defect) before they come here.
     """
     b = convolve(_positive_half(d1), _positive_half(d2), "mul")
     # B sits on cells k >= 0, so B and R(B) share no cell and the sum is exact

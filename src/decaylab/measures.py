@@ -11,9 +11,12 @@ Conventions baked in here and relied on everywhere else:
     the first cell to the last; uniform_measure(a, b) takes the cells whose
     centers lie in [a, b);
   * a point mass sits on the half-open cell containing it (a tie goes right);
+  * a window is the hull of its occupied cells: GridMeasure keeps the cells
+    from the first that carries mass to the last, whatever window it is
+    given, and a measure with no mass keeps the given window's first cell;
   * Fourier sums and energy kernels treat each cell as an atom at its center,
     (2 k + 1) 2**-(level + 1) for cell index k; GridMeasure.atoms gives the
-    exact odd numerators 2 k + 1, and every cell index k of a window has
+    exact odd numerators 2 k + 1, and every cell index k of a hull has
     |k| < 2**62, so those numerators never wrap int64;
   * windows are closed on the left, open on the right;
   * masses are nonnegative: producers only add or multiply nonnegative
@@ -69,18 +72,23 @@ class GridMeasure:
     def __post_init__(self):
         if not 1 <= self.level <= 1022:     # 2**-1023 is no longer a normal double
             raise ValueError(f"level must lie in [1, 1022], got {self.level}")
-        m = np.array(self.masses, dtype=np.float64)   # a copy: the caller keeps its array
+        m = np.asarray(self.masses, dtype=np.float64)
         if m.ndim != 1 or m.size == 0:
             raise ValueError("masses must be a nonempty 1-d array")
         if not np.all(np.isfinite(m)):
             raise ValueError("masses must be finite")
         if np.any(m < 0):
             raise ValueError(f"negative mass {float(m.min())}")
-        ends = (index(self.origin_index), index(self.origin_index) + m.size - 1)
-        if max(abs(k) for k in ends) >= _MUL_PRODUCT_LIMIT:
-            raise ValueError(f"level-{self.level} window of cells {ends[0]} .. {ends[1]}: "
+        # the window is the hull of the occupied cells; without mass, the first cell
+        nz = np.flatnonzero(m)
+        first, last = (int(nz[0]), int(nz[-1])) if nz.size else (0, 0)
+        m = m[first:last + 1].copy()    # a copy: the caller keeps its array
+        lo = index(self.origin_index) + first
+        if max(abs(lo), abs(lo + m.size - 1)) >= _MUL_PRODUCT_LIMIT:
+            raise ValueError(f"level-{self.level} window of cells {lo} .. {lo + m.size - 1}: "
                              f"cell indices reach 2**62 (too far from 0 for int64 atoms)")
         m.setflags(write=False)
+        object.__setattr__(self, "origin_index", lo)
         object.__setattr__(self, "masses", m)
         object.__setattr__(self, "_total", float(np.sum(m)))
 
@@ -103,11 +111,9 @@ class GridMeasure:
 
     def support(self) -> tuple[float, float]:
         """Window of the cells that actually carry mass (left-closed, right-open)."""
-        nz = np.nonzero(self.masses)[0]
-        if nz.size == 0:
+        if not self.masses[0]:      # a massless measure's one cell
             return (self.origin, self.origin)
-        return (self.origin + nz[0] * self.spacing,
-                self.origin + (nz[-1] + 1) * self.spacing)
+        return (self.origin, self.origin + self.size * self.spacing)
 
     def parent_cells(self, level: int) -> np.ndarray:
         """Index of the level-`level` cell holding each cell of the window,
@@ -145,14 +151,6 @@ class GridMeasure:
         lo = int(idx[0])
         return GridMeasure(level, lo, np.bincount(idx - lo, weights=self.masses))
 
-    def trimmed(self) -> "GridMeasure":
-        """Drop zero-mass cells at both ends of the window."""
-        nz = np.nonzero(self.masses)[0]
-        if nz.size == 0 or (nz[0] == 0 and nz[-1] == self.size - 1):
-            return self
-        return GridMeasure(self.level, self.origin_index + int(nz[0]),
-                           self.masses[nz[0]:nz[-1] + 1])
-
     def density(self) -> np.ndarray:
         return self.masses / self.spacing
 
@@ -187,7 +185,7 @@ class GridMeasure:
         scaled = origin / mu.spacing
         if not scaled.is_integer():
             raise ValueError(f"origin {origin!r} is not on the level-{level} grid")
-        return GridMeasure(level, int(scaled), mu.masses)
+        return GridMeasure(level, int(scaled) + mu.origin_index, mu.masses)
 
 
 def assert_mass_conserved(before: float, after: float, what: str = "operation"):
@@ -330,7 +328,8 @@ def regularize(mu: GridMeasure, delta: float) -> GridMeasure:
     delta must be a dyadic multiple of the grid spacing (kernel_weights); the
     support grows by at most delta on each side.  The bump's two end taps are
     0, so a cell carries mass exactly when an occupied cell lies within
-    delta - spacing of it (fftconvolve's exact support).
+    delta - spacing of it (fftconvolve's exact support), and the output's
+    window is exactly those cells from the first to the last.
     """
     w = kernel_weights(delta, mu.level)
     K = w.size // 2

@@ -243,10 +243,9 @@ _CHAIN_CELLS = 64
 
 def _coarsen_to_cap(m: GridMeasure) -> GridMeasure:
     """Coarsen until at most _CHAIN_CELLS cells carry mass (keeps it exact)."""
-    out = m
-    while np.count_nonzero(out.masses) > _CHAIN_CELLS and out.level > 1:
-        out = out.coarsened(out.level - 1)
-    return out.trimmed()
+    while np.count_nonzero(m.masses) > _CHAIN_CELLS and m.level > 1:
+        m = m.coarsened(m.level - 1)
+    return m
 
 
 def _self_difference_atoms(m: GridMeasure):
@@ -379,7 +378,7 @@ def _multiply_subtract_chain(measures):
     out = [pi]
     for m_ in measures[1:]:
         prod = convolve(pi, m_, "mul")
-        pi = convolve(prod, prod, "sub").trimmed()
+        pi = convolve(prod, prod, "sub")
         out.append(pi)
     return out
 

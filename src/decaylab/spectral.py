@@ -143,12 +143,10 @@ def odd_products(measures):
     return n, w, e
 
 
-def _window(mu: GridMeasure) -> tuple[int, int, int]:
-    """(first, last, odd*): mu's first and last occupied cells and the odd
-    index of the middle one, (first + last) // 2; cell 0 without mass."""
-    nz = np.nonzero(mu.masses)[0]
-    first, last = (int(nz[0]), int(nz[-1])) if nz.size else (0, 0)
-    return first, last, 2 * (int(mu.origin_index) + (first + last) // 2) + 1
+def _middle_odd(mu: GridMeasure) -> int:
+    """odd*: the odd index of the middle cell of mu's window, the hull of
+    its occupied cells, at offset (size - 1) // 2."""
+    return 2 * (mu.origin_index + (mu.size - 1) // 2) + 1
 
 
 def _progression(n: np.ndarray) -> tuple[int, int, int]:
@@ -229,10 +227,8 @@ def _chirp_z(mu: GridMeasure, n: np.ndarray, ref: int):
     FFTs, serves only where no other kernel is exact.  Arrays of length
     count are built by prepare: count may reach millions where it loses.
     """
-    first, last, _ = _window(mu)
-    mass = mu.masses[first:last + 1]
-    cells = mass.size
-    a = 2 * (int(mu.origin_index) + first) + 1 - ref
+    mass, cells = mu.masses, mu.size
+    a = 2 * mu.origin_index + 1 - ref
     n0, g, count = _progression(n)
     if max(2 * abs(n0) * cells, g * abs(a) * count, g * max(cells, count) ** 2) >= _EXACT:
         return None
@@ -296,21 +292,21 @@ def _table(mu: GridMeasure, n: np.ndarray, ref: int):
     the real parts are those the complex recurrence gives.  An even window
     mirrored about its middle is not real about j*, and stays complex.
     """
-    first, last, odd = _window(mu)
-    mid = (first + last) // 2
-    half = max(last - mid, 1)
-    order, size = _table_shape(last - first + 1)
+    odd = _middle_odd(mu)
+    mid = (odd - 1) // 2 - mu.origin_index
+    half = max(mu.size - 1 - mid, 1)
+    order, size = _table_shape(mu.size)
     top = int(np.abs(n).max(initial=0))
     if order * size > _TABLE_ENTRIES or top * abs(odd - ref) >= _EXACT:
         return None
     h = mu.spacing
     step = 2 * math.pi * half / size
-    window = mu.masses[first:last + 1]
-    real = odd == ref and window.size % 2 == 1 and np.array_equal(window, window[::-1])
+    mass = mu.masses
+    real = odd == ref and mass.size % 2 == 1 and np.array_equal(mass, mass[::-1])
 
     def prepare():
-        offsets = np.arange(first - mid, last - mid + 1)
-        term = window
+        offsets = np.arange(-mid, mass.size - mid)
+        term = mass
         rows = np.zeros((order, size))
         for p in range(order):
             rows[p, offsets % size] = term
@@ -363,7 +359,7 @@ def fourier_lattice(mu: GridMeasure, s, n, reduce=None, centered: bool = False):
     n = np.asarray(n, dtype=np.int64)
     if reduce is None:
         reduce = np.asarray
-    values = _kernel(mu, n, _window(mu)[2] if centered else 0)[1]
+    values = _kernel(mu, n, _middle_odd(mu) if centered else 0)[1]
     heads = [slice(None)]
     if n.ndim > 1 and n.size > _BATCH:
         rows = max(1, _BATCH // max(n[0].size, 1))

@@ -171,7 +171,7 @@ def test_thin_interval_guarantees():
     assert lo == pytest.approx(0.0, abs=mu.spacing)
     assert hi == pytest.approx(c * delta ** (1 - s), abs=2 * mu.spacing)
     # the triple product sits in [0, c delta] up to one cell of routing slop
-    t3 = convolve(convolve(mu, mu, "mul"), mu, "mul").trimmed()
+    t3 = convolve(convolve(mu, mu, "mul"), mu, "mul")
     lo3, hi3 = t3.support()
     assert lo3 >= -1e-15
     assert hi3 <= c * delta + t3.spacing + 1e-15

@@ -224,16 +224,86 @@ def _cell_atoms(mu, level):
             for i, w in enumerate(mu.masses) if w > 0 for r in range(f)]
 
 
-def _mul_pair_loop_oracle(mu, nu):
-    """Pure-Python pair loop: mass of cell floor(c_i c_j / h), exact rationals."""
+def _mul_pairs(mu, nu):
+    """Pure-Python pair loop: {cell floor(c_i c_j / h): [(i, j, w_i, w_j)]}
+    over the occupied cells i of mu and j of nu, c_i = (2 i + 1) h / 2."""
     level = max(mu.level, nu.level)
-    h = Fraction(1, 1 << level)
     cells = {}
     for i, wi in _cell_atoms(mu, level):
         for j, wj in _cell_atoms(nu, level):
-            k = math.floor((i + Fraction(1, 2)) * h * (j + Fraction(1, 2)) * h / h)
-            cells.setdefault(k, []).append(wi * wj)
-    return {k: math.fsum(ws) for k, ws in cells.items()}
+            k = ((2 * i + 1) * (2 * j + 1)) // (4 << level)    # exact integer floor
+            cells.setdefault(k, []).append((i, j, wi, wj))
+    return cells
+
+
+def _mul_pair_loop_oracle(mu, nu):
+    """Mass of each cell of mu x nu: the correctly rounded sum of its pairs'
+    float products."""
+    return {k: math.fsum(wi * wj for _, _, wi, wj in pairs)
+            for k, pairs in _mul_pairs(mu, nu).items()}
+
+
+_U = Fraction(1, 1 << 53)      # float64's unit roundoff
+
+
+def _gamma(n):
+    return n * _U / (1 - n * _U)
+
+
+def _mul_error_bounds(mu, nu, cumulative):
+    """{cell: (M, bound)}: the exact mass M mu x nu routes to each cell, and
+    the bound on the computed mass's error that the route's float sums
+    guarantee, with u = 2**-53 and gamma_n = n u / (1 - n u) (Higham).
+
+    Direct route: a cell fed by k pairs sums k products fl(w_i w_j), each
+    within u w_i w_j, in some order (bincount, then the chunk parts): the
+    error is at most gamma_{k-1} (1 + u) M + u M <= gamma_k M, which is
+    below (k + 1) u M.
+
+    Cumulative route: row i (weight w_i) puts fl(w_i fl(CB^[b] - CB^[a])) on
+    the cell, CB^ the float prefix sums of the column factor's masses c and
+    [a, b) the column cells the row sends there.  CB^[t] rounds
+    CB^[t-1] + c_{t-1} by at most u CB^[t], and not at all where c_{t-1} = 0,
+    so CB^[b] - CB^[a] = S + E: S = CB[b] - CB[a] is the exact mass of the
+    row's p occupied pairs there over w_i, and |E| <= p u CB^[b] <=
+    p u (1 + gamma_J) CB[b], J the column's occupied cells.  A row with p = 0
+    adds exactly 0.  Two more roundings per row and a sum of the r rows with
+    p > 0 in some order give an error of at most
+    gamma_{r+1} M + (1 + gamma_{r+J+1}) u Q, with Q the sum over those rows
+    of w_i p CB[b].  The rows are the factor with fewer block cells
+    sum_n ((n m1) >> (L+2)) - ((n m0) >> (L+2)) + 2, mu on a tie."""
+    level = max(mu.level, nu.level)
+    a, b = _cell_atoms(mu, level), _cell_atoms(nu, level)
+    # every mass is exactly an integer over the power of two `scale`
+    scale = max(Fraction(w).denominator for _, w in a + b)
+    na, nb = ({i: int(Fraction(w) * scale) for i, w in m} for m in (a, b))
+
+    def blocks(rows, cols):
+        m0, m1 = 2 * min(cols) + 1, 2 * max(cols) + 1
+        return sum((((2 * i + 1) * m1) >> (level + 2)) - (((2 * i + 1) * m0) >> (level + 2)) + 2
+                   for i in rows)
+    swap = blocks(nb, na) < blocks(na, nb)
+    prefix, cb = {}, 0      # the columns' exact prefix sums, times scale
+    for j, n in sorted((na if swap else nb).items()):
+        cb += n
+        prefix[j] = cb
+    out = {}
+    for k, pairs in _mul_pairs(mu, nu).items():
+        mass = Fraction(sum(na[i] * nb[j] for i, j, _, _ in pairs), scale * scale)
+        if not cumulative:
+            out[k] = (mass, _gamma(len(pairs)) * mass)
+            continue
+        per_row = {}    # row cell -> (pairs p, its last column cell)
+        for i, j, _, _ in pairs:
+            i, j = (j, i) if swap else (i, j)
+            p, last = per_row.get(i, (0, j))
+            per_row[i] = (p + 1, max(last, j))
+        weight = nb if swap else na
+        q = Fraction(sum(weight[i] * p * prefix[last] for i, (p, last) in per_row.items()),
+                     scale * scale)
+        r, big_j = len(per_row), len(prefix)
+        out[k] = (mass, _gamma(r + 1) * mass + (1 + _gamma(r + big_j + 1)) * _U * q)
+    return out
 
 
 def _occupied_cells(out):
@@ -255,8 +325,15 @@ def _dyadic_measures(draw, origins=st.integers(-40, 40)):
     return GridMeasure(level, origin, np.array(masses, dtype=np.float64) / 16.0)
 
 
+# one output cell fed by 64 refined pairs, whose summed roundoff reaches
+# 9.5 u of its mass: past 1e-15 x mass, within its route's bound
+_SUMMED_CELL = (GridMeasure(6, 0, np.array([1.0 / 16])),
+                GridMeasure(1, 0, np.array([1.0 / 8, 1.0 / 16])))
+
+
 @settings(max_examples=80, deadline=None)
 @given(_dyadic_measures(), _dyadic_measures(), st.integers(1, 64), st.integers(1, 7))
+@example(*_SUMMED_CELL, 1, 1)
 def test_mul_matches_pair_loop_oracle(mu, nu, chunk, stride):
     # nu / 3 has inexact masses, so the chunk parts' rounding depends on the
     # order they are added in: bit-identical for every worker count.  A
@@ -269,22 +346,31 @@ def test_mul_matches_pair_loop_oracle(mu, nu, chunk, stride):
 
 def _assert_mul_matches_oracle(mu, nu):
     """mu x nu on 1, 2 and 3 workers: bit-identical, and equal to the pair
-    loop's cells and window, each cell within 1e-15 x mass."""
-    outs = []
-    for workers in (1, 2, 3):
-        with mock.patch.object(dyadic, "_WORKERS", workers):
-            outs.append(convolve(mu, nu, "mul"))
+    loop's cells and window, each cell within its route's rounding bound
+    (_mul_error_bounds) of its exact mass."""
+    outs, routes = [], set()
+    cumulative_route = convolution._cumulative_route
+
+    def spy(*args):
+        plan = cumulative_route(*args)
+        routes.add(plan is not None)
+        return plan
+    with mock.patch.object(convolution, "_cumulative_route", spy):
+        for workers in (1, 2, 3):
+            with mock.patch.object(dyadic, "_WORKERS", workers):
+                outs.append(convolve(mu, nu, "mul"))
     for out in outs[1:]:
         assert out.origin_index == outs[0].origin_index
         assert out.masses.tobytes() == outs[0].masses.tobytes()
-    want = _mul_pair_loop_oracle(mu, nu)
+    (cumulative,) = routes
+    want = _mul_error_bounds(mu, nu, cumulative)
     got = _occupied_cells(outs[0])
     assert set(got) == set(want)
     # the window spans exactly the oracle's extreme cells
     assert outs[0].origin_index == min(want)
     assert outs[0].size == max(want) - min(want) + 1
-    mass = mu.total_mass * nu.total_mass
-    assert max(abs(got[k] - want[k]) for k in want) <= 1e-15 * mass
+    for k, (mass, bound) in want.items():
+        assert abs(Fraction(got[k]) - mass) <= bound
 
 
 _nonneg = _dyadic_measures(origins=st.integers(0, 40))
@@ -294,6 +380,7 @@ _nonneg = _dyadic_measures(origins=st.integers(0, 40))
 @given(_nonneg, _nonneg, st.integers(1, 64))
 @example(GridMeasure(2, 0, np.array([1.0, 2.0, 3.0]) / 16.0),
          GridMeasure(5, 0, np.arange(1.0, 25.0) / 16.0), 1)
+@example(*_SUMMED_CELL, 1)
 def test_cumulative_mul_matches_pair_loop_oracle(mu, nu, cells):
     # windows on cells k >= 0 at mixed levels, nu / 3 inexact, and chunks of
     # at most `cells` block cells.  Rows n = 1, 3, 5 (cells 0, 1, 2, as in
@@ -358,7 +445,7 @@ _difference_inputs = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(_difference_inputs, _difference_inputs)
 def test_difference_product_matches_unfolded_mul(mu, nu):
-    want = convolve(convolve(mu, mu, "sub"), convolve(nu, nu, "sub"), "mul").trimmed()
+    want = convolve(convolve(mu, mu, "sub"), convolve(nu, nu, "sub"), "mul")
     got = difference_product(mu, nu)
     assert (got.level, got.origin_index, got.size) == \
         (want.level, want.origin_index, want.size)

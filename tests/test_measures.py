@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from decaylab import (GridMeasure, ball_mass_vector, point_mass, regularize,
                       uniform_measure)
-from decaylab import measures
+from decaylab import convolution, measures, pipelines
 from decaylab.constructions import (CantorSpec, make_comb, make_random_frostman,
                                     make_shifted_comb)
 from decaylab.dyadic import DyadicGridSet
@@ -115,9 +116,10 @@ def test_grid_measure_bounds_cell_indices_below_2_62(first, last, ok):
 ])
 def test_from_text_bounds_cell_indices_below_2_62(first, count, ok):
     # origins a float can hold: last cells 2**62 - 1 and 2**62, first cells
-    # -(2**62 - 1024) and -2**62
+    # -(2**62 - 1024) and -2**62; both end cells carry mass, so the window
+    # is the file's
     text = (f"level 62\norigin {first * 2.0 ** -62!r}\ncount {count}\n"
-            + "0.0\n" * (count - 1) + "1.0\n")
+            + "1.0\n" + "0.0\n" * (count - 2) + "1.0\n")
     if ok:
         mu = GridMeasure.from_text(text)
         assert (mu.origin_index, mu.size) == (first, count)
@@ -152,6 +154,83 @@ def test_atoms_match_python_int_oracle(window, ref_cell):
     assert odd.dtype == np.int64
     assert odd.tolist() == [2 * (first + k) + 1 - ref for k in occupied_cells]
     assert w.tolist() == [masses[k] for k in occupied_cells]
+
+
+@st.composite
+def _padded_windows(draw):
+    """(level, origin, masses): dyadic masses with zero runs at either end,
+    all-zero windows included."""
+    body = draw(st.lists(st.integers(0, 15), min_size=1, max_size=12))
+    lead, trail = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    masses = np.array([0] * lead + body + [0] * trail, dtype=np.float64) / 16.0
+    return draw(st.integers(3, 7)), draw(st.integers(-40, 40)), masses
+
+
+def _assert_hull_of_window(origin, window, mu):
+    """mu is the hull of the window's occupied cells, or its first cell when
+    it has no mass, with the window's atoms and total mass."""
+    if mu.size == 1 and mu.masses[0] == 0:
+        assert not np.any(window) and mu.origin_index == origin
+    else:
+        assert mu.masses[0] > 0 and mu.masses[-1] > 0
+    nz = np.flatnonzero(window)
+    odd, w = mu.atoms()
+    assert odd.tolist() == (2 * (origin + nz) + 1).tolist()
+    assert w.tolist() == window[nz].tolist()
+    # np.sum over the hull's n cells is within gamma_n = n u / (1 - n u) of
+    # the exact sum, and fsum is within u of it
+    exact = math.fsum(window)
+    gamma = mu.size * 2.0 ** -53 / (1 - mu.size * 2.0 ** -53)
+    assert abs(mu.total_mass - exact) <= gamma * exact
+
+
+@settings(max_examples=60, deadline=None)
+@given(_padded_windows(), _padded_windows(), st.integers(1, 2))
+def test_every_producer_returns_the_hull_of_its_occupied_cells(a, b, bits):
+    # every GridMeasure the producers build is recorded with the window it
+    # was given
+    built = []
+
+    class Recorded(GridMeasure):
+        def __post_init__(self):
+            window = (self.origin_index, np.array(self.masses, dtype=np.float64))
+            super().__post_init__()
+            built.append((window, self))
+
+    def produced(make):
+        """make()'s result, checked against the window it was built from."""
+        built.clear()
+        with mock.patch.object(measures, "GridMeasure", Recorded), \
+                mock.patch.object(convolution, "GridMeasure", Recorded), \
+                mock.patch.object(pipelines, "GridMeasure", Recorded):
+            out = make()
+        assert any(m is out for _, m in built)
+        for (origin, window), m in built:
+            _assert_hull_of_window(origin, window, m)
+        return out
+
+    mu, nu = (produced(lambda w=w: Recorded(*w)) for w in (a, b))
+    level, origin, masses = a
+    text = (f"level {level}\norigin {origin * 2.0 ** -level!r}\ncount {masses.size}\n"
+            + "".join(f"{float(v)!r}\n" for v in masses))
+    produced(lambda: GridMeasure.from_text(text))
+    produced(lambda: mu.refined(mu.level + bits))
+    produced(lambda: mu.coarsened(mu.level - bits))
+    produced(lambda: regularize(mu, mu.spacing * 2 ** bits))
+    for op in ("add", "sub"):
+        produced(lambda: convolution.convolve(mu, nu, op))
+    if not (mu.total_mass and nu.total_mass):
+        return
+    with mock.patch.object(convolution, "_MUL_CELL_COST", math.inf):
+        produced(lambda: convolution.convolve(mu, nu, "mul"))
+    # the cumulative route on copies moved onto cells k > 0
+    right = [GridMeasure(m.level, m.origin_index + 64, m.masses) for m in (mu, nu)]
+    with mock.patch.object(convolution, "_MUL_CELL_COST", 0.0), \
+            mock.patch.object(convolution, "_direct_route",
+                              side_effect=AssertionError("took the direct route")):
+        produced(lambda: convolution.convolve(*right, "mul"))
+    produced(lambda: convolution.even_product(mu, nu))
+    produced(lambda: pipelines._autocorrelation_measure(mu))
 
 
 def test_single_atom_covers_endpoint():
@@ -208,6 +287,14 @@ def test_regularize_point_mass_plateau():
     assert np.allclose(np.sort(nz), np.sort(w[w > 0]), atol=1e-15)
 
 
+def _on_cells(mu, lo, count):
+    """mu's masses on the cells lo .. lo + count - 1, which must hold its window."""
+    assert lo <= mu.origin_index and mu.origin_index + mu.size <= lo + count
+    out = np.zeros(count)
+    out[mu.origin_index - lo:mu.origin_index - lo + mu.size] = mu.masses
+    return out
+
+
 def test_regularize_uniform_interior_unchanged():
     # oracle: direct convolution with the same weights via np.convolve
     mu = uniform_measure(0.0, 1.0, 9)
@@ -215,11 +302,13 @@ def test_regularize_uniform_interior_unchanged():
     md = regularize(mu, delta)
     oracle = np.convolve(mu.masses, kernel_weights(delta, 9))
     oracle *= mu.total_mass / oracle.sum()
-    assert np.max(np.abs(md.masses - oracle)) <= 1e-12
-    # interior masses unchanged within 1e-6
+    # compared cell by cell on the oracle's window, cells origin - k onward
     k = int(delta / mu.spacing)
-    inner = slice(2 * k, md.size - 2 * k)
-    assert np.max(np.abs(md.masses[inner] - 1.0 / 512)) <= 1e-6
+    got = _on_cells(md, mu.origin_index - k, oracle.size)
+    assert np.max(np.abs(got - oracle)) <= 1e-12
+    # interior masses unchanged within 1e-6
+    inner = slice(2 * k, got.size - 2 * k)
+    assert np.max(np.abs(got[inner] - 1.0 / 512)) <= 1e-6
 
 
 def test_regularize_twice_vs_once():
@@ -270,8 +359,11 @@ def test_regularize_fft_path_support_is_exact(seed, delta, monkeypatch):
     cases = [cantor.coarsened(11), cantor]
     for mu in cases:
         out = regularize(mu, delta)
-        direct = np.convolve(mu.masses, kernel_weights(delta, mu.level))
-        assert np.array_equal(np.nonzero(out.masses)[0], np.nonzero(direct)[0])
+        w = kernel_weights(delta, mu.level)
+        direct = np.convolve(mu.masses, w)
+        # occupied cell indices; direct's window starts w.size // 2 cells left of mu's
+        assert np.array_equal(out.origin_index + np.nonzero(out.masses)[0],
+                              mu.origin_index - w.size // 2 + np.nonzero(direct)[0])
     classes = [_level_set_classes(mu, delta) for mu in cases]
     monkeypatch.setattr(measures, "fftconvolve", np.convolve)
     for mu, (cls, _, base) in zip(cases, classes):

@@ -95,7 +95,7 @@ def test_flattening_l2_matches_mollified_powers(pair):
         mu, nu = make_comb(2.0 ** -4, 1.0 / 8), make_comb(2.0 ** -3, 1.0 / 8)
     delta, k_max = 2.0 ** -6, 2
     cols = _columns(run_flattening(mu, nu, 0.5, 0.5, delta, k_max, kappa=0.1))
-    pk = difference_product(mu, nu).trimmed()
+    pk = difference_product(mu, nu)
     for k in range(k_max + 1):
         if k:
             pk = convolve(pk, pk, "add")
@@ -320,7 +320,7 @@ def test_quantitative_fits_the_exact_transform_of_the_chain_ends(monkeypatch):
     ends = []
     for a, b in (mus[:2], mus[2:]):
         prod = convolve(a, b, "mul")
-        ends.append(convolve(prod, prod, "sub").trimmed())
+        ends.append(convolve(prod, prod, "sub"))
     xis = np.geomspace(16.0, 2.0 / delta, n)
     exact = profile_from_samples(xis, np.abs(product_fourier(*ends, xis)))
     assert payload["tau_measured"] == exact.tau_hat
