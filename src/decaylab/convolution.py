@@ -31,11 +31,7 @@ output is bit-identical whatever the CPU count.
 
 The direct route computes each pair's cell in int64: exact for every pair,
 negative products included (the shift floors), at one histogram add per
-pair.  Each row walks nu's occupied cells in stride order (every
-_MUL_STRIDE-th cell, then the next offset), not in ascending order: for a
-small factor, neighbouring cells route to one output cell, and a histogram
-fed long runs of one cell waits on each add before the next.  Only the
-summation order within an output cell depends on this.
+pair.
 
 The cumulative route computes one value per output cell a row reaches, not
 one per pair.  Row n (an occupied numerator of one factor, the rows) sends
@@ -93,13 +89,6 @@ VALID_OPS = ("add", "sub", "mul")
 # 18-19 ms at 2**19 and 2**20, 23 ms at 2**18 and 33 ms at 2**21 (in-process
 # _conv_mul, medians of 11, 2-CPU VM).
 _MUL_CHUNK = 1 << 20
-# stride S of the order each direct-route row walks b's occupied cells in
-# (0, S, 2S, ..., then 1, S+1, ...; see the module docstring).  On 2 workers
-# flatten-l12's folded difference product took 118-124 ms in ascending order
-# and 94-106 ms for any S from 16 to 2048 on the direct route, which that
-# product no longer takes; on quantitative's products ascending order took
-# 19.8 ms and S = 128 17.2 ms (medians of 11, within each other's quartiles).
-_MUL_STRIDE = 128
 # block cells per chunk of mul's cumulative route: each worker slot holds
 # three 8-byte blocks of this many cells (3 MiB), or of one wider row.  On 2
 # workers flatten-l12's folded product took 85 ms at 2**17, 81 ms at 2**18,
@@ -147,15 +136,12 @@ def _conv_add(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
     target = a.total_mass * b.total_mass
     tot = float(out.sum())
     assert_mass_conserved(target, tot, "additive convolution")
-    if tot > 0:
-        out *= target / tot
+    out *= target / tot
     return GridMeasure(level, a.origin_index + b.origin_index, out)
 
 
 def _conv_mul(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
     a, b, level = _common_level(mu, nu)
-    if not (a.masses[0] and b.masses[0]):
-        raise ValueError("multiplicative convolution of a zero measure")
     shift = level + 2
     # products of the extreme numerators, those of the windows' end cells
     ends = [(2 * m.origin_index + 1, 2 * (m.origin_index + m.size) - 1) for m in (a, b)]
@@ -187,8 +173,6 @@ def _direct_route(a, b, shift, base, size):
     the output cells [0, size) over a's occupied cells from the i0-th on."""
     ka, wa = a.atoms()
     kb, wb = b.atoms()
-    order = np.argsort(np.arange(kb.size) % _MUL_STRIDE, kind="stable")
-    kb, wb = kb[order], wb[order]
     rows = max(1, min(ka.size, _MUL_CHUNK // kb.size))
     bufs = {}   # slot -> its (index, weight) blocks, reused chunk after chunk
 

@@ -13,7 +13,7 @@ Conventions baked in here and relied on everywhere else:
   * a point mass sits on the half-open cell containing it (a tie goes right);
   * a window is the hull of its occupied cells: GridMeasure keeps the cells
     from the first that carries mass to the last, whatever window it is
-    given, and a measure with no mass keeps the given window's first cell;
+    given, and refuses a window in which no cell carries mass;
   * Fourier sums and energy kernels treat each cell as an atom at its center,
     (2 k + 1) 2**-(level + 1) for cell index k; GridMeasure.atoms gives the
     exact odd numerators 2 k + 1, and every cell index k of a hull has
@@ -73,16 +73,18 @@ class GridMeasure:
         if not 1 <= self.level <= 1022:     # 2**-1023 is no longer a normal double
             raise ValueError(f"level must lie in [1, 1022], got {self.level}")
         m = np.asarray(self.masses, dtype=np.float64)
-        if m.ndim != 1 or m.size == 0:
-            raise ValueError("masses must be a nonempty 1-d array")
+        if m.ndim != 1:
+            raise ValueError("masses must be a 1-d array")
         if not np.all(np.isfinite(m)):
             raise ValueError("masses must be finite")
         if np.any(m < 0):
             raise ValueError(f"negative mass {float(m.min())}")
-        # the window is the hull of the occupied cells; without mass, the first cell
         nz = np.flatnonzero(m)
-        first, last = (int(nz[0]), int(nz[-1])) if nz.size else (0, 0)
-        m = m[first:last + 1].copy()    # a copy: the caller keeps its array
+        if nz.size == 0:
+            raise ValueError("masses must carry mass: no cell is nonzero")
+        # the window is the hull of the occupied cells
+        first = int(nz[0])
+        m = m[first:int(nz[-1]) + 1].copy()     # a copy: the caller keeps its array
         lo = index(self.origin_index) + first
         if max(abs(lo), abs(lo + m.size - 1)) >= _MUL_PRODUCT_LIMIT:
             raise ValueError(f"level-{self.level} window of cells {lo} .. {lo + m.size - 1}: "
@@ -111,8 +113,6 @@ class GridMeasure:
 
     def support(self) -> tuple[float, float]:
         """Window of the cells that actually carry mass (left-closed, right-open)."""
-        if not self.masses[0]:      # a massless measure's one cell
-            return (self.origin, self.origin)
         return (self.origin, self.origin + self.size * self.spacing)
 
     def parent_cells(self, level: int) -> np.ndarray:
@@ -339,8 +339,7 @@ def regularize(mu: GridMeasure, delta: float) -> GridMeasure:
     # the kernel has weight 1, so only roundoff may move the unscaled mass
     tot = float(out.sum())
     assert_mass_conserved(mu.total_mass, tot, "regularize")
-    if tot > 0:
-        out *= mu.total_mass / tot
+    out *= mu.total_mass / tot
     return GridMeasure(mu.level, mu.origin_index - K, out)
 
 

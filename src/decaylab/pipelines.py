@@ -491,8 +491,6 @@ def _indicator_diagnostic(mu: GridMeasure, rho: float) -> float:
     weights: dict[int, float] = {}
     for j in _distinct(cls[cls >= 0]):
         weights[int(j)] = float(np.sum(sup[cls == j]) * rho)  # ~ class mass
-    if not weights:
-        return 0.0
     top = sorted(weights, key=lambda j: -weights[j])[:2]
     i_cls = top[0]
     j_cls = top[-1]

@@ -133,7 +133,7 @@ def odd_products(measures):
     atoms = [m.atoms() for m in measures]
     if math.prod(o.size for o, _ in atoms) > _CHAIN_ATOMS:
         raise ValueError("product chain too dense for atom-exact evaluation")
-    if math.prod(int(np.abs(o).max(initial=1)) for o, _ in atoms) >= _EXACT:
+    if math.prod(int(np.abs(o).max()) for o, _ in atoms) >= _EXACT:
         raise ValueError("atom products reach 2**52: too many or too fine "
                          "factors for exact phase reduction")
     for m, (o, q) in zip(measures, atoms):
@@ -195,7 +195,7 @@ def _direct(mu: GridMeasure, n: np.ndarray, ref: int):
     entries m of n, in chunks of _CHUNK terms, each phase reduced by
     _turns."""
     odd, w = mu.atoms(ref)
-    if int(np.abs(n).max(initial=0)) * int(np.abs(odd).max(initial=0)) >= _EXACT:
+    if int(np.abs(n).max(initial=0)) * int(np.abs(odd).max()) >= _EXACT:
         return None
     half = mu.spacing / 2
 
@@ -203,8 +203,8 @@ def _direct(mu: GridMeasure, n: np.ndarray, ref: int):
         x = np.repeat(b * half, m.size)[:, None]
         k = np.tile(m.reshape(-1), b.size)[:, None]
         out = np.zeros(x.size, dtype=np.complex128)
-        rows = max(1, _CHUNK // max(w.size, 1))
-        for i in range(0, out.size if w.size else 0, rows):
+        rows = max(1, _CHUNK // w.size)
+        for i in range(0, out.size, rows):
             turns = _turns(x[i:i + rows], k[i:i + rows] * odd)
             out[i:i + rows] = np.sum(np.exp(-2j * np.pi * turns) * w, axis=-1)
         return out.reshape(b.shape + m.shape)

@@ -332,14 +332,12 @@ _SUMMED_CELL = (GridMeasure(6, 0, np.array([1.0 / 16])),
 
 
 @settings(max_examples=80, deadline=None)
-@given(_dyadic_measures(), _dyadic_measures(), st.integers(1, 64), st.integers(1, 7))
-@example(*_SUMMED_CELL, 1, 1)
-def test_mul_matches_pair_loop_oracle(mu, nu, chunk, stride):
+@given(_dyadic_measures(), _dyadic_measures(), st.integers(1, 64))
+@example(*_SUMMED_CELL, 1)
+def test_mul_matches_pair_loop_oracle(mu, nu, chunk):
     # nu / 3 has inexact masses, so the chunk parts' rounding depends on the
-    # order they are added in: bit-identical for every worker count.  A
-    # stride below nu's cell count permutes the order each row walks them in.
-    with mock.patch.object(convolution, "_MUL_CHUNK", chunk), \
-            mock.patch.object(convolution, "_MUL_STRIDE", stride):
+    # order they are added in: bit-identical for every worker count
+    with mock.patch.object(convolution, "_MUL_CHUNK", chunk):
         _assert_mul_matches_oracle(mu, GridMeasure(nu.level, nu.origin_index,
                                                    nu.masses / 3.0))
 
@@ -561,15 +559,13 @@ def test_mul_refuses_int64_overflow():
     far = GridMeasure(3, 1 << 40, np.array([0.5, 0.25, 0.25]))
     mirrored = GridMeasure(3, -(1 << 40), far.masses)
     # one cell at 2**39 against centers 2**22 - 3, 2**22 - 1, 2**22 + 1:
-    # only the last product reaches 2**62, and a stride of 2 walks that
-    # cell in the middle, so the check must read the sorted ends
+    # only the last product reaches 2**62, so the check must read the
+    # window's end cells
     lone = GridMeasure(3, 1 << 39, np.array([1.0]))
     edge = GridMeasure(3, (1 << 21) - 2, np.array([0.5, 0.25, 0.25]))
-    for stride in (128, 2):
-        with mock.patch.object(convolution, "_MUL_STRIDE", stride):
-            for x, y in ((far, far), (far, mirrored), (lone, edge)):
-                with pytest.raises(ValueError, match=r"2\*\*62"):
-                    convolve(x, y, "mul")
+    for x, y in ((far, far), (far, mirrored), (lone, edge)):
+        with pytest.raises(ValueError, match=r"2\*\*62"):
+            convolve(x, y, "mul")
 
 
 def _indicator_support(mu, nu, op):

@@ -96,6 +96,19 @@ def test_grid_measure_refuses_any_negative_mass():
     assert GridMeasure(4, 0, [0.5, -0.0, 0.5]).total_mass == 1.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 1022), st.integers(-(2 ** 62 - 1), 2 ** 62 - 1),
+       st.lists(st.sampled_from([0.0, -0.0]), min_size=1, max_size=64))
+def test_grid_measure_refuses_a_window_without_mass(level, origin, masses):
+    # the measures are probability measures, so every hull starts and ends on
+    # a cell with mass; a window of zeros has no hull and is refused
+    with pytest.raises(ValueError, match="must carry mass"):
+        GridMeasure(level, origin, masses)
+    text = f"level {level}\norigin 0.0\ncount {len(masses)}\n" + "0.0\n" * len(masses)
+    with pytest.raises(ValueError, match="must carry mass"):
+        GridMeasure.from_text(text)
+
+
 @pytest.mark.parametrize("first, last, ok", [
     (2 ** 62 - 2, 2 ** 62 - 1, True), (2 ** 62 - 1, 2 ** 62, False),
     (-(2 ** 62 - 1), -(2 ** 62 - 2), True), (-2 ** 62, -(2 ** 62 - 1), False),
@@ -147,6 +160,10 @@ def _windows(draw):
 def test_atoms_match_python_int_oracle(window, ref_cell):
     # ref is 0 or the odd index of a window cell, as fourier_lattice passes it
     level, first, masses = window
+    if not any(masses):
+        with pytest.raises(ValueError, match="must carry mass"):
+            GridMeasure(level, first, masses)
+        return
     mu = GridMeasure(level, first, masses)
     ref = 0 if ref_cell is None else 2 * (first + ref_cell % len(masses)) + 1
     odd, w = mu.atoms(ref)
@@ -167,12 +184,9 @@ def _padded_windows(draw):
 
 
 def _assert_hull_of_window(origin, window, mu):
-    """mu is the hull of the window's occupied cells, or its first cell when
-    it has no mass, with the window's atoms and total mass."""
-    if mu.size == 1 and mu.masses[0] == 0:
-        assert not np.any(window) and mu.origin_index == origin
-    else:
-        assert mu.masses[0] > 0 and mu.masses[-1] > 0
+    """mu is the hull of the window's occupied cells, with the window's
+    atoms and total mass."""
+    assert mu.masses[0] > 0 and mu.masses[-1] > 0
     nz = np.flatnonzero(window)
     odd, w = mu.atoms()
     assert odd.tolist() == (2 * (origin + nz) + 1).tolist()
@@ -209,6 +223,11 @@ def test_every_producer_returns_the_hull_of_its_occupied_cells(a, b, bits):
             _assert_hull_of_window(origin, window, m)
         return out
 
+    empty = [w for w in (a, b) if not np.any(w[2])]
+    if empty:
+        with pytest.raises(ValueError, match="must carry mass"):
+            GridMeasure(*empty[0])
+        return
     mu, nu = (produced(lambda w=w: Recorded(*w)) for w in (a, b))
     level, origin, masses = a
     text = (f"level {level}\norigin {origin * 2.0 ** -level!r}\ncount {masses.size}\n"
@@ -219,8 +238,6 @@ def test_every_producer_returns_the_hull_of_its_occupied_cells(a, b, bits):
     produced(lambda: regularize(mu, mu.spacing * 2 ** bits))
     for op in ("add", "sub"):
         produced(lambda: convolution.convolve(mu, nu, op))
-    if not (mu.total_mass and nu.total_mass):
-        return
     with mock.patch.object(convolution, "_MUL_CELL_COST", math.inf):
         produced(lambda: convolution.convolve(mu, nu, "mul"))
     # the cumulative route on copies moved onto cells k > 0
