@@ -18,9 +18,8 @@ is reproducible from that single file:
 `decaylab CONFIG [--param key=value ...] [--output DIR]` runs it in DIR
 (default: the current directory), writing a deterministic report.json plus
 per-figure CSVs (atomic temp+rename writes).  Wall-clock timings go to a
-separate timing.json sidecar, with the thread count the chunked kernels
-ran on, so that report.json and the CSVs are byte-identical for identical
-(config, seed, version), whatever the CPU count.  dispatch(config,
+separate timing.json sidecar, so that report.json and the CSVs are
+byte-identical for identical (config, seed, version).  dispatch(config,
 out_dir) runs one parsed config and returns the report.json document it
 wrote, as a dict.
 
@@ -47,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__, dyadic
+from . import __version__
 from .constructions import (CantorSpec, make_comb, make_lattice_neighborhood,
                             make_random_frostman, make_shifted_comb,
                             make_thin_interval)
@@ -516,11 +515,9 @@ def dispatch(config: ExperimentConfig, out_dir) -> dict:
                   json.dumps(report, sort_keys=True, indent=1))
     timings.append(("write", time.perf_counter() - t0))
     # timings are deliberately outside report.json: they are the only
-    # non-reproducible quantity, and report.json is byte-stable per config;
-    # workers is the thread count the chunked kernels ran on
+    # non-reproducible quantity, and report.json is byte-stable per config
     _atomic_write(os.path.join(out_dir, "timing.json"),
-                  json.dumps({"stages": [[n, t] for n, t in timings],
-                              "workers": dyadic._WORKERS}, indent=1))
+                  json.dumps({"stages": [[n, t] for n, t in timings]}, indent=1))
     return report
 
 

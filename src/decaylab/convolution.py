@@ -25,9 +25,8 @@ product reaches 2**62 are refused with ValueError rather than wrapped.  For
 measures supported in [-2, 2] the routed point sits within 4 grid cells of
 every true product from the source cells, and no mass is rescaled: the
 check runs on the routed sum itself.  Two routes compute this histogram,
-each in chunks of whole rows of one factor, one chunk per CPU at a time
-(dyadic._ordered_map), with the chunks' parts added in chunk order, so the
-output is bit-identical whatever the CPU count.
+each in chunks of whole rows of one factor, with the chunks' parts added in
+chunk order.
 
 The direct route computes each pair's cell in int64: exact for every pair,
 negative products included (the shift floors), at one histogram add per
@@ -71,8 +70,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dyadic import _MUL_PRODUCT_LIMIT, _ordered_map
-from .measures import GridMeasure, assert_mass_conserved, fftconvolve
+from .dyadic import _MUL_PRODUCT_LIMIT
+from .measures import GridMeasure, assert_mass_conserved, fftconvolve, rescaled_measure
 
 __all__ = [
     "VALID_OPS",
@@ -83,21 +82,25 @@ __all__ = [
 
 VALID_OPS = ("add", "sub", "mul")
 
-# pairs routed per chunk of mul's direct route: each worker slot's 8 MB
-# int64 index and float64 weight blocks.  On quantitative's [1, 2] products
-# (4,194,304 pairs, the direct route's largest shipped shape) 2 workers took
-# 18-19 ms at 2**19 and 2**20, 23 ms at 2**18 and 33 ms at 2**21 (in-process
-# _conv_mul, medians of 11, 2-CPU VM).
+# pairs routed per chunk of mul's direct route: 8 MB int64 index and
+# float64 weight blocks.  On quantitative's two [1, 2] products (4,194,304
+# pairs, the direct route's largest shipped shape) _conv_mul took 21.6-21.9
+# ms at 2**20, 18.3-20.8 at 2**18, 19.2-19.3 at 2**19 and 21.0-22.5 at
+# 2**21 (in process, medians of 11, 2-CPU x86-64 VM).  Another value moves
+# the order the chunks' parts are added in, and so output bits.
 _MUL_CHUNK = 1 << 20
-# block cells per chunk of mul's cumulative route: each worker slot holds
-# three 8-byte blocks of this many cells (3 MiB), or of one wider row.  On 2
-# workers flatten-l12's folded product took 85 ms at 2**17, 81 ms at 2**18,
-# 91 ms at 2**16 and 118 ms at 2**15, and flatten's 13.0 ms at 2**17 against
-# 13.7 and 23.8 ms at 2**18 and 2**19 (medians of 15, 2-CPU VM).
+# block cells per chunk of mul's cumulative route: three 8-byte blocks of
+# this many cells (3 MiB), or of one wider row.  flatten-l12's folded
+# product took 81.8 ms at 2**17, 75.5 at 2**16, 82.6 at 2**15 and 88.4 and
+# 95.8 at 2**18 and 2**19; flatten's 13.3 ms at 2**17 against 12.3-12.7 at
+# 2**15-2**16 and 14.6-18.1 at 2**18-2**19 (medians of 15, 2-CPU x86-64
+# VM).  Another value moves output bits, as _MUL_CHUNK's does.
 _MUL_CELLS = 1 << 17
-# time of one cumulative-route block cell over one direct-route pair.  On 2
-# workers the ratio read 0.8-1.8 across the shipped products; 2 keeps a mul
-# direct unless the cumulative route does under half the element work.
+# time of one cumulative-route block cell over one direct-route pair: it
+# read 0.93-1.77 across the shipped products (1.18 flatten, 1.35
+# flatten-l12, 0.94-1.01 keystep and quantitative, 0.93-1.77 induction;
+# forced routes, medians of 7, 2-CPU x86-64 VM).  2 keeps a mul direct
+# unless the cumulative route does under half the element work.
 _MUL_CELL_COST = 2.0
 # the cumulative route's float64 numerators are integers below this
 _PREFIX_LIMIT = 1 << 52
@@ -133,11 +136,8 @@ def _conv_add(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
     out[-1] = raw[-1]
     out[1:-1] = raw[1:] + raw[:-1]
     out *= 0.5
-    target = a.total_mass * b.total_mass
-    tot = float(out.sum())
-    assert_mass_conserved(target, tot, "additive convolution")
-    out *= target / tot
-    return GridMeasure(level, a.origin_index + b.origin_index, out)
+    return rescaled_measure(level, a.origin_index + b.origin_index, out,
+                            a.total_mass * b.total_mass, "additive convolution")
 
 
 def _conv_mul(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
@@ -154,14 +154,10 @@ def _conv_mul(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
     out = np.zeros((max(corners) >> shift) - base + 1, dtype=np.float64)
     route, items = (_cumulative_route(a, b, shift, base)
                     or _direct_route(a, b, shift, base, out.size))
-
-    def take(part):
-        # parts are added in chunk order, as a serial loop would
-        lo, masses = part
+    for item in items:
+        lo, masses = route(item)
         seg = out[lo:lo + masses.size]
         np.add(seg, masses, out=seg)
-
-    _ordered_map(route, items, take)
     res = GridMeasure(level, base, out)
     assert_mass_conserved(a.total_mass * b.total_mass, res.total_mass,
                           "multiplicative convolution")
@@ -169,19 +165,18 @@ def _conv_mul(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
 
 
 def _direct_route(a, b, shift, base, size):
-    """(route, items) routing every pair: route(slot, i0) is the histogram of
-    the output cells [0, size) over a's occupied cells from the i0-th on."""
+    """(route, items) routing every pair: route(i0) is the histogram of the
+    output cells [0, size) over a's occupied cells from the i0-th on."""
     ka, wa = a.atoms()
     kb, wb = b.atoms()
     rows = max(1, min(ka.size, _MUL_CHUNK // kb.size))
-    bufs = {}   # slot -> its (index, weight) blocks, reused chunk after chunk
+    # one (index, weight) pair of blocks, reused chunk after chunk
+    bufs = (np.empty((rows, kb.size), dtype=np.int64),
+            np.empty((rows, kb.size), dtype=np.float64))
 
-    def route(slot, i0):
-        if slot not in bufs:
-            bufs[slot] = (np.empty((rows, kb.size), dtype=np.int64),
-                          np.empty((rows, kb.size), dtype=np.float64))
+    def route(i0):
         n = min(rows, ka.size - i0)
-        idx, w = (buf[:n] for buf in bufs[slot])
+        idx, w = (buf[:n] for buf in bufs)
         np.multiply.outer(ka[i0:i0 + n], kb, out=idx)
         idx >>= shift
         if base:    # 0 when the least center product falls in cell 0
@@ -195,7 +190,7 @@ def _direct_route(a, b, shift, base, size):
 def _cumulative_route(a, b, shift, base):
     """(route, items) reading each row's output cells off the other factor's
     prefix sums, or None where that is inexact or dearer than _direct_route
-    (see the module docstring).  route(slot, (i0, i1)) gives the first output
+    (see the module docstring).  route((i0, i1)) gives the first output
     cell of rows i0..i1-1 and their summed masses from it on."""
     ka, wa = a.atoms()
     kb, wb = b.atoms()
@@ -215,16 +210,15 @@ def _cumulative_route(a, b, shift, base):
     hi = (ka * kb[-1]) >> shift
     chunks = _row_chunks(lo, hi, _MUL_CELLS)
     size = max((i1 - i0) * int(hi[i1 - 1] + 2 - lo[i0]) for i0, i1 in chunks)
-    bufs = {}   # slot -> its flat (value, index, difference) blocks
+    # one set of flat (value, index, difference) blocks, reused chunk after chunk
+    bufs = (np.empty(size), np.empty(size, dtype=np.int64), np.empty(size))
 
-    def route(slot, chunk):
+    def route(chunk):
         i0, i1 = chunk
-        if slot not in bufs:
-            bufs[slot] = (np.empty(size), np.empty(size, dtype=np.int64), np.empty(size))
         r, span = i1 - i0, int(hi[i1 - 1] + 2 - lo[i0])
         # contiguous blocks: np.take is slow into strided views
-        f, idx = (buf[:r * span].reshape(r, span) for buf in bufs[slot][:2])
-        d = bufs[slot][2][:r * (span - 1)].reshape(r, span - 1)
+        f, idx = (buf[:r * span].reshape(r, span) for buf in bufs[:2])
+        d = bufs[2][:r * (span - 1)].reshape(r, span - 1)
         n = ka[i0:i1, None]
         # row n routes b's window cells j < (k 2**shift - n kb[0]) / (2n)
         # below cell k = lo[i0] + c (see the module docstring for exactness);

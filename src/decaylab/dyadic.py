@@ -24,20 +24,9 @@ numerators are int32 when every extreme stays below 2**31, else int64, and
 the bins uint16, uint32 or int64, the narrowest type holding the number of
 bins the extremes allow: distinct bins within such a window stay distinct
 modulo 2**16 or 2**32, so the counts are the same.
-
-The chunked exact kernels (projection_scan's batches, convolution's mul
-chunks, spectral.fourier_lattice's transform batches and
-spectral.l2_at_scale's rows, one per measure) run through _ordered_map: up
-to _WORKERS threads, one per CPU of the process's affinity set, with
-results taken in chunk order, so every output is bit-identical whatever
-the CPU count.  An item must not call _ordered_map again, nor any of these
-kernels, and sums inside an item stay off BLAS, whose own threads would
-compete with the pool's.
 """
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,87 +41,18 @@ __all__ = [
     "additive_energy",
 ]
 
-# pairs per projection_scan batch (whole direction rows, at least one), per
-# worker slot.  On project-l12 (1.68e7 pairs in int32 numerators and uint16
-# bins, 2 workers, 2-CPU VM) 2**18 beat 2**16, 2**17 and 2**20 in 10, 8 and
-# 10 of ten alternating pairs of runs (median run_s 0.082 vs 0.095, 0.099 vs
-# 0.103 and 0.096 vs 0.101 s); 2**14 and 2**15 took 0.12-0.24 s.  The CLI
-# process's peak RSS was 39, 41 and 51 MB at 2**16, 2**18 and 2**20.
+# pairs per projection_scan batch (whole direction rows, at least one).  On
+# project-l12's sets (1.68e7 pairs in int32 numerators and uint16 bins,
+# in-process projection_scan, medians of 9, 2-CPU x86-64 VM) 2**18 took
+# 54.8 ms, 2**16, 2**17, 2**19 and 2**20 55.6-59.4 ms, and 2**14 and 2**15
+# 68.6 and 61.0 ms.  The CLI process's peak RSS was 39, 41 and 51 MB at
+# 2**16, 2**18 and 2**20.
 _SCAN_PAIRS = 1 << 18
 
 # projection_scan, and convolution's mul, refuse inputs whose largest odd-center
 # numerator reaches this (int64 room); GridMeasure refuses a window whose cell
 # indices reach it
 _MUL_PRODUCT_LIMIT = 1 << 62
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on: its affinity set, else the machine's."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-# threads _ordered_map runs items on (W); not a setting: tests patch it
-_WORKERS = _cpu_count()
-
-
-def _ordered_map(fn, items, take):
-    """take(fn(slot, item)) for every item, take called in item order.
-
-    Up to W = _WORKERS threads run fn; numpy's ufuncs, sorts, bincount and
-    FFTs release the GIL, so they run on W CPUs at once.  Item i runs in
-    slot i % W, and only once item i - W has been taken: at most W results
-    are alive, and fn may return a view of buffers its slot owns.  take runs
-    in the calling thread, so a merge `out += part` adds the parts in the
-    order of the serial loop and the output is bit-identical for any W.
-    With W = 1, or a single item, this is that loop, with no thread.  An
-    exception in fn is raised here at its item's turn; the threads stop
-    after their current item.
-    """
-    items = list(items)
-    workers = min(_WORKERS, len(items))
-    if workers <= 1:
-        for item in items:
-            take(fn(0, item))
-        return
-    results = [None] * workers
-    ready = [threading.Semaphore(0) for _ in range(workers)]
-    free = [threading.Semaphore(0) for _ in range(workers)]
-    stop = False
-
-    def run(slot):
-        for i in range(slot, len(items), workers):
-            if i >= workers:
-                free[slot].acquire()
-            if stop:
-                return
-            try:
-                results[slot] = (True, fn(slot, items[i]))
-            except BaseException as exc:    # raised again in the caller
-                results[slot] = (False, exc)
-            ready[slot].release()
-
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(workers)]
-    for t in threads:
-        t.start()
-    try:
-        for i in range(len(items)):
-            slot = i % workers
-            ready[slot].acquire()
-            ok, value = results[slot]
-            results[slot] = None
-            if not ok:
-                raise value
-            take(value)
-            free[slot].release()
-    finally:
-        stop = True
-        for sem in free:
-            sem.release()
-        for t in threads:
-            t.join()
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:
@@ -360,25 +280,20 @@ def projection_scan(A1: DyadicGridSet, A2: DyadicGridSet, Y: DyadicGridSet) -> n
     ku = (2 * Y.cells + 1).astype(num_t)
     pairs = ka.size * kb.size
     rows = max(1, min(ku.size, _SCAN_PAIRS // pairs))
-    bufs = {}   # slot -> its (products, numerators, bins, steps) blocks, reused
-
-    def scan(slot, u0):
-        if slot not in bufs:
-            bufs[slot] = (np.empty((rows, kb.size), dtype=num_t),
-                          np.empty((rows, pairs), dtype=num_t),
-                          np.empty((rows, pairs), dtype=bin_t),
-                          np.empty((rows, pairs - 1), dtype=bool))
+    # one set of (products, numerators, bins, steps) blocks, reused batch
+    # after batch
+    bufs = (np.empty((rows, kb.size), dtype=num_t), np.empty((rows, pairs), dtype=num_t),
+            np.empty((rows, pairs), dtype=bin_t), np.empty((rows, pairs - 1), dtype=bool))
+    parts = []
+    for u0 in range(0, ku.size, rows):
         n = min(rows, ku.size - u0)
-        prod, num, bins, step = (buf[:n] for buf in bufs[slot])
+        prod, num, bins, step = (buf[:n] for buf in bufs)
         np.multiply.outer(ku[u0:u0 + n], kb, out=prod)
         np.subtract(ka[:, None], prod[:, None, :], out=num.reshape(n, ka.size, kb.size))
         np.right_shift(num, shift, out=bins, casting="unsafe")
         bins.sort(axis=1)
         np.not_equal(bins[:, 1:], bins[:, :-1], out=step)
-        return 1 + np.count_nonzero(step, axis=1)
-
-    parts = []
-    _ordered_map(scan, range(0, ku.size, rows), parts.append)
+        parts.append(1 + np.count_nonzero(step, axis=1))
     return np.concatenate(parts)
 
 

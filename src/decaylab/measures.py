@@ -193,6 +193,20 @@ def assert_mass_conserved(before: float, after: float, what: str = "operation"):
         raise AssertionError(f"{what} lost mass: {before} -> {after}")
 
 
+def rescaled_measure(level: int, origin: int, out: np.ndarray, mass: float,
+                     what: str) -> GridMeasure:
+    """GridMeasure(level, origin, out) with out, nonnegative, rescaled in
+    place to total `mass` once the mass check passes on its unscaled sum.
+    An out whose masses all underflowed to 0 is refused, as GridMeasure
+    refuses it, before the division."""
+    tot = float(out.sum())
+    assert_mass_conserved(mass, tot, what)
+    if tot == 0:
+        GridMeasure(level, origin, out)     # raises: no cell carries mass
+    out *= mass / tot
+    return GridMeasure(level, origin, out)
+
+
 # ---------------------------------------------------------------------------------
 # FFT kernels
 # ---------------------------------------------------------------------------------
@@ -335,12 +349,9 @@ def regularize(mu: GridMeasure, delta: float) -> GridMeasure:
     K = w.size // 2
     if K == 1:
         return mu
-    out = fftconvolve(mu.masses, w)
     # the kernel has weight 1, so only roundoff may move the unscaled mass
-    tot = float(out.sum())
-    assert_mass_conserved(mu.total_mass, tot, "regularize")
-    out *= mu.total_mass / tot
-    return GridMeasure(mu.level, mu.origin_index - K, out)
+    return rescaled_measure(mu.level, mu.origin_index - K, fftconvolve(mu.masses, w),
+                            mu.total_mass, "regularize")
 
 
 # ---------------------------------------------------------------------------------

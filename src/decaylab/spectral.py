@@ -19,14 +19,12 @@ tables of mu's window, built once per call and read at O(P) per value
 (Anderson-Dahleh 1996).  A centered read of an odd window that mirrors
 about its middle cell, such as an autocorrelation's, is real: the table
 then keeps its real rows only and reads each value with one real
-recurrence, imaginary part exactly 0.  fourier_lattice's batches run on
-the ordered pool (dyadic._ordered_map), so it must not be called from
-inside an _ordered_map item, and every reduction inside a batch is a
-row-wise np.sum, not BLAS, whose own threads would fight the pool's.  The
-product transforms and order_check take a scalar xi (giving complex or
-floats) or an array of any shape (giving that shape), one batch per band;
-each element equals the scalar call at its xi bit for bit, as no value
-depends on its batch or on the number of workers.
+recurrence, imaginary part exactly 0.  Every reduction inside a
+fourier_lattice batch is a row-wise np.sum, not a BLAS product, which sums
+a lone row in another order than many rows.  The product transforms and
+order_check take a scalar xi (giving complex or floats) or an array of any
+shape (giving that shape), one batch per band; each element equals the
+scalar call at its xi bit for bit, as no value depends on its batch.
 """
 from __future__ import annotations
 
@@ -36,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import fft, ifft
 
-from .dyadic import _ordered_map
 from .measures import GridMeasure, autocorrelation, kernel_weights, next_fast_len
 
 __all__ = [
@@ -344,12 +341,10 @@ def fourier_lattice(mu: GridMeasure, s, n, reduce=None, centered: bool = False):
     (reduce must then keep that axis as its axis 1).
 
     _kernel picks the kernel from mu and n and prepares it (a Taylor table
-    is built here, once).  The batches, each reduced, then run on the
-    ordered pool (dyadic._ordered_map) and are joined in batch order, so the
-    result is bit-identical for any worker count; one batch runs inline.
-    reduce therefore runs on worker threads and must sum rows without BLAS
-    (np.sum(rows * w, axis=-1), say), and fourier_lattice must not be
-    called from inside an _ordered_map item, where pools would nest.
+    is built here, once); the batches, each reduced, then run in order.
+    reduce must sum each row on its own (np.sum(rows * w, axis=-1), say):
+    a BLAS product sums a lone row in another order than many rows, and a
+    value would then depend on its batch.
 
     centered=True returns the transform of mu moved by -c*, c* the center
     of the middle cell of mu's occupied window, which has the same modulus.
@@ -364,9 +359,7 @@ def fourier_lattice(mu: GridMeasure, s, n, reduce=None, centered: bool = False):
     if n.ndim > 1 and n.size > _BATCH:
         rows = max(1, _BATCH // max(n[0].size, 1))
         heads = [slice(i, i + rows) for i in range(0, n.shape[0], rows)]
-    items = [(b, head) for b in _batches(s, n.size) for head in heads]
-    parts = []
-    _ordered_map(lambda _, item: reduce(values(item[0], n[item[1]])), items, parts.append)
+    parts = [reduce(values(b, n[head])) for b in _batches(s, n.size) for head in heads]
     if len(heads) > 1:
         parts = [np.concatenate(parts[i:i + len(heads)], axis=1)
                  for i in range(0, len(parts), len(heads))]
@@ -406,12 +399,9 @@ def l2_at_scale(mu, delta):
     ||m * w||_2^2 = sum over lags d of A_m(d) A_w(d), with A the
     autocorrelations of a measure's masses and of the bump (kernel_weights,
     which refuses bad scales); over the spacing, that is the density's.  Each
-    bump is autocorrelated once per call, before any row runs.  The rows, one
-    per measure, then run on the ordered pool (dyadic._ordered_map) and are
-    joined in measure order; one measure runs inline.  So l2_at_scale must
-    not be called from inside an _ordered_map item.  Equals regularize's norm
-    to roundoff; every element equals the call on its one measure at its one
-    scale bit for bit, for any worker count.
+    bump is autocorrelated once per call, before the rows, one per measure.
+    Equals regularize's norm to roundoff; every element equals the call on
+    its one measure at its one scale bit for bit.
     """
     single = isinstance(mu, GridMeasure)
     measures = [mu] if single else list(mu)
@@ -423,14 +413,13 @@ def l2_at_scale(mu, delta):
     bumps = [autocorrelation(kernel_weights(float(d), level)) for d in np.ravel(delta)]
     h = measures[0].spacing
 
-    def row(_, m):
+    def row(m):
         am = autocorrelation(m.masses)
         # lags -d and d add the same term
         return np.array([np.sqrt((2.0 * np.sum(am[:aw.size] * aw) - am[0] * aw[0]) / h)
                          for aw in (bump[:am.size] for bump in bumps)])
 
-    rows = []
-    _ordered_map(row, measures, rows.append)
+    rows = [row(m) for m in measures]
     if single:
         return _shaped(rows[0], delta)
     return np.array(rows).reshape((len(measures),) + np.shape(delta))

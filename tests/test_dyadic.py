@@ -1,6 +1,4 @@
 import math
-import sys
-import threading
 from fractions import Fraction
 from unittest import mock
 
@@ -308,11 +306,10 @@ def _scan_inputs(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(_scan_inputs(), st.integers(1, 64), st.sampled_from((1, 2, 3)))
-def test_projection_scan_matches_fraction_oracle(inputs, pairs, workers):
+@given(_scan_inputs(), st.integers(1, 64))
+def test_projection_scan_matches_fraction_oracle(inputs, pairs):
     level, ylevel, a1, a2, ycells = inputs
-    with mock.patch.object(dyadic, "_SCAN_PAIRS", pairs), \
-            mock.patch.object(dyadic, "_WORKERS", workers):
+    with mock.patch.object(dyadic, "_SCAN_PAIRS", pairs):
         counts = projection_scan(DyadicGridSet(level, np.array(a1)),
                                  DyadicGridSet(level, np.array(a2)),
                                  DyadicGridSet(ylevel, np.array(ycells)))
@@ -339,10 +336,10 @@ _BOUNDARY_SCANS = {
 }
 
 
-@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("parts", (1, 2))
 @pytest.mark.parametrize("pairs", (1, None), ids=("pairs-1", "pairs-default"))
 @pytest.mark.parametrize("case", _BOUNDARY_SCANS)
-def test_projection_scan_at_type_boundaries(case, pairs, workers):
+def test_projection_scan_at_type_boundaries(case, pairs, parts):
     level, ylevel, a1, a2, ycells, window, top = _BOUNDARY_SCANS[case]
     bins = fraction_projection_bins(a1, a2, ycells, level, ylevel)
     if window is not None:      # the case spans the window it is named for
@@ -351,92 +348,15 @@ def test_projection_scan_at_type_boundaries(case, pairs, workers):
         terms = [((2 * a + 1) << (ylevel + 1), (2 * u + 1) * (2 * b + 1))
                  for a in a1 for b in a2 for u in ycells]
         assert max(max(abs(p), abs(q), abs(p - q)) for p, q in terms) == top
-    with mock.patch.object(dyadic, "_SCAN_PAIRS", pairs or dyadic._SCAN_PAIRS), \
-            mock.patch.object(dyadic, "_WORKERS", workers):
-        counts = projection_scan(DyadicGridSet(level, np.array(a1)),
-                                 DyadicGridSet(level, np.array(a2)),
-                                 DyadicGridSet(ylevel, np.array(ycells)))
-    assert counts.dtype == np.int64
-    assert counts.tolist() == [len(b) for b in bins]
-
-
-def _finishes(target, timeout=60.0):
-    """Run target() in a thread; fail unless it returns within timeout, and
-    re-raise what it raised."""
-    box = {}
-
-    def body():
-        try:
-            target()
-        except BaseException as exc:
-            box["error"] = exc
-
-    t = threading.Thread(target=body)
-    t.start()
-    t.join(timeout)
-    assert not t.is_alive()
-    if "error" in box:
-        raise box["error"]
-
-
-def test_ordered_map_takes_in_order_and_reuses_slots_safely():
-    # more workers than CPUs and a short switch interval: a take out of item
-    # order, or a slot buffer rewritten before its result was taken, fails
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for workers in (1, 2, 8):
-            bufs, taken, live = {}, [], [0, 0]   # live: results alive now, most
-            lock = threading.Lock()
-
-            def fn(slot, i):
-                if slot not in bufs:
-                    bufs[slot] = np.empty(4096, dtype=np.int64)
-                buf = bufs[slot]
-                buf[:] = i
-                np.sort(np.arange(4096)[::-1])   # work that releases the GIL
-                with lock:
-                    live[0] += 1
-                    live[1] = max(live)
-                return buf
-
-            def take(buf):
-                with lock:
-                    live[0] -= 1
-                assert buf.min() == buf.max()
-                taken.append(int(buf[0]))
-
-            with mock.patch.object(dyadic, "_WORKERS", workers):
-                _finishes(lambda: dyadic._ordered_map(fn, range(300), take))
-            assert taken == list(range(300))
-            assert 1 <= live[1] <= workers
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_ordered_map_raises_at_the_failing_item_and_ends_its_threads():
-    def fn(slot, i):
-        if i == 5:
-            raise ValueError("item 5")
-        return i
-
-    for workers in (1, 3):
-        taken = []
-        before = threading.active_count()
-        with mock.patch.object(dyadic, "_WORKERS", workers):
-            with pytest.raises(ValueError, match="item 5"):
-                _finishes(lambda: dyadic._ordered_map(fn, range(50), taken.append))
-        assert taken == [0, 1, 2, 3, 4]
-        assert threading.active_count() == before
-
-
-def test_ordered_map_runs_one_worker_or_one_item_in_the_caller():
-    for workers, n in ((1, 5), (4, 1)):
-        calls = []
-        with mock.patch.object(dyadic, "_WORKERS", workers):
-            dyadic._ordered_map(lambda slot, i: calls.append((slot, threading.get_ident())),
-                                range(n), lambda _: None)
-        assert calls == [(0, threading.get_ident())] * n
+    # Y in one call, or split in two (a one-cell Y stays whole): a direction
+    # counts the same whatever directions share its call
+    ys = [y for y in np.array_split(np.array(ycells), parts) if y.size]
+    with mock.patch.object(dyadic, "_SCAN_PAIRS", pairs or dyadic._SCAN_PAIRS):
+        counts = [projection_scan(DyadicGridSet(level, np.array(a1)),
+                                  DyadicGridSet(level, np.array(a2)),
+                                  DyadicGridSet(ylevel, y)) for y in ys]
+    assert all(c.dtype == np.int64 for c in counts)
+    assert np.concatenate(counts).tolist() == [len(b) for b in bins]
 
 
 def test_projection_scan_does_not_depend_on_batching():

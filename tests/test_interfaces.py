@@ -131,45 +131,6 @@ def test_only_next_fast_len_keeps_per_argument_state():
     assert found == ["measures.next_fast_len"]
 
 
-def _pool_calls(tree: ast.Module) -> list:
-    """The innermost enclosing function of every call of _ordered_map, by name
-    or as an attribute, in source order; "<module>" outside any function."""
-    found = []
-
-    def visit(node, where):
-        for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Call)
-                    and getattr(child.func, "id", getattr(child.func, "attr", None))
-                    == "_ordered_map"):
-                found.append((child.lineno, where))
-            inner = (child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-                     else where)
-            visit(child, inner)
-
-    visit(tree, "<module>")
-    return [where for _, where in sorted(found)]
-
-
-def test_pool_call_scan_flags_every_form():
-    src = ("def a():\n    _ordered_map(f, x, t)\n"
-           "def b():\n    def inner():\n        return dyadic._ordered_map(f, x, t)\n"
-           "    pool = _ordered_map\n"
-           "async def c():\n    g(lambda: _ordered_map(f, x, t))\n"
-           "def _ordered_map(fn, items, take):\n    pass\n"
-           "_ordered_map(f, x, t)\n")
-    assert _pool_calls(ast.parse(src)) == ["a", "inner", "c", "<module>"]
-
-
-def test_ordered_map_runs_only_the_named_kernels():
-    # the pooled kernels the dyadic docstring and the README name; each must
-    # not be called from inside a pool item, so a new call site is a new rule
-    found = [f"{path.stem}.{where}"
-             for path in sorted(Path(decaylab.__file__).parent.glob("*.py"))
-             for where in _pool_calls(ast.parse(path.read_text()))]
-    assert found == ["convolution._conv_mul", "dyadic.projection_scan",
-                     "spectral.fourier_lattice", "spectral.l2_at_scale"]
-
-
 def _is_dataclass(node: ast.ClassDef) -> bool:
     return "dataclass" in {ast.unparse(d.func if isinstance(d, ast.Call) else d)
                            for d in node.decorator_list}

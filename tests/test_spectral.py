@@ -1,6 +1,5 @@
 import cmath
 import math
-import time
 from fractions import Fraction
 from unittest import mock
 
@@ -11,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from decaylab import (GridMeasure, convolve, decay_profile, fourier_many, l2_at_scale,
                       order_check, point_mass, product_fourier, regularize,
                       uniform_measure)
-from decaylab import dyadic, pipelines, spectral
+from decaylab import pipelines, spectral
 from decaylab.spectral import (fourier_lattice, odd_products, product_chain_fourier,
                                profile_from_samples)
 
@@ -433,46 +432,42 @@ def test_autocorrelation_measure_reads_squared_modulus(kernel, mu, s, n):
 
 
 @pytest.mark.parametrize("kernel", ["direct", "chirp-z", "table"])
-def test_fourier_lattice_does_not_depend_on_worker_count(kernel):
-    # 5 scale batches x 4 heads of a 2-d n go through the pool; the parts
-    # are joined in item order, so every worker count gives the same bits
+def test_fourier_lattice_does_not_depend_on_its_batches(kernel):
+    # 5 scale batches x 4 heads of a 2-d n, joined in batch order, give the
+    # bits of one batch
     mu = random_cantor_measure(1).coarsened(11)
     n = (2 * np.arange(96) + 1).reshape(8, 12)
     w = np.linspace(0.5, 1.5, 12)
     s = np.geomspace(0.5, 300.0, 5)
-    items, outs = [], []
-    pool = spectral._ordered_map
-    for workers in (1, 2, 3):
-        with _forced(kernel), mock.patch.object(spectral, "_BATCH", 24), \
-                mock.patch.object(dyadic, "_WORKERS", workers), \
-                mock.patch.object(spectral, "_ordered_map",
-                                  lambda fn, it, take: items.append(len(it)) or pool(fn, it, take)):
+    reduced, outs = [], []
+
+    def reduce(v):
+        reduced.append(v.shape)
+        return np.sum(v * w, axis=-1)
+    for batch in (24, spectral._BATCH):
+        with _forced(kernel), mock.patch.object(spectral, "_BATCH", batch):
             outs.append([fourier_lattice(mu, s, n),
-                         fourier_lattice(mu, s, n, lambda v: np.sum(v * w, axis=-1)),
+                         fourier_lattice(mu, s, n, reduce),
                          fourier_lattice(mu, s, n, centered=True)])
-    assert items == [20] * 9
+    assert reduced == [(1, 2, 12)] * 20 + [(5, 8, 12)]
     assert [a.shape for a in outs[0]] == [(5, 8, 12), (5, 8), (5, 8, 12)]
-    for out in outs[1:]:
-        assert all(_same_bits(a, b) for a, b in zip(out, outs[0]))
+    assert all(_same_bits(a, b) for a, b in zip(outs[0], outs[1]))
 
 
 def test_taylor_table_is_built_once_per_call():
-    # the chosen kernel is prepared before the batches go to the pool: one
-    # table FFT per call for 6 batches on 2 workers; the slow FFT would let
-    # two workers both build a table that each built on first use
+    # the chosen kernel is prepared before the batches run: one table FFT
+    # per call for 6 batches
     cantor = [random_cantor_measure(seed).coarsened(11) for seed in (8, 17, 27)]
     mu, n = cantor[0], odd_products(cantor[1:])[0]
     assert spectral._kernel(mu, n)[0] == "table"
     calls = []
 
-    def slow_fft(*args, **kwargs):
+    def counted_fft(*args, **kwargs):
         calls.append(1)
-        time.sleep(0.02)
         return np.fft.fft(*args, **kwargs)
 
-    with mock.patch.object(spectral, "fft", slow_fft), \
-            mock.patch.object(spectral, "_BATCH", n.size), \
-            mock.patch.object(dyadic, "_WORKERS", 2):
+    with mock.patch.object(spectral, "fft", counted_fft), \
+            mock.patch.object(spectral, "_BATCH", n.size):
         for centered in (False, True):
             fourier_lattice(mu, np.geomspace(1.0, 100.0, 6), n, centered=centered)
             assert len(calls) == 1
@@ -632,7 +627,7 @@ def test_l2_at_scale_refuses_no_measures_and_mixed_levels():
 
 def test_l2_at_scale_builds_each_bump_once_per_call():
     # 3 measures x 4 scales: one bump and one bump autocorrelation per scale,
-    # plus one autocorrelation per measure, on 2 workers
+    # plus one autocorrelation per measure
     measures = [random_masses_measure(seed) for seed in (4, 5, 6)]
     deltas = measures[0].spacing * np.array([1.0, 2.0, 8.0, 32.0])
     bumps, autocorrelations = [], []
@@ -643,30 +638,19 @@ def test_l2_at_scale_builds_each_bump_once_per_call():
     with mock.patch.object(spectral, "kernel_weights",
                            counted(spectral.kernel_weights, bumps)), \
             mock.patch.object(spectral, "autocorrelation",
-                              counted(spectral.autocorrelation, autocorrelations)), \
-            mock.patch.object(dyadic, "_WORKERS", 2):
+                              counted(spectral.autocorrelation, autocorrelations)):
         l2_at_scale(measures, deltas)
     assert [float(d) for d, _ in bumps] == list(deltas)
     assert len(autocorrelations) == deltas.size + len(measures)
 
 
-def test_l2_at_scale_does_not_depend_on_worker_count():
-    # one pool item per measure, joined in measure order; one measure is one
-    # item, which runs inline
+def test_l2_at_scale_array_call_equals_per_measure_calls():
     measures = [random_cantor_measure(seed).coarsened(11) for seed in (1, 2, 3, 4, 5)]
     deltas = measures[0].spacing * 2.0 ** np.arange(12)
-    items, outs = [], []
-    pool = spectral._ordered_map
-    for workers in (1, 2, 3):
-        with mock.patch.object(dyadic, "_WORKERS", workers), \
-                mock.patch.object(spectral, "_ordered_map",
-                                  lambda fn, it, take: items.append(len(it)) or pool(fn, it, take)):
-            outs.append(l2_at_scale(measures, deltas))
-            singles = [l2_at_scale(m, deltas) for m in measures]
-    assert items == [5, 1, 1, 1, 1, 1] * 3
-    for out in outs:
-        assert _same_bits(out, outs[0])
-    assert _same_bits(np.array(singles), outs[0])
+    out = l2_at_scale(measures, deltas)
+    singles = [l2_at_scale(m, deltas) for m in measures]
+    assert out.shape == (5, 12)
+    assert _same_bits(np.array(singles), out)
 
 
 def test_l2_point_mass_scaling():
