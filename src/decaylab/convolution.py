@@ -41,14 +41,17 @@ cells' masses (CB[0] = 0) and t = ceil(q) clipped to the window, row n puts
 w_n (CB[t(k+1)] - CB[t(k)]) on cell k, for k from (n m0) >> (L+2) to
 (n m1) >> (L+2): about x_n times the window's cell count, x_n the row's
 center.  Exactness: q's numerator is odd and its denominator even, so q
-lies at least 1/(2n) from every integer.  When every numerator is an
-integer below 2**52 (_PREFIX_LIMIT; the route requires the upper edge of
-the top output cell below it), q times the rounded reciprocal of 2n is
-within |q| 2**-52 (1 + 2**-53) < 1/(2n) of q, so its ceiling is exact.  A
-row adds exactly 0 to a cell none of its pairs reaches, and to one whose
-pairs meet only empty cells, since its two CB reads are then the same
-float; differences of the nondecreasing CB are never negative.  A cell
-whose true mass is below CB's roundoff can read 0.
+lies at least 1/(2n) from every integer; as m0 is odd, ceil(q) = rint(y) -
+(m0 - 1)/2 with y = k 2**(L+1) / n at least 1/(2n) from every half-integer.
+Computed as k times the rounded 2**(L+1) / n, y is off by at most
+y (2u + u**2), u = 2**-53: below 1/(2n) when every numerator is an integer
+below 2**52 (_PREFIX_LIMIT; the route requires the upper edge of the top
+output cell below it), so its rint is exact.  A row adds exactly 0 to a
+cell none of its pairs reaches, and to one whose pairs meet only empty
+cells, since its two CB reads are then the same float; differences of the
+nondecreasing CB are never negative.  A cell whose true mass is below CB's
+roundoff can read 0.  The rows' weighted sum is one BLAS matrix-vector
+product: its bits follow the BLAS core kernel, not its thread count.
 
 mul takes the cumulative route only where it is exact and cheaper: both
 factors sit on cells k >= 0 (so every row is increasing in k), the 2**52
@@ -90,15 +93,15 @@ VALID_OPS = ("add", "sub", "mul")
 # the order the chunks' parts are added in, and so output bits.
 _MUL_CHUNK = 1 << 20
 # block cells per chunk of mul's cumulative route: three 8-byte blocks of
-# this many cells (3 MiB), or of one wider row.  flatten-l12's folded
-# product took 81.8 ms at 2**17, 75.5 at 2**16, 82.6 at 2**15 and 88.4 and
-# 95.8 at 2**18 and 2**19; flatten's 13.3 ms at 2**17 against 12.3-12.7 at
-# 2**15-2**16 and 14.6-18.1 at 2**18-2**19 (medians of 15, 2-CPU x86-64
-# VM).  Another value moves output bits, as _MUL_CHUNK's does.
-_MUL_CELLS = 1 << 17
+# this many cells (1.5 MiB), or of one wider row.  flatten-l12's folded
+# product took 49.1-50.8 ms at 2**16, 51.2-53.4 at 2**15, 55.1-56.1 at 2**17
+# and 59.3-60.9 at 2**18; flatten's 8.0-8.4 ms at 2**15-2**16, 8.8-9.7 at
+# 2**17 and 11.3-11.4 at 2**18 (in process, medians of 15 in two rounds,
+# 2-CPU x86-64 VM).  Another value moves output bits, as _MUL_CHUNK's does.
+_MUL_CELLS = 1 << 16
 # time of one cumulative-route block cell over one direct-route pair: it
-# read 0.93-1.77 across the shipped products (1.18 flatten, 1.35
-# flatten-l12, 0.94-1.01 keystep and quantitative, 0.93-1.77 induction;
+# read 0.63-1.11 across the shipped products (0.94-0.95 flatten, 1.05-1.11
+# flatten-l12, 0.63-0.71 keystep and quantitative, 0.68-1.04 induction;
 # forced routes, medians of 7, 2-CPU x86-64 VM).  2 keeps a mul direct
 # unless the cumulative route does under half the element work.
 _MUL_CELL_COST = 2.0
@@ -208,6 +211,8 @@ def _cumulative_route(a, b, shift, base):
     cb = np.concatenate(([0.0], np.cumsum(b.masses)))
     lo = (ka * kb[0]) >> shift      # each row's first and last output cell
     hi = (ka * kb[-1]) >> shift
+    # row n sends b's cells j < rint(k slope_n) - (kb[0] - 1) / 2 below cell k
+    slope = (1.0 / ka) * 2.0 ** (shift - 1)
     chunks = _row_chunks(lo, hi, _MUL_CELLS)
     size = max((i1 - i0) * int(hi[i1 - 1] + 2 - lo[i0]) for i0, i1 in chunks)
     # one set of flat (value, index, difference) blocks, reused chunk after chunk
@@ -219,18 +224,13 @@ def _cumulative_route(a, b, shift, base):
         # contiguous blocks: np.take is slow into strided views
         f, idx = (buf[:r * span].reshape(r, span) for buf in bufs[:2])
         d = bufs[2][:r * (span - 1)].reshape(r, span - 1)
-        n = ka[i0:i1, None]
-        # row n routes b's window cells j < (k 2**shift - n kb[0]) / (2n)
-        # below cell k = lo[i0] + c (see the module docstring for exactness);
-        # float64 operands, since an int64 add into f is slower
-        np.add(np.arange(span) * 2.0 ** shift,
-               ((lo[i0] << shift) - n * kb[0]).astype(np.float64), out=f)
-        np.multiply(f, 1.0 / (2 * n), out=f)
-        np.ceil(f, out=idx, casting="unsafe")
+        np.multiply.outer(slope[i0:i1], np.arange(lo[i0], lo[i0] + span, dtype=np.float64), out=f)
+        np.rint(f, out=idx, casting="unsafe")
+        if kb[0] > 1:   # b's window starts past cell 0
+            idx -= kb[0] // 2
         np.take(cb, idx, out=f, mode="clip")
         np.subtract(f[:, 1:], f[:, :-1], out=d)
-        d *= wa[i0:i1, None]
-        return int(lo[i0] - base), np.add.reduce(d, axis=0)
+        return int(lo[i0] - base), wa[i0:i1] @ d
 
     return route, chunks
 

@@ -430,6 +430,26 @@ def test_determinism_across_processes(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_flatten_bytes_do_not_depend_on_blas_thread_count(tmp_path):
+    # mul's cumulative route sums its rows with a BLAS matrix-vector product;
+    # one BLAS thread and the default count must write the same bytes
+    import subprocess
+
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "flatten.cfg")
+    blobs = []
+    for threads in ("1", None):
+        env = _child_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"threads-{threads or 'default'}"
+        r = subprocess.run([sys.executable, "-m", "decaylab.cli", cfg, "--output", str(out)],
+                           capture_output=True, text=True, timeout=300, env=env)
+        assert r.returncode == 0, r.stderr
+        blobs.append(((out / "report.json").read_bytes(), (out / "flatten.csv").read_bytes()))
+    assert blobs[0] == blobs[1]
+
+
 def test_dispatch_lattice_and_project(tmp_path):
     text = ("experiment = lattice-set\nscale = 8\nseed = 0\n"
             "s = 0.5\nschedule = 16\n")

@@ -267,8 +267,9 @@ def _mul_error_bounds(mu, nu, cumulative):
     so CB^[b] - CB^[a] = S + E: S = CB[b] - CB[a] is the exact mass of the
     row's p occupied pairs there over w_i, and |E| <= p u CB^[b] <=
     p u (1 + gamma_J) CB[b], J the column's occupied cells.  A row with p = 0
-    adds exactly 0.  Two more roundings per row and a sum of the r rows with
-    p > 0 in some order give an error of at most
+    adds exactly 0.  Two more roundings per row at most, since the product
+    and the sum may fuse, and a sum of the r rows with p > 0 in some order
+    give an error of at most
     gamma_{r+1} M + (1 + gamma_{r+J+1}) u Q, with Q the sum over those rows
     of w_i p CB[b].  The rows are the factor with fewer block cells
     sum_n ((n m1) >> (L+2)) - ((n m0) >> (L+2)) + 2, mu on a tie."""
@@ -384,6 +385,70 @@ def test_cumulative_mul_matches_pair_loop_oracle(mu, nu, cells):
             mock.patch.object(convolution, "_MUL_CELLS", cells):
         _assert_mul_matches_oracle(mu, GridMeasure(nu.level, nu.origin_index,
                                                    nu.masses / 3.0))
+
+
+_odd = st.integers(0, (1 << 51) - 1).map(lambda i: 2 * i + 1)
+
+
+@st.composite
+def _threshold_cases(draw):
+    """(shift, k, n, m0): odd n and m0 below 2**52 and a cell k whose lower
+    edge k 2**shift is below 2**52, as every threshold cell of the route's."""
+    shift = draw(st.integers(2, 51))
+    return shift, draw(st.integers(0, (1 << (52 - shift)) - 1)), draw(_odd), draw(_odd)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_threshold_cases())
+# k 2**shift at the 2**52 edge, q exactly 1/(2n) from an integer: n = 3 (y
+# near 2**51), and large n with q = 1/(2n), -1/(2n) and q far below 0
+@example((2, (1 << 50) - 2, 3, 1))
+@example((2, (1 << 50) - 1, (1 << 52) - 5, 1))
+@example((2, (1 << 50) - 1, (1 << 52) - 3, 2097167))
+@example((17, (1 << 35) - 1, (1 << 52) - (1 << 17) - 1, 1))
+@example((40, 4095, (4095 << 40) + 1, 2097167))
+def test_threshold_is_one_rounded_product(case):
+    # t = ceil((k 2**shift - n m0) / (2n)) = rint(k fl(1/n) 2**(shift-1))
+    # - (m0 - 1)/2, as _cumulative_route computes it
+    shift, k, n, m0 = case
+    y = np.multiply.outer((1.0 / np.array([n])) * 2.0 ** (shift - 1), np.array([float(k)]))
+    assert int(np.rint(y)[0, 0]) - (m0 - 1) // 2 == -((n * m0 - (k << shift)) // (2 * n))
+
+
+def test_thresholds_of_flatten_product_are_exact(tmp_path):
+    """Every block cell's threshold that the cumulative route reads the prefix
+    sums at, over configs/flatten.cfg's folded product, equals the exact
+    ceiling of q = (k 2**shift - n m0) / (2n), computed in int64."""
+    seen, blocks = {}, []
+    route, chunks, take = convolution._cumulative_route, convolution._row_chunks, np.take
+
+    def route_spy(a, b, shift, base):
+        seen["numerators"], seen["shift"] = (a.atoms()[0], b.atoms()[0]), shift
+        return route(a, b, shift, base)
+
+    def chunks_spy(lo, hi, budget):
+        seen["lo"] = lo
+        return chunks(lo, hi, budget)
+
+    def take_spy(a, indices, *args, **kwargs):
+        if kwargs.get("mode") == "clip":
+            blocks.append(np.array(indices))   # a copy: the route reuses its buffer
+        return take(a, indices, *args, **kwargs)
+    config = (Path(__file__).parent.parent / "configs" / "flatten.cfg").read_text(encoding="utf-8")
+    with mock.patch.object(convolution, "_cumulative_route", route_spy), \
+            mock.patch.object(convolution, "_row_chunks", chunks_spy), \
+            mock.patch.object(np, "take", take_spy):
+        cli.dispatch(cli.parse_config(config), tmp_path)
+    (ka, kb), shift, lo = seen["numerators"], seen["shift"], seen["lo"]
+    rows, cols = (ka, kb) if np.array_equal((ka * kb[0]) >> shift, lo) else (kb, ka)
+    i0 = 0
+    for idx in blocks:
+        r, span = idx.shape
+        n = rows[i0:i0 + r, None]
+        num = ((lo[i0] + np.arange(span)) << shift) - n * cols[0]
+        assert np.array_equal(idx, -(-num // (2 * n)))
+        i0 += r
+    assert i0 == rows.size and sum(idx.size for idx in blocks) >= 2_000_000
 
 
 def _near_two():
