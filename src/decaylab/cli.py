@@ -474,11 +474,18 @@ def _atomic_write(path: str, text: str):
 
 
 def _csv(rows, header) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
-                              else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """The table as CSV text: a float is written as the repr of a Python
+    float, anything else with str.  A column of one type is formatted as a
+    whole, from the Python scalars of one array's tolist()."""
+    cols = []
+    for col in zip(*rows):
+        if len(set(map(type, col))) > 1:
+            cols.append([repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                         for v in col])
+        else:
+            vals = np.asarray(col)
+            cols.append(map(float.__repr__ if vals.dtype.kind == "f" else str, vals.tolist()))
+    return "\n".join(map(",".join, [header, *zip(*cols)])) + "\n"
 
 
 def dispatch(config: ExperimentConfig, out_dir) -> dict:

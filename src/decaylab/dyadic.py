@@ -16,14 +16,17 @@ projection_scan returns the count |pi_y(A1 x A2)|_δ per direction, exact, as
 int64; the threshold it is compared with belongs to its caller.  With A at
 level L and Y at level Ly, pair (a, b) at direction cell u lands in the
 δ-cell ((2a+1) << (Ly+1) - (2u+1)(2b+1)) >> (Ly+2), the floor of
-(c_a - y_u c_b)/δ for cell centers c and y.  Whole direction rows are
-scanned in batches of at most _SCAN_PAIRS pairs (one row if a row is
-larger), and inputs whose extreme numerators reach 2**62 are refused with
-ValueError (_MUL_PRODUCT_LIMIT, which `mul` in convolution uses too).  The
-numerators are int32 when every extreme stays below 2**31, else int64, and
-the bins uint16, uint32 or int64, the narrowest type holding the number of
-bins the extremes allow: distinct bins within such a window stay distinct
-modulo 2**16 or 2**32, so the counts are the same.
+(c_a - y_u c_b)/δ for cell centers c and y.  The lead term is
+a 2**(Ly+2) + 2**(Ly+1), so the bin is a + c[u, b] with
+c[u, b] = (2**(Ly+1) - (2u+1)(2b+1)) >> (Ly+2): each direction's bins are
+the sumset of A1 and one row of c.  Whole direction rows are scanned in
+batches of at most _SCAN_PAIRS pairs (one row if a row is larger), and
+inputs whose extreme numerators reach 2**62 are refused with ValueError
+(_MUL_PRODUCT_LIMIT, which `mul` in convolution uses too); below it every c
+fits int64.  The bins are written as nonnegative offsets a - min(a) plus
+c - min(c), in uint16, uint32 or int64, the narrowest type holding the
+span the extremes allow, so every offset is held exactly and no modular
+wrap is needed.
 """
 from __future__ import annotations
 
@@ -42,11 +45,11 @@ __all__ = [
 ]
 
 # pairs per projection_scan batch (whole direction rows, at least one).  On
-# project-l12's sets (1.68e7 pairs in int32 numerators and uint16 bins,
-# in-process projection_scan, medians of 9, 2-CPU x86-64 VM) 2**18 took
-# 54.8 ms, 2**16, 2**17, 2**19 and 2**20 55.6-59.4 ms, and 2**14 and 2**15
-# 68.6 and 61.0 ms.  The CLI process's peak RSS was 39, 41 and 51 MB at
-# 2**16, 2**18 and 2**20.
+# project-l12's sets (1.68e7 pairs in uint16 bins, in-process
+# projection_scan, medians of 11 in three alternating runs, 2-CPU x86-64 VM)
+# 2**18 took 71.5-73.2 ms, 2**16, 2**17 and 2**19 72.7-75.5 ms, 2**20
+# 74.8-77.2 ms, and 2**14 and 2**15 94-97 and 81-84 ms.  The CLI process's
+# peak RSS was 39.3, 39.4 and 40.6 MB at 2**16, 2**18 and 2**20.
 _SCAN_PAIRS = 1 << 18
 
 # projection_scan, and convolution's mul, refuse inputs whose largest odd-center
@@ -237,21 +240,21 @@ def projection_scan(A1: DyadicGridSet, A2: DyadicGridSet, Y: DyadicGridSet) -> n
     """|pi_y(A1 x A2)|_δ per direction cell y in Y, as an int64 array.
 
     Pair (a, b) at direction cell u lands in δ-cell floor((c_a - y_u c_b)/δ),
-    which for A at level L and Y at level Ly is the exact integer
-    ((2a+1) << (Ly+1) - (2u+1)(2b+1)) >> (Ly+2).  Whole direction rows are
-    scanned in batches of at most _SCAN_PAIRS pairs (or one larger row);
-    each row's bins are sorted and its distinct values counted.  Sets whose
-    extreme numerators reach 2**62 are refused with ValueError rather than
-    wrapped in int64.
+    the exact integer a + c[u, b] of the module notes.  Whole direction rows
+    are scanned in batches of at most _SCAN_PAIRS pairs (or one larger row):
+    per batch the small c block is computed in int64, the bins are written
+    by one broadcast sum of the offsets a - min(a) and c - min(c), and each
+    row is sorted and its distinct values counted.  Sets whose extreme
+    numerators reach 2**62 are refused with ValueError rather than wrapped
+    in int64.
 
-    The extremes (the lead terms, the products and their differences, as
-    Python ints) bound every value the blocks hold, so the numerators are
-    int32 when all of them lie below 2**31 in absolute value, else int64.
-    The bins of every row lie in one window of `span` consecutive integers,
-    with span read off the extreme numerators.  The shift writes them as
-    uint16 when span <= 2**16, uint32 when span <= 2**32, else int64; the
-    cast to unsigned is modular, so distinct bins of the window, negative
-    ones included, stay distinct and the counts are exact.
+    The extremes of the lead terms, the products and their differences
+    (Python ints from the end cells of the three sets) bound every value:
+    below 2**62 the products and every 2**(Ly+1) - (2u+1)(2b+1) fit int64,
+    and every offset sum lies in [0, span), span read off the extreme a and
+    c.  The sums are written as uint16 when span <= 2**16, uint32 when
+    span <= 2**32, else int64, so each is held exactly; a row's steps are
+    counted in uint16 while a row holds at most 2**16 pairs.
     """
     if A1.is_empty() or A2.is_empty() or Y.is_empty():
         raise ValueError("projection_scan needs nonempty A1, A2, Y")
@@ -265,36 +268,37 @@ def projection_scan(A1: DyadicGridSet, A2: DyadicGridSet, Y: DyadicGridSet) -> n
     lead = [p << (ylevel + 1) for p in ends[0]]
     tail = [q * w for q in ends[1] for w in ends[2]]
     nums = [f - g for f in lead for g in tail]
-    top = max(abs(x) for x in lead + tail + nums)
-    if top >= _MUL_PRODUCT_LIMIT:
+    if max(abs(x) for x in lead + tail + nums) >= _MUL_PRODUCT_LIMIT:
         raise ValueError(
             f"projection scan at level {level} (A1, A2) and level {ylevel} (Y): "
             f"bin numerators reach 2**62 (sets too far from 0 for int64)")
-    num_t = np.int32 if top < 1 << 31 else np.int64
-    # bins of every row lie among `span` consecutive integers, distinct
-    # modulo 2**16 (2**32) when span fits: the unsigned casts wrap exactly
-    span = (max(nums) >> shift) - (min(nums) >> shift) + 1
+    half = 1 << (ylevel + 1)
+    c_min, c_max = (half - max(tail)) >> shift, (half - min(tail)) >> shift
+    span = int(A1.cells[-1] - A1.cells[0]) + c_max - c_min + 1
     bin_t = np.uint16 if span <= 1 << 16 else np.uint32 if span <= 1 << 32 else np.int64
-    ka = ((2 * A1.cells + 1) << (ylevel + 1)).astype(num_t)
-    kb = (2 * A2.cells + 1).astype(num_t)
-    ku = (2 * Y.cells + 1).astype(num_t)
-    pairs = ka.size * kb.size
+    offs = (A1.cells - A1.cells[0]).astype(bin_t)
+    kb = 2 * A2.cells + 1
+    ku = 2 * Y.cells + 1
+    pairs = offs.size * kb.size
     rows = max(1, min(ku.size, _SCAN_PAIRS // pairs))
-    # one set of (products, numerators, bins, steps) blocks, reused batch
-    # after batch
-    bufs = (np.empty((rows, kb.size), dtype=num_t), np.empty((rows, pairs), dtype=num_t),
+    cnt_t = np.uint16 if pairs <= 1 << 16 else np.int64
+    # one set of (c, bins, steps) blocks, reused batch after batch
+    bufs = (np.empty((rows, kb.size), dtype=np.int64),
             np.empty((rows, pairs), dtype=bin_t), np.empty((rows, pairs - 1), dtype=bool))
     parts = []
     for u0 in range(0, ku.size, rows):
         n = min(rows, ku.size - u0)
-        prod, num, bins, step = (buf[:n] for buf in bufs)
-        np.multiply.outer(ku[u0:u0 + n], kb, out=prod)
-        np.subtract(ka[:, None], prod[:, None, :], out=num.reshape(n, ka.size, kb.size))
-        np.right_shift(num, shift, out=bins, casting="unsafe")
+        c, bins, step = (buf[:n] for buf in bufs)
+        np.multiply.outer(ku[u0:u0 + n], kb, out=c)
+        np.subtract(half, c, out=c)
+        np.right_shift(c, shift, out=c)
+        c -= c_min
+        np.add(offs[:, None], c.astype(bin_t)[:, None, :],
+               out=bins.reshape(n, offs.size, kb.size))
         bins.sort(axis=1)
         np.not_equal(bins[:, 1:], bins[:, :-1], out=step)
-        parts.append(1 + np.count_nonzero(step, axis=1))
-    return np.concatenate(parts)
+        parts.append(np.add.reduce(step.view(np.uint8), axis=1, dtype=cnt_t))
+    return 1 + np.concatenate(parts).astype(np.int64)
 
 
 def additive_energy(A: DyadicGridSet, B: DyadicGridSet) -> int:

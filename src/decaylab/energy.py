@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicGridSet, _dyadic_exponent, set_check
-from .measures import GridMeasure, autocorrelation, ball_mass_vector, regularize
+from .measures import GridMeasure, _ball_masses, autocorrelation, regularize
 from .spectral import fourier_lattice
 
 __all__ = [
@@ -116,17 +116,18 @@ def energy_fourier(mu: GridMeasure, s: float, delta: float) -> float:
 def frostman_constant(mu: GridMeasure, s: float,
                       r_range: tuple[float, float]) -> float:
     """The Frostman constant of mu: the smallest K with mu(B(x, r)) <= K r^s
-    over grid centers x and dyadic r in r_range = (r_min, r_max)."""
+    over grid centers x and the dyadic r in r_range = (r_min, r_max), the
+    ball masses of every r read off one prefix sum of mu.  A range holding
+    no dyadic r, or with r_min below the grid scale, raises ValueError."""
     r_min, r_max = r_range
     if r_min < mu.spacing:
         raise ValueError(f"r_min={r_min} below grid scale {mu.spacing}")
     l_hi = int(np.floor(-np.log2(r_min) + 1e-9))
     l_lo = int(np.ceil(-np.log2(r_max) - 1e-9))
-    best = 0.0
-    for l in range(l_lo, l_hi + 1):
-        r = 2.0 ** -l
-        best = max(best, float(np.max(ball_mass_vector(mu, r) / r ** s)))
-    return best
+    if l_lo > l_hi:
+        raise ValueError(f"r_range={r_range} holds no dyadic radius")
+    radii = [2.0 ** -l for l in range(l_lo, l_hi + 1)]
+    return max(float(np.max(m / r ** s)) for r, m in zip(radii, _ball_masses(mu, radii)))
 
 
 @dataclass(frozen=True)
@@ -154,11 +155,9 @@ def exceptional_set(mu: GridMeasure, s: float, delta: float,
     threshold = delta ** (-2.0 * eps)
     u_max = _dyadic_exponent(delta)
     bad = np.zeros(md.size, dtype=bool)
-    for u in range(0, u_max + 1):
-        r = 2.0 ** -u
-        if r < md.spacing:
-            break
-        bad |= (2.0 ** (s * u)) * ball_mass_vector(md, r) > threshold
+    radii = [2.0 ** -u for u in range(0, u_max + 1) if 2.0 ** -u >= md.spacing]
+    for u, m in enumerate(_ball_masses(md, radii)):
+        bad |= (2.0 ** (s * u)) * m > threshold
     # map flagged mollified cells back onto the original grid window
     idx = md.origin_index + np.nonzero(bad)[0]
     own_lo = mu.origin_index

@@ -363,15 +363,29 @@ def ball_mass_vector(mu: GridMeasure, r: float) -> np.ndarray:
 
     Sliding-window sum, exact for the discretized measure; nondecreasing in r.
     """
-    if r < mu.spacing:
-        raise ValueError(f"r={r} below grid scale {mu.spacing}")
-    k = int(np.floor(r / mu.spacing + 1e-12))   # |c_j - c_i| <= r  <=>  |j - i| <= k
+    return next(_ball_masses(mu, (r,)))
+
+
+def _ball_masses(mu: GridMeasure, radii):
+    """ball_mass_vector(mu, r) for each r of radii in turn, all read off one
+    prefix sum csum: the ball of center i holds the cells |j - i| <= k, so
+    its mass is csum[min(i + k + 1, n)] - csum[max(i - k, 0)], both operands
+    taken from slices of csum."""
     csum = np.concatenate([[0.0], np.cumsum(mu.masses)])
     n = mu.size
-    i = np.arange(n)
-    lo = np.maximum(i - k, 0)
-    hi = np.minimum(i + k + 1, n)
-    return csum[hi] - csum[lo]
+    for r in radii:
+        if r < mu.spacing:
+            raise ValueError(f"r={r} below grid scale {mu.spacing}")
+        k = int(np.floor(r / mu.spacing + 1e-12))   # |c_j - c_i| <= r  <=>  |j - i| <= k
+        # balls of the first `lo` centers start at cell 0; those of centers
+        # from `hi` on end at the last cell
+        lo, hi = min(k + 1, n), max(n - k, 0)
+        out = np.empty(n)
+        out[:hi] = csum[k + 1:]
+        out[hi:] = csum[n]
+        out[:lo] -= csum[0]
+        out[lo:] -= csum[1:n + 1 - lo]
+        yield out
 
 
 def _common_grid(mu: GridMeasure, nu: GridMeasure):

@@ -545,6 +545,24 @@ def test_atomic_write_refuses_non_ascii_and_leaves_no_temp(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
 
+def test_csv_writes_numpy_scalars_as_python_scalars():
+    floats = [0.1, -0.0, 5e-324, 1e22, float(2 ** 53 + 1)]
+    ints = [2 ** 53 + 1, 0, -7, 1 << 62, 1]
+    names = ["a", "b", "c", "d", "e"]
+    text = ("name,x,n\n" "a,0.1,9007199254740993\n" "b,-0.0,0\n" "c,5e-324,-7\n"
+            "d,1e+22,4611686018427387904\n" "e,9007199254740992.0,1\n")
+    py_rows = list(zip(names, floats, ints))
+    np_rows = list(zip(names, np.array(floats), np.array(ints, dtype=np.int64)))
+    # columns mixing Python and numpy scalars are written value by value
+    mixed = [py if i % 2 else nq for i, (py, nq) in enumerate(zip(py_rows, np_rows))]
+    for rows in (py_rows, np_rows, mixed):
+        assert cli._csv(rows, ("name", "x", "n")) == text
+    # and so are columns mixing ints and floats, or text, numbers and bools
+    rows = [(1, "x"), (0.5, 2), (np.int64(3), 0.125), (np.float64(0.25), True)]
+    assert cli._csv(rows, ("m", "k")) == "m,k\n1,x\n0.5,2\n3,0.125\n0.25,True\n"
+    assert cli._csv([], ("x", "n")) == "x,n\n"
+
+
 # ---------------------------------------------------------------------------
 # parameter domains: the registry refuses out-of-domain values before any work
 # ---------------------------------------------------------------------------

@@ -327,11 +327,12 @@ _BOUNDARY_SCANS = {
     "negative-wrap": (4, 3, [-(1 << 16), -7, -1], [-1, 0], [0, 5], 1 << 16, None),
     "span-2^32": (4, 3, [-3, (1 << 32) - 4], [-1, 0], [0, 1, 2, 3], 1 << 32, None),
     "span-2^32+1": (4, 3, [-3, (1 << 32) - 3], [-1, 0], [0, 1, 2, 3], (1 << 32) + 1, None),
-    # y = 1/2: numerators 2(2a+1) - (2b+1) reach +-(2**31 - 1)
+    # y = 1/2: numerators 2(2a+1) - (2b+1) reach +-(2**31 - 1), the int32 edge
     "num-2^31-1": (2, 0, [-(1 << 29), 0, (1 << 29) - 1], [-1, 0], [0], None, (1 << 31) - 1),
     # y = 2**-31: the lead term (2a+1) << 31 is 2**31 at a = 0
     "num-2^31": (2, 30, [0], [0, 1], [0, 1], None, 1 << 31),
-    # numerators 2**31 +- 1 bin together; wrapped to 32 bits they split
+    # numerators 2**31 +- 1 bin together; a scan wrapping them to 32 bits
+    # would split them
     "num-2^31+1": (2, 30, [0], [-1, 0], [0], None, (1 << 31) + 1),
 }
 
@@ -357,6 +358,16 @@ def test_projection_scan_at_type_boundaries(case, pairs, parts):
                                   DyadicGridSet(ylevel, y)) for y in ys]
     assert all(c.dtype == np.int64 for c in counts)
     assert np.concatenate(counts).tolist() == [len(b) for b in bins]
+
+
+@pytest.mark.parametrize("extra", (0, 1), ids=("pairs-2^16", "pairs-past-2^16"))
+def test_projection_scan_counts_rows_past_2_16_pairs(extra):
+    # y = -1/2 sends (a, 512 j) to bin a + 256 j: every pair of the row has
+    # its own bin, so the row counts all its 2**16 or 256 * 257 pairs
+    a1, a2 = np.arange(256), 512 * np.arange(256 + extra)
+    counts = projection_scan(DyadicGridSet(0, a1), DyadicGridSet(0, a2),
+                             DyadicGridSet(0, np.array([-1])))
+    assert counts.tolist() == [a1.size * a2.size]
 
 
 def test_projection_scan_does_not_depend_on_batching():
@@ -397,6 +408,43 @@ def test_projection_scan_refuses_int64_overflow(level, ylevel, a, b, u):
     Y = DyadicGridSet(ylevel, np.array([u]))
     with pytest.raises(ValueError, match=f"level {level} .* level {ylevel} .*2\\*\\*62"):
         projection_scan(A1, A2, Y)
+
+
+# (level, ylevel, A1, A2, Y, the cell moved one step out) for the largest
+# inputs below the 2**62 refusal.  Lead terms and products near -2**62 (or
+# +2**62) leave every numerator small but put 2**(Ly+1) - (2u+1)(2b+1) near
+# +-2**62; at Ly = 60, A1 = {-1} and the product 1 - 2**62 it reaches
+# 3 * 2**61 - 1, the largest value c's int64 block can hold.
+_EDGE_SCANS = {
+    "negative": (2, 30, [-(1 << 30), -(1 << 30) + 1, -(1 << 30) + 5],
+                 [(1 << 30) - 4, (1 << 30) - 2, (1 << 30) - 1],
+                 [-(1 << 30), -(1 << 30) + 1, -(1 << 30) + 3], ("A1", 0, -1)),
+    "positive": (2, 30, [(1 << 30) - 6, (1 << 30) - 2, (1 << 30) - 1],
+                 [(1 << 30) - 5, (1 << 30) - 1], [(1 << 30) - 3, (1 << 30) - 1],
+                 ("A1", -1, 1)),
+    "c-3*2^61": (3, 60, [-1], [0, (1 << 30) - 2, 1 << 30],
+                 [-(1 << 30), -(1 << 30) + 2], ("A2", -1, 1)),
+}
+
+
+@pytest.mark.parametrize("case", _EDGE_SCANS)
+def test_projection_scan_at_the_int64_edge(case):
+    level, ylevel, a1, a2, ycells, (name, k, step) = _EDGE_SCANS[case]
+    top = max(abs(t) for a in a1 for b in a2 for u in ycells
+              for t in ((2 * a + 1) << (ylevel + 1), (2 * u + 1) * (2 * b + 1),
+                        ((2 * a + 1) << (ylevel + 1)) - (2 * u + 1) * (2 * b + 1)))
+    assert 1 << 61 < top < 1 << 62
+    counts = projection_scan(DyadicGridSet(level, np.array(a1)),
+                             DyadicGridSet(level, np.array(a2)),
+                             DyadicGridSet(ylevel, np.array(ycells)))
+    assert counts.tolist() == fraction_projection_counts(a1, a2, ycells, level, ylevel)
+    # one cell moved one step further out is refused
+    sets = {"A1": list(a1), "A2": list(a2)}
+    sets[name][k] += step
+    with pytest.raises(ValueError, match="2\\*\\*62"):
+        projection_scan(DyadicGridSet(level, np.array(sets["A1"])),
+                        DyadicGridSet(level, np.array(sets["A2"])),
+                        DyadicGridSet(ylevel, np.array(ycells)))
 
 
 def test_projection_scan_accepts_deep_levels_near_zero():

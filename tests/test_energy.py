@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decaylab import (energy_fourier, energy_spatial, exceptional_set,
+from decaylab import (ball_mass_vector, energy_fourier, energy_spatial, exceptional_set,
                       extract_nonconcentrated, frostman_constant, point_mass,
                       regularize, set_check, uniform_measure)
 from decaylab.constructions import mix
@@ -211,6 +211,52 @@ def test_frostman_middle_thirds_type():
 def test_frostman_random_cantor_cap():
     mu = random_cantor_measure(7, block=2, keep=2, depth=6)
     assert frostman_constant(mu, 0.5, (2.0 ** -12, 0.5)) <= 4.0   # enforced at construction
+
+
+def test_frostman_refuses_a_range_without_dyadic_radius():
+    mu = uniform_measure(0.0, 1.0, 10)
+    for r_range in ((0.5, 0.25), (0.3, 0.4)):
+        with pytest.raises(ValueError, match="no dyadic radius"):
+            frostman_constant(mu, 0.5, r_range)
+    # a range around one dyadic radius holds it
+    assert frostman_constant(mu, 0.5, (0.3, 0.6)) == frostman_constant(mu, 0.5, (0.5, 0.5))
+
+
+def _gathered_ball_masses(masses, k):
+    """mu(B(c_i, r)) over the cells |j - i| <= k, by one index gather per
+    window end: the formula the slice form must equal bit for bit."""
+    csum = np.concatenate([[0.0], np.cumsum(masses)])
+    i = np.arange(masses.size)
+    return csum[np.minimum(i + k + 1, masses.size)] - csum[np.maximum(i - k, 0)]
+
+
+@st.composite
+def _windowed_measures(draw):
+    """A measure of 1-300 cells, gaps included, at level 1-10."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    masses = rng.random(n) * (rng.random(n) < draw(st.floats(0.05, 1.0)))
+    masses[[0, -1]] = 0.01 + rng.random(2)      # the window is the hull
+    return GridMeasure(draw(st.integers(1, 10)), draw(st.integers(-40, 40)),
+                       masses / masses.sum())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_windowed_measures(), st.lists(st.integers(1, 310), max_size=5),
+       st.floats(0.05, 1.0), st.data())
+def test_ball_masses_equal_the_gather_formula(mu, ks, s, data):
+    n, h = mu.size, mu.spacing
+    # radii in whole and half cells, windows reaching or passing the hull
+    for k in [k for k in ks + [1, n - 1, n, n + 2] if k >= 1]:
+        for r in (k * h, (k + 0.5) * h):
+            assert (ball_mass_vector(mu, r).tobytes()
+                    == _gathered_ball_masses(mu.masses, k).tobytes())
+    l_hi = data.draw(st.integers(0, mu.level))
+    l_lo = data.draw(st.integers(0, l_hi))
+    for lo in {l_lo, 0}:                        # r_max = 1 among them
+        oracle = max(float(np.max(_gathered_ball_masses(mu.masses, 2 ** (mu.level - l))
+                                  / (2.0 ** -l) ** s)) for l in range(lo, l_hi + 1))
+        assert frostman_constant(mu, s, (2.0 ** -l_hi, 2.0 ** -lo)) == oracle
 
 
 # ---------------------------------------------------------------------------
