@@ -100,11 +100,12 @@ _MUL_CHUNK = 1 << 20
 # 2-CPU x86-64 VM).  Another value moves output bits, as _MUL_CHUNK's does.
 _MUL_CELLS = 1 << 16
 # time of one cumulative-route block cell over one direct-route pair: it
-# read 0.63-1.11 across the shipped products (0.94-0.95 flatten, 1.05-1.11
-# flatten-l12, 0.63-0.71 keystep and quantitative, 0.68-1.04 induction;
-# forced routes, medians of 7, 2-CPU x86-64 VM).  2 keeps a mul direct
-# unless the cumulative route does under half the element work.
-_MUL_CELL_COST = 2.0
+# read 0.57-1.09 across the shipped products (0.84-0.86 flatten, 0.97-1.03
+# flatten-l12, 0.57-0.64 keystep and quantitative, 0.52-1.09 induction;
+# forced routes, medians of 15, 2-CPU x86-64 VM).  1.1, the top of that
+# range, sends a mul cumulative only where it wins at the dearest ratio:
+# induction's first product (1.29 pairs per block cell) is the least such.
+_MUL_CELL_COST = 1.1
 # the cumulative route's float64 numerators are integers below this
 _PREFIX_LIMIT = 1 << 52
 

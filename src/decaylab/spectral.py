@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.fft import fft, ifft
+from numpy.fft import fft, ifft, rfft
 
 from .measures import GridMeasure, autocorrelation, kernel_weights, next_fast_len
 
@@ -51,21 +51,26 @@ __all__ = [
 # magnitudes below this floor are ignored by the log-log exponent fit
 MAGNITUDE_FLOOR = 1e-12
 
-# complex entries per chunk of a direct sum or of batched chirp-z rows:
-# batched bands fill whole chunks; at 2**22 (~160 MB) `induction` peaked at
-# 201.7 MiB RSS, at 2**18 at 104.5 MiB (2-CPU x86-64 VM)
-_CHUNK = 1 << 18
-# transform values fourier_lattice holds at once: at 2**20 the Pi^ batches
-# took `induction`'s own VmHWM to 119.6 MB, at 2**16 to 52 MB (2-CPU x86-64 VM)
-_BATCH = 1 << 16
+# _CHUNK: complex entries per chunk of a direct sum or of batched chirp-z
+# rows; _BATCH: transform values fourier_lattice holds at once.  Both are
+# small enough that a chunk's or a batch's temporaries (128-512 KiB each)
+# fit the 2 MiB L2 per core and come back from the heap, not fresh mappings.
+# `configs/induction.cfg`, one run per fresh process (medians of 12, 2-CPU
+# x86-64 VM), at _BATCH, _CHUNK = 2**16, 2**18: 102.4 ms, 10.2k minor faults,
+# 49.9 MB VmHWM; 2**14, 2**18: 96.2 ms, 7.7k, 52.2 MB; 2**16, 2**15: 97.0 ms,
+# 8.7k, 48.9 MB; 2**14, 2**15: 91.2 ms, 6.0k, 48.4 MB (2**13-2**15 with
+# 2**14-2**16: 91-96 ms).  No value depends on either.
+_CHUNK = 1 << 15
+_BATCH = 1 << 14
 _CHAIN_ATOMS = 1 << 20  # atom products enumerated by odd_products
-_TABLE_ENTRIES = 1 << 22  # P x M entries of one Taylor table (64 MiB)
+_TABLE_ENTRIES = 1 << 22  # P x M entries of one Taylor table (32 MiB per part)
 _EXACT = 1 << 52       # integer factors of _turns must stay below this
 # Measured ns per unit of kernel work: a direct-sum term, one of L log2(2L)
 # in a chirp-z row, one of P M log2(M) in building a Taylor table, one of P
-# Taylor terms in a table value; 28-62, 8.6-13.7, 1.3-1.8 and 8.5-22 ns over
-# windows of 40-32770 cells (numpy 2.4 numpy.fft, 2-CPU x86-64 VM).
-_UNIT_NS = {"direct": 40.0, "chirp-z": 10.0, "table": 1.6, "taylor term": 12.0}
+# Taylor terms in a table value; 28-62, 8.6-13.7, 0.8-1.4 (the half-spectrum
+# build; 2.0 at 40 cells) and 8.5-22 ns over windows of 40-32770 cells
+# (numpy 2.4 numpy.fft, 2-CPU x86-64 VM).
+_UNIT_NS = {"direct": 40.0, "chirp-z": 10.0, "table": 1.2, "taylor term": 12.0}
 
 
 def _frac(p: np.ndarray) -> np.ndarray:
@@ -280,7 +285,13 @@ def _table(mu: GridMeasure, n: np.ndarray, ref: int):
     Q(frac(nu h)), c* = odd* h / 2: at nu = b m, frac(nu h) = _turns(b h, m),
     its offset from the nearest node _turns(b h M, m), and the rotation
     about ref _turns(b h / 2, m (odd* - ref)), exp(0) = 1 when ref = odd*.
-    P FFTs of length M cost P M log2(M), and each value P Taylor terms.
+    The moment rows are real, so the table comes from one rfft of them: the
+    half spectrum, scaled in place by (-i)^p, is written back into the
+    rows' own buffer as the real parts (and into one more P x M buffer as
+    the imaginary parts), entries M/2 + 1 .. M - 1 mirrored by
+    FFT(row)[M - k] = conj(FFT(row)[k]): (-1)^p times entry k's real part,
+    -(-1)^p times its imaginary part.  No complex P x M array is made.  The
+    build costs P M log2(M) units, and each value P Taylor terms.
 
     The read is real when the window has an odd number of cells, its masses
     equal their mirror image about j*, and ref = odd*: Q(theta) = sum_j m_j
@@ -308,9 +319,19 @@ def _table(mu: GridMeasure, n: np.ndarray, ref: int):
         for p in range(order):
             rows[p, offsets % size] = term
             term = term * (offsets / half) / (p + 1)
-        table = fft(rows, axis=-1) * np.array([1, -1j, -1, 1j])[np.arange(order) % 4, None]
-        re = table.real.copy()
-        im = None if real else table.imag.copy()
+        spec = rfft(rows, axis=-1)
+        spec *= np.array([1, -1j, -1, 1j])[np.arange(order) % 4, None]
+        # FFT(row)[M - k] = conj(FFT(row)[k]) for a real row, so entry M - k
+        # of table row p is (-1)^p conj(entry k); re overwrites the moments
+        parity = (-1.0) ** np.arange(order)[:, None]
+        top = size // 2
+
+        def unfold(part, sign, out):
+            out[:, :top + 1] = part
+            np.multiply(part[:, top - 1:0:-1], sign, out=out[:, top + 1:])
+            return out
+        re = unfold(spec.real, parity, rows)
+        im = None if real else unfold(spec.imag, -parity, np.empty_like(rows))
 
         def values(b, m):
             b = b.reshape(b.shape + (1,) * m.ndim)

@@ -580,8 +580,9 @@ input2.seed = 100
     # [1, 2] grids: 4.2M pairs against 6.3M block cells
     ("keystep.cfg", ["direct"]),
     ("quantitative.cfg", ["direct", "direct"]),
-    # 0.3M pairs against 0.25M block cells, then block cells outnumber pairs
-    ("induction.cfg", ["direct", "direct", "direct"]),
+    # 0.32M pairs against 0.25M block cells; then 0.07M against 0.52M and
+    # 0.61M against 0.68M
+    ("induction.cfg", ["cumulative", "direct", "direct"]),
 ], ids=["flatten", "flatten-l12", "counterexample", "keystep", "quantitative",
         "induction"])
 def test_mul_route_of_each_shipped_product(config, want, tmp_path):

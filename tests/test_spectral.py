@@ -1,6 +1,7 @@
 import cmath
 import math
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from decaylab import (GridMeasure, convolve, decay_profile, fourier_many, l2_at_scale,
                       order_check, point_mass, product_fourier, regularize,
                       uniform_measure)
-from decaylab import pipelines, spectral
+from decaylab import cli, pipelines, spectral
 from decaylab.spectral import (fourier_lattice, odd_products, product_chain_fourier,
                                profile_from_samples)
 
@@ -144,6 +145,11 @@ def test_chirp_z_matches_double_sum(mu, count, n0, g, s):
     n = n0 + g * np.arange(count)
     with _forced("chirp-z"):
         got = fourier_lattice(mu, s, n)
+        # rows of length L, one or two per chunk or all at once, same bits
+        length = spectral.next_fast_len(mu.size + count - 1)
+        for chunk in (length, 2 * length, 1 << 18):
+            with mock.patch.object(spectral, "_CHUNK", chunk):
+                assert _same_bits(fourier_lattice(mu, s, n), got)
     oracle = _double_sum(mu, s[:, None] * n)
     assert np.max(np.abs(got - oracle)) <= 1e-9 * mu.total_mass
 
@@ -454,24 +460,106 @@ def test_fourier_lattice_does_not_depend_on_its_batches(kernel):
     assert all(_same_bits(a, b) for a, b in zip(outs[0], outs[1]))
 
 
+def test_induction_bytes_do_not_depend_on_batch_or_chunk(tmp_path):
+    # induction.cfg through every kernel (the decay fit's direct sums, the
+    # chain's and Pi^'s tables) at small _BATCH and _CHUNK, at today's and
+    # at 2**16 and 2**18: report.json and chain.csv keep their bytes
+    config = cli.parse_config((Path(__file__).parent.parent / "configs"
+                               / "induction.cfg").read_text(encoding="utf-8"))
+    blobs = []
+    for batch, chunk in ((1 << 10, 1 << 11), (spectral._BATCH, spectral._CHUNK),
+                         (1 << 16, 1 << 18)):
+        out = tmp_path / f"{batch}-{chunk}"
+        with mock.patch.object(spectral, "_BATCH", batch), \
+                mock.patch.object(spectral, "_CHUNK", chunk):
+            cli.dispatch(config, out)
+        blobs.append([(out / name).read_bytes() for name in ("report.json", "chain.csv")])
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
 def test_taylor_table_is_built_once_per_call():
-    # the chosen kernel is prepared before the batches run: one table FFT
-    # per call for 6 batches
+    # the chosen kernel is prepared before the batches run: one rfft of the
+    # moment rows per call for 6 batches, and no complex FFT
     cantor = [random_cantor_measure(seed).coarsened(11) for seed in (8, 17, 27)]
     mu, n = cantor[0], odd_products(cantor[1:])[0]
     assert spectral._kernel(mu, n)[0] == "table"
     calls = []
 
-    def counted_fft(*args, **kwargs):
-        calls.append(1)
-        return np.fft.fft(*args, **kwargs)
+    def counted(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return getattr(np.fft, name)(*args, **kwargs)
+        return call
 
-    with mock.patch.object(spectral, "fft", counted_fft), \
+    with mock.patch.object(spectral, "rfft", counted("rfft")), \
+            mock.patch.object(spectral, "fft", counted("fft")), \
             mock.patch.object(spectral, "_BATCH", n.size):
         for centered in (False, True):
             fourier_lattice(mu, np.geomspace(1.0, 100.0, 6), n, centered=centered)
-            assert len(calls) == 1
+            assert calls == ["rfft"]
             calls.clear()
+
+
+def _full_fft_table(mu, ref):
+    """values(b, m) of mu's Taylor table built from full spectra: row p is
+    (-i)^p times the complex length-M FFT of the p-th moment row, its real
+    and imaginary parts copied out, then read as _table reads (a real read
+    keeps the real part only)."""
+    odd = spectral._middle_odd(mu)
+    mid = (odd - 1) // 2 - mu.origin_index
+    half = max(mu.size - 1 - mid, 1)
+    order, size = spectral._table_shape(mu.size)
+    mass = mu.masses
+    real = odd == ref and mass.size % 2 == 1 and np.array_equal(mass, mass[::-1])
+    offsets = np.arange(-mid, mass.size - mid)
+    term, rows = mass, np.zeros((order, size))
+    for p in range(order):
+        rows[p, offsets % size] = term
+        term = term * (offsets / half) / (p + 1)
+    table = np.fft.fft(rows, axis=-1) * np.array([1, -1j, -1, 1j])[np.arange(order) % 4, None]
+    re, im, h = table.real.copy(), table.imag.copy(), mu.spacing
+
+    def values(b, m):
+        b = b.reshape(b.shape + (1,) * m.ndim)
+        u = spectral._turns(b * (h * size), m)
+        k = np.rint(spectral._turns(b * h, m) * size - u).astype(np.int64) & (size - 1)
+        t = u * (2 * math.pi * half / size)
+        vr = spectral._horner(re, k, t)
+        if real:
+            return vr.astype(np.complex128)
+        vi = spectral._horner(im, k, t)
+        rot = np.exp(-2j * np.pi * spectral._turns(b * (h / 2), m * (odd - ref)))
+        return (vr + 1j * vi) * rot
+    return values
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 13).flatmap(
+           lambda lv: _window_measures(lv, -(2 << lv), 2 << lv, min(1024, 2 << lv))),
+       st.lists(st.floats(-0.25, 0.25), min_size=1, max_size=4).map(np.array),
+       st.lists(st.integers(-(1 << 20), 1 << 20), min_size=1, max_size=12).map(np.array),
+       st.sampled_from([None, "odd", "even"]), st.booleans())
+@example(pipelines._autocorrelation_measure(random_cantor_measure(8).coarsened(11)),
+         np.array([0.01, -0.2]), np.array([1, 3, 12345, (1 << 20) - 1]), None, True)
+def test_half_spectrum_table_matches_full_fft_table(mu, s, n, mirror, centered):
+    # the table from one rfft, mirrored by FFT(row)[M - k] = conj(FFT(row)[k]),
+    # against the complex FFT of every row.  Each FFT entry is off by at most
+    # ~log2(M) u times its row's l1 norm, the moment rows' l1 norms sum to
+    # at most e^1 times the mass and |t| <= pi / 16 in the read, so the two
+    # tables' values may differ by ~2 e log2(M) u mass; 16 log2(M) u mass
+    # leaves room for the rotation and Horner roundoff
+    if mirror:      # the window and its mirror image, sharing the last cell if odd
+        skip = 1 if mirror == "odd" else 0
+        mu = GridMeasure(mu.level, mu.origin_index, np.r_[mu.masses, mu.masses[::-1][skip:]])
+    ref = spectral._middle_odd(mu) if centered else 0
+    plan = spectral._table(mu, n, ref)
+    assert plan is not None
+    got = plan[1]()(s, n)
+    want = _full_fft_table(mu, ref)(s, n)
+    size = spectral._table_shape(mu.size)[1]
+    assert np.max(np.abs(got - want)) <= 16 * math.log2(size) * 2.0 ** -53 * mu.total_mass
+    if centered and _odd_mirror(mu):
+        assert np.all(got.imag == 0)
 
 
 def test_fourier_lattice_refuses_inexact_phases():
