@@ -67,11 +67,15 @@ def energy_spatial(mu: GridMeasure, s: float, delta: float) -> float:
         raise ValueError("energy_spatial needs 0 < s < 1")
     md = regularize(mu, delta)
     m = md.masses
-    h = md.spacing
-    n = m.size
-    diag = _diagonal_coeff(s, h) * float(np.sum(m * m))
-    acf = autocorrelation(m)[1:]             # d = 1 .. n-1
-    dist = np.arange(1, n) * h
+    return _riesz_sum(float(np.sum(m * m)), autocorrelation(m)[1:], s, md.spacing)
+
+
+def _riesz_sum(square: float, acf: np.ndarray, s: float, h: float) -> float:
+    """energy_spatial's lag sum: the diagonal term of square = sum m_i^2 plus
+    2 sum over lags d = 1 .. acf.size of acf[d - 1] (d h)^-s, with acf the
+    autocorrelation of the mollified masses from lag 1 on."""
+    diag = _diagonal_coeff(s, h) * square
+    dist = np.arange(1, acf.size + 1) * h
     offdiag = 2.0 * float(np.sum(acf * dist ** -s))
     return offdiag + diag
 

@@ -50,6 +50,7 @@ __all__ = [
     "next_fast_len",
     "fftconvolve",
     "autocorrelation",
+    "power_autocorrelations",
 ]
 
 # experiments at nominal scale 2**-m use an internal grid at 2**-(m+3)
@@ -263,6 +264,57 @@ def autocorrelation(x: np.ndarray) -> np.ndarray:
     length = next_fast_len(2 * x.size - 1, real=True)
     f = rfft(x, length)
     return irfft(f.real ** 2 + f.imag ** 2, length)[:x.size]
+
+
+def power_autocorrelations(mu: GridMeasure, k_max: int, delta: float | None = None):
+    """(plain, mollified): the autocorrelations A_k of the masses of the
+    additive powers P_0 = mu, P_{k+1} = P_k + P_k (convolution's add), for
+    k = 0 .. k_max, at the lags 0 .. |P_k| - 1 (|P_k| = 2**k mu.size); and,
+    given delta, those of P_k mollified at delta (regularize) at the lags
+    0 .. |P_k| + 2 K - 3, K = delta / spacing, else None.  No power is built.
+
+    add splits each pair mass between two cells, so as polynomials in the
+    cell shift z, P_{k+1}(z) = P_k(z)**2 (1 + z) / 2, and on the unit circle
+    |P_{k+1}|**2 = |P_k|**4 cos(omega / 2)**2.  With L0 =
+    next_fast_len(2 (mu.size + 2 K)) (K = 0 without delta) and L = L0 2**k_max,
+    g_0 = |rfft(mu, L)|**2 and g_{k+1} = g_k**2 cos(pi m / L)**2; A_k is the
+    irfft of g_k[::2**(k_max - k)] at length L0 2**k, whose frequencies are
+    a subset of L's.  That length is at least 2 |P_k| (+ 4 K), so no lag
+    wraps.  Mollified, g_k is multiplied by |rfft(w, L)|**2 of the bump w
+    first.  One rfft of mu (and one of w) and k_max + 1 irffts per kind.
+    Each A_k is checked: A(0) + 2 (A(1) + A(2) + ...), its sum over the
+    negative and positive lags, is mass**(2**(k + 1)).
+    """
+    w = None if delta is None else kernel_weights(delta, mu.level)
+    pad = 0 if w is None else w.size - 1          # 2 K
+    base = next_fast_len(2 * (mu.size + pad), real=True)
+    length = base << k_max
+    f = rfft(mu.masses, length)
+    g = f.real ** 2 + f.imag ** 2
+    split = np.cos(np.arange(g.size) * (np.pi / length)) ** 2
+    bump = None
+    if w is not None:
+        f = rfft(w, length)
+        bump = f.real ** 2 + f.imag ** 2
+    plain, mollified = [], None if w is None else []
+
+    def lags(spec, k, count):
+        a = irfft(spec, base << k)[:count]
+        assert_mass_conserved(mu.total_mass ** (2 ** (k + 1)),
+                              2.0 * float(np.sum(a)) - float(a[0]),
+                              f"autocorrelation of additive power {k}")
+        return a
+
+    for k in range(k_max + 1):
+        if k:
+            g *= g
+            g *= split
+        spec = g[::1 << (k_max - k)]
+        plain.append(lags(spec, k, mu.size << k))
+        if w is not None:
+            mollified.append(lags(spec * bump[::1 << (k_max - k)], k,
+                                  (mu.size << k) + pad - 2))
+    return plain, mollified
 
 
 # ---------------------------------------------------------------------------------

@@ -411,39 +411,29 @@ def product_chain_fourier(measures, xi):
                                    lambda vals: np.sum(vals * w, axis=-1)), xi)
 
 
-def l2_at_scale(mu, delta):
+def l2_at_scale(mu: GridMeasure, delta):
     """L2 norm of the density of mu mollified at scale delta (a float), or at
-    each of an array of scales (an array of that shape); for a sequence of
-    measures on one grid level, one row per measure, of shape
-    (len(mu),) + shape(delta).
+    each of an array of scales (an array of that shape).
 
     ||m * w||_2^2 = sum over lags d of A_m(d) A_w(d), with A the
-    autocorrelations of a measure's masses and of the bump (kernel_weights,
-    which refuses bad scales); over the spacing, that is the density's.  Each
-    bump is autocorrelated once per call, before the rows, one per measure.
-    Equals regularize's norm to roundoff; every element equals the call on
-    its one measure at its one scale bit for bit.
+    autocorrelations of mu's masses and of the bump (kernel_weights, which
+    refuses bad scales); over the spacing, that is the density's (_l2_rows).
+    Equals regularize's norm to roundoff; every element equals the call at
+    its one scale bit for bit.
     """
-    single = isinstance(mu, GridMeasure)
-    measures = [mu] if single else list(mu)
-    if not measures:
-        raise ValueError("l2_at_scale needs at least one measure")
-    level = measures[0].level
-    if any(m.level != level for m in measures):
-        raise ValueError("l2_at_scale needs measures on one grid level")
+    return _shaped(_l2_rows([autocorrelation(mu.masses)], delta, mu.level)[0], delta)
+
+
+def _l2_rows(acfs, delta, level: int) -> np.ndarray:
+    """l2_at_scale's lag sum, one row per autocorrelation A of acfs (masses
+    at level `level`, lags 0, 1, ...) and one column per scale of delta,
+    flattened: sqrt(sum over lags -d .. d of A(d) A_w(d) / spacing).  Each
+    bump is autocorrelated once, and its lags are cut to each A's."""
     bumps = [autocorrelation(kernel_weights(float(d), level)) for d in np.ravel(delta)]
-    h = measures[0].spacing
-
-    def row(m):
-        am = autocorrelation(m.masses)
-        # lags -d and d add the same term
-        return np.array([np.sqrt((2.0 * np.sum(am[:aw.size] * aw) - am[0] * aw[0]) / h)
-                         for aw in (bump[:am.size] for bump in bumps)])
-
-    rows = [row(m) for m in measures]
-    if single:
-        return _shaped(rows[0], delta)
-    return np.array(rows).reshape((len(measures),) + np.shape(delta))
+    h = 2.0 ** -level
+    # lags -d and d add the same term
+    return np.array([[np.sqrt((2.0 * np.sum(am[:aw.size] * aw) - am[0] * aw[0]) / h)
+                      for aw in (bump[:am.size] for bump in bumps)] for am in acfs])
 
 
 @dataclass(frozen=True)
@@ -493,11 +483,13 @@ def _fit_decay(xis: np.ndarray, mags: np.ndarray):
     bm = np.asarray(bm)
     if bx.size < 2:
         return float("inf"), 0.0, floor_hits, True
-    A = np.vstack([bx, np.ones_like(bx)]).T
-    coef, *_ = np.linalg.lstsq(A, bm, rcond=None)
-    resid = bm - A @ coef
-    rms = float(np.sqrt(np.mean(resid ** 2)))
-    return float(-coef[0]), rms, floor_hits, False
+    # least-squares line through the centered points, in np.sums: a BLAS or
+    # LAPACK solve would make the bits follow the BLAS core kernel
+    dx = bx - np.sum(bx) / bx.size
+    dy = bm - np.sum(bm) / bm.size
+    slope = np.sum(dx * dy) / np.sum(dx * dx)
+    rms = float(np.sqrt(np.mean((dy - slope * dx) ** 2)))
+    return float(-slope), rms, floor_hits, False
 
 
 def band_samples(lo: float, hi: float, n_samples: int) -> np.ndarray:

@@ -8,6 +8,27 @@ from decaylab.spectral import fourier_lattice
 
 pytest_plugins = ["pytester"]
 
+# bench/workloads.py's flatten-l12 at its default seed
+FLATTEN_L12 = """\
+experiment = flatten
+scale = 12
+seed = 0
+s = 0.5
+t = 0.5
+k_max = 4
+kappa = 0.1
+input1.kind = cantor
+input1.d = 2
+input1.keep = 2
+input1.depth = 6
+input1.seed = 0
+input2.kind = cantor
+input2.d = 2
+input2.keep = 2
+input2.depth = 6
+input2.seed = 100
+"""
+
 
 def random_cantor_measure(seed: int, block: int = 2, keep: int = 2,
                           depth: int = 5):

@@ -450,6 +450,29 @@ def test_flatten_bytes_do_not_depend_on_blas_thread_count(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+@pytest.mark.parametrize("config", ["decay.cfg", "quantitative.cfg"])
+def test_bytes_do_not_depend_on_blas_core_kernel(config, tmp_path):
+    # the decay fit and every sum these configs report are np.sums, not
+    # BLAS or LAPACK calls, so OpenBLAS's core kernel moves no output bit
+    # (flatten and induction still follow it through mul's cumulative route)
+    import subprocess
+
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs", config)
+    blobs = []
+    for core in (None, "Prescott", "Haswell"):
+        env = _child_env()
+        env.pop("OPENBLAS_CORETYPE", None)
+        if core:
+            env["OPENBLAS_CORETYPE"] = core
+        out = tmp_path / (core or "default")
+        r = subprocess.run([sys.executable, "-m", "decaylab.cli", cfg, "--output", str(out)],
+                           capture_output=True, text=True, timeout=300, env=env)
+        assert r.returncode == 0, r.stderr
+        blobs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                      if p.name != "timing.json"})
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
 def test_dispatch_lattice_and_project(tmp_path):
     text = ("experiment = lattice-set\nscale = 8\nseed = 0\n"
             "s = 0.5\nschedule = 16\n")

@@ -13,8 +13,8 @@ from decaylab import (GridMeasure, convolve, difference_product, point_mass,
 from decaylab import cli, convolution, measures
 from decaylab.convolution import symmetry_defect
 
-from conftest import (centers, l1_distance, lossy, occupied, random_cantor_measure,
-                      random_masses_measure)
+from conftest import (FLATTEN_L12, centers, l1_distance, lossy, occupied,
+                      random_cantor_measure, random_masses_measure)
 
 
 def _direct_add_oracle(mu, nu):
@@ -549,32 +549,10 @@ def _mul_route(mu, nu):
     return routes[0], out
 
 
-# bench/workloads.py's flatten-l12 at its default seed
-_FLATTEN_L12 = """\
-experiment = flatten
-scale = 12
-seed = 0
-s = 0.5
-t = 0.5
-k_max = 4
-kappa = 0.1
-input1.kind = cantor
-input1.d = 2
-input1.keep = 2
-input1.depth = 6
-input1.seed = 0
-input2.kind = cantor
-input2.d = 2
-input2.keep = 2
-input2.depth = 6
-input2.seed = 100
-"""
-
-
 @pytest.mark.parametrize("config, want", [
     # 5.8M pairs against 2.1M block cells; 79.7M against 16.4M
     ("flatten.cfg", ["cumulative"]),
-    (_FLATTEN_L12, ["cumulative"]),
+    (FLATTEN_L12, ["cumulative"]),
     # a sparse comb whose center products pass 2**52
     ("counterexample.cfg", ["direct"]),
     # [1, 2] grids: 4.2M pairs against 6.3M block cells

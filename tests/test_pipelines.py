@@ -1,19 +1,23 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from decaylab import (GridMeasure, point_mass, product_fourier, regularize,
-                      uniform_measure)
-from decaylab import pipelines
+from decaylab import (GridMeasure, energy_spatial, point_mass, product_fourier,
+                      regularize, uniform_measure)
+from decaylab import cli, convolution, measures, pipelines
 from decaylab.constructions import make_comb
 from decaylab.convolution import convolve, difference_product
-from decaylab.spectral import fourier_lattice, odd_products, profile_from_samples
+from decaylab.measures import autocorrelation, next_fast_len, power_autocorrelations
+from decaylab.spectral import (_l2_rows, fourier_lattice, l2_at_scale, odd_products,
+                               profile_from_samples)
 from decaylab.pipelines import (quantitative_parameters, run_base_case,
                                 run_flattening, run_induction_chain,
                                 run_keystep_scan, run_level_sets,
                                 run_quantitative_decay)
 
-from conftest import random_cantor_measure, translated
+from conftest import FLATTEN_L12, lossy, random_cantor_measure, translated
 
 
 def _verdict(run, name):
@@ -103,6 +107,123 @@ def test_flattening_l2_matches_mollified_powers(pair):
         want = [np.sqrt(np.sum(regularize(pk, float(r)).masses ** 2) / pk.spacing)
                 for r in cols["r"][at_k]]
         np.testing.assert_allclose(cols["J"][at_k], want, rtol=1e-12, atol=0)
+
+
+def _within(got, want, bound):
+    """Every lag of got and want within bound * want[0] (A(0), the largest
+    lag of an autocorrelation); lags only one of the two holds count against
+    0, since _conv_add zeroes a power's tail cells whose true mass is below
+    its FFT roundoff, which shortens the oracle's window."""
+    common = min(got.size, want.size)
+    err = max(np.max(np.abs(got[:common] - want[:common])),
+              np.max(np.abs(got[common:]), initial=0.0),
+              np.max(np.abs(want[common:]), initial=0.0))
+    assert err <= bound * want[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), k_max=st.integers(0, 4), K=st.sampled_from([1, 2, 4, 8]),
+       origin=st.integers(-40, 40), zeros=st.floats(0.0, 0.9),
+       seed=st.integers(0, 2 ** 32 - 1))
+# 2 |Pi| - 1 = 25 is itself a fast length: a power's transform at that
+# length, scaled by 2^k, would wrap its lags
+@example(n=13, k_max=4, K=4, origin=-7, zeros=0.0, seed=1)
+def test_power_autocorrelations_match_the_add_chain(n, k_max, K, origin, zeros, seed):
+    # oracle: the powers built by convolve(p, p, "add"), each read through
+    # autocorrelation, regularize and l2_at_scale.  Bound: 1e-12 of A_k(0)
+    # per lag and 1e-12 relative on J (at most 1.1e-14 and 5.2e-15 seen
+    # over 400 random draws)
+    assert n != 13 or next_fast_len(2 * n - 1, real=True) == 2 * n - 1
+    rng = np.random.default_rng(seed)
+    masses = rng.random(n) * (rng.random(n) >= zeros)
+    masses[[0, -1]] = 0.01 + rng.random(2)          # an n-cell window, odd or even
+    mu = GridMeasure(10, origin, masses)
+    delta = K * mu.spacing
+    scales = mu.spacing * 2.0 ** np.arange(6)
+    plain, mollified = power_autocorrelations(mu, k_max, delta)
+    assert power_autocorrelations(mu, k_max)[1] is None
+    J = _l2_rows(plain, scales, mu.level)
+    pk = mu
+    for k in range(k_max + 1):
+        if k:
+            pk = convolve(pk, pk, "add")
+        # the lags of P_k's window and of regularize's (the bump's end taps are 0)
+        assert (plain[k].size, mollified[k].size) == (n << k, (n << k) + 2 * K - 2)
+        _within(plain[k], autocorrelation(pk.masses), 1e-12)
+        _within(mollified[k], autocorrelation(regularize(pk, delta).masses), 1e-12)
+        np.testing.assert_allclose(J[k], l2_at_scale(pk, scales), rtol=1e-12, atol=0)
+
+
+def test_flattening_energies_below_s_plus_t_one_match_energy_spatial():
+    # oracle: energy_spatial of the powers built by convolve(p, p, "add");
+    # the energies and the energy-nonincreasing ratio within 1e-12 relative
+    mu, nu = random_cantor_measure(2, depth=4), random_cantor_measure(3, depth=4)
+    s, t, delta, k_max = 0.3, 0.4, 2.0 ** -6, 3
+    run = run_flattening(mu, nu, s, t, delta, k_max, kappa=0.1)
+    pk, want = difference_product(mu, nu), []
+    for k in range(k_max + 1):
+        if k:
+            pk = convolve(pk, pk, "add")
+        want.append(energy_spatial(pk, s + t, delta))
+    np.testing.assert_allclose(run[0]["energies"], want, rtol=1e-12, atol=0)
+    verdict = _verdict(run, "energy-nonincreasing")
+    assert verdict.measured == pytest.approx(want[-1] / want[0], rel=1e-12, abs=0)
+    assert verdict.passed == bool(np.all(np.diff(want) <= 1e-9 * np.maximum(want[:-1], 1.0)))
+
+
+@pytest.mark.parametrize("s, t", [(0.5, 0.5), (0.3, 0.4)])
+def test_flattening_power_mass_check_fires(s, t, monkeypatch):
+    # a leak of 1e-11 in every power spectrum (irfft is linear), 10x
+    # _MASS_RTOL at Pi's mass 1, on both energy branches
+    def leaky(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(measures, "irfft", lossy(np.fft.irfft, 1e-11))
+            return power_autocorrelations(*args)
+
+    mu, nu = random_cantor_measure(2, depth=4), random_cantor_measure(3, depth=4)
+    monkeypatch.setattr(pipelines, "power_autocorrelations", leaky)
+    with pytest.raises(AssertionError, match="additive power 0 lost mass"):
+        run_flattening(mu, nu, s, t, 2.0 ** -6, 2, kappa=0.1)
+
+
+@pytest.mark.parametrize("config, k_max, r_count", [
+    ("flatten.cfg", 3, 11), (FLATTEN_L12, 4, 13)], ids=["flatten", "flatten-l12"])
+def test_flattening_transforms_pi_once(config, k_max, r_count, tmp_path, monkeypatch):
+    # counted work, which the host's noise cannot move: one rfft of Pi's
+    # masses and k_max + 1 irffts for the powers, and no add convolution.
+    # The rest of the run: 12 FFTs for the two subs (4 rfft + 2 irfft each),
+    # 16 for the input energies (regularize's 6 and an autocorrelation's 2,
+    # twice) and 2 per scale r for the bumps' autocorrelations.  Building
+    # the powers took 4 FFTs per add and 2 per power's autocorrelation.
+    if config.endswith(".cfg"):
+        config = (Path(__file__).parent.parent / "configs" / config).read_text()
+    calls, powers, ops = [], [], []
+
+    def counted(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return getattr(np.fft, name)(*args, **kwargs)
+        return call
+
+    def spanned(*args):
+        start = len(calls)
+        out = power_autocorrelations(*args)
+        powers.append(calls[start:])
+        return out
+
+    def recorded(mu, nu, op):
+        ops.append(op)
+        return convolve(mu, nu, op)
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(measures, name, counted(name))
+    monkeypatch.setattr(pipelines, "power_autocorrelations", spanned)
+    for module in (pipelines, convolution):
+        monkeypatch.setattr(module, "convolve", recorded)
+    cli.dispatch(cli.parse_config(config), tmp_path)
+    assert powers == [["rfft"] + ["irfft"] * (k_max + 1)]
+    assert sorted(set(ops)) == ["mul", "sub"]
+    assert len(calls) == 12 + 16 + 2 * r_count + k_max + 2
 
 
 def test_flattening_rejects_large_sum():

@@ -12,6 +12,7 @@ from decaylab import (GridMeasure, convolve, decay_profile, fourier_many, l2_at_
                       order_check, point_mass, product_fourier, regularize,
                       uniform_measure)
 from decaylab import cli, pipelines, spectral
+from decaylab.measures import autocorrelation
 from decaylab.spectral import (fourier_lattice, odd_products, product_chain_fourier,
                                profile_from_samples)
 
@@ -688,54 +689,54 @@ def test_l2_at_scale_matches_mollified_masses(n, run, zeros, seed, data):
 @given(st.integers(1, 12), st.lists(st.integers(0, 9), min_size=1, max_size=5),
        st.integers(0, 2 ** 32 - 1), st.data())
 def test_l2_at_scale_rows_equal_single_measure_calls(level, ks, seed, data):
-    # 1-4 measures on one level, each on its own window; the first is at most
-    # 2K cells wide for the widest bump (2K + 1 taps), so its row cuts the
-    # bump's autocorrelation to its own lags
+    # l2_at_scale's lag sum over the autocorrelations of 1-4 measures on one
+    # level, each on its own window (as run_flattening reads its powers):
+    # each row equals l2_at_scale on its measure bit for bit.  The first is
+    # at most 2K cells wide for the widest bump (2K + 1 taps), so its row
+    # cuts the bump's autocorrelation to its own lags
     rng = np.random.default_rng(seed)
     sizes = [data.draw(st.integers(1, 2 ** (max(ks) + 1)))]
     sizes += data.draw(st.lists(st.integers(1, 1500), max_size=3))
     measures = [GridMeasure(level, data.draw(st.integers(-n, n)), rng.random(n))
                 for n in sizes]
+    acfs = [autocorrelation(m.masses) for m in measures]
     deltas = np.array([2.0 ** (k - level) for k in ks])
-    grid = np.stack([deltas, deltas[::-1]])
-    for scales in (deltas, grid, deltas[0]):
-        got = l2_at_scale(measures, scales)
-        assert got.shape == (len(measures),) + np.shape(scales)
+    for scales in (deltas, deltas[0]):
+        got = spectral._l2_rows(acfs, scales, level)
+        assert got.shape == (len(measures), np.size(scales))
         for m, row in zip(measures, got):
-            assert _same_bits(row, l2_at_scale(m, scales))
-
-
-def test_l2_at_scale_refuses_no_measures_and_mixed_levels():
-    mu = random_masses_measure(3)
-    with pytest.raises(ValueError, match="at least one measure"):
-        l2_at_scale([], mu.spacing)
-    with pytest.raises(ValueError, match="one grid level"):
-        l2_at_scale([mu, mu.coarsened(mu.level - 1)], 2 * mu.spacing)
+            assert _same_bits(row, np.ravel(l2_at_scale(m, scales)))
 
 
 def test_l2_at_scale_builds_each_bump_once_per_call():
-    # 3 measures x 4 scales: one bump and one bump autocorrelation per scale,
-    # plus one autocorrelation per measure
-    measures = [random_masses_measure(seed) for seed in (4, 5, 6)]
-    deltas = measures[0].spacing * np.array([1.0, 2.0, 8.0, 32.0])
+    # 4 scales: one bump and one bump autocorrelation per scale, plus one
+    # autocorrelation of the measure; the lag sum over 3 autocorrelations
+    # builds the same 4 bumps once
+    mu = random_masses_measure(4)
+    deltas = mu.spacing * np.array([1.0, 2.0, 8.0, 32.0])
     bumps, autocorrelations = [], []
 
     def counted(fn, calls):
         return lambda *args: calls.append(args) or fn(*args)
 
-    with mock.patch.object(spectral, "kernel_weights",
-                           counted(spectral.kernel_weights, bumps)), \
-            mock.patch.object(spectral, "autocorrelation",
-                              counted(spectral.autocorrelation, autocorrelations)):
-        l2_at_scale(measures, deltas)
-    assert [float(d) for d, _ in bumps] == list(deltas)
-    assert len(autocorrelations) == deltas.size + len(measures)
+    acfs = [autocorrelation(random_masses_measure(seed).masses) for seed in (4, 5, 6)]
+    for call, measured in ((lambda: l2_at_scale(mu, deltas), 1),
+                           (lambda: spectral._l2_rows(acfs, deltas, mu.level), 0)):
+        bumps.clear()
+        autocorrelations.clear()
+        with mock.patch.object(spectral, "kernel_weights",
+                               counted(spectral.kernel_weights, bumps)), \
+                mock.patch.object(spectral, "autocorrelation",
+                                  counted(spectral.autocorrelation, autocorrelations)):
+            call()
+        assert [float(d) for d, _ in bumps] == list(deltas)
+        assert len(autocorrelations) == deltas.size + measured
 
 
 def test_l2_at_scale_array_call_equals_per_measure_calls():
     measures = [random_cantor_measure(seed).coarsened(11) for seed in (1, 2, 3, 4, 5)]
     deltas = measures[0].spacing * 2.0 ** np.arange(12)
-    out = l2_at_scale(measures, deltas)
+    out = spectral._l2_rows([autocorrelation(m.masses) for m in measures], deltas, 11)
     singles = [l2_at_scale(m, deltas) for m in measures]
     assert out.shape == (5, 12)
     assert _same_bits(np.array(singles), out)
